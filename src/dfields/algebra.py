@@ -33,10 +33,6 @@ class AlgebraError(Exception):
     """Structural problem with an algebra or a presentation."""
 
 
-def _frac(x):
-    return Fraction(x)
-
-
 class FiniteDimAlgebra:
     """A commutative unital Q-algebra of finite dimension.
 

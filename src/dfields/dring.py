@@ -4,6 +4,11 @@ A DOperator stores, for every ring variable, the coordinates of its image
 in the basis 1 (x) e_0, ..., 1 (x) e_l of R (x) D.  Constants map to
 c * 1_D, so the coefficient field carries the unique trivial structure;
 richer coefficient rings are modelled upstream by parameter variables.
+
+:func:`push_through` is the one route from polynomials into R (x) D: the
+image of a ring element under an operator, and the expansion of a
+generator under the generic point of a prolongation, are both computed by
+it from a map of variable images.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .poly import (
     MultiPoly,
     format_poly,
     groebner_basis_of,
+    linear_combination,
     normal_form,
     parse_polynomial,
 )
@@ -99,6 +105,10 @@ class TensorElement:
     def reduce(self, ideal):
         return TensorElement(self.algebra, [ideal.normal_form(c) for c in self.comps])
 
+    def on_variables(self, variables):
+        """The same element with every component on ``variables``."""
+        return TensorElement(self.algebra, [c.on_variables(variables) for c in self.comps])
+
     def is_zero(self):
         return all(c.is_zero() for c in self.comps)
 
@@ -120,7 +130,7 @@ class TensorElement:
 def tensor_mul(a, b, ideal=None):
     """Product in R tensor D; components reduced mod ``ideal`` when given."""
     algebra = a.algebra
-    comps = [MultiPoly.zero() for _ in range(algebra.dim)]
+    comps = [MultiPoly.zero(a.comps[0].variables)] * algebra.dim
     for i, j, k, c in algebra._nonzero:
         ai = a.comps[i]
         bj = b.comps[j]
@@ -130,6 +140,32 @@ def tensor_mul(a, b, ideal=None):
     if ideal is not None:
         comps = [ideal.normal_form(p) for p in comps]
     return TensorElement(algebra, comps)
+
+
+def push_through(algebra, polys, images, variables, ideal=None):
+    """The images in R tensor D of a list of polynomials.
+
+    A coefficient c maps to c * 1_D and each variable v to ``images[v]``;
+    term products go through the structure constants of D, reduced mod
+    ``ideal`` when given.  The images and the results live on
+    ``variables``; one power cache serves the whole list.
+    """
+    powers = {v: [TensorElement.one(algebra, variables)] for v in images}
+    out = []
+    for f in polys:
+        total = TensorElement(algebra, [MultiPoly.zero(variables)] * algebra.dim)
+        for exp, c in f.terms.items():
+            term = TensorElement.constant(algebra, c, variables)
+            for v, e in zip(f.variables, exp):
+                if not e:
+                    continue
+                cache = powers[v]
+                while len(cache) <= e:
+                    cache.append(tensor_mul(cache[-1], images[v], ideal))
+                term = tensor_mul(term, cache[e], ideal)
+            total = total + term
+        out.append(total)
+    return out
 
 
 class DOperator:
@@ -149,32 +185,14 @@ class DOperator:
         return self.ideal.variables
 
     def apply(self, f):
-        """The image of a ring element, components reduced to normal form.
-
-        Coefficients map to c * 1_D; each variable maps to its image; the
-        term products are evaluated through the structure constants of D.
-        """
+        """The image of a ring element, components reduced to normal form."""
         if isinstance(f, str):
             f = parse_polynomial(f, self.variables)
         unknown = f.used_variables() - set(self.variables)
         if unknown:
             raise DRingError(f"unknown variable {sorted(unknown)[0]!r}")
-        f = f.on_variables(self.variables)
-        powers = {v: [TensorElement.one(self.algebra, self.variables)] for v in self.variables}
-        total = TensorElement(
-            self.algebra, [MultiPoly.zero(self.variables)] * self.algebra.dim
-        )
-        for exp, c in f.terms.items():
-            term = TensorElement.constant(self.algebra, c, self.variables)
-            for v, e in zip(self.variables, exp):
-                if not e:
-                    continue
-                cache = powers[v]
-                while len(cache) <= e:
-                    cache.append(tensor_mul(cache[-1], self.images[v], self.ideal))
-                term = tensor_mul(term, cache[e], self.ideal)
-            total = total + term
-        return total.reduce(self.ideal)
+        (image,) = push_through(self.algebra, [f], self.images, self.variables, self.ideal)
+        return image.reduce(self.ideal)
 
     def component(self, f, i):
         """The e_i component of the image of f."""
@@ -296,16 +314,13 @@ def associated_hom(op, i):
     if not 0 <= i < len(comps):
         raise DRingError(f"component index {i} out of range")
     comp = comps[i]
-    images = {}
-    for v, t in op.images.items():
-        rows = []
-        for row in comp.residue_matrix:
-            combined = MultiPoly.zero(op.variables)
-            for coeff, poly in zip(row, t.comps):
-                if coeff:
-                    combined = combined + poly.scale(coeff)
-            rows.append(op.ideal.normal_form(combined))
-        images[v] = tuple(rows)
+    images = {
+        v: tuple(
+            op.ideal.normal_form(linear_combination(row, t.comps, op.variables))
+            for row in comp.residue_matrix
+        )
+        for v, t in op.images.items()
+    }
     return AssociatedHom(i, comp.residue_poly, images)
 
 
@@ -387,16 +402,13 @@ def localize_dstructure(op, q, inverse_name="w"):
     new_gens.append(q.on_variables(new_vars) * wvar - MultiPoly.one(new_vars))
     new_ideal = Ideal(new_vars, new_gens, op.ideal.budget)
 
-    dq_old = op.apply(q)
-    dq = TensorElement(op.algebra, [c.on_variables(new_vars) for c in dq_old.comps])
+    dq = op.apply(q).on_variables(new_vars)
 
     inverse = TensorElement(op.algebra, [MultiPoly.zero(new_vars)] * op.algebra.dim)
     for idx, comp in enumerate(comps):
-        sigma_q = MultiPoly.zero(new_vars)
-        for coeff, poly in zip(comp.residue_matrix[0], dq.comps):
-            if coeff:
-                sigma_q = sigma_q + poly.scale(coeff)
-        sigma_q = new_ideal.normal_form(sigma_q)
+        sigma_q = new_ideal.normal_form(
+            linear_combination(comp.residue_matrix[0], dq.comps, new_vars)
+        )
         if idx == op.algebra.pi_index:
             sigma_inv = wvar
         else:
@@ -431,9 +443,6 @@ def localize_dstructure(op, q, inverse_name="w"):
     if not all(a == b for a, b in zip(check.comps, unit.comps)):
         raise DRingError("computed image of the inverse does not invert the image")
 
-    new_images = {
-        v: TensorElement(op.algebra, [c.on_variables(new_vars) for c in t.comps])
-        for v, t in op.images.items()
-    }
+    new_images = {v: t.on_variables(new_vars) for v, t in op.images.items()}
     new_images[w] = inverse
     return make_doperator(op.algebra, new_ideal, new_images)

@@ -22,6 +22,7 @@ from .dring import (
     is_d_ideal,
     localize_dstructure,
     make_doperator,
+    push_through,
     tensor_mul,
 )
 from .poly import (
@@ -29,11 +30,12 @@ from .poly import (
     MultiPoly,
     factor_univariate,
     format_poly,
+    linear_combination,
     parse_polynomial,
     solve_zero_dim,
     univariate_coeffs,
 )
-from .prolongation import BaseDStructure, prolong
+from .prolongation import BaseDStructure, prolong, pullback_defect
 
 
 class DVarietyError(Exception):
@@ -100,21 +102,14 @@ def make_dvariety(algebra, ideal, section):
         images[v] = comps
 
     # route 1: section lands in the prolongation of the variety
-    base = BaseDStructure.trivial(algebra)
-    prolonged = prolong(base, ideal)
-    substitution = {}
-    for level in range(algebra.dim):
-        for v in ideal.variables:
-            substitution[f"{v}_{level}"] = images[v][level]
-    for f, comps in prolonged.per_generator:
-        for j, comp in enumerate(comps):
-            value = comp.substitute(substitution).on_variables(ideal.variables)
-            if not ideal.contains(value):
-                raise DVarietyError(
-                    f"section does not land in the prolongation: component {j} "
-                    f"of {format_poly(f)} pulls back to "
-                    f"{format_poly(ideal.normal_form(value))}"
-                )
+    prolonged = prolong(BaseDStructure.trivial(algebra), ideal)
+    defect = pullback_defect(prolonged, images, ideal)
+    if defect is not None:
+        f, j, value = defect
+        raise DVarietyError(
+            f"section does not land in the prolongation: component {j} "
+            f"of {format_poly(f)} pulls back to {format_poly(value)}"
+        )
 
     # route 2: the corresponding ring operator verifies independently
     try:
@@ -476,10 +471,8 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
 
     # the comparison matrix: the algebra map alpha^p e_j -> image(alpha)^p e_j
     # on the r(l+1)-dimensional space Q(alpha) tensor D
-    dalpha = ext_op.apply(MultiPoly.variable(alpha, (alpha,)))
-    powers = [TensorElement.one(algebra, (alpha,)).reduce(m_ideal)]
-    for _ in range(r - 1):
-        powers.append(tensor_mul(powers[-1], dalpha, m_ideal))
+    alpha_powers = [MultiPoly.variable(alpha, (alpha,)) ** p for p in range(r)]
+    powers = push_through(algebra, alpha_powers, ext_op.images, (alpha,), m_ideal)
     size = r * dim
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for p in range(r):
@@ -510,12 +503,9 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
                 rhs[q * dim + k] = slice_
         for p in range(r):
             for j in range(dim):
-                value = MultiPoly.zero(dvars)
-                row = inverse[p * dim + j]
-                for idx, coeff in enumerate(row):
-                    if coeff:
-                        value = value + rhs[idx].scale(coeff)
-                descended_section[f"{x}_{p}"][j] = value
+                descended_section[f"{x}_{p}"][j] = linear_combination(
+                    inverse[p * dim + j], rhs, dvars
+                )
     descended_section = {
         name: tuple(comps) for name, comps in descended_section.items()
     }

@@ -8,11 +8,6 @@ enough for the small systems the rest of the package produces.
 from fractions import Fraction
 
 
-def mat(rows):
-    """Copy a nested sequence into a Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n):
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
@@ -82,20 +77,6 @@ def nullspace(a):
             v[pc] = -red[r][fc]
         basis.append(v)
     return basis
-
-
-def solve(a, b):
-    """One solution x of a x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [Fraction(b[i])] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
 
 
 def inverse(a):

@@ -368,6 +368,15 @@ class MultiPoly:
         return format_poly(self)
 
 
+def linear_combination(coeffs, polys, variables):
+    """sum_j coeffs[j] * polys[j], as a polynomial on ``variables``."""
+    total = MultiPoly.zero(variables)
+    for coeff, poly in zip(coeffs, polys):
+        if coeff:
+            total = total + poly.scale(coeff)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # text form
 
@@ -803,9 +812,6 @@ class Ideal:
         """True when 1 is in the ideal (empty variety)."""
         basis = self.groebner_basis()
         return len(basis) == 1 and basis[0].is_constant()
-
-    def is_zero_ideal(self):
-        return not self.groebner_basis()
 
     def radical_contains(self, f):
         """Rabinowitsch test: f is in the radical iff 1 in I + <1 - t*f>."""

@@ -2,18 +2,19 @@
 
 Given defining equations in variables x over Q (or over Q[t] for declared
 parameters t with operator images), each generator f is expanded by
-substituting x -> sum_j x_j e_j and pushing coefficients through the
-operator; collecting the e_j coordinates of the result yields the
-generators of the prolonged ideal.  The prolonged ring orders its
-variables block-major: all level-0 names, then level 1, and so on.
+:func:`dfields.dring.push_through` with the generic point as variable
+images: x -> sum_j x_j e_j and each parameter to its operator image.
+Collecting the e_j coordinates of the result yields the generators of the
+prolonged ideal.  The prolonged ring orders its variables block-major:
+parameters, then all level-0 names, then level 1, and so on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dring import TensorElement, make_doperator, tensor_mul
-from .poly import Ideal, MultiPoly, format_poly, parse_polynomial
+from .dring import TensorElement, make_doperator, push_through
+from .poly import Ideal, MultiPoly, format_poly, linear_combination, parse_polynomial
 
 
 class ProlongationError(Exception):
@@ -51,15 +52,10 @@ class BaseDStructure:
                 f"associated homomorphism is not an endomorphism"
             )
         row = comp.residue_matrix[0]
-        out = {}
-        for p in self.params:
-            t = self.operator.images[p]
-            combined = MultiPoly.zero(self.params)
-            for coeff, poly in zip(row, t.comps):
-                if coeff:
-                    combined = combined + poly.scale(coeff)
-            out[p] = combined
-        return out
+        return {
+            p: linear_combination(row, self.operator.images[p].comps, self.params)
+            for p in self.params
+        }
 
     def __repr__(self):
         return f"BaseDStructure(dim(D)={self.algebra.dim}, params={list(self.params)})"
@@ -140,50 +136,17 @@ def prolong(base, ideal, xvars=None):
             f"declared parameter"
         )
 
-    dim = base.algebra.dim
-    new_vars = _prolonged_variables(base, xvars, dim)
     algebra = base.algebra
-
-    var_tensors = {}
+    new_vars = _prolonged_variables(base, xvars, algebra.dim)
+    images = {p: t.on_variables(new_vars) for p, t in base.operator.images.items()}
     for x in xvars:
-        comps = [
-            MultiPoly.variable(f"{x}_{level}", new_vars) for level in range(dim)
-        ]
-        var_tensors[x] = TensorElement(algebra, comps)
-    power_cache = {x: [TensorElement.one(algebra, new_vars)] for x in xvars}
-
-    per_generator = []
-    all_components = []
-    for f in ideal.generators:
-        f = f.on_variables(ideal.variables)
-        total = TensorElement(algebra, [MultiPoly.zero(new_vars)] * dim)
-        for exp, c in f.terms.items():
-            param_mono = {}
-            for v, e in zip(ideal.variables, exp):
-                if e and v in set(base.params):
-                    param_mono[v] = e
-            coeff_poly = MultiPoly(
-                base.params,
-                {tuple(param_mono.get(p, 0) for p in base.params): c},
-            )
-            tensor = base.apply(coeff_poly)
-            term = TensorElement(
-                algebra, [p.on_variables(new_vars) for p in tensor.comps]
-            )
-            for v, e in zip(ideal.variables, exp):
-                if not e or v not in var_tensors:
-                    continue
-                cache = power_cache[v]
-                while len(cache) <= e:
-                    cache.append(tensor_mul(cache[-1], var_tensors[v]))
-                term = tensor_mul(term, cache[e])
-            total = total + term
-        comps = tuple(p.on_variables(new_vars) for p in total.comps)
-        per_generator.append((f, comps))
-        all_components.extend(c for c in comps if not c.is_zero())
-
-    prolonged = Ideal(new_vars, all_components, ideal.budget)
-    return ProlongedVariety(base, ideal, xvars, prolonged, tuple(per_generator))
+        block = [MultiPoly.variable(f"{x}_{level}", new_vars) for level in range(algebra.dim)]
+        images[x] = TensorElement(algebra, block)
+    expansions = push_through(algebra, ideal.generators, images, new_vars)
+    per_generator = tuple((f, t.comps) for f, t in zip(ideal.generators, expansions))
+    components = [c for _, comps in per_generator for c in comps if not c.is_zero()]
+    prolonged = Ideal(new_vars, components, ideal.budget)
+    return ProlongedVariety(base, ideal, xvars, prolonged, per_generator)
 
 
 def nabla(op, point, xvars=None):
@@ -195,11 +158,7 @@ def nabla(op, point, xvars=None):
     """
     if xvars is None:
         xvars = op.variables
-    values = {}
-    for v, val in zip(xvars, point):
-        if not isinstance(val, MultiPoly):
-            val = MultiPoly.constant(val)
-        values[v] = val
+    values = {v: _as_poly(val) for v, val in zip(xvars, point)}
     for g in op.ideal.generators:
         image = g.substitute(values)
         if not (image.is_zero() or op.ideal.contains(image.on_variables(op.variables))):
@@ -259,16 +218,14 @@ def pi_hat(prolonged, i):
     comp = comps[i]
     images = {}
     for x in prolonged.xvars:
-        rows = []
-        for row in comp.residue_matrix:
-            combined = MultiPoly.zero(prolonged.variables)
-            for level, coeff in enumerate(row):
-                if coeff:
-                    combined = combined + MultiPoly.variable(
-                        f"{x}_{level}", prolonged.variables
-                    ).scale(coeff)
-            rows.append(combined)
-        images[x] = tuple(rows)
+        block = [
+            MultiPoly.variable(f"{x}_{level}", prolonged.variables)
+            for level in range(algebra.dim)
+        ]
+        images[x] = tuple(
+            linear_combination(row, block, prolonged.variables)
+            for row in comp.residue_matrix
+        )
     return PiHatMap(i, comp.residue_dim, prolonged.xvars, images)
 
 
@@ -301,9 +258,7 @@ def nabla_e(base, point, xvars):
     """The endomorphism-side prolongation point (a, sigma_1(a), ...) of a
     rational or parametric point, computed from the base structure."""
     algebra = base.algebra
-    values = []
-    for val in point:
-        values.append(val if isinstance(val, MultiPoly) else MultiPoly.constant(val))
+    values = [_as_poly(val) for val in point]
     out = []
     for i in range(len(algebra.components)):
         comp = algebra.components[i]
@@ -311,15 +266,29 @@ def nabla_e(base, point, xvars):
             raise ProlongationError("associated maps are not all endomorphisms")
         row = comp.residue_matrix[0]
         for val in values:
-            tensor = base.apply(val)
-            combined = MultiPoly.zero(base.params)
-            for coeff, poly in zip(row, tensor.comps):
-                if coeff:
-                    combined = combined + poly.scale(coeff)
+            combined = linear_combination(row, base.apply(val).comps, base.params)
             out.append(
                 combined.constant_value() if combined.is_constant() else combined
             )
     return tuple(out)
+
+
+def pullback_defect(prolonged, blocks, ideal):
+    """Pull every generator component of the prolongation back along the
+    point whose coordinates at levels 0..l are ``blocks[x]``; return the
+    first one outside ``ideal`` as (generator, level, normal form), or
+    None when the point lies on the prolongation modulo ``ideal``."""
+    substitution = {
+        f"{x}_{level}": blocks[x][level]
+        for x in prolonged.xvars
+        for level in range(prolonged.base.algebra.dim)
+    }
+    for f, comps in prolonged.per_generator:
+        for j, comp in enumerate(comps):
+            value = ideal.normal_form(comp.substitute(substitution))
+            if not value.is_zero():
+                return f, j, value
+    return None
 
 
 def extend_by_point(base, ideal, point_images, xvars=None):
@@ -345,32 +314,25 @@ def extend_by_point(base, ideal, point_images, xvars=None):
             f"expected {len(xvars) * dim} coordinates, got {len(entries)}"
         )
 
-    substitution = {}
-    for level in range(dim):
-        for pos, x in enumerate(xvars):
-            substitution[f"{x}_{level}"] = entries[level * len(xvars) + pos]
-    for pos, x in enumerate(xvars):
-        defect = ideal.normal_form(entries[pos] - MultiPoly.variable(x, ideal.variables))
+    blocks = {
+        x: [entries[level * len(xvars) + pos] for level in range(dim)]
+        for pos, x in enumerate(xvars)
+    }
+    for x in xvars:
+        defect = ideal.normal_form(blocks[x][0] - MultiPoly.variable(x, ideal.variables))
         if not defect.is_zero():
             raise ProlongationError(
                 f"level-0 coordinate of {x!r} must be {x!r} itself modulo the ideal"
             )
-    for f, comps in prolonged.per_generator:
-        for j, comp in enumerate(comps):
-            value = comp.substitute(substitution).on_variables(ideal.variables)
-            if not ideal.contains(value):
-                raise ProlongationError(
-                    f"not a point of the prolongation: component {j} of "
-                    f"{format_poly(f)} evaluates to {format_poly(ideal.normal_form(value))}"
-                )
-
-    images = {}
-    for pos, x in enumerate(xvars):
-        comps = [entries[level * len(xvars) + pos] for level in range(dim)]
-        images[x] = TensorElement(base.algebra, comps)
-    for p in base.params:
-        t = base.operator.images[p]
-        images[p] = TensorElement(
-            base.algebra, [c.on_variables(ideal.variables) for c in t.comps]
+    defect = pullback_defect(prolonged, blocks, ideal)
+    if defect is not None:
+        f, j, value = defect
+        raise ProlongationError(
+            f"not a point of the prolongation: component {j} of "
+            f"{format_poly(f)} evaluates to {format_poly(value)}"
         )
+
+    images = {x: TensorElement(base.algebra, block) for x, block in blocks.items()}
+    for p, t in base.operator.images.items():
+        images[p] = t.on_variables(ideal.variables)
     return make_doperator(base.algebra, ideal, images)

@@ -30,6 +30,7 @@ from .poly import (
     solve_zero_dim,
 )
 from .prolongation import (
+    ProlongedVariety,
     pi_hat,
     prolong,
     sigma_twist,
@@ -43,12 +44,14 @@ class UcdError(Exception):
 
 @dataclass(frozen=True)
 class UcdInstance:
-    """One instance of the axiom-scheme hypotheses."""
+    """One instance of the axiom-scheme hypotheses, with the prolongation
+    of X that Y lives in."""
 
     base: BaseDStructure
     x_ideal: Ideal
     y_ideal: Ideal
     xvars: tuple
+    prolonged: ProlongedVariety
     h: MultiPoly | None = None
     witness: tuple | None = None
     assert_irreducible: frozenset = frozenset()
@@ -60,8 +63,7 @@ def ucd_instance(base, x_ideal, y_ideal, h=None, witness=None, assert_irreducibl
     ``y_ideal`` must live on exactly the variables of the prolongation of
     ``x_ideal`` (parameters first, then the coordinate blocks in order).
     """
-    xvars = tuple(v for v in x_ideal.variables if v not in set(base.params))
-    prolonged = prolong(base, x_ideal, xvars)
+    prolonged = prolong(base, x_ideal)
     if tuple(y_ideal.variables) != prolonged.variables:
         raise UcdError(
             f"inconsistent variable sets: Y must use {list(prolonged.variables)}, "
@@ -74,7 +76,8 @@ def ucd_instance(base, x_ideal, y_ideal, h=None, witness=None, assert_irreducibl
         if len(witness) != len(y_ideal.variables):
             raise UcdError("witness length does not match the prolongation coordinates")
     return UcdInstance(
-        base, x_ideal, y_ideal, xvars, h, witness, frozenset(assert_irreducible)
+        base, x_ideal, y_ideal, prolonged.xvars, prolonged, h, witness,
+        frozenset(assert_irreducible),
     )
 
 
@@ -118,9 +121,9 @@ class HypothesisReport:
         }
 
 
-def _containment_entries(inst, prolonged):
+def _containment_entries(inst):
     bad = None
-    for f, comps in prolonged.per_generator:
+    for f, comps in inst.prolonged.per_generator:
         for j, comp in enumerate(comps):
             if not inst.y_ideal.contains(comp):
                 bad = (f, j, comp)
@@ -137,7 +140,7 @@ def _containment_entries(inst, prolonged):
     return HypothesisEntry("Y_subset_of_tauX", "verified")
 
 
-def _dominance_entries(inst, prolonged):
+def _dominance_entries(inst):
     algebra = inst.base.algebra
     comps = algebra.components
     entries = []
@@ -150,7 +153,7 @@ def _dominance_entries(inst, prolonged):
             )
         ]
     for i in range(len(comps)):
-        projection = pi_hat(prolonged, i)
+        projection = pi_hat(inst.prolonged, i)
         twisted = Ideal(
             inst.x_ideal.variables,
             [
@@ -271,9 +274,8 @@ def _open_set_entry(inst):
 
 def check_instance(inst):
     """Run every hypothesis check and collect the verdict."""
-    prolonged = prolong(inst.base, inst.x_ideal, inst.xvars)
-    entries = [_containment_entries(inst, prolonged)]
-    entries.extend(_dominance_entries(inst, prolonged))
+    entries = [_containment_entries(inst)]
+    entries.extend(_dominance_entries(inst))
     entries.append(_smoothness_entry(inst))
     entries.append(_irreducibility_entry(inst, "X"))
     entries.append(_irreducibility_entry(inst, "Y"))
@@ -445,7 +447,7 @@ def check_difference_large_instance(inst, sigma_maps, points):
     if any(c.residue_dim != 1 for c in comps):
         raise UcdError("associated maps with residue degree > 1 are not endomorphisms")
 
-    prolonged = prolong(inst.base, inst.x_ideal, inst.xvars)
+    prolonged = inst.prolonged
     projections = [pi_hat(prolonged, i) for i in range(len(comps))]
 
     entries = []

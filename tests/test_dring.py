@@ -54,6 +54,16 @@ def test_truncated_square(trunc3):
     assert [format_poly(c) for c in image.comps] == ["x^2", "2*x", "1"]
 
 
+def test_tensor_mul_stays_on_operand_variables(dual, q3):
+    variables = ("x", "y")
+    x = MultiPoly.variable("x", variables)
+    for algebra in (dual, q3):
+        a = TensorElement(algebra, [x] + [MultiPoly.zero(variables)] * (algebra.dim - 1))
+        product = tensor_mul(a, a)
+        assert any(c.is_zero() for c in product.comps)
+        assert all(c.variables == variables for c in product.comps)
+
+
 def test_apply_unknown_variable_rejected(dual):
     op = make_doperator(dual, Ideal(("x",), []), {"x": ("x", "1")})
     with pytest.raises(DRingError, match="unknown variable"):
