@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .algebra import FiniteDimAlgebra
 from .poly import (
@@ -130,13 +131,29 @@ class TensorElement:
 def tensor_mul(a, b, ideal=None):
     """Product in R tensor D; components reduced mod ``ideal`` when given."""
     algebra = a.algebra
-    comps = [MultiPoly.zero(a.comps[0].variables)] * algebra.dim
+    variables = a.comps[0].variables
+    for p in a.comps + b.comps:
+        if p.variables != variables:
+            variables += tuple(v for v in p.variables if v not in variables)
+    a_terms = [p.on_variables(variables).terms for p in a.comps]
+    b_terms = [p.on_variables(variables).terms for p in b.comps]
+    # one term dict per component, built into a polynomial once at the end
+    sums = [{} for _ in range(algebra.dim)]
     for i, j, k, c in algebra._nonzero:
-        ai = a.comps[i]
-        bj = b.comps[j]
-        if ai.is_zero() or bj.is_zero():
+        ai = a_terms[i]
+        bj = b_terms[j]
+        if not ai or not bj:
             continue
-        comps[k] = comps[k] + (ai * bj).scale(c)
+        target = sums[k]
+        for e1, c1 in ai.items():
+            cc1 = c * c1
+            for e2, c2 in bj.items():
+                exp = tuple(map(add, e1, e2))
+                old = target.get(exp)
+                target[exp] = cc1 * c2 if old is None else old + cc1 * c2
+    comps = [
+        MultiPoly._trusted(variables, {e: v for e, v in terms.items() if v}) for terms in sums
+    ]
     if ideal is not None:
         comps = [ideal.normal_form(p) for p in comps]
     return TensorElement(algebra, comps)

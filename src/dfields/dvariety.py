@@ -99,6 +99,8 @@ def make_dvariety(algebra, ideal, section):
             else c.on_variables(ideal.variables)
             for c in section[v]
         )
+        if len(comps) != algebra.dim:
+            raise DVarietyError(f"section of {v!r} needs {algebra.dim} components")
         images[v] = comps
 
     # route 1: section lands in the prolongation of the variety

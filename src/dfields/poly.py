@@ -7,13 +7,30 @@ reduced Groebner basis per monomial order.  All arithmetic is exact.
 Groebner bases are computed with Buchberger's algorithm plus the
 Gebauer-Moeller pair criteria; runaway computations hit a configurable
 resource budget and raise instead of truncating.
+
+The engine keeps its bookkeeping cheap so that the time goes to coefficient
+arithmetic:
+
+- an order's sort key is one flat tuple of ints, and its negation
+  (:meth:`MonomialOrder.neg_key`) is cheaper still, so a min-heap and
+  ``min`` find the leading term;
+- a polynomial computes its leading exponent once per order and keeps it,
+  and each S-pair keeps the sort key of its lcm from when it is formed;
+- :func:`normal_form` divides with a heap of negated keys over the working
+  terms (Monagan and Pearce, "Sparse polynomial division using a heap",
+  JSC 2011), skipping entries whose term has cancelled;
+- results that are clean by construction (sums, products, scalings,
+  remainders, S-polynomials) are built by ``MultiPoly._trusted`` without
+  re-validating; ``MultiPoly(...)`` validates outside input in full.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, mul, neg, sub
 
 import sympy
 
@@ -69,17 +86,32 @@ class MonomialOrder:
             raise ValueError("block order needs a positive elimination block size")
 
     def key(self, exp):
-        """Sort key: bigger key = bigger monomial."""
+        """Sort key, one flat tuple of ints: bigger key = bigger monomial.
+
+        grevlex is (deg, -e_n, ..., -e_1); a block order concatenates the
+        grevlex keys of its two blocks, which sorts block by block because
+        the first block has a fixed width."""
         if self.kind == "lex":
             return exp
         if self.kind == "grevlex":
             return _grevlex_key(exp)
         k = self.block
-        return (_grevlex_key(exp[:k]), _grevlex_key(exp[k:]))
+        return _grevlex_key(exp[:k]) + _grevlex_key(exp[k:])
+
+    def neg_key(self, exp):
+        """The key with every entry negated: smaller = bigger monomial, so
+        ``min`` and a min-heap find the leading monomial."""
+        if self.kind == "lex":
+            return tuple(map(neg, exp))
+        if self.kind == "grevlex":
+            return (-sum(exp),) + exp[::-1]
+        k = self.block
+        head, tail = exp[:k], exp[k:]
+        return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
 
 
 def _grevlex_key(exp):
-    return (sum(exp), tuple(-e for e in reversed(exp)))
+    return (sum(exp),) + tuple(map(neg, exp[::-1]))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -109,7 +141,9 @@ class MultiPoly:
     tuples extends both to the union.
     """
 
-    __slots__ = ("variables", "terms", "_canon")
+    # _lead ({order: leading exponent}) is only set once a leading exponent
+    # is asked for
+    __slots__ = ("variables", "terms", "_canon", "_lead")
 
     def __init__(self, variables=(), terms=None):
         object.__setattr__(self, "variables", tuple(variables))
@@ -135,11 +169,23 @@ class MultiPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _trusted(cls, variables, terms):
+        """A polynomial on already clean data, taken without validation:
+        ``variables`` a tuple, ``terms`` a dict the new polynomial owns,
+        mapping int tuples of length len(variables) to nonzero Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_canon", None)
+        return p
+
+    @classmethod
     def constant(cls, c, variables=()):
         c = _as_fraction(c)
+        variables = tuple(variables)
         if c == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * len(tuple(variables)): c})
+            return cls._trusted(variables, {})
+        return cls._trusted(variables, {(0,) * len(variables): c})
 
     @classmethod
     def variable(cls, name, variables=None):
@@ -147,11 +193,11 @@ class MultiPoly:
         if name not in variables:
             raise ValueError(f"{name!r} is not among the ring variables")
         exp = tuple(1 if v == name else 0 for v in variables)
-        return cls(variables, {exp: Fraction(1)})
+        return cls._trusted(variables, {exp: Fraction(1)})
 
     @classmethod
     def zero(cls, variables=()):
-        return cls(variables, {})
+        return cls._trusted(tuple(variables), {})
 
     @classmethod
     def one(cls, variables=()):
@@ -227,7 +273,7 @@ class MultiPoly:
                 if e:
                     new_exp[idx[i]] = e
             new_terms[tuple(new_exp)] = c
-        return MultiPoly(variables, new_terms)
+        return MultiPoly._trusted(variables, new_terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -249,21 +295,18 @@ class MultiPoly:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MultiPoly(a.variables, terms)
+        return MultiPoly._trusted(a.variables, _merge_terms(a.terms, b.terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return a + (-b)
+        return MultiPoly._trusted(a.variables, _merge_terms(a.terms, b.terms, True))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -275,10 +318,10 @@ class MultiPoly:
         terms = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
+                exp = tuple(map(add, e1, e2))
                 c = terms.get(exp)
                 terms[exp] = c1 * c2 if c is None else c + c1 * c2
-        return MultiPoly(a.variables, terms)
+        return MultiPoly._trusted(a.variables, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -296,7 +339,9 @@ class MultiPoly:
 
     def scale(self, c):
         c = _as_fraction(c)
-        return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
+        if not c:
+            return MultiPoly._trusted(self.variables, {})
+        return MultiPoly._trusted(self.variables, {e: c * v for e, v in self.terms.items()})
 
     # -- calculus and evaluation --------------------------------------------
 
@@ -349,9 +394,17 @@ class MultiPoly:
     # -- leading data --------------------------------------------------------
 
     def leading_exponent(self, order=GREVLEX):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
+        try:
+            cache = self._lead
+        except AttributeError:
+            cache = {}
+            object.__setattr__(self, "_lead", cache)
+        lead = cache.get(order)
+        if lead is None:
+            if not self.terms:
+                raise ValueError("zero polynomial has no leading term")
+            lead = cache[order] = min(self.terms, key=order.neg_key)
+        return lead
 
     def leading_coefficient(self, order=GREVLEX):
         return self.terms[self.leading_exponent(order)]
@@ -368,13 +421,37 @@ class MultiPoly:
         return format_poly(self)
 
 
+def _merge_terms(terms, other, negate):
+    """A new term dict for terms + other (terms - other when ``negate``),
+    with cancelled terms dropped."""
+    out = dict(terms)
+    for exp, c in other.items():
+        if negate:
+            c = -c
+        old = out.get(exp)
+        if old is None:
+            out[exp] = c
+        else:
+            c += old
+            if c:
+                out[exp] = c
+            else:
+                del out[exp]
+    return out
+
+
 def linear_combination(coeffs, polys, variables):
     """sum_j coeffs[j] * polys[j], as a polynomial on ``variables``."""
-    total = MultiPoly.zero(variables)
+    variables = tuple(variables)
+    terms = {}
     for coeff, poly in zip(coeffs, polys):
-        if coeff:
-            total = total + poly.scale(coeff)
-    return total
+        if not coeff:
+            continue
+        coeff = _as_fraction(coeff)
+        for exp, c in poly.on_variables(variables).terms.items():
+            old = terms.get(exp)
+            terms[exp] = coeff * c if old is None else old + coeff * c
+    return MultiPoly._trusted(variables, {e: c for e, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -591,26 +668,23 @@ DEFAULT_BUDGET = GroebnerBudget()
 
 
 def _exp_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def _exp_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def _mono_times(p, exp, coeff):
-    return {
-        tuple(e + s for e, s in zip(m, exp)): c * coeff
-        for m, c in p.terms.items()
-    }
+    return {tuple(map(add, m, exp)): c * coeff for m, c in p.terms.items()}
 
 
 def normal_form(f, basis, order=GREVLEX, budget=None):
@@ -618,84 +692,91 @@ def normal_form(f, basis, order=GREVLEX, budget=None):
 
     All polynomials must share one variable tuple.  The result has no term
     divisible by any basis leading monomial; deterministic for fixed input.
+    Each step divides the largest remaining term by the first basis element
+    whose leading monomial divides it.
     """
     budget = budget or DEFAULT_BUDGET
-    info = [(g, g.leading_exponent(order), g.leading_coefficient(order)) for g in basis]
+    neg_key = order.neg_key
+    info = []
+    for g in basis:
+        glm = g.leading_exponent(order)
+        info.append((glm, g.terms[glm], g.terms))
     work = dict(f.terms)
+    # min-heap of (negated key, exponent) over the terms of ``work``; an
+    # entry whose term has cancelled, or was already taken, is skipped
+    heap = [(neg_key(exp), exp) for exp in work]
+    heapq.heapify(heap)
     remainder = {}
-    while work:
-        lead = max(work, key=order.key)
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        c = work.pop(lead, None)
+        if c is None:
+            continue
         if sum(lead) > budget.max_degree:
             raise BudgetExceededError(
                 f"budget exhausted: degree {sum(lead)} exceeds cap {budget.max_degree}"
             )
-        c = work.pop(lead)
-        if c == 0:
-            continue
-        for g, glm, glc in info:
+        for glm, glc, gterms in info:
             if _exp_divides(glm, lead):
-                factor = c / glc
+                factor = -c / glc
                 shift = _exp_sub(lead, glm)
-                for m, gc in g.terms.items():
+                for m, gc in gterms.items():
                     if m == glm:
                         continue
-                    exp = tuple(e + s for e, s in zip(m, shift))
-                    work[exp] = work.get(exp, Fraction(0)) - factor * gc
-                    if work[exp] == 0:
-                        del work[exp]
+                    exp = tuple(map(add, m, shift))
+                    old = work.get(exp)
+                    if old is None:
+                        work[exp] = factor * gc
+                        heapq.heappush(heap, (neg_key(exp), exp))
+                    else:
+                        old += factor * gc
+                        if old:
+                            work[exp] = old
+                        else:
+                            del work[exp]
                 break
         else:
             remainder[lead] = c
-    return MultiPoly(f.variables, remainder)
+    return MultiPoly._trusted(f.variables, remainder)
 
 
 def s_polynomial(f, g, order=GREVLEX):
     lf = f.leading_exponent(order)
     lg = g.leading_exponent(order)
     lcm = _exp_lcm(lf, lg)
-    a = MultiPoly(f.variables, _mono_times(f, _exp_sub(lcm, lf), Fraction(1) / f.terms[lf]))
-    b = MultiPoly(g.variables, _mono_times(g, _exp_sub(lcm, lg), Fraction(1) / g.terms[lg]))
+    a = MultiPoly._trusted(f.variables, _mono_times(f, _exp_sub(lcm, lf), 1 / f.terms[lf]))
+    b = MultiPoly._trusted(g.variables, _mono_times(g, _exp_sub(lcm, lg), 1 / g.terms[lg]))
     return a - b
 
 
 def _gm_update(G, pairs, h, order):
-    """Gebauer-Moeller pair update when h joins the basis."""
-    lmh = h.leading_exponent(order)
+    """Gebauer-Moeller pair update when h joins the basis.
 
-    def tpair(g1, g2):
-        return _exp_lcm(g1.leading_exponent(order), g2.leading_exponent(order))
-
-    candidates = [(h, g) for g in G]
+    Basis entries are (polynomial, leading exponent); a pair is (sort key
+    of the lcm, lcm, entry, entry), the new element's entry first.
+    """
+    lmh = h[1]
+    candidates = [(g, _exp_lcm(lmh, g[1])) for g in G]
     kept = []
-    while candidates:
-        _, g1 = candidates.pop(0)
-        t1 = _exp_lcm(lmh, g1.leading_exponent(order))
-        if _exp_coprime(lmh, g1.leading_exponent(order)):
-            kept.append(g1)
-            continue
-        dominated = any(
-            _exp_divides(_exp_lcm(lmh, g2.leading_exponent(order)), t1)
-            for _, g2 in candidates
-        ) or any(
-            _exp_divides(_exp_lcm(lmh, g2.leading_exponent(order)), t1)
-            for g2 in kept
-        )
-        if not dominated:
-            kept.append(g1)
-    new_pairs = [(h, g) for g in kept if not _exp_coprime(lmh, g.leading_exponent(order))]
-
-    surviving = []
-    for g1, g2 in pairs:
-        t12 = tpair(g1, g2)
-        if (
-            not _exp_divides(lmh, t12)
-            or _exp_lcm(lmh, g1.leading_exponent(order)) == t12
-            or _exp_lcm(lmh, g2.leading_exponent(order)) == t12
+    for i, (g1, t1) in enumerate(candidates):
+        if _exp_coprime(lmh, g1[1]) or not (
+            any(_exp_divides(t2, t1) for _, t2 in candidates[i + 1:])
+            or any(_exp_divides(t2, t1) for _, t2 in kept)
         ):
-            surviving.append((g1, g2))
+            kept.append((g1, t1))
+    new_pairs = [
+        (order.key(t), t, h, g) for g, t in kept if not _exp_coprime(lmh, g[1])
+    ]
+
+    surviving = [
+        pair for pair in pairs
+        if not _exp_divides(lmh, pair[1])
+        or _exp_lcm(lmh, pair[2][1]) == pair[1]
+        or _exp_lcm(lmh, pair[3][1]) == pair[1]
+    ]
     surviving.extend(new_pairs)
 
-    new_G = [g for g in G if not _exp_divides(lmh, g.leading_exponent(order))]
+    new_G = [g for g in G if not _exp_divides(lmh, g[1])]
     new_G.append(h)
     return new_G, surviving
 
@@ -704,30 +785,21 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     """Reduced Groebner basis of the ideal spanned by ``generators``."""
     budget = budget or DEFAULT_BUDGET
     variables = tuple(variables)
-    gens = [g.on_variables(variables) for g in generators if not g.is_zero()]
-    if not gens:
+    queue = [g.on_variables(variables) for g in generators if not g.is_zero()]
+    if not queue:
         return ()
 
     G = []
     pairs = []
-    counter = itertools.count()
-    queue = [(next(counter), g) for g in gens]
     while queue or pairs:
         if queue:
-            _, cand = queue.pop(0)
+            cand = queue.pop(0)
         else:
-            best = min(
-                range(len(pairs)),
-                key=lambda i: order.key(
-                    _exp_lcm(
-                        pairs[i][0].leading_exponent(order),
-                        pairs[i][1].leading_exponent(order),
-                    )
-                ),
-            )
-            f, g = pairs.pop(best)
+            # the first pair with the smallest lcm
+            keys = [pair[0] for pair in pairs]
+            _, _, (f, _), (g, _) = pairs.pop(keys.index(min(keys)))
             cand = s_polynomial(f, g, order)
-        reduced = normal_form(cand, G, order, budget) if G else cand
+        reduced = normal_form(cand, [g for g, _ in G], order, budget) if G else cand
         if reduced.is_zero():
             continue
         reduced = reduced.monic(order)
@@ -736,7 +808,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
                 f"budget exhausted: degree {reduced.total_degree()} exceeds cap "
                 f"{budget.max_degree}"
             )
-        G, pairs = _gm_update(G, pairs, reduced, order)
+        G, pairs = _gm_update(G, pairs, (reduced, reduced.leading_exponent(order)), order)
         if len(G) > budget.max_basis:
             raise BudgetExceededError(
                 f"budget exhausted: basis size exceeds cap {budget.max_basis}"
@@ -744,8 +816,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
 
     # minimalise, then interreduce to the unique reduced basis
     minimal = []
-    for g in sorted(G, key=lambda p: order.key(p.leading_exponent(order))):
-        lm = g.leading_exponent(order)
+    for g, lm in sorted(G, key=lambda entry: order.key(entry[1])):
         if not any(_exp_divides(m.leading_exponent(order), lm) for m in minimal):
             minimal.append(g)
     changed = True

@@ -1,7 +1,11 @@
 """The input language, canonical printing, and command dispatch."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +23,7 @@ from dfields.cli import (
     run,
     run_fixture_corpus,
 )
+import dfields
 from dfields.poly import PolyParseError
 
 PARABOLA = """
@@ -192,6 +197,19 @@ dvariety euler { algebra = dual; variety = line; s x = (x, x); }
     assert result.payload["results"][0]["dimension"] == 0
 
 
+@pytest.mark.parametrize("section", ["(x)", "(x, x, 1)"])
+def test_dvariety_check_rejects_wrong_section_length(tmp_path, capsys, section):
+    path = tmp_path / "euler.dr"
+    path.write_text(
+        "algebra dual = Q[e]/(e^2);\nvariety line { vars = [x]; }\n"
+        f"dvariety euler {{ algebra = dual; variety = line; s x = {section}; }}\n"
+    )
+    code = main(["dvariety", "check", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "dvariety euler: INVALID (section of 'x' needs 2 components)" in out
+
+
 def test_descend_command_reports_correspondence():
     text = """algebra dual = Q[e]/(e^2);
 descend gauss { algebra = dual; minpoly a = a^2 + 1; d a = (a, 0);
@@ -265,3 +283,16 @@ def test_fixture_corpus_runs_clean_and_fast():
     assert ok, "\n".join(lines)
     assert elapsed < 60
     assert any("parabola.dr" in line for line in lines)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(dfields.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dfields", "--fixtures"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "parabola.dr" in proc.stdout

@@ -64,6 +64,15 @@ def test_tensor_mul_stays_on_operand_variables(dual, q3):
         assert all(c.variables == variables for c in product.comps)
 
 
+def test_tensor_mul_extends_mixed_component_variables(dual):
+    # a rational component sits on no variables next to polynomials in x, y
+    a = TensorElement(dual, [1, P("x", ("x",))])
+    b = TensorElement(dual, [P("y", ("y",)), 2])
+    product = tensor_mul(a, b)
+    assert [format_poly(c) for c in product.comps] == ["y", "x*y + 2"]
+    assert all(c.variables == ("x", "y") for c in product.comps)
+
+
 def test_apply_unknown_variable_rejected(dual):
     op = make_doperator(dual, Ideal(("x",), []), {"x": ("x", "1")})
     with pytest.raises(DRingError, match="unknown variable"):

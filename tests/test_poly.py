@@ -29,6 +29,7 @@ from dfields.poly import (
     parse_polynomial,
     radical_membership,
     rational_roots,
+    s_polynomial,
     solve_zero_dim,
     squarefree_part,
 )
@@ -144,6 +145,34 @@ def test_block_order_eliminates_first_block():
     assert order.key((1, 0, 0)) > order.key((0, 5, 5))
 
 
+def _nested_key(order, exp):
+    """The order's key as nested tuples: the reference the flat keys must
+    sort like."""
+
+    def grevlex(e):
+        return (sum(e), tuple(-x for x in reversed(e)))
+
+    if order.kind == "lex":
+        return exp
+    if order.kind == "grevlex":
+        return grevlex(exp)
+    return (grevlex(exp[:order.block]), grevlex(exp[order.block:]))
+
+
+ORDERS = (GREVLEX, LEX, MonomialOrder("block", 1), MonomialOrder("block", 2))
+_EXPS = st.tuples(*[st.integers(0, 3)] * 3)
+
+
+@given(st.sampled_from(ORDERS), _EXPS, _EXPS)
+def test_flat_keys_sort_like_nested_keys(order, a, b):
+    flat = (order.key(a) > order.key(b)) - (order.key(a) < order.key(b))
+    nested = (_nested_key(order, a) > _nested_key(order, b)) - (
+        _nested_key(order, a) < _nested_key(order, b)
+    )
+    assert flat == nested
+    assert order.neg_key(a) == tuple(-x for x in order.key(a))
+
+
 # ---------------------------------------------------------------------------
 # Groebner bases
 
@@ -201,6 +230,121 @@ def test_budget_exceeded_is_explicit():
     ideal = Ideal(("x", "y"), ["y^2 - x^3"], budget=tiny)
     with pytest.raises(BudgetExceededError):
         ideal.groebner_basis()
+
+
+# ---------------------------------------------------------------------------
+# heap division against the plain max-scan division
+
+
+def _reference_normal_form(f, basis, order=GREVLEX, budget=None):
+    """Full division that scans the working terms for the largest one at
+    every step, dividing by the first basis element that applies."""
+    budget = budget or GroebnerBudget()
+    info = [(g, max(g.terms, key=order.key)) for g in basis]
+    work = dict(f.terms)
+    remainder = {}
+    while work:
+        lead = max(work, key=order.key)
+        if sum(lead) > budget.max_degree:
+            raise BudgetExceededError("reference: degree over the cap")
+        c = work.pop(lead)
+        for g, glm in info:
+            if all(x <= y for x, y in zip(glm, lead)):
+                factor = c / g.terms[glm]
+                shift = tuple(x - y for x, y in zip(lead, glm))
+                for m, gc in g.terms.items():
+                    if m == glm:
+                        continue
+                    exp = tuple(e + s for e, s in zip(m, shift))
+                    work[exp] = work.get(exp, Fraction(0)) - factor * gc
+                    if work[exp] == 0:
+                        del work[exp]
+                break
+        else:
+            remainder[lead] = c
+    return remainder
+
+
+_VARS = ("x", "y", "z")
+_POLYS = st.dictionaries(_EXPS, st.integers(-2, 2), max_size=5).map(
+    lambda terms: MultiPoly(_VARS, terms)
+)
+_NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
+_DIVISION_ORDERS = st.sampled_from((GREVLEX, LEX, MonomialOrder("block", 1)))
+
+
+@given(
+    _DIVISION_ORDERS,
+    st.lists(_NONZERO_POLYS, min_size=1, max_size=3),
+    st.lists(_POLYS, max_size=3),
+    _POLYS,
+)
+def test_heap_division_matches_max_scan_reference(order, basis, multipliers, extra):
+    # f = sum m_i * g_i + extra: reducing it cancels terms along the way
+    f = extra
+    for m, g in zip(multipliers, basis):
+        f = f + m * g
+    remainder = normal_form(f, basis, order)
+    assert remainder.terms == _reference_normal_form(f, basis, order)
+    assert remainder.variables == f.variables
+
+
+def test_heap_division_skips_cancelled_terms():
+    f = P("x - y^5 + z", _VARS)
+    basis = [P("x - y^5", _VARS)]
+    tight = GroebnerBudget(max_degree=3)
+    # y^5 enters the heap, then cancels before it would lead
+    assert normal_form(f, basis, LEX, tight) == P("z", _VARS)
+    assert normal_form(f, basis, LEX, tight).terms == _reference_normal_form(
+        f, basis, LEX, tight
+    )
+
+
+def test_heap_division_checks_degree_budget_on_each_lead():
+    f = P("x^2 + z", _VARS)
+    basis = [P("x^2 - y^5", _VARS)]
+    tight = GroebnerBudget(max_degree=3)
+    with pytest.raises(BudgetExceededError):
+        normal_form(f, basis, LEX, tight)
+    with pytest.raises(BudgetExceededError):
+        _reference_normal_form(f, basis, LEX, tight)
+    assert normal_form(f, basis, LEX) == P("y^5 + z", _VARS)
+
+
+# ---------------------------------------------------------------------------
+# cached leading data and the trusted constructor
+
+
+def test_leading_exponent_is_cached_per_order():
+    p = P("z^4 + x*z^2 + x*y", _VARS)
+    block = MonomialOrder("block", 1)
+    expected = {GREVLEX: (0, 0, 4), LEX: (1, 1, 0), block: (1, 0, 2)}
+    for _ in range(2):
+        for order, lead in expected.items():
+            assert p.leading_exponent(order) == lead
+            assert p.leading_exponent(order) == max(p.terms, key=order.key)
+    with pytest.raises(ValueError):
+        MultiPoly.zero(_VARS).leading_exponent(LEX)
+
+
+def _assert_clean(p):
+    assert p.terms == MultiPoly(p.variables, p.terms).terms
+    for exp, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert len(exp) == len(p.variables)
+        assert all(type(e) is int and e >= 0 for e in exp)
+
+
+@given(_DIVISION_ORDERS, _POLYS, _POLYS, st.integers(-3, 3))
+def test_trusted_results_are_clean(order, p, q, c):
+    results = [p + q, p - q, p - p, p + (-p), p * q, p.scale(c), p.scale(Fraction(c, 2))]
+    if not q.is_zero():
+        results.append(normal_form(p, [q], order))
+        if not p.is_zero():
+            results.append(s_polynomial(p, q, order))
+            results.append(s_polynomial(p, p, order))
+    for r in results:
+        _assert_clean(r)
 
 
 def _random_ideal(rng, nvars=3, ngens=3):
