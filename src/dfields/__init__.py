@@ -2,7 +2,8 @@
 
 The package is organised bottom-up: ``poly`` (exact polynomials, Groebner
 bases, and the ideal toolkit), ``algebra`` (finite-dimensional Q-algebras
-and their local decomposition), ``dring`` (operator structures on
+and their local decomposition, which also solves zero-dimensional systems
+through Q[x]/I), ``dring`` (operator structures on
 finitely presented rings), ``prolongation`` (the prolongation of a
 variety and its projections), ``dvariety`` (sections, sharp points, and
 descent along finite extensions), ``ucd`` (instance checking for the
@@ -22,6 +23,7 @@ from .algebra import (
     product_algebra,
     rational_field_algebra,
     residue_projection,
+    solve_zero_dim,
 )
 from .dring import (
     DOperator,
@@ -70,7 +72,6 @@ from .poly import (
     krull_dimension,
     parse_polynomial,
     radical_membership,
-    solve_zero_dim,
 )
 from .prolongation import (
     BaseDStructure,

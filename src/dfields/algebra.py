@@ -4,11 +4,20 @@ An algebra is a rank-3 tensor a[i][j][k] with e_i * e_j = sum_k a[i][j][k] e_k
 plus the coordinates of 1.  The module checks the algebra axioms, builds
 algebras from presentations Q[y1,..]/(relations), decomposes into local
 factors (trace-form nilradical, primitive-element splitting, idempotent
-lifting), and exposes the residue projections of the factors.
+lifting), and exposes the residue projections of the factors.  The axiom
+check and the trace form run over the nonzero structure constants only.
+
+It is also the package's one zero-dimensional engine: for a
+zero-dimensional ideal I, Q[x]/I is such an algebra, its local factors
+are the Q-irreducible components of V(I), and the factors of residue
+degree 1 are its rational points (:func:`solve_zero_dim`;
+``poly.decide_irreducibility`` counts the factors).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,12 +25,12 @@ from fractions import Fraction
 from . import linalg
 from .poly import (
     GREVLEX,
+    BudgetExceededError,
     Ideal,
     MultiPoly,
-    _standard_monomials,
+    _exp_divides,
     factor_univariate,
     format_poly,
-    parse_polynomial,
     uni_divmod,
     uni_ext_gcd,
     univariate_coeffs,
@@ -72,6 +81,10 @@ class FiniteDimAlgebra:
             for k in range(n)
             if a[i][j][k] != 0
         )
+        # _rows[i][j]: the pairs (k, a[i][j][k]) of the nonzero constants
+        self._rows = [[[] for _ in range(n)] for _ in range(n)]
+        for i, j, k, c in self._nonzero:
+            self._rows[i][j].append((k, c))
 
     # -- elements -----------------------------------------------------------
 
@@ -91,12 +104,14 @@ class FiniteDimAlgebra:
 
     def mul_coords(self, u, v):
         out = [Fraction(0)] * self.dim
-        for i, j, k, c in self._nonzero:
-            ui = u[i]
-            if ui:
-                vj = v[j]
-                if vj:
-                    out[k] += c * ui * vj
+        v_support = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                row = self._rows[i]
+                for j, y in v_support:
+                    xy = x * y
+                    for k, c in row[j]:
+                        out[k] += c * xy
         return out
 
     def multiplication_matrix(self, coords):
@@ -288,29 +303,56 @@ class AlgebraReport:
 
 def check_algebra(algebra):
     """Check commutativity, associativity, and the unit law exactly;
-    every violated identity is reported with witness indices."""
-    a = algebra.struct_consts
-    b = algebra.unit
+    every violated identity is reported with witness indices.
+
+    The sums run over the nonzero structure constants only; violations
+    come out in the order of a plain loop over all index tuples."""
     n = algebra.dim
-    violations = []
+    a = algebra.struct_consts
+    nonzero = algebra._nonzero
+    # rows[i][j]: pairs (k, den * a[i][j][k]) with den the common
+    # denominator, so that the associativity sums run on integers
+    den = math.lcm(*(c.denominator for *_, c in nonzero))
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in nonzero:
+        rows[i][j].append((k, c.numerator * (den // c.denominator)))
+    violations = [
+        AxiomViolation("commutativity", idx)
+        for idx in sorted(
+            {(min(i, j), max(i, j), k) for i, j, k, c in nonzero if a[j][i][k] != c}
+        )
+    ]
+    # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
     for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                if a[i][j][k] != a[j][i][k]:
-                    violations.append(AxiomViolation("commutativity", (i, j, k)))
-    for i in range(n):
+        row_i = rows[i]
         for j in range(n):
+            ij = row_i[j]
+            row_j = rows[j]
             for k in range(n):
-                for m in range(n):
-                    lhs = sum(a[i][j][t] * a[t][k][m] for t in range(n))
-                    rhs = sum(a[j][k][t] * a[i][t][m] for t in range(n))
-                    if lhs != rhs:
-                        violations.append(AxiomViolation("associativity", (i, j, k, m)))
+                jk = row_j[k]
+                if not ij and not jk:
+                    continue
+                diff = [0] * n
+                for t, c in ij:
+                    for m, d in rows[t][k]:
+                        diff[m] += c * d
+                for t, c in jk:
+                    for m, d in row_i[t]:
+                        diff[m] -= c * d
+                if any(diff):
+                    violations.extend(
+                        AxiomViolation("associativity", (i, j, k, m))
+                        for m in range(n)
+                        if diff[m]
+                    )
+    b = algebra.unit
+    totals = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, k, c in nonzero:
+        if b[i]:
+            totals[j][k] += b[i] * c
     for j in range(n):
         for k in range(n):
-            total = sum(b[i] * a[i][j][k] for i in range(n))
-            expected = Fraction(1) if j == k else Fraction(0)
-            if total != expected:
+            if totals[j][k] != (1 if j == k else 0):
                 violations.append(AxiomViolation("unit", (j, k)))
     return AlgebraReport(tuple(violations))
 
@@ -333,25 +375,56 @@ def _monomial_name(variables, exp):
     return "*".join(parts) if parts else "1"
 
 
+def _standard_monomials(ideal):
+    basis = ideal.groebner_basis()
+    lms = [g.leading_exponent(GREVLEX) for g in basis]
+    n = len(ideal.variables)
+    found = []
+    seen = set()
+    queue = [(0,) * n]
+    while queue:
+        exp = queue.pop(0)
+        if exp in seen:
+            continue
+        seen.add(exp)
+        if any(_exp_divides(lm, exp) for lm in lms):
+            continue
+        found.append(exp)
+        if len(found) > 10000:
+            raise BudgetExceededError("budget exhausted: quotient dimension too large")
+        for i in range(n):
+            bumped = list(exp)
+            bumped[i] += 1
+            queue.append(tuple(bumped))
+    found.sort(key=GREVLEX.key)
+    return found
+
+
 def from_presentation(generators, relations):
     """Build the algebra Q[generators]/(relations).
 
     The quotient must be finite-dimensional; the basis is the set of
     standard monomials of a Groebner basis of the relations, and the
-    multiplication table comes from normal-form reduction of pairwise
-    products.
+    multiplication table comes from normal-form reduction of products.
     """
-    variables = tuple(generators)
-    rels = []
-    for r in relations:
-        if isinstance(r, str):
-            r = parse_polynomial(r, variables)
-        rels.append(r.on_variables(variables))
-    ideal = Ideal(variables, rels)
+    return _quotient_algebra(Ideal(tuple(generators), relations))[0]
+
+
+def _quotient_algebra(ideal):
+    """The algebra Q[x]/I of a zero-dimensional ideal, and the map from
+    each standard monomial to its basis index.
+
+    The basis is the set of standard monomials of the ideal's cached
+    grevlex basis, 1 first, then by degree with earlier variables first.
+    Products are reduced under the ideal's budget one variable at a time:
+    with m_i = x_v * m_p for an earlier basis monomial m_p,
+    NF(m_i * m_j) = NF(x_v * NF(m_p * m_j)), so no product exceeds the
+    largest standard degree by more than one.
+    """
+    variables = ideal.variables
     if ideal.is_trivial():
         raise AlgebraError("presentation collapses to the zero ring")
-    basis = ideal.groebner_basis()
-    lms = [g.leading_exponent(GREVLEX) for g in basis]
+    lms = [g.leading_exponent(GREVLEX) for g in ideal.groebner_basis()]
     for idx, v in enumerate(variables):
         has_pure_power = any(
             lm[idx] > 0 and all(e == 0 for p, e in enumerate(lm) if p != idx)
@@ -362,7 +435,6 @@ def from_presentation(generators, relations):
                 f"infinite-dimensional quotient: variable {v!r} is unbounded"
             )
     monomials = _standard_monomials(ideal)
-    # 1 first, then by degree with earlier generators first
     monomials.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
     index = {m: i for i, m in enumerate(monomials)}
     n = len(monomials)
@@ -375,20 +447,24 @@ def from_presentation(generators, relations):
             vec[index[exp]] += c
         return vec
 
-    struct = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    monos = [MultiPoly(variables, {m: Fraction(1)}) for m in monomials]
+    x = [MultiPoly.variable(v, variables) for v in variables]
+    # products[i][j - i] = NF(m_i * m_j) for j >= i
+    products = [[MultiPoly._trusted(variables, {m: Fraction(1)}) for m in monomials]]
+    for i in range(1, n):
+        m = monomials[i]
+        v = next(idx for idx, e in enumerate(m) if e)
+        p = index[m[:v] + (m[v] - 1,) + m[v + 1:]]
+        products.append(
+            [ideal.normal_form(x[v] * products[p][j - p]) for j in range(i, n)]
+        )
+    struct = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            prod = ideal.normal_form(monos[i] * monos[j])
-            vec = coords_of(prod)
-            for k in range(n):
-                struct[i][j][k] = vec[k]
-                struct[j][i][k] = vec[k]
-    unit = coords_of(ideal.normal_form(MultiPoly.one(variables)))
+            struct[i][j] = struct[j][i] = coords_of(products[i][j - i])
     names = tuple(_monomial_name(variables, m) for m in monomials)
-    algebra = FiniteDimAlgebra(struct, unit, names)
-    algebra.presentation = (variables, tuple(rels))
-    return algebra
+    algebra = FiniteDimAlgebra(struct, coords_of(products[0][0]), names)
+    algebra.presentation = (variables, ideal.generators)
+    return algebra, index
 
 
 def product_algebra(*factors):
@@ -418,16 +494,19 @@ def rational_field_algebra():
 # local decomposition
 
 
-def _first_dependence(vectors):
-    """Coefficients of the first linear dependence among successive rows,
-    or None while they stay independent."""
-    transposed = list(map(list, zip(*vectors)))
-    ns = linalg.nullspace(transposed)
-    if not ns:
-        return None
-    rel = ns[0]
-    lead = max(i for i, c in enumerate(rel) if c != 0)
-    return [c / rel[lead] for c in rel[: lead + 1]]
+def _echelon_add(echelon, v, width):
+    """Reduce v by the rows of ``echelon`` (pairs (pivot, row) with entry 1
+    at the pivot, each row zero at the pivots of the rows before it).  A
+    remainder nonzero in its first ``width`` entries joins as a new row.
+    Returns the remainder."""
+    for pivot, row in echelon:
+        f = v[pivot]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    pivot = next((j for j in range(width) if v[j]), None)
+    if pivot is not None:
+        echelon.append((pivot, [c / v[pivot] for c in v]))
+    return v
 
 
 class _Quotient:
@@ -438,20 +517,25 @@ class _Quotient:
         self.nil_basis = nil_basis
         n = algebra.dim
         columns = [list(v) for v in nil_basis]
+        # e_i represents A/N when it is independent of N and of the e's
+        # taken before it
+        echelon = []
+        for v in columns:
+            _echelon_add(echelon, v, n)
         self.rep_indices = []
         for i in range(n):
             e = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            if linalg.rank(list(map(list, zip(*(columns + [e]))))) > len(columns):
+            if any(_echelon_add(echelon, e, n)):
                 columns.append(e)
                 self.rep_indices.append(i)
         self.dim = len(self.rep_indices)
-        self._to_coords = linalg.inverse(list(map(list, zip(*columns))))
-        if self._to_coords is None:
+        to_coords = linalg.inverse(list(map(list, zip(*columns))))
+        if to_coords is None:
             raise AlgebraError("nilradical basis is degenerate")
+        self._to_coords = to_coords[len(nil_basis):]
 
     def project(self, coords):
-        full = linalg.mat_vec(self._to_coords, list(coords))
-        return full[len(self.nil_basis):]
+        return linalg.mat_vec(self._to_coords, list(coords))
 
     def lift(self, qcoords):
         coords = [Fraction(0)] * self.algebra.dim
@@ -467,24 +551,20 @@ class _Quotient:
 
 
 def _minimal_polynomial_in_quotient(quot, u):
-    powers = [quot.one()]
-    while True:
-        dep = _first_dependence(powers)
-        if dep is not None:
-            return dep
-        if len(powers) > quot.dim + 1:
-            raise AlgebraError("minimal polynomial search exceeded quotient dimension")
-        powers.append(quot.mul(powers[-1], u))
-
-
-def _eval_poly_in_quotient(quot, coeffs, u):
-    # Horner evaluation of a univariate coefficient list at u in A/N
-    result = [Fraction(0)] * quot.dim
-    for c in reversed(coeffs):
-        result = quot.mul(result, u)
-        one = quot.one()
-        result = [r + c * o for r, o in zip(result, one)]
-    return result
+    """Monic minimal polynomial of u in A/N, low degree first: the first
+    linear dependence among 1, u, u^2, ..., found by eliminating rows
+    (u^k, e_k) that carry their combination of the powers along."""
+    d = quot.dim
+    echelon = []
+    power = quot.one()
+    for k in range(d + 1):
+        tag = [Fraction(0)] * (d + 1)
+        tag[k] = Fraction(1)
+        rest = _echelon_add(echelon, power + tag, d)
+        if not any(rest[:d]):
+            return rest[d:d + k + 1]
+        power = quot.mul(power, u)
+    raise AlgebraError("minimal polynomial search exceeded quotient dimension")
 
 
 def _decompose(algebra):
@@ -493,38 +573,32 @@ def _decompose(algebra):
     if not report.is_valid:
         raise AlgebraError(f"cannot decompose an invalid algebra: {report.describe()}")
 
-    # nilradical: kernel of the trace form (characteristic 0)
-    mult = [algebra.multiplication_matrix(algebra.basis_element(i).coords) for i in range(n)]
-    trace_form = [
-        [
-            sum(linalg.mat_mul(mult[i], mult[j])[d][d] for d in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    # nilradical: kernel of the trace form (characteristic 0), with
+    # Tr(e_i e_j) = sum_k a[i][j][k] Tr(e_k) and Tr(e_i) = sum_j a[i][j][j]
+    trace = [Fraction(0)] * n
+    for i, j, k, c in algebra._nonzero:
+        if j == k:
+            trace[i] += c
+    trace_form = [[Fraction(0)] * n for _ in range(n)]
+    for i, j, k, c in algebra._nonzero:
+        trace_form[i][j] += c * trace[k]
     nil_basis = linalg.nullspace(trace_form)
     quot = _Quotient(algebra, nil_basis)
+    projected = [quot.project(algebra.basis_element(i).coords) for i in range(n)]
 
-    # primitive element for the semisimple quotient
+    # primitive element for the semisimple quotient: every basis element,
+    # then up to 100 seeded random elements
     rng = random.Random(20230517)
-    candidates = [quot.project(algebra.basis_element(i).coords) for i in range(n)]
-    primitive = None
-    minpoly = None
-    attempts = 0
-    while attempts < 100:
-        if candidates:
-            u = candidates.pop(0)
-        else:
-            coords = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-            u = quot.project(coords)
-        attempts += 1
-        m = _minimal_polynomial_in_quotient(quot, u)
-        if len(m) - 1 == quot.dim:
-            primitive, minpoly = u, m
+    randoms = (
+        quot.project([Fraction(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100)
+    )
+    for primitive in itertools.chain(projected, randoms):
+        minpoly = _minimal_polynomial_in_quotient(quot, primitive)
+        if len(minpoly) - 1 == quot.dim:
             break
-    if primitive is None:
+    else:
         raise AlgebraError(
-            "no primitive element found for the semisimple quotient after 100 attempts"
+            "no primitive element found for the semisimple quotient after 100 random attempts"
         )
 
     _, factors = factor_univariate(univariate_poly(minpoly, "x"), "x")
@@ -538,6 +612,8 @@ def _decompose(algebra):
         power_basis.append(quot.mul(power_basis[-1], primitive))
     power_matrix = list(map(list, zip(*power_basis)))
     power_inv = linalg.inverse(power_matrix)
+    # each basis element as a polynomial in the primitive element
+    in_power_basis = [linalg.mat_vec(power_inv, qc) for qc in projected]
 
     for p, _ in factors:
         p_coeffs = univariate_coeffs(p, "x")
@@ -551,7 +627,10 @@ def _decompose(algebra):
             for j, qc in enumerate(q_coeffs):
                 prod[i + j] += uc * qc
         _, idem_coeffs = uni_divmod(prod, minpoly)
-        ebar = _eval_poly_in_quotient(quot, idem_coeffs, primitive)
+        ebar = [
+            sum((c * u[r] for c, u in zip(idem_coeffs, power_basis)), Fraction(0))
+            for r in range(quot.dim)
+        ]
 
         e = quot.lift(ebar)
         for _ in range(algebra.dim + 2):
@@ -565,9 +644,8 @@ def _decompose(algebra):
 
         # component data
         mult_e = algebra.multiplication_matrix(e)
-        image_rows = [linalg.mat_vec(mult_e, algebra.basis_element(i).coords) for i in range(n)]
-        comp_dim = linalg.rank(image_rows)
-        ideal_rows = [algebra.mul_coords(e, list(v)) for v in nil_basis]
+        comp_dim = linalg.rank(mult_e)
+        ideal_rows = [linalg.mat_vec(mult_e, v) for v in nil_basis]
         reduced, pivots = linalg.rref(ideal_rows) if ideal_rows else ([], [])
         max_ideal = tuple(
             AlgebraElement(algebra, reduced[r]) for r in range(len(pivots))
@@ -575,9 +653,7 @@ def _decompose(algebra):
 
         residue_dim = p.total_degree()
         rows = []
-        for i in range(n):
-            qc = quot.project(algebra.basis_element(i).coords)
-            tpoly = linalg.mat_vec(power_inv, qc)
+        for tpoly in in_power_basis:
             _, rem_p = uni_divmod(tpoly, p_coeffs)
             rem_p = rem_p + [Fraction(0)] * (residue_dim - len(rem_p))
             rows.append(rem_p[:residue_dim])
@@ -651,4 +727,45 @@ def apply_residue_projection(algebra, i, coords):
     return tuple(
         sum((row[j] * Fraction(coords[j]) for j in range(algebra.dim)), Fraction(0))
         for row in matrix
+    )
+
+
+# ---------------------------------------------------------------------------
+# zero-dimensional solving
+
+
+@dataclass(frozen=True)
+class SolveResult:
+    points: tuple
+    has_nonrational: bool
+
+
+def solve_zero_dim(ideal):
+    """All rational points of a zero-dimensional variety.
+
+    The local components of Q[x]/I are the Q-irreducible components of
+    V(I).  A component of residue degree 1 is a rational point, whose
+    coordinates are the residue projections of the variables' normal
+    forms; ``has_nonrational`` is true exactly when some component has a
+    larger residue degree, that is, when V(I) has a non-rational point.
+    """
+    if ideal.is_trivial():
+        return SolveResult((), False)
+    if ideal.krull_dimension() != 0:
+        raise ValueError("ideal is not zero-dimensional")
+    algebra, index = _quotient_algebra(ideal)
+    variables = ideal.variables
+    values = []
+    for v in variables:
+        vec = [Fraction(0)] * algebra.dim
+        for exp, c in ideal.normal_form(MultiPoly.variable(v, variables)).terms.items():
+            vec[index[exp]] += c
+        values.append(vec)
+    points = [
+        tuple(apply_residue_projection(algebra, i, vec)[0] for vec in values)
+        for i, comp in enumerate(algebra.components)
+        if comp.residue_dim == 1
+    ]
+    return SolveResult(
+        tuple(sorted(points)), any(c.residue_dim > 1 for c in algebra.components)
     )

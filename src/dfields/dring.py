@@ -167,19 +167,27 @@ def push_through(algebra, polys, images, variables, ideal=None):
     ``ideal`` when given.  The images and the results live on
     ``variables``; one power cache serves the whole list.
     """
-    powers = {v: [TensorElement.one(algebra, variables)] for v in images}
+    # powers[v][e] is the image of v^e, reduced mod ``ideal`` when given
+    powers = {
+        v: [None, image if ideal is None else image.reduce(ideal)]
+        for v, image in images.items()
+    }
     out = []
     for f in polys:
         total = TensorElement(algebra, [MultiPoly.zero(variables)] * algebra.dim)
         for exp, c in f.terms.items():
-            term = TensorElement.constant(algebra, c, variables)
+            term = None
             for v, e in zip(f.variables, exp):
                 if not e:
                     continue
                 cache = powers[v]
                 while len(cache) <= e:
                     cache.append(tensor_mul(cache[-1], images[v], ideal))
-                term = tensor_mul(term, cache[e], ideal)
+                term = cache[e] if term is None else tensor_mul(term, cache[e], ideal)
+            if term is None:
+                term = TensorElement.constant(algebra, c, variables)
+            else:
+                term = TensorElement(algebra, [p.scale(c) for p in term.comps])
             total = total + term
         out.append(total)
     return out

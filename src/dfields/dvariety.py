@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .algebra import solve_zero_dim
 from .dring import (
     DOperator,
     DRingError,
@@ -32,7 +33,6 @@ from .poly import (
     format_poly,
     linear_combination,
     parse_polynomial,
-    solve_zero_dim,
     univariate_coeffs,
 )
 from .prolongation import BaseDStructure, prolong, pullback_defect

@@ -28,7 +28,8 @@ def mat_mul(a, b):
 
 
 def mat_vec(a, v):
-    return [sum((c * x for c, x in zip(row, v)), Fraction(0)) for row in a]
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in support), Fraction(0)) for row in a]
 
 
 def rref(a):

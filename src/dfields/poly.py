@@ -6,7 +6,10 @@ reduced Groebner basis per monomial order.  All arithmetic is exact.
 
 Groebner bases are computed with Buchberger's algorithm plus the
 Gebauer-Moeller pair criteria; runaway computations hit a configurable
-resource budget and raise instead of truncating.
+resource budget and raise instead of truncating.  Zero-dimensional
+questions (rational points, and the zero-dimensional case of
+:func:`decide_irreducibility`) are answered by ``algebra``, on the
+finite-dimensional algebra Q[x]/I.
 
 The engine keeps its bookkeeping cheap so that the time goes to coefficient
 arithmetic:
@@ -1054,18 +1057,6 @@ def uni_divmod(a, b):
     return _uni_trim(q), a
 
 
-def uni_gcd(a, b):
-    a = _uni_trim(list(a))
-    b = _uni_trim(list(b))
-    while b:
-        _, r = uni_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
 def uni_ext_gcd(a, b):
     """Monic g plus u, v with u*a + v*b = g."""
     a = _uni_trim(list(a))
@@ -1098,24 +1089,6 @@ def uni_ext_gcd(a, b):
         u0 = [c / lead for c in u0]
         v0 = [c / lead for c in v0]
     return r0, u0, v0
-
-
-def uni_derivative(a):
-    return _uni_trim([a[i] * i for i in range(1, len(a))])
-
-
-def squarefree_part(f, var=None):
-    """f divided by gcd(f, f'), monic."""
-    used = f.used_variables()
-    if var is None:
-        var = next(iter(used))
-    coeffs = univariate_coeffs(f, var)
-    g = uni_gcd(coeffs, uni_derivative(coeffs))
-    q, r = uni_divmod(coeffs, g)
-    assert not r
-    if q:
-        q = [c / q[-1] for c in q]
-    return univariate_poly(q, var)
 
 
 # ---------------------------------------------------------------------------
@@ -1164,83 +1137,6 @@ def factor_univariate(f, var=None):
     return unit, out
 
 
-def is_irreducible_univariate(f, var=None):
-    _, factors = factor_univariate(f, var)
-    return len(factors) == 1 and factors[0][1] == 1 and factors[0][0].total_degree() >= 1
-
-
-def rational_roots(f, var=None):
-    """Distinct rational roots plus a flag for remaining irrational ones."""
-    _, factors = factor_univariate(f, var)
-    roots = []
-    irrational = False
-    for g, _ in factors:
-        if g.total_degree() == 1:
-            coeffs = univariate_coeffs(g)
-            roots.append(-coeffs[0] / coeffs[1])
-        elif g.total_degree() >= 2:
-            irrational = True
-    roots.sort()
-    return roots, irrational
-
-
-# ---------------------------------------------------------------------------
-# zero-dimensional solving
-
-
-@dataclass(frozen=True)
-class SolveResult:
-    points: tuple
-    has_nonrational: bool
-
-
-def solve_zero_dim(ideal):
-    """All rational points of a zero-dimensional variety.
-
-    Lex triangularisation with rational-root extraction and back
-    substitution.  ``has_nonrational`` reports whether any triangular
-    univariate had a non-rational root, in which case non-rational
-    solutions exist (or may, on partially explored branches).
-    """
-    if ideal.is_trivial():
-        return SolveResult((), False)
-    if ideal.krull_dimension() != 0:
-        raise ValueError("ideal is not zero-dimensional")
-
-    nonrational = [False]
-
-    def recurse(variables, gens):
-        constants = [g for g in gens if not g.used_variables()]
-        if any(not g.is_zero() for g in constants):
-            return []
-        gens = [g for g in gens if g.used_variables()]
-        if not variables:
-            return [()]
-        if not gens:
-            # zero-dimensionality upstream rules this out
-            raise ValueError("system became underdetermined")
-        basis = groebner_basis_of(gens, variables, LEX, ideal.budget)
-        if len(basis) == 1 and basis[0].is_constant():
-            return []
-        last = variables[-1]
-        univars = [g for g in basis if g.used_variables() <= {last}]
-        if not univars:
-            raise ValueError("system became underdetermined")
-        roots, irr = rational_roots(univars[0], last)
-        if irr:
-            nonrational[0] = True
-        solutions = []
-        rest = variables[:-1]
-        for r in roots:
-            substituted = [g.substitute({last: r}).on_variables(rest) for g in basis]
-            for partial in recurse(rest, substituted):
-                solutions.append(partial + (r,))
-        return solutions
-
-    pts = recurse(ideal.variables, list(ideal.generators))
-    return SolveResult(tuple(sorted(pts)), nonrational[0])
-
-
 # ---------------------------------------------------------------------------
 # irreducibility in the supported cases
 
@@ -1252,80 +1148,15 @@ class IrreducibilityResult:
     detail: str = ""
 
 
-def _zero_dim_radical(ideal):
-    """Radical of a zero-dimensional ideal: adjoin squarefree parts of the
-    minimal univariate polynomial of every variable."""
-    extra = []
-    for v in ideal.variables:
-        univ = ideal.elimination_ideal((v,))
-        gens = [g for g in univ.generators if not g.is_zero()]
-        if not gens:
-            raise ValueError("not zero-dimensional")
-        extra.append(squarefree_part(gens[0], v).on_variables(ideal.variables))
-    return Ideal(ideal.variables, list(ideal.generators) + extra, ideal.budget)
-
-
-def _standard_monomials(ideal):
-    basis = ideal.groebner_basis()
-    lms = [g.leading_exponent(GREVLEX) for g in basis]
-    n = len(ideal.variables)
-    found = []
-    seen = set()
-    queue = [(0,) * n]
-    while queue:
-        exp = queue.pop(0)
-        if exp in seen:
-            continue
-        seen.add(exp)
-        if any(_exp_divides(lm, exp) for lm in lms):
-            continue
-        found.append(exp)
-        if len(found) > 10000:
-            raise BudgetExceededError("budget exhausted: quotient dimension too large")
-        for i in range(n):
-            bumped = list(exp)
-            bumped[i] += 1
-            queue.append(tuple(bumped))
-    found.sort(key=GREVLEX.key)
-    return found
-
-
-def _minimal_polynomial_mod(ideal, element, monomials):
-    """Minimal polynomial of ``element`` in the finite-dimensional quotient,
-    as a low-first coefficient list."""
-    index = {m: i for i, m in enumerate(monomials)}
-    dim = len(monomials)
-
-    def coords(p):
-        vec = [Fraction(0)] * dim
-        for exp, c in p.terms.items():
-            vec[index[exp]] += c
-        return vec
-
-    power = ideal.normal_form(MultiPoly.one(ideal.variables))
-    rows = [coords(power)]
-    while True:
-        # look for a dependence among 1, u, ..., u^k
-        ns = linalg.nullspace(list(map(list, zip(*rows))))
-        if ns:
-            rel = ns[0]
-            lead = max(i for i, c in enumerate(rel) if c != 0)
-            scaled = [c / rel[lead] for c in rel]
-            return _uni_trim(scaled)
-        if len(rows) > dim + 1:
-            raise RuntimeError("minimal polynomial search overran quotient dimension")
-        power = ideal.normal_form(power * element)
-        rows.append(coords(power))
-
-
-def decide_irreducibility(ideal, attempts=50):
+def decide_irreducibility(ideal):
     """Is V(ideal) irreducible over Q?  Supported cases per the module
     contract: the zero ideal, linear ideals, zero-dimensional ideals, and
     principal ideals in at most two variables.  Everything else is
     ``undetermined``.
 
     Classification works on the reduced Groebner basis, so the answer does
-    not depend on how the ideal was presented."""
+    not depend on how the ideal was presented.  A zero-dimensional V(I) is
+    irreducible when Q[x]/I has one local component."""
     gens = list(ideal.groebner_basis())
     if not gens:
         return IrreducibilityResult("irreducible", "zero-ideal", "affine space")
@@ -1350,30 +1181,14 @@ def decide_irreducibility(ideal, attempts=50):
         )
 
     if ideal.krull_dimension() == 0:
-        radical = _zero_dim_radical(ideal)
-        monomials = _standard_monomials(radical)
-        quotient_dim = len(monomials)
-        if quotient_dim == 0:
-            return IrreducibilityResult("empty", "zero-dimensional")
-        if quotient_dim == 1:
-            return IrreducibilityResult("irreducible", "zero-dimensional", "single rational point")
-        candidates = [MultiPoly.variable(v, radical.variables) for v in radical.variables]
-        for k in range(1, attempts):
-            combo = MultiPoly.zero(radical.variables)
-            for i, v in enumerate(radical.variables):
-                combo = combo + MultiPoly.variable(v, radical.variables).scale(k ** i)
-            candidates.append(combo)
-        for u in candidates[:attempts]:
-            minpoly = _minimal_polynomial_mod(radical, radical.normal_form(u), monomials)
-            if len(minpoly) - 1 == quotient_dim:
-                m = univariate_poly(minpoly, "t")
-                if is_irreducible_univariate(m, "t"):
-                    return IrreducibilityResult("irreducible", "zero-dimensional")
-                return IrreducibilityResult(
-                    "reducible", "zero-dimensional", "primitive element splits"
-                )
+        # algebra builds on this module, so it is imported here
+        from .algebra import _quotient_algebra
+
+        components = _quotient_algebra(ideal)[0].components
+        if len(components) == 1:
+            return IrreducibilityResult("irreducible", "zero-dimensional")
         return IrreducibilityResult(
-            "undetermined", "zero-dimensional", "no primitive element found"
+            "reducible", "zero-dimensional", f"{len(components)} components"
         )
 
     return IrreducibilityResult("undetermined", "unsupported-case")

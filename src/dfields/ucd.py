@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import solve_zero_dim
 from .poly import (
     EmptyVarietyError,
     Ideal,
@@ -27,7 +28,6 @@ from .poly import (
     format_poly,
     jacobian_rank_at,
     parse_polynomial,
-    solve_zero_dim,
 )
 from .prolongation import (
     ProlongedVariety,

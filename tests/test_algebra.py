@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfields.algebra import (
     AlgebraError,
@@ -74,6 +76,69 @@ def test_dimension_mismatch_is_input_error():
         FiniteDimAlgebra([[[F(1)]]], (1, 0))
 
 
+def _dense_check(algebra):
+    """The plain loops over every index tuple: the reference for the
+    sparse check_algebra, as (kind, indices) pairs in report order."""
+    a, b, n = algebra.struct_consts, algebra.unit, algebra.dim
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                if a[i][j][k] != a[j][i][k]:
+                    out.append(("commutativity", (i, j, k)))
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for m in range(n):
+                    lhs = sum(a[i][j][t] * a[t][k][m] for t in range(n))
+                    rhs = sum(a[j][k][t] * a[i][t][m] for t in range(n))
+                    if lhs != rhs:
+                        out.append(("associativity", (i, j, k, m)))
+    for j in range(n):
+        for k in range(n):
+            total = sum(b[i] * a[i][j][k] for i in range(n))
+            if total != (1 if j == k else 0):
+                out.append(("unit", (j, k)))
+    return out
+
+
+_TABLES = (
+    from_presentation(["e"], ["e^3"]),
+    from_presentation(["y"], ["y^3 - 2"]),
+    from_presentation(["x", "y"], ["x^2 - y", "y^2"]),
+    product_algebra(from_presentation(["e"], ["e^2"]), rational_field_algebra()),
+    from_presentation(["x", "y"], ["x^2 - 1", "y^2 - x"]),
+    from_presentation(["x", "y"], ["x^2 - 3/2", "y^2 - 2/3*x"]),
+)
+
+_DELTAS = st.sampled_from((F(-2), F(-1), Fraction(1, 2), F(1), Fraction(3, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_TABLES),
+    st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), _DELTAS),
+        max_size=3,
+    ),
+    st.lists(st.tuples(st.integers(0, 3), _DELTAS), max_size=1),
+)
+def test_sparse_check_matches_dense_reference(algebra, table_edits, unit_edits):
+    # edits with a nonzero delta break one or more axiom families
+    n = algebra.dim
+    a = [[list(row) for row in plane] for plane in algebra.struct_consts]
+    unit = list(algebra.unit)
+    for i, j, k, delta in table_edits:
+        a[i % n][j % n][k % n] += delta
+    for i, delta in unit_edits:
+        unit[i % n] += delta
+    edited = FiniteDimAlgebra(a, unit)
+    violations = [(v.kind, v.indices) for v in check_algebra(edited).violations]
+    assert violations == _dense_check(edited)
+    if edited.struct_consts == algebra.struct_consts and edited.unit == algebra.unit:
+        assert violations == []
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 
@@ -120,6 +185,15 @@ def test_presentation_gaussian():
 def test_presentation_infinite_dimensional_names_variable():
     with pytest.raises(AlgebraError, match="'y'"):
         from_presentation(["x", "y"], ["x^2"])
+
+
+def test_presentation_degree_budget_counts_reduced_products():
+    # the largest standard monomial is e^21; each product is reduced one
+    # variable at a time, so nothing reaches the default degree cap of 40
+    a = from_presentation(["e"], ["e^22"])
+    assert a.dim == 22
+    assert list(a.struct_consts[10][11]) == [F(0)] * 21 + [F(1)]
+    assert list(a.struct_consts[11][11]) == [F(0)] * 22
 
 
 def test_truncated_presentations_match_direct_table():

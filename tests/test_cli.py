@@ -296,3 +296,157 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "parabola.dr" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# zero-dimensional loci with several components, pinned byte for byte
+
+SPREAD_SHARP = """
+algebra dual = Q[e]/(e^2);
+variety plane { vars = [x, y]; }
+dvariety spread {
+  algebra = dual;
+  variety = plane;
+  s x = (x, x^2*(x^2 - 1)*(x^2 - 2));
+  s y = (y, y - x);
+}
+"""
+
+SPREAD_SHARP_JSON = """\
+{
+  "command": "dvariety sharp",
+  "results": [
+    {
+      "dimension": 0,
+      "locus": [
+        "x^6 - 3*x^4 + 2*x^2",
+        "-x + y"
+      ],
+      "name": "spread",
+      "nonrational": true,
+      "points": [
+        [
+          "-1",
+          "-1"
+        ],
+        [
+          "0",
+          "0"
+        ],
+        [
+          "1",
+          "1"
+        ]
+      ],
+      "samples": []
+    }
+  ]
+}
+"""
+
+SPREAD_SEARCH = """
+algebra dual = Q[e]/(e^2);
+variety line { vars = [x]; }
+variety plane { vars = [x, y]; }
+ucd spread {
+  algebra = dual;
+  X = plane;
+  Y = (x_1 - (x_0^2 - 1)*(x_0^2 - 2)*x_0^2, y_1 - y_0 + x_0);
+  witness = (1, 1, 0, 0);
+}
+ucd surd {
+  algebra = dual;
+  X = line;
+  Y = (x_1 - (x_0^2 - 2)^2);
+  witness = (0, 4);
+}
+"""
+
+SPREAD_SEARCH_JSON = """\
+{
+  "command": "ucd search",
+  "results": [
+    {
+      "dimension": 0,
+      "found": true,
+      "locus": [
+        "-x^6 + 3*x^4 - 2*x^2",
+        "x - y"
+      ],
+      "name": "spread",
+      "note": "",
+      "points": [
+        {
+          "a": [
+            "-1",
+            "-1"
+          ],
+          "nabla": [
+            "-1",
+            "-1",
+            "0",
+            "0"
+          ]
+        },
+        {
+          "a": [
+            "0",
+            "0"
+          ],
+          "nabla": [
+            "0",
+            "0",
+            "0",
+            "0"
+          ]
+        },
+        {
+          "a": [
+            "1",
+            "1"
+          ],
+          "nabla": [
+            "1",
+            "1",
+            "0",
+            "0"
+          ]
+        }
+      ],
+      "samples": []
+    },
+    {
+      "dimension": 0,
+      "found": false,
+      "locus": [
+        "-x^4 + 4*x^2 - 4"
+      ],
+      "name": "surd",
+      "note": "no rational point in U found; non-rational locus points exist",
+      "points": [],
+      "samples": []
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "command, document, expected, exit_code",
+    [
+        # rational points (-1, -1), (1, 1), a double point at the origin
+        # and the conjugate pair x = y = +-sqrt(2)
+        ("dvariety sharp", SPREAD_SHARP, SPREAD_SHARP_JSON, 0),
+        # the same locus as a nabla locus, and a locus with only a
+        # conjugate pair of double points
+        ("ucd search", SPREAD_SEARCH, SPREAD_SEARCH_JSON, 3),
+    ],
+)
+def test_zero_dimensional_loci_json_pinned(
+    tmp_path, capsys, command, document, expected, exit_code
+):
+    path = tmp_path / "spread.dr"
+    path.write_text(document)
+    code = main(["--json", *command.split(), str(path)])
+    assert capsys.readouterr().out == expected
+    assert code == exit_code

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfields.poly import (
@@ -21,6 +21,7 @@ from dfields.poly import (
     elimination_ideal,
     factor_univariate,
     format_poly,
+    groebner_basis_of,
     ideal_membership,
     is_smooth_point,
     jacobian_rank_at,
@@ -28,11 +29,10 @@ from dfields.poly import (
     normal_form,
     parse_polynomial,
     radical_membership,
-    rational_roots,
     s_polynomial,
-    solve_zero_dim,
-    squarefree_part,
+    univariate_coeffs,
 )
+from dfields.algebra import solve_zero_dim
 
 from conftest import random_poly
 
@@ -522,19 +522,6 @@ def test_factor_tracks_units_and_multiplicity():
     assert unit == 4
 
 
-def test_rational_roots_and_irrational_flag():
-    roots, irrational = rational_roots(P("x^3 - 2*x^2 - x + 2"))
-    assert roots == [-1, 1, 2]
-    assert not irrational
-    roots, irrational = rational_roots(P("x^2 - 2"))
-    assert roots == []
-    assert irrational
-
-
-def test_squarefree_part():
-    assert squarefree_part(P("x^3 - x^2")) == P("x^2 - x")
-
-
 def test_solve_zero_dim_two_points():
     result = solve_zero_dim(Ideal(("x", "y"), ["x^2 - 1", "y - x"]))
     assert result.points == ((-1, -1), (1, 1))
@@ -574,6 +561,74 @@ def test_solve_points_satisfy_generators_and_bound(rng):
         assert len(result.points) <= u.total_degree() * v.total_degree()
 
 
+def _reference_lex_solve(ideal):
+    """The lex triangular solver the package used before the algebra
+    engine: the eliminant of the last variable, its rational roots, and
+    back substitution, with a flag for any irrational root on the way."""
+    nonrational = False
+
+    def recurse(variables, gens):
+        nonlocal nonrational
+        if any(not g.used_variables() and not g.is_zero() for g in gens):
+            return []
+        gens = [g for g in gens if g.used_variables()]
+        if not variables:
+            return [()]
+        basis = groebner_basis_of(gens, variables, LEX)
+        if len(basis) == 1 and basis[0].is_constant():
+            return []
+        last = variables[-1]
+        univariate = next(g for g in basis if g.used_variables() <= {last})
+        roots = []
+        for g, _ in factor_univariate(univariate, last)[1]:
+            if g.total_degree() == 1:
+                c = univariate_coeffs(g, last)
+                roots.append(-c[0] / c[1])
+            else:
+                nonrational = True
+        solutions = []
+        for r in sorted(roots):
+            substituted = [g.substitute({last: r}).on_variables(variables[:-1]) for g in basis]
+            solutions.extend(p + (r,) for p in recurse(variables[:-1], substituted))
+        return solutions
+
+    points = recurse(ideal.variables, list(ideal.generators))
+    return tuple(sorted(points)), nonrational
+
+
+_X_FACTORS = ("x", "x - 1", "x + 2", "2*x - 1", "x^2 - 2", "x^2 + 1")
+_Y_FACTORS = ("y", "y + 1", "y - x", "y - x^2", "y^2 - x", "y^2 - 3")
+
+
+def _product(texts, multiplicities):
+    f = P("1", ("x", "y"))
+    for text, m in zip(texts, multiplicities):
+        f = f * P(text, ("x", "y")) ** m
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.lists(st.sampled_from(_X_FACTORS), min_size=1, max_size=3, unique=True),
+    st.lists(st.sampled_from(_Y_FACTORS), min_size=1, max_size=2, unique=True),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    st.sampled_from((0, 1, -1)),
+    st.booleans(),
+)
+def test_solve_zero_dim_matches_lex_reference(xs, ys, mults, shear, redundant):
+    # u(x), v(x, y) monic in y: zero-dimensional; repeated factors make the
+    # ideal non-radical, x^2 - 2, x^2 + 1, y^2 - 3 and y^2 - x irrational
+    u, v = _product(xs, mults), _product(ys, mults)
+    assume(u.degree_in("x") * v.degree_in("y") <= 12)
+    gens = [u, v] + ([u * P("y", ("x", "y")) + v] if redundant else [])
+    if shear:
+        sheared = P(f"x + {shear}*y", ("x", "y"))
+        gens = [g.substitute({"x": sheared, "y": P("y")}).on_variables(("x", "y")) for g in gens]
+    ideal = Ideal(("x", "y"), gens)
+    result = solve_zero_dim(ideal)
+    assert (result.points, result.has_nonrational) == _reference_lex_solve(ideal)
+
+
 # ---------------------------------------------------------------------------
 # irreducibility (supported cases only)
 
@@ -593,6 +648,28 @@ def test_solve_points_satisfy_generators_and_bound(rng):
 )
 def test_irreducibility_supported_cases(gens, variables, status):
     assert decide_irreducibility(Ideal(variables, gens)).status == status
+
+
+_IRREDUCIBLE = ("x", "x - 1", "x + 2", "x^2 + 1", "x^2 - 2", "x^3 - 2", "x^2 + x + 1")
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from(_IRREDUCIBLE), min_size=1, max_size=3, unique=True),
+    st.lists(st.integers(1, 2), min_size=3, max_size=3),
+    st.integers(-2, 2),
+)
+def test_zero_dim_irreducibility_counts_factors(factors, mults, shift):
+    # Q[x, y]/(f(x), y - x - shift) is Q[x]/(f): one local component per
+    # distinct irreducible factor of f, whatever the multiplicities
+    f = _product(factors, mults)
+    assume(2 <= f.total_degree() <= 8)
+    result = decide_irreducibility(Ideal(("x", "y"), [f, P(f"y - x - {shift}", ("x", "y"))]))
+    assert result.method == "zero-dimensional"
+    if len(factors) == 1:
+        assert result.status == "irreducible"
+    else:
+        assert (result.status, result.detail) == ("reducible", f"{len(factors)} components")
 
 
 def test_irreducibility_undetermined_outside_supported_cases():
