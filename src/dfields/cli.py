@@ -58,7 +58,7 @@ from .poly import (
     format_poly,
     tokenize,
 )
-from .prolongation import BaseDStructure, ProlongationError, prolong
+from .prolongation import BaseDStructure, ProlongationError, prolong, prolonged_variables
 from .ucd import UcdError, check_instance, find_nabla_point, ucd_instance
 
 
@@ -124,6 +124,11 @@ class DescendBlock:
     section: tuple
 
 
+def _lookup(blocks, name):
+    """The block called ``name``, or None."""
+    return next((b for b in blocks if b.name == name), None)
+
+
 @dataclass(frozen=True)
 class Document:
     blocks: tuple
@@ -132,10 +137,7 @@ class Document:
         return [b for b in self.blocks if isinstance(b, cls)]
 
     def lookup(self, name):
-        for b in self.blocks:
-            if b.name == name:
-                return b
-        return None
+        return _lookup(self.blocks, name)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +310,7 @@ def _parse_dring(cursor, name, doc_blocks):
         key = cursor.expect("NAME", "a dring item")
         if key.text == "algebra":
             cursor.expect("=")
-            ref = cursor.expect("NAME")
-            algebra = _resolve_ref(doc_blocks, ref, AlgebraBlock)
+            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
         elif key.text == "ring":
             cursor.expect("=")
             variables, relations = _presentation(cursor)
@@ -334,46 +335,42 @@ def _parse_dvariety(cursor, name, doc_blocks):
     cursor.expect("{")
     algebra = None
     variety = None
-    variables = None
     section = []
     while cursor.peek().kind != "}":
         key = cursor.expect("NAME", "a dvariety item")
         if key.text == "algebra":
             cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock)
+            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
         elif key.text == "variety":
             cursor.expect("=")
-            ref = cursor.expect("NAME")
-            variety = _resolve_ref(doc_blocks, ref, VarietyBlock)
-            variables = _find_block(doc_blocks, variety).variables
+            variety = _resolve_ref(doc_blocks, cursor.expect("NAME"), VarietyBlock)
         elif key.text == "s":
-            if variables is None:
+            if variety is None:
                 cursor.error("variety must be declared before the section", key)
             var = cursor.expect("NAME")
-            if var.text not in variables:
+            if var.text not in variety.variables:
                 cursor.error(f"{var.text!r} is not a coordinate", var)
             cursor.expect("=")
-            section.append((var.text, cursor.poly_tuple(variables)))
+            section.append((var.text, cursor.poly_tuple(variety.variables)))
         else:
             cursor.error(f"unknown dvariety item {key.text!r}", key)
         cursor.expect(";")
     cursor.expect("}")
     if algebra is None or variety is None:
         cursor.error(f"dvariety {name!r} needs an algebra and a variety")
-    return DVarietyBlock(name, algebra, variety, tuple(section))
+    return DVarietyBlock(name, algebra, variety.name, tuple(section))
 
 
 def _parse_ucd(cursor, name, doc_blocks):
     cursor.expect("{")
     algebra = None
     base = None
-    x_ref = None
+    x_block = None
     y_generators = None
     witness = None
     h = None
     assertions = ()
     d_images = []
-    xvars = None
     y_vars = None
 
     def need_y_vars(tok):
@@ -390,15 +387,12 @@ def _parse_ucd(cursor, name, doc_blocks):
             base = _resolve_ref(doc_blocks, cursor.expect("NAME"), DringBlock)
         elif key.text == "X":
             cursor.expect("=")
-            x_ref = _resolve_ref(doc_blocks, cursor.expect("NAME"), VarietyBlock)
-            xvars = _find_block(doc_blocks, x_ref).variables
+            x_block = _resolve_ref(doc_blocks, cursor.expect("NAME"), VarietyBlock)
         elif key.text == "Y":
-            if algebra is None or xvars is None:
+            if algebra is None or x_block is None:
                 cursor.error("algebra and X must come before Y", key)
-            dim = _algebra_dim_for_parse(doc_blocks, algebra)
-            params = _dring_params(doc_blocks, base) if base else ()
-            y_vars = params + tuple(
-                f"{x}_{level}" for level in range(dim) for x in xvars
+            y_vars = prolonged_variables(
+                base.variables if base else (), x_block.variables, _algebra_dim(algebra)
             )
             cursor.expect("=")
             y_generators = cursor.poly_tuple(y_vars)
@@ -418,22 +412,22 @@ def _parse_ucd(cursor, name, doc_blocks):
                 if a not in ("X", "Y"):
                     cursor.error("assert_irreducible entries must be X or Y", key)
         elif key.text == "d":
-            if xvars is None:
+            if x_block is None:
                 cursor.error("X must be declared before candidate images", key)
             var = cursor.expect("NAME")
-            if var.text not in xvars:
+            if var.text not in x_block.variables:
                 cursor.error(f"{var.text!r} is not an X coordinate", var)
             cursor.expect("=")
-            d_images.append((var.text, cursor.poly_tuple(xvars)))
+            d_images.append((var.text, cursor.poly_tuple(x_block.variables)))
         else:
             cursor.error(f"unknown ucd item {key.text!r}", key)
         cursor.expect(";")
     cursor.expect("}")
-    if algebra is None or x_ref is None or y_generators is None:
+    if algebra is None or x_block is None or y_generators is None:
         cursor.error(f"ucd {name!r} needs an algebra, X, and Y")
     return UcdBlock(
-        name, algebra, base, x_ref, y_generators, witness, h,
-        tuple(assertions), tuple(d_images),
+        name, algebra.name, base.name if base else None, x_block.name, y_generators,
+        witness, h, tuple(assertions), tuple(d_images),
     )
 
 
@@ -450,7 +444,7 @@ def _parse_descend(cursor, name, doc_blocks):
         key = cursor.expect("NAME", "a descend item")
         if key.text == "algebra":
             cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock)
+            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
         elif key.text == "minpoly":
             alpha_tok = cursor.expect("NAME")
             alpha = alpha_tok.text
@@ -494,32 +488,24 @@ def _parse_descend(cursor, name, doc_blocks):
 
 
 def _resolve_ref(doc_blocks, tok, cls):
-    for b in doc_blocks:
-        if b.name == tok.text:
-            if not isinstance(b, cls):
-                raise PolyParseError(
-                    f"{tok.text!r} is a {type(b).__name__}, not a {cls.__name__}",
-                    tok.line,
-                    tok.column,
-                )
-            return b.name
-    raise PolyParseError(f"unresolved reference {tok.text!r}", tok.line, tok.column)
+    """The earlier block a reference names, which must be a ``cls``."""
+    block = _lookup(doc_blocks, tok.text)
+    if block is None:
+        raise PolyParseError(f"unresolved reference {tok.text!r}", tok.line, tok.column)
+    if not isinstance(block, cls):
+        raise PolyParseError(
+            f"{tok.text!r} is a {type(block).__name__}, not a {cls.__name__}",
+            tok.line,
+            tok.column,
+        )
+    return block
 
 
-def _find_block(doc_blocks, name):
-    return next(b for b in doc_blocks if b.name == name)
-
-
-def _algebra_dim_for_parse(doc_blocks, algebra_name):
-    block = _find_block(doc_blocks, algebra_name)
+def _algebra_dim(block):
     if block.presentation is None:
         return len(block.basis)
     variables, relations = block.presentation
     return from_presentation(variables, relations).dim
-
-
-def _dring_params(doc_blocks, dring_name):
-    return _find_block(doc_blocks, dring_name).variables
 
 
 _BLOCK_PARSERS = {
@@ -541,7 +527,7 @@ def parse(text):
         if kind.text not in _BLOCK_PARSERS:
             cursor.error(f"unknown block keyword {kind.text!r}", kind)
         name_tok = cursor.expect("NAME", "a block name")
-        if any(b.name == name_tok.text for b in blocks):
+        if _lookup(blocks, name_tok.text) is not None:
             cursor.error(f"duplicate block name {name_tok.text!r}", name_tok)
         blocks.append(_BLOCK_PARSERS[kind.text](cursor, name_tok.text, blocks))
     return Document(tuple(blocks))
@@ -707,10 +693,7 @@ class Resolver:
         variety = self.doc.lookup(block.x_ref)
         params = tuple(base.params)
         x_ideal = self.ideal(params + variety.variables, variety.generators)
-        dim = base.algebra.dim
-        y_vars = params + tuple(
-            f"{x}_{level}" for level in range(dim) for x in variety.variables
-        )
+        y_vars = prolonged_variables(params, variety.variables, base.algebra.dim)
         y_ideal = self.ideal(y_vars, block.y_generators)
         return ucd_instance(
             base, x_ideal, y_ideal, h=block.h, witness=block.witness,
@@ -719,7 +702,8 @@ class Resolver:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each runs on one block and returns its exit code, its text
+# lines and its JSON entry
 
 
 @dataclass
@@ -732,259 +716,213 @@ class RunResult:
         return "\n".join(self.lines)
 
 
-def _select(blocks, name, kind):
-    if name is None:
-        if not blocks:
-            raise UcdError(f"document has no {kind} blocks")
-        return blocks
-    chosen = [b for b in blocks if b.name == name]
-    if not chosen:
-        raise UcdError(f"no {kind} block named {name!r}")
-    return chosen
+def _algebra_check(block, resolver, order):
+    algebra = resolver.algebra(block.name)
+    report = check_algebra(algebra)
+    entry = {
+        "name": block.name,
+        "dim": algebra.dim,
+        "valid": report.is_valid,
+        "violations": [v.describe() for v in report.violations],
+    }
+    if report.is_valid:
+        return 0, [f"algebra {block.name}: valid commutative unital algebra"], entry
+    return 2, [f"algebra {block.name}: INVALID ({report.describe()})"], entry
 
 
-def _cmd_algebra_check(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "algebra check", "results": []})
-    for block in _select(doc.of_type(AlgebraBlock), name, "algebra"):
-        algebra = resolver.algebra(block.name)
-        report = check_algebra(algebra)
-        entry = {
-            "name": block.name,
-            "dim": algebra.dim,
-            "valid": report.is_valid,
-            "violations": [v.describe() for v in report.violations],
-        }
-        result.payload["results"].append(entry)
-        result.lines.append(
-            f"algebra {block.name}: "
-            + ("valid commutative unital algebra" if report.is_valid
-               else f"INVALID ({report.describe()})")
+def _algebra_decompose(block, resolver, order):
+    algebra = resolver.algebra(block.name)
+    comps = local_decompose(algebra)
+    assumption = check_assumption_res_field_k(algebra)
+    lines = [
+        f"algebra {block.name}: {len(comps)} local component(s), "
+        f"residue degrees {list(assumption.residue_degrees)}, "
+        + ("local" if assumption.is_local else "not local")
+    ]
+    for i, comp in enumerate(comps):
+        marker = " (distinguished)" if algebra.pi_index == i else ""
+        lines.append(
+            f"  component {i}{marker}: dim {comp.dim}, idempotent "
+            f"({', '.join(str(c) for c in comp.idempotent.coords)}), "
+            f"residue Q[x]/({format_poly(comp.residue_poly, order)})"
         )
-        if not report.is_valid:
-            result.exit_code = 2
-    return result
+    return 0, lines, algebra.to_dict(with_components=True)
 
 
-def _cmd_algebra_decompose(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "algebra decompose", "results": []})
-    for block in _select(doc.of_type(AlgebraBlock), name, "algebra"):
-        algebra = resolver.algebra(block.name)
-        comps = local_decompose(algebra)
-        assumption = check_assumption_res_field_k(algebra)
-        result.payload["results"].append(algebra.to_dict(with_components=True))
-        result.lines.append(
-            f"algebra {block.name}: {len(comps)} local component(s), "
-            f"residue degrees {list(assumption.residue_degrees)}, "
-            + ("local" if assumption.is_local else "not local")
-        )
-        for i, comp in enumerate(comps):
-            marker = " (distinguished)" if algebra.pi_index == i else ""
-            result.lines.append(
-                f"  component {i}{marker}: dim {comp.dim}, idempotent "
-                f"({', '.join(str(c) for c in comp.idempotent.coords)}), "
-                f"residue Q[x]/({format_poly(comp.residue_poly, order)})"
-            )
-    return result
+def _dring_verify(block, resolver, order):
+    try:
+        op = resolver.doperator(block)
+    except DRingError as exc:
+        entry = {"name": block.name, "valid": False, "error": str(exc)}
+        return 2, [f"dring {block.name}: INVALID ({exc})"], entry
+    entry = {"name": block.name, "valid": True, **op.to_dict()}
+    return 0, [f"dring {block.name}: valid D-ring structure"], entry
 
 
-def _cmd_dring_verify(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "dring verify", "results": []})
-    for block in _select(doc.of_type(DringBlock), name, "dring"):
-        try:
-            op = resolver.doperator(block)
-        except DRingError as exc:
-            result.lines.append(f"dring {block.name}: INVALID ({exc})")
-            result.payload["results"].append({"name": block.name, "valid": False, "error": str(exc)})
-            result.exit_code = 2
-            continue
-        result.lines.append(f"dring {block.name}: valid D-ring structure")
-        result.payload["results"].append({"name": block.name, "valid": True, **op.to_dict()})
-    return result
+def _prolong(block, resolver, order):
+    base = BaseDStructure.trivial(resolver.algebra(block.algebra))
+    prolonged = prolong(base, resolver.ideal(block.variables, block.relations))
+    lines = [f"prolongation of {block.name} in Q[{', '.join(prolonged.variables)}]:"]
+    for f, comps in prolonged.per_generator:
+        lines.append(f"  {format_poly(f, order)}:")
+        for j, comp in enumerate(comps):
+            lines.append(f"    level {j}: {format_poly(comp, order)}")
+    if not prolonged.per_generator:
+        lines.append("  (no relations: the prolongation is affine space)")
+    return 0, lines, {"name": block.name, **prolonged.to_dict()}
 
 
-def _cmd_prolong(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "prolong", "results": []})
-    for block in _select(doc.of_type(DringBlock), name, "dring"):
-        algebra = resolver.algebra(block.algebra)
-        base = BaseDStructure.trivial(algebra)
-        ideal = resolver.ideal(block.variables, block.relations)
-        prolonged = prolong(base, ideal)
-        result.payload["results"].append({"name": block.name, **prolonged.to_dict()})
-        result.lines.append(
-            f"prolongation of {block.name} in Q[{', '.join(prolonged.variables)}]:"
-        )
-        for f, comps in prolonged.per_generator:
-            result.lines.append(f"  {format_poly(f, order)}:")
-            for j, comp in enumerate(comps):
-                result.lines.append(f"    level {j}: {format_poly(comp, order)}")
-        if not prolonged.per_generator:
-            result.lines.append("  (no relations: the prolongation is affine space)")
-    return result
-
-
-def _cmd_dvariety_check(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "dvariety check", "results": []})
-    for block in _select(doc.of_type(DVarietyBlock), name, "dvariety"):
-        try:
-            dv = resolver.dvariety(block)
-        except (DVarietyError, DRingError) as exc:
-            result.lines.append(f"dvariety {block.name}: INVALID ({exc})")
-            result.payload["results"].append({"name": block.name, "valid": False, "error": str(exc)})
-            result.exit_code = 2
-            continue
-        result.lines.append(f"dvariety {block.name}: valid section into the prolongation")
-        result.payload["results"].append({"name": block.name, "valid": True, **dv.to_dict()})
-    return result
-
-
-def _cmd_dvariety_sharp(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "dvariety sharp", "results": []})
-    for block in _select(doc.of_type(DVarietyBlock), name, "dvariety"):
+def _dvariety_check(block, resolver, order):
+    try:
         dv = resolver.dvariety(block)
-        res = rational_sharp_points(dv)
-        entry = {
-            "name": block.name,
-            "locus": [format_poly(g, order) for g in res.locus.generators],
-            "dimension": res.dimension,
-            "points": None if res.points is None else [
-                [str(c) for c in p] for p in res.points
-            ],
-            "samples": [[str(c) for c in p] for p in res.samples],
-            "nonrational": res.has_nonrational,
-        }
-        result.payload["results"].append(entry)
-        if res.is_empty:
-            result.lines.append(f"dvariety {block.name}: sharp locus is empty")
-        elif res.zero_dimensional:
-            pts = ", ".join("(" + ", ".join(str(c) for c in p) + ")" for p in res.points)
-            result.lines.append(
-                f"dvariety {block.name}: sharp points {{{pts or 'none rational'}}}"
-                + (" (non-rational points exist)" if res.has_nonrational else "")
-            )
-        else:
-            result.lines.append(
-                f"dvariety {block.name}: sharp locus has dimension {res.dimension}; "
-                f"{len(res.samples)} sample point(s) found"
-            )
-    return result
+    except (DVarietyError, DRingError) as exc:
+        entry = {"name": block.name, "valid": False, "error": str(exc)}
+        return 2, [f"dvariety {block.name}: INVALID ({exc})"], entry
+    entry = {"name": block.name, "valid": True, **dv.to_dict()}
+    return 0, [f"dvariety {block.name}: valid section into the prolongation"], entry
 
 
-def _cmd_dvariety_descend(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "dvariety descend", "results": []})
-    for block in _select(doc.of_type(DescendBlock), name, "descend"):
-        algebra = resolver.algebra(block.algebra)
-        res = weil_descent(
-            algebra, block.minpoly, block.alpha_images, block.variables,
-            list(block.generators), dict(block.section), budget=resolver.budget,
+def _dvariety_sharp(block, resolver, order):
+    res = rational_sharp_points(resolver.dvariety(block))
+    entry = {
+        "name": block.name,
+        "locus": [format_poly(g, order) for g in res.locus.generators],
+        "dimension": res.dimension,
+        "points": None if res.points is None else [
+            [str(c) for c in p] for p in res.points
+        ],
+        "samples": [[str(c) for c in p] for p in res.samples],
+        "nonrational": res.has_nonrational,
+    }
+    if res.is_empty:
+        line = f"dvariety {block.name}: sharp locus is empty"
+    elif res.zero_dimensional:
+        pts = ", ".join("(" + ", ".join(str(c) for c in p) + ")" for p in res.points)
+        line = (
+            f"dvariety {block.name}: sharp points {{{pts or 'none rational'}}}"
+            + (" (non-rational points exist)" if res.has_nonrational else "")
         )
-        descended_sharp = rational_sharp_points(res.descended)
-        originals = []
-        if descended_sharp.points is not None:
-            for p in descended_sharp.points:
-                orig = res.to_original(p)
-                ok = res.is_sharp_over_extension(orig)
-                originals.append(
-                    {
-                        "descended": [str(c) for c in p],
-                        "original": {v: format_poly(q, order) for v, q in orig.items()},
-                        "sharp": ok,
-                    }
-                )
-        entry = {
-            "name": block.name,
-            "descended_variables": list(res.descended.variables),
-            "descended_ideal": [
-                format_poly(g, order) for g in res.descended.ideal.generators
-            ],
-            "descended_section": res.descended.to_dict()["section"],
-            "forward_table": {
-                v: format_poly(p, order) for v, p in res.forward_table.items()
-            },
-            "sharp_correspondence": originals,
-        }
-        result.payload["results"].append(entry)
-        result.lines.append(
-            f"descend {block.name}: V^W in Q[{', '.join(res.descended.variables)}], "
-            f"ideal ({', '.join(format_poly(g, order) for g in res.descended.ideal.generators) or '0'})"
+    else:
+        line = (
+            f"dvariety {block.name}: sharp locus has dimension {res.dimension}; "
+            f"{len(res.samples)} sample point(s) found"
         )
-        for item in originals:
-            result.lines.append(
-                f"  sharp point ({', '.join(item['descended'])}) <-> "
-                f"({', '.join(f'{v}={t}' for v, t in sorted(item['original'].items()))})"
-                + ("" if item["sharp"] else "  [MISMATCH]")
-            )
-    return result
+    return 0, [line], entry
 
 
-def _cmd_ucd_check(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "ucd check", "results": []})
-    worst = 0
-    for block in _select(doc.of_type(UcdBlock), name, "ucd"):
-        inst = resolver.instance(block)
-        report = check_instance(inst)
-        result.payload["results"].append({"name": block.name, **report.to_dict()})
-        result.lines.append(f"ucd {block.name}: {report.verdict}")
-        for e in report.entries:
-            detail = f" ({e.detail})" if e.detail else ""
-            result.lines.append(f"  {e.name}: {e.status}{detail}")
-        worst = max(worst, report.exit_code, key=lambda c: {0: 0, 3: 1, 2: 2}[c])
-    result.exit_code = worst
-    return result
+def _dvariety_descend(block, resolver, order):
+    res = weil_descent(
+        resolver.algebra(block.algebra), block.minpoly, block.alpha_images,
+        block.variables, list(block.generators), dict(block.section),
+        budget=resolver.budget,
+    )
+    descended_sharp = rational_sharp_points(res.descended)
+    originals = []
+    for p in descended_sharp.points or ():
+        orig = res.to_original(p)
+        originals.append(
+            {
+                "descended": [str(c) for c in p],
+                "original": {v: format_poly(q, order) for v, q in orig.items()},
+                "sharp": res.is_sharp_over_extension(orig),
+            }
+        )
+    ideal_text = [format_poly(g, order) for g in res.descended.ideal.generators]
+    entry = {
+        "name": block.name,
+        "descended_variables": list(res.descended.variables),
+        "descended_ideal": ideal_text,
+        "descended_section": res.descended.to_dict()["section"],
+        "forward_table": {
+            v: format_poly(p, order) for v, p in res.forward_table.items()
+        },
+        "sharp_correspondence": originals,
+    }
+    lines = [
+        f"descend {block.name}: V^W in Q[{', '.join(res.descended.variables)}], "
+        f"ideal ({', '.join(ideal_text) or '0'})"
+    ]
+    for item in originals:
+        lines.append(
+            f"  sharp point ({', '.join(item['descended'])}) <-> "
+            f"({', '.join(f'{v}={t}' for v, t in sorted(item['original'].items()))})"
+            + ("" if item["sharp"] else "  [MISMATCH]")
+        )
+    return 0, lines, entry
 
 
-def _cmd_ucd_search(doc, resolver, name, order):
-    result = RunResult(0, [], {"command": "ucd search", "results": []})
-    worst = 0
-    for block in _select(doc.of_type(UcdBlock), name, "ucd"):
-        inst = resolver.instance(block)
-        report = check_instance(inst)
-        if report.verdict == "refuted":
-            result.lines.append(f"ucd {block.name}: hypotheses refuted; not searching")
-            result.payload["results"].append({"name": block.name, **report.to_dict()})
-            worst = 2
-            continue
-        candidate = None
-        if block.d_images:
-            variety = doc.lookup(block.x_ref)
-            ideal = resolver.ideal(variety.variables, variety.generators)
-            candidate = make_doperator(
-                resolver.algebra(block.algebra), ideal, dict(block.d_images)
-            )
-        search = find_nabla_point(inst, candidate)
-        result.payload["results"].append({"name": block.name, **search.to_dict()})
-        if search.found:
-            pts = search.points or search.samples
-            a, nb = pts[0]
-            result.lines.append(
-                f"ucd {block.name}: found a = ({', '.join(str(c) for c in a)}) with "
-                f"prolongation point ({', '.join(str(c) for c in nb)})"
-            )
-        else:
-            result.lines.append(f"ucd {block.name}: {search.note or 'no point found'}")
-            worst = max(worst, 3, key=lambda c: {0: 0, 3: 1, 2: 2}[c])
-    result.exit_code = worst
-    return result
+def _ucd_check(block, resolver, order):
+    report = check_instance(resolver.instance(block))
+    lines = [f"ucd {block.name}: {report.verdict}"]
+    for e in report.entries:
+        detail = f" ({e.detail})" if e.detail else ""
+        lines.append(f"  {e.name}: {e.status}{detail}")
+    return report.exit_code, lines, {"name": block.name, **report.to_dict()}
 
 
+def _ucd_search(block, resolver, order):
+    inst = resolver.instance(block)
+    report = check_instance(inst)
+    if report.verdict == "refuted":
+        entry = {"name": block.name, **report.to_dict()}
+        return 2, [f"ucd {block.name}: hypotheses refuted; not searching"], entry
+    candidate = None
+    if block.d_images:
+        variety = resolver.doc.lookup(block.x_ref)
+        ideal = resolver.ideal(variety.variables, variety.generators)
+        candidate = make_doperator(
+            resolver.algebra(block.algebra), ideal, dict(block.d_images)
+        )
+    search = find_nabla_point(inst, candidate)
+    entry = {"name": block.name, **search.to_dict()}
+    if not search.found:
+        return 3, [f"ucd {block.name}: {search.note or 'no point found'}"], entry
+    a, nb = (search.points or search.samples)[0]
+    return 0, [
+        f"ucd {block.name}: found a = ({', '.join(str(c) for c in a)}) with "
+        f"prolongation point ({', '.join(str(c) for c in nb)})"
+    ], entry
+
+
+# command -> (block class, block keyword, the command on one block), in the
+# order of --help and of the fixture corpus
 _COMMANDS = {
-    "algebra check": _cmd_algebra_check,
-    "algebra decompose": _cmd_algebra_decompose,
-    "dring verify": _cmd_dring_verify,
-    "prolong": _cmd_prolong,
-    "dvariety check": _cmd_dvariety_check,
-    "dvariety sharp": _cmd_dvariety_sharp,
-    "dvariety descend": _cmd_dvariety_descend,
-    "ucd check": _cmd_ucd_check,
-    "ucd search": _cmd_ucd_search,
+    "algebra check": (AlgebraBlock, "algebra", _algebra_check),
+    "algebra decompose": (AlgebraBlock, "algebra", _algebra_decompose),
+    "dring verify": (DringBlock, "dring", _dring_verify),
+    "prolong": (DringBlock, "dring", _prolong),
+    "dvariety check": (DVarietyBlock, "dvariety", _dvariety_check),
+    "dvariety sharp": (DVarietyBlock, "dvariety", _dvariety_sharp),
+    "ucd check": (UcdBlock, "ucd", _ucd_check),
+    "ucd search": (UcdBlock, "ucd", _ucd_search),
+    "dvariety descend": (DescendBlock, "descend", _dvariety_descend),
 }
+
+# exit codes of a block from best to worst: verified, undetermined, refuted
+_SEVERITY = (0, 3, 2)
 
 
 def run(command, document, name=None, budget=None, order=GREVLEX):
     """Run a command against a parsed document; deterministic output."""
     if command not in _COMMANDS:
         raise UcdError(f"unknown command {command!r}")
+    cls, keyword, run_block = _COMMANDS[command]
+    blocks = document.of_type(cls)
+    if name is not None:
+        block = _lookup(blocks, name)
+        if block is None:
+            raise UcdError(f"no {keyword} block named {name!r}")
+        blocks = [block]
+    elif not blocks:
+        raise UcdError(f"document has no {keyword} blocks")
     resolver = Resolver(document, budget)
-    return _COMMANDS[command](document, resolver, name, order)
+    result = RunResult(0, [], {"command": command, "results": []})
+    for block in blocks:
+        code, lines, entry = run_block(block, resolver, order)
+        result.exit_code = max(result.exit_code, code, key=_SEVERITY.index)
+        result.lines.extend(lines)
+        result.payload["results"].append(entry)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1000,12 +938,10 @@ def fixture_text(name):
     return (resources.files("dfields") / "fixtures" / name).read_text()
 
 
+# block class -> the commands the fixture corpus runs on it
 _FIXTURE_COMMANDS = {
-    AlgebraBlock: ["algebra check", "algebra decompose"],
-    DringBlock: ["dring verify", "prolong"],
-    DVarietyBlock: ["dvariety check", "dvariety sharp"],
-    UcdBlock: ["ucd check", "ucd search"],
-    DescendBlock: ["dvariety descend"],
+    cls: [command for command, spec in _COMMANDS.items() if spec[0] is cls]
+    for cls, _, _ in _COMMANDS.values()
 }
 
 
@@ -1016,19 +952,18 @@ def run_fixture_corpus(budget=None, order=GREVLEX):
     ok = True
     for fname in fixture_names():
         doc = parse(fixture_text(fname))
-        commands = []
-        for cls, cmds in _FIXTURE_COMMANDS.items():
-            if doc.of_type(cls):
-                commands.extend(cmds)
-        for command in commands:
-            try:
-                result = run(command, doc, budget=budget, order=order)
-            except Exception as exc:  # noqa: BLE001 - report and flag
-                lines.append(f"{fname} :: {command}: ERROR {exc}")
-                ok = False
+        for cls, commands in _FIXTURE_COMMANDS.items():
+            if not doc.of_type(cls):
                 continue
-            lines.append(f"{fname} :: {command}: exit {result.exit_code}")
-            lines.extend("  " + l for l in result.lines)
+            for command in commands:
+                try:
+                    result = run(command, doc, budget=budget, order=order)
+                except Exception as exc:  # noqa: BLE001 - report and flag
+                    lines.append(f"{fname} :: {command}: ERROR {exc}")
+                    ok = False
+                    continue
+                lines.append(f"{fname} :: {command}: exit {result.exit_code}")
+                lines.extend("  " + l for l in result.lines)
     return ok, lines
 
 
@@ -1045,21 +980,16 @@ def main(argv=None):
     parser.add_argument("--fixtures", action="store_true",
                         help="run the shipped fixture corpus and exit")
     sub = parser.add_subparsers(dest="group")
-
-    def add(group, actions):
+    actions = {}  # "algebra" -> ["check", "decompose"], "prolong" -> []
+    for command in _COMMANDS:
+        group, *action = command.split()
+        actions.setdefault(group, []).extend(action)
+    for group, choices in actions.items():
         p = sub.add_parser(group)
-        if actions:
-            p.add_argument("action", choices=actions)
+        if choices:
+            p.add_argument("action", choices=choices)
         p.add_argument("file")
         p.add_argument("name", nargs="?", default=None)
-
-    add("algebra", ["check", "decompose"])
-    add("dring", ["verify"])
-    p = sub.add_parser("prolong")
-    p.add_argument("file")
-    p.add_argument("name", nargs="?", default=None)
-    add("dvariety", ["check", "sharp", "descend"])
-    add("ucd", ["check", "search"])
     sub.add_parser("fixtures")
 
     args = parser.parse_args(argv)
@@ -1075,7 +1005,7 @@ def main(argv=None):
         parser.print_help()
         return 1
 
-    command = args.group if args.group == "prolong" else f"{args.group} {args.action}"
+    command = f"{args.group} {args.action}" if "action" in args else args.group
     try:
         with open(args.file, encoding="utf-8") as fh:
             text = fh.read()

@@ -22,11 +22,11 @@ from .poly import (
     Ideal,
     MonomialOrder,
     MultiPoly,
+    as_poly,
     format_poly,
     groebner_basis_of,
     linear_combination,
     normal_form,
-    parse_polynomial,
 )
 
 
@@ -57,9 +57,7 @@ class TensorElement:
     __slots__ = ("algebra", "comps")
 
     def __init__(self, algebra, comps):
-        comps = tuple(
-            c if isinstance(c, MultiPoly) else MultiPoly.constant(c) for c in comps
-        )
+        comps = tuple(map(as_poly, comps))
         if len(comps) != algebra.dim:
             raise DRingError("tensor component count does not match dim(D)")
         self.algebra = algebra
@@ -99,8 +97,7 @@ class TensorElement:
 
     def scale(self, factor):
         """Multiply every component by a ring element or rational."""
-        if not isinstance(factor, MultiPoly):
-            factor = MultiPoly.constant(factor)
+        factor = as_poly(factor)
         return TensorElement(self.algebra, [factor * c for c in self.comps])
 
     def reduce(self, ideal):
@@ -209,13 +206,18 @@ class DOperator:
     def variables(self):
         return self.ideal.variables
 
+    def _ring_element(self, f):
+        """``f`` (anything :func:`as_poly` takes) on the ring variables; a
+        polynomial on any other variable is a DRingError."""
+        try:
+            return as_poly(f, self.variables)
+        except ValueError:
+            unknown = sorted(f.used_variables() - set(self.variables))
+            raise DRingError(f"unknown variable {unknown[0]!r}") from None
+
     def apply(self, f):
         """The image of a ring element, components reduced to normal form."""
-        if isinstance(f, str):
-            f = parse_polynomial(f, self.variables)
-        unknown = f.used_variables() - set(self.variables)
-        if unknown:
-            raise DRingError(f"unknown variable {sorted(unknown)[0]!r}")
+        f = self._ring_element(f)
         (image,) = push_through(self.algebra, [f], self.images, self.variables, self.ideal)
         return image.reduce(self.ideal)
 
@@ -243,27 +245,20 @@ def _coerce_images(algebra, ideal, images):
     for v, img in images.items():
         if v not in ideal.variables:
             raise DRingError(f"image given for {v!r}, which is not a ring variable")
-        if isinstance(img, TensorElement):
-            comps = img.comps
-        else:
-            comps = tuple(
-                parse_polynomial(c, ideal.variables) if isinstance(c, str)
-                else MultiPoly.constant(c) if not isinstance(c, MultiPoly)
-                else c
-                for c in img
-            )
+        comps = img.comps if isinstance(img, TensorElement) else img
+        comps = [as_poly(c, ideal.variables) for c in comps]
         if len(comps) != algebra.dim:
             raise DRingError(
                 f"image of {v!r} has {len(comps)} components; dim(D) is {algebra.dim}"
             )
-        out[v] = TensorElement(algebra, [c.on_variables(ideal.variables) for c in comps])
+        out[v] = TensorElement(algebra, comps)
     missing = set(ideal.variables) - set(out)
     if missing:
         raise DRingError(f"no image given for variable {sorted(missing)[0]!r}")
     return out
 
 
-def make_doperator(algebra, ideal, images, check=True):
+def make_doperator(algebra, ideal, images):
     """Build and verify a DOperator.
 
     Verifies that coordinate extraction at e_0 is the distinguished
@@ -281,22 +276,21 @@ def make_doperator(algebra, ideal, images, check=True):
         )
     images = _coerce_images(algebra, ideal, images)
     op = DOperator(algebra, ideal, images)
-    if check:
-        for v in ideal.variables:
-            defect = ideal.normal_form(
-                images[v].comps[0] - MultiPoly.variable(v, ideal.variables)
+    for v in ideal.variables:
+        defect = ideal.normal_form(
+            images[v].comps[0] - MultiPoly.variable(v, ideal.variables)
+        )
+        if not defect.is_zero():
+            raise SectionPropertyError(
+                f"component 0 of the image of {v!r} is not {v!r} modulo the ideal"
             )
-            if not defect.is_zero():
-                raise SectionPropertyError(
-                    f"component 0 of the image of {v!r} is not {v!r} modulo the ideal"
-                )
-        for g in ideal.generators:
-            if g.is_zero():
-                continue
-            image = op.apply(g)
-            for j, comp in enumerate(image.comps):
-                if not comp.is_zero():
-                    raise WellDefinednessError(g, j, comp)
+    for g in ideal.generators:
+        if g.is_zero():
+            continue
+        image = op.apply(g)
+        for j, comp in enumerate(image.comps):
+            if not comp.is_zero():
+                raise WellDefinednessError(g, j, comp)
     return op
 
 
@@ -304,10 +298,7 @@ def product_rule_check(op, f, g):
     """Does the image of f*g equal the structure-constant combination of the
     images of f and g?  Always true for a valid operator; exposed as a test
     oracle."""
-    if isinstance(f, str):
-        f = parse_polynomial(f, op.variables)
-    if isinstance(g, str):
-        g = parse_polynomial(g, op.variables)
+    f, g = op._ring_element(f), op._ring_element(g)
     lhs = op.apply(f * g)
     rhs = tensor_mul(op.apply(f), op.apply(g), op.ideal)
     return all(a == b for a, b in zip(lhs.comps, rhs.comps))
@@ -395,9 +386,9 @@ def invert_modulo(ideal, s):
     return inverse
 
 
-def localize_dstructure(op, q, inverse_name="w"):
+def localize_dstructure(op, q):
     """Extend the operator to the localisation R_q, presented by adjoining
-    an inverse variable with the relation q*w = 1.
+    an inverse variable w (renamed when taken) with the relation q*w = 1.
 
     The image of w is the inverse of the image of q, assembled per local
     component of D: the residue part is inverted in the localised ring, the
@@ -405,9 +396,7 @@ def localize_dstructure(op, q, inverse_name="w"):
     this requires every associated image of q to be invertible in R_q
     already; otherwise the localisation is reported as impossible.
     """
-    if isinstance(q, str):
-        q = parse_polynomial(q, op.variables)
-    q = q.on_variables(op.variables)
+    q = as_poly(q, op.variables)
     if op.ideal.contains(q):
         raise DRingError("cannot localise at an element that vanishes on the variety")
     if q.is_constant():
@@ -420,7 +409,7 @@ def localize_dstructure(op, q, inverse_name="w"):
             "has residue field Q"
         )
 
-    w = _fresh_name(inverse_name, op.variables)
+    w = _fresh_name("w", op.variables)
     new_vars = op.variables + (w,)
     wvar = MultiPoly.variable(w, new_vars)
     new_gens = [g.on_variables(new_vars) for g in op.ideal.generators]

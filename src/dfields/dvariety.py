@@ -29,10 +29,10 @@ from .dring import (
 from .poly import (
     Ideal,
     MultiPoly,
+    as_poly,
     factor_univariate,
     format_poly,
     linear_combination,
-    parse_polynomial,
     univariate_coeffs,
 )
 from .prolongation import BaseDStructure, prolong, pullback_defect
@@ -93,12 +93,7 @@ def make_dvariety(algebra, ideal, section):
     for v in ideal.variables:
         if v not in section:
             raise DVarietyError(f"section missing coordinate {v!r}")
-        comps = tuple(
-            parse_polynomial(c, ideal.variables) if isinstance(c, str)
-            else MultiPoly.constant(c) if not isinstance(c, MultiPoly)
-            else c.on_variables(ideal.variables)
-            for c in section[v]
-        )
+        comps = tuple(as_poly(c, ideal.variables) for c in section[v])
         if len(comps) != algebra.dim:
             raise DVarietyError(f"section of {v!r} needs {algebra.dim} components")
         images[v] = comps
@@ -141,7 +136,7 @@ class SharpLocus:
     dvariety: DVariety
 
 
-def sharp_locus(dv, base=None):
+def sharp_locus(dv):
     """Ideal of the constant-coordinate sharp points: the variety plus
     s_i(x) = b_i * x for every level i >= 1."""
     algebra = dv.algebra
@@ -159,11 +154,7 @@ def is_sharp_point(dv, point, base=None):
     constants or polynomials in the base parameters."""
     if base is None:
         base = BaseDStructure.trivial(dv.algebra)
-    values = {}
-    for v, val in zip(dv.variables, point):
-        if not isinstance(val, MultiPoly):
-            val = MultiPoly.constant(val)
-        values[v] = val
+    values = {v: as_poly(val) for v, val in zip(dv.variables, point)}
     for g in dv.ideal.generators:
         if not g.substitute(values).is_zero():
             return False
@@ -215,13 +206,13 @@ class SharpPointsResult:
         return self.dimension == 0
 
 
-def rational_sharp_points(dv, base=None):
+def rational_sharp_points(dv):
     """Enumerate the rational sharp points when the sharp locus is finite;
     otherwise report the locus and its dimension with sample points.
 
     Over Q an empty answer does not refute anything: the rational points
     of a positive-dimensional locus may simply be scarce."""
-    locus = sharp_locus(dv, base).ideal
+    locus = sharp_locus(dv).ideal
     if locus.is_trivial():
         return SharpPointsResult(locus, None, (), False)
     dim = locus.krull_dimension()
@@ -234,8 +225,6 @@ def rational_sharp_points(dv, base=None):
 def open_dsubvariety(dv, q):
     """The restriction of the D-variety to the basic open set q != 0,
     presented by an inverse variable."""
-    if isinstance(q, str):
-        q = parse_polynomial(q, dv.variables)
     localized = localize_dstructure(dv.operator, q)
     if localized is dv.operator:
         return dv
@@ -322,9 +311,7 @@ class WeilDescentResult:
         m_ideal = Ideal((self.alpha,), [self.minpoly])
         for v in self.xvars:
             val = point[v] if isinstance(point, dict) else point[self.xvars.index(v)]
-            if not isinstance(val, MultiPoly):
-                val = MultiPoly.constant(val)
-            val = m_ideal.normal_form(val.on_variables((self.alpha,)))
+            val = m_ideal.normal_form(as_poly(val, (self.alpha,)))
             coeffs = univariate_coeffs(val, self.alpha)
             coeffs = coeffs + [Fraction(0)] * (self.degree - len(coeffs))
             out.extend(coeffs[: self.degree])
@@ -344,12 +331,7 @@ class WeilDescentResult:
         """Pointwise sharp check for a point of the original variety with
         Q(alpha) coordinates, using the verified structure on Q(alpha)."""
         m_ideal = self.ext_operator.ideal
-        values = {}
-        for v in self.xvars:
-            val = point[v]
-            if not isinstance(val, MultiPoly):
-                val = MultiPoly.constant(val)
-            values[v] = val.on_variables((self.alpha,))
+        values = {v: as_poly(point[v], (self.alpha,)) for v in self.xvars}
         for g in self.original_ideal.generators:
             residue = m_ideal.normal_form(
                 g.substitute(values).on_variables((self.alpha,))
@@ -402,18 +384,10 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
         raise DVarietyError(f"invalid operator structure on Q(alpha): {exc}") from exc
 
     ring_vars = (alpha,) + xvars
-    gens = [
-        parse_polynomial(g, ring_vars) if isinstance(g, str) else g.on_variables(ring_vars)
-        for g in generators
-    ]
+    gens = [as_poly(g, ring_vars) for g in generators]
     section_comps = {}
     for v in xvars:
-        comps = tuple(
-            parse_polynomial(c, ring_vars) if isinstance(c, str)
-            else MultiPoly.constant(c).on_variables(ring_vars) if not isinstance(c, MultiPoly)
-            else c.on_variables(ring_vars)
-            for c in section[v]
-        )
+        comps = tuple(as_poly(c, ring_vars) for c in section[v])
         if len(comps) != dim:
             raise DVarietyError(f"section of {v!r} needs {dim} components")
         section_comps[v] = comps

@@ -360,12 +360,9 @@ class MultiPoly:
         return MultiPoly(self.variables, terms)
 
     def substitute(self, assignment):
-        """Ring-homomorphic substitution; values may be MultiPoly or rationals."""
-        values = {}
-        for v, val in assignment.items():
-            if not isinstance(val, MultiPoly):
-                val = MultiPoly.constant(val)
-            values[v] = val
+        """Ring-homomorphic substitution; values are anything :func:`as_poly`
+        takes."""
+        values = {v: as_poly(val) for v, val in assignment.items()}
         result = MultiPoly.zero()
         powers = {v: [MultiPoly.one()] for v in values}
         for exp, c in self.terms.items():
@@ -461,10 +458,6 @@ def linear_combination(coeffs, polys, variables):
 # text form
 
 
-_TOKEN_KINDS = (
-    ("INT", lambda ch: ch.isdigit()),
-    ("NAME", lambda ch: ch.isalpha() or ch == "_"),
-)
 _SYMBOLS = "+-*^(),/;={}[]"
 
 
@@ -623,6 +616,18 @@ def parse_polynomial(text, variables=None):
     if variables is not None:
         return poly.on_variables(tuple(variables))
     return poly.on_variables(tuple(parser.seen))
+
+
+def as_poly(value, variables=None):
+    """Polynomial input as a MultiPoly: text is parsed (on ``variables``
+    when given, so an unknown name is a PolyParseError), a rational becomes
+    a constant, and a MultiPoly is put on ``variables`` when given (a
+    ValueError when it uses a variable outside them)."""
+    if isinstance(value, MultiPoly):
+        return value if variables is None else value.on_variables(variables)
+    if isinstance(value, str):
+        return parse_polynomial(value, variables)
+    return MultiPoly.constant(value, () if variables is None else variables)
 
 
 def _format_coeff(c):
@@ -849,12 +854,7 @@ class Ideal:
 
     def __init__(self, variables, generators, budget=None):
         self.variables = tuple(variables)
-        gens = []
-        for g in generators:
-            if isinstance(g, str):
-                g = parse_polynomial(g, self.variables)
-            gens.append(g.on_variables(self.variables))
-        self.generators = tuple(gens)
+        self.generators = tuple(as_poly(g, self.variables) for g in generators)
         self.budget = budget or DEFAULT_BUDGET
         self._bases = {}
 
@@ -878,9 +878,7 @@ class Ideal:
         return normal_form(f, list(basis), order, self.budget)
 
     def contains(self, f):
-        if isinstance(f, str):
-            f = parse_polynomial(f, self.variables)
-        return self.normal_form(f).is_zero()
+        return self.normal_form(as_poly(f, self.variables)).is_zero()
 
     def is_trivial(self):
         """True when 1 is in the ideal (empty variety)."""
@@ -889,9 +887,7 @@ class Ideal:
 
     def radical_contains(self, f):
         """Rabinowitsch test: f is in the radical iff 1 in I + <1 - t*f>."""
-        if isinstance(f, str):
-            f = parse_polynomial(f, self.variables)
-        f = f.on_variables(self.variables)
+        f = as_poly(f, self.variables)
         if f.is_zero():
             return True
         aux = "t_rad"

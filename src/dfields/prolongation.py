@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dring import TensorElement, make_doperator, push_through
-from .poly import Ideal, MultiPoly, format_poly, linear_combination, parse_polynomial
+from .poly import Ideal, MultiPoly, as_poly, format_poly, linear_combination
 
 
 class ProlongationError(Exception):
@@ -73,6 +73,14 @@ def prolonged_names(xvars, level):
     return tuple(f"{x}_{level}" for x in xvars)
 
 
+def prolonged_variables(params, xvars, dim):
+    """The variables of a prolongation: the parameters, then the
+    coordinates of every level."""
+    return tuple(params) + tuple(
+        name for level in range(dim) for name in prolonged_names(xvars, level)
+    )
+
+
 @dataclass(frozen=True)
 class ProlongedVariety:
     """The prolongation of V(ideal): its ideal, and the coordinates of each
@@ -104,19 +112,6 @@ class ProlongedVariety:
         }
 
 
-def _prolonged_variables(base, xvars, dim):
-    names = list(base.params)
-    for level in range(dim):
-        for x in xvars:
-            names.append(f"{x}_{level}")
-    if len(set(names)) != len(names) or set(names) & set(xvars):
-        raise ProlongationError(
-            "prolonged coordinate names collide with existing variables; "
-            "rename the originals"
-        )
-    return tuple(names)
-
-
 def prolong(base, ideal, xvars=None):
     """The prolongation of V(ideal) along the base operator structure.
 
@@ -137,7 +132,12 @@ def prolong(base, ideal, xvars=None):
         )
 
     algebra = base.algebra
-    new_vars = _prolonged_variables(base, xvars, algebra.dim)
+    new_vars = prolonged_variables(base.params, xvars, algebra.dim)
+    if len(set(new_vars)) != len(new_vars) or set(new_vars) & set(xvars):
+        raise ProlongationError(
+            "prolonged coordinate names collide with existing variables; "
+            "rename the originals"
+        )
     images = {p: t.on_variables(new_vars) for p, t in base.operator.images.items()}
     for x in xvars:
         block = [MultiPoly.variable(f"{x}_{level}", new_vars) for level in range(algebra.dim)]
@@ -158,7 +158,7 @@ def nabla(op, point, xvars=None):
     """
     if xvars is None:
         xvars = op.variables
-    values = {v: _as_poly(val) for v, val in zip(xvars, point)}
+    values = {v: as_poly(val) for v, val in zip(xvars, point)}
     for g in op.ideal.generators:
         image = g.substitute(values)
         if not (image.is_zero() or op.ideal.contains(image.on_variables(op.variables))):
@@ -198,13 +198,9 @@ class PiHatMap:
         out = []
         for v in self.xvars:
             for img in self.images[v]:
-                val = img.substitute({k: _as_poly(c) for k, c in coords.items()})
+                val = img.substitute(coords)
                 out.append(val.constant_value() if val.is_constant() else val)
         return tuple(out)
-
-
-def _as_poly(c):
-    return c if isinstance(c, MultiPoly) else MultiPoly.constant(c)
 
 
 def pi_hat(prolonged, i):
@@ -258,7 +254,7 @@ def nabla_e(base, point, xvars):
     """The endomorphism-side prolongation point (a, sigma_1(a), ...) of a
     rational or parametric point, computed from the base structure."""
     algebra = base.algebra
-    values = [_as_poly(val) for val in point]
+    values = [as_poly(val) for val in point]
     out = []
     for i in range(len(algebra.components)):
         comp = algebra.components[i]
@@ -302,13 +298,7 @@ def extend_by_point(base, ideal, point_images, xvars=None):
     prolonged = prolong(base, ideal, xvars)
     xvars = prolonged.xvars
     dim = base.algebra.dim
-    entries = []
-    for entry in point_images:
-        if isinstance(entry, str):
-            entry = parse_polynomial(entry, ideal.variables)
-        elif not isinstance(entry, MultiPoly):
-            entry = MultiPoly.constant(entry)
-        entries.append(entry.on_variables(ideal.variables))
+    entries = [as_poly(entry, ideal.variables) for entry in point_images]
     if len(entries) != len(xvars) * dim:
         raise ProlongationError(
             f"expected {len(xvars) * dim} coordinates, got {len(entries)}"

@@ -24,12 +24,13 @@ from .poly import (
     Ideal,
     MultiPoly,
     NotOnVarietyError,
+    as_poly,
     decide_irreducibility,
     format_poly,
     jacobian_rank_at,
-    parse_polynomial,
 )
 from .prolongation import (
+    BaseDStructure,
     ProlongedVariety,
     pi_hat,
     prolong,
@@ -69,8 +70,8 @@ def ucd_instance(base, x_ideal, y_ideal, h=None, witness=None, assert_irreducibl
             f"inconsistent variable sets: Y must use {list(prolonged.variables)}, "
             f"got {list(y_ideal.variables)}"
         )
-    if isinstance(h, str):
-        h = parse_polynomial(h, y_ideal.variables)
+    if h is not None:
+        h = as_poly(h, y_ideal.variables)
     if witness is not None:
         witness = tuple(Fraction(c) for c in witness)
         if len(witness) != len(y_ideal.variables):
@@ -169,9 +170,10 @@ def _dominance_entries(inst):
         if len(ones) == 1 and all(c == 0 for j, c in enumerate(row) if j != ones[0]):
             indicator = ones[0]
 
-        zname = {}
-        for x in inst.xvars:
-            zname[x] = f"{x}_{indicator}" if indicator is not None else f"{x}_sigma{i}"
+        if indicator is not None:
+            zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
+        else:
+            zname = {x: f"{x}_sigma{i}" for x in inst.xvars}
         graph_vars = inst.y_ideal.variables + tuple(
             zname[x] for x in inst.xvars if zname[x] not in inst.y_ideal.variables
         )
@@ -335,21 +337,21 @@ def find_nabla_point(inst, candidate=None):
 
     consistent = None
     if candidate is not None:
-        subs = {}
-        for level in range(algebra.dim):
-            for x in inst.xvars:
-                subs[f"{x}_{level}"] = candidate.images[x].comps[level]
+        subs = {
+            name: candidate.images[x].comps[level]
+            for level in range(algebra.dim)
+            for x, name in zip(inst.xvars, inst.prolonged.block(level))
+        }
         consistent = all(
             inst.x_ideal.contains(g.substitute(subs).on_variables(inst.x_ideal.variables))
             for g in inst.y_ideal.generators
         )
 
-    subs = {}
-    for level in range(algebra.dim):
-        for x in inst.xvars:
-            subs[f"{x}_{level}"] = MultiPoly.variable(x, inst.xvars).scale(
-                algebra.unit[level]
-            )
+    subs = {
+        name: MultiPoly.variable(x, inst.xvars).scale(algebra.unit[level])
+        for level in range(algebra.dim)
+        for x, name in zip(inst.xvars, inst.prolonged.block(level))
+    }
     locus_gens = list(inst.x_ideal.generators)
     locus_gens.extend(
         g.substitute(subs).on_variables(inst.xvars) for g in inst.y_ideal.generators
@@ -466,12 +468,7 @@ def check_difference_large_instance(inst, sigma_maps, points):
         for i in range(1, len(comps)):
             expected = projections[i].apply_point(prolonged.variables, point)
             sigma = sigma_maps[i]
-            got = []
-            for x in inst.xvars:
-                img = sigma[x]
-                if isinstance(img, str):
-                    img = parse_polynomial(img, inst.xvars)
-                got.append(img.evaluate(base_coords))
+            got = [as_poly(sigma[x], inst.xvars).evaluate(base_coords) for x in inst.xvars]
             ok = tuple(got) == tuple(expected)
             detail = "" if ok else (
                 f"sigma_{i} of the base projection is {[str(g) for g in got]}, "

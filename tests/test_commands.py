@@ -1,0 +1,187 @@
+"""The command driver on documents with several blocks of one kind.
+
+The golden files pin every fixture, and every fixture command there runs
+on one block.  These pins cover what a single block cannot show: the
+lines and JSON entries of several blocks in file order, the exit code
+merged over blocks (verified < undetermined < refuted), and the two
+selection errors of every command.
+"""
+
+import json
+
+import pytest
+
+from dfields.cli import main, parse, run
+from dfields.ucd import UcdError
+
+ALGEBRAS = """
+algebra dual = Q[e]/(e^2);
+algebra skew {
+  basis = [u, v];
+  mul u*u = u;
+  mul u*v = v;
+  mul v*v = u;
+  unit = v;
+}
+"""
+
+UCDS = """
+algebra dual = Q[e]/(e^2);
+variety line { vars = [x]; }
+ucd open {
+  algebra = dual;
+  X = line;
+  Y = (x_1 - x_0^2 - 1);
+}
+ucd broken {
+  algebra = dual;
+  X = line;
+  Y = (x_0);
+  witness = (0, 0);
+}
+"""
+
+COMMANDS = {
+    "algebra check": "algebra",
+    "algebra decompose": "algebra",
+    "dring verify": "dring",
+    "prolong": "dring",
+    "dvariety check": "dvariety",
+    "dvariety sharp": "dvariety",
+    "dvariety descend": "descend",
+    "ucd check": "ucd",
+    "ucd search": "ucd",
+}
+
+
+def _hypotheses(*rows):
+    return [{"name": n, "status": s, "detail": d} for n, s, d in rows]
+
+
+OPEN_HYPOTHESES = _hypotheses(
+    ("Y_subset_of_tauX", "verified", ""),
+    ("dominance_pi_0", "verified", ""),
+    ("smooth_witness", "undetermined", "no witness supplied"),
+    ("X_irreducible", "verified", "zero-ideal"),
+    ("Y_irreducible", "verified", "principal-factorisation"),
+    ("U_nonempty", "verified", "U = Y"),
+)
+BROKEN_ENTRY = {
+    "name": "broken",
+    "verdict": "refuted",
+    "hypotheses": _hypotheses(
+        ("Y_subset_of_tauX", "verified", ""),
+        ("dominance_pi_0", "refuted",
+         "projection 0 is not dominant: elimination ideal contains x_0"),
+        ("smooth_witness", "verified", "Jacobian rank 1 = codimension"),
+        ("X_irreducible", "verified", "zero-ideal"),
+        ("Y_irreducible", "verified", "linear"),
+        ("U_nonempty", "verified", "U = Y"),
+    ),
+}
+
+
+def _cli(tmp_path, capsys, text, argv, name=()):
+    path = tmp_path / "doc.dr"
+    path.write_text(text)
+    code = main([*argv, str(path), *name])
+    return code, capsys.readouterr().out
+
+
+def test_algebra_check_on_a_valid_and_an_invalid_algebra(tmp_path, capsys):
+    code, out = _cli(tmp_path, capsys, ALGEBRAS, ["algebra", "check"])
+    assert code == 2
+    assert out == (
+        "algebra dual: valid commutative unital algebra\n"
+        "algebra skew: INVALID (unit fails at indices (0, 0); unit fails at "
+        "indices (0, 1); unit fails at indices (1, 0); unit fails at indices (1, 1))\n"
+    )
+    code, out = _cli(tmp_path, capsys, ALGEBRAS, ["--json", "algebra", "check"])
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "algebra check",
+        "results": [
+            {"name": "dual", "dim": 2, "valid": True, "violations": []},
+            {
+                "name": "skew",
+                "dim": 2,
+                "valid": False,
+                "violations": [
+                    f"unit fails at indices ({i}, {j})" for i in (0, 1) for j in (0, 1)
+                ],
+            },
+        ],
+    }
+
+
+def test_ucd_check_on_an_undetermined_and_a_refuted_block(tmp_path, capsys):
+    code, out = _cli(tmp_path, capsys, UCDS, ["ucd", "check"])
+    assert code == 2
+    assert out == (
+        "ucd open: undetermined\n"
+        "  Y_subset_of_tauX: verified\n"
+        "  dominance_pi_0: verified\n"
+        "  smooth_witness: undetermined (no witness supplied)\n"
+        "  X_irreducible: verified (zero-ideal)\n"
+        "  Y_irreducible: verified (principal-factorisation)\n"
+        "  U_nonempty: verified (U = Y)\n"
+        "ucd broken: refuted\n"
+        "  Y_subset_of_tauX: verified\n"
+        "  dominance_pi_0: refuted (projection 0 is not dominant: elimination "
+        "ideal contains x_0)\n"
+        "  smooth_witness: verified (Jacobian rank 1 = codimension)\n"
+        "  X_irreducible: verified (zero-ideal)\n"
+        "  Y_irreducible: verified (linear)\n"
+        "  U_nonempty: verified (U = Y)\n"
+    )
+    code, out = _cli(tmp_path, capsys, UCDS, ["--json", "ucd", "check"])
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "ucd check",
+        "results": [
+            {"name": "open", "verdict": "undetermined", "hypotheses": OPEN_HYPOTHESES},
+            BROKEN_ENTRY,
+        ],
+    }
+    assert _cli(tmp_path, capsys, UCDS, ["ucd", "check"], ["open"])[0] == 3
+
+
+def test_ucd_search_on_an_undetermined_and_a_refuted_block(tmp_path, capsys):
+    note = "no rational point in U found; non-rational locus points exist"
+    code, out = _cli(tmp_path, capsys, UCDS, ["ucd", "search"])
+    assert code == 2
+    assert out == f"ucd open: {note}\nucd broken: hypotheses refuted; not searching\n"
+    code, out = _cli(tmp_path, capsys, UCDS, ["--json", "ucd", "search"])
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "ucd search",
+        "results": [
+            {
+                "name": "open",
+                "dimension": 0,
+                "found": False,
+                "locus": ["-x^2 - 1"],
+                "note": note,
+                "points": [],
+                "samples": [],
+            },
+            BROKEN_ENTRY,
+        ],
+    }
+    assert _cli(tmp_path, capsys, UCDS, ["ucd", "search"], ["open"])[0] == 3
+
+
+@pytest.mark.parametrize("command, keyword", COMMANDS.items())
+def test_block_selection_errors(command, keyword, tmp_path, capsys):
+    doc = parse("")
+    with pytest.raises(UcdError) as err:
+        run(command, doc)
+    assert str(err.value) == f"document has no {keyword} blocks"
+    with pytest.raises(UcdError) as err:
+        run(command, doc, name="nope")
+    assert str(err.value) == f"no {keyword} block named 'nope'"
+    path = tmp_path / "empty.dr"
+    path.write_text("")
+    assert main([*command.split(), str(path), "nope"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: no {keyword} block named 'nope'\n")
