@@ -6,6 +6,11 @@ algebras from presentations Q[y1,..]/(relations), decomposes into local
 factors (trace-form nilradical, primitive-element splitting, idempotent
 lifting), and exposes the residue projections of the factors.  The axiom
 check and the trace form run over the nonzero structure constants only.
+The splitting is linear algebra: the elimination that finds the minimal
+polynomial m of the primitive element also gives every basis element's
+coordinates in its power basis, the residue map onto Q[x]/(p) for each
+factor p of m is the table of x^k mod p, and one inverse of the stacked
+tables (the Chinese-remainder isomorphism) gives every idempotent.
 
 It is also the package's one zero-dimensional engine: for a
 zero-dimensional ideal I, Q[x]/I is such an algebra, its local factors
@@ -31,8 +36,6 @@ from .poly import (
     _exp_divides,
     factor_univariate,
     format_poly,
-    uni_divmod,
-    uni_ext_gcd,
     univariate_coeffs,
     univariate_poly,
 )
@@ -73,7 +76,6 @@ class FiniteDimAlgebra:
         self.basis_names = tuple(basis_names)
         self.presentation = None
         self._components = None
-        self._pi_index = None
         self._nonzero = tuple(
             (i, j, k, a[i][j][k])
             for i in range(n)
@@ -144,18 +146,12 @@ class FiniteDimAlgebra:
     def components(self):
         if self._components is None:
             self._components = _decompose(self)
-            for idx, comp in enumerate(self._components):
-                if comp.residue_dim == 1 and list(comp.residue_matrix[0]) == [
-                    Fraction(1)
-                ] + [Fraction(0)] * (self.dim - 1):
-                    self._pi_index = idx
-                    break
         return self._components
 
     @property
     def pi_index(self):
-        self.components
-        return self._pi_index
+        # the decomposition puts the distinguished component first
+        return 0 if _is_distinguished(self.components[0]) else None
 
     def is_local(self):
         return len(self.components) == 1
@@ -411,8 +407,8 @@ def from_presentation(generators, relations):
 
 
 def _quotient_algebra(ideal):
-    """The algebra Q[x]/I of a zero-dimensional ideal, and the map from
-    each standard monomial to its basis index.
+    """The algebra Q[x]/I of a zero-dimensional ideal, and the map from a
+    polynomial in normal form to its coordinates.
 
     The basis is the set of standard monomials of the ideal's cached
     grevlex basis, 1 first, then by degree with earlier variables first.
@@ -464,7 +460,7 @@ def _quotient_algebra(ideal):
     names = tuple(_monomial_name(variables, m) for m in monomials)
     algebra = FiniteDimAlgebra(struct, coords_of(products[0][0]), names)
     algebra.presentation = (variables, ideal.generators)
-    return algebra, index
+    return algebra, coords_of
 
 
 def product_algebra(*factors):
@@ -553,18 +549,39 @@ class _Quotient:
 def _minimal_polynomial_in_quotient(quot, u):
     """Monic minimal polynomial of u in A/N, low degree first: the first
     linear dependence among 1, u, u^2, ..., found by eliminating rows
-    (u^k, e_k) that carry their combination of the powers along."""
+    (u^k, e_k) that carry their combination of the powers along.
+
+    Also returns the powers 1, u, ... below the degree and the elimination
+    rows; each row is (v, t) with v = sum_k t_k u^k."""
     d = quot.dim
     echelon = []
+    powers = []
     power = quot.one()
     for k in range(d + 1):
         tag = [Fraction(0)] * (d + 1)
         tag[k] = Fraction(1)
         rest = _echelon_add(echelon, power + tag, d)
         if not any(rest[:d]):
-            return rest[d:d + k + 1]
+            return rest[d:d + k + 1], powers, echelon
+        powers.append(power)
         power = quot.mul(power, u)
     raise AlgebraError("minimal polynomial search exceeded quotient dimension")
+
+
+def _residue_table(p, d):
+    """The columns x^k mod p for k < d, as a matrix: the residue map of
+    Q[x]/(m) onto Q[x]/(p) on power bases, for any multiple m of p of
+    degree d."""
+    p_coeffs = univariate_coeffs(p, "x")
+    r = len(p_coeffs) - 1
+    column = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    columns = []
+    for _ in range(d):
+        columns.append(column)
+        # x * column, less its top coefficient times the monic p
+        top = column[-1]
+        column = [a - top * b for a, b in zip([Fraction(0)] + column[:-1], p_coeffs)]
+    return [list(row) for row in zip(*columns)]
 
 
 def _decompose(algebra):
@@ -592,9 +609,10 @@ def _decompose(algebra):
     randoms = (
         quot.project([Fraction(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100)
     )
+    d = quot.dim
     for primitive in itertools.chain(projected, randoms):
-        minpoly = _minimal_polynomial_in_quotient(quot, primitive)
-        if len(minpoly) - 1 == quot.dim:
+        minpoly, powers, echelon = _minimal_polynomial_in_quotient(quot, primitive)
+        if len(minpoly) - 1 == d:
             break
     else:
         raise AlgebraError(
@@ -605,32 +623,24 @@ def _decompose(algebra):
     if any(mult_ != 1 for _, mult_ in factors):
         raise AlgebraError("semisimple quotient has a repeated factor; trace form is wrong")
 
+    # column i: e_i as a polynomial in the primitive element; reducing
+    # (-q, 0) through the elimination rows leaves (0, t), q = sum_k t_k u^k
+    zeros = [Fraction(0)] * (d + 1)
+    in_power_basis = list(zip(*(
+        _echelon_add(echelon, [-c for c in qc] + zeros, d)[d:2 * d] for qc in projected
+    )))
+    # Q[x]/(minpoly) is the product of the Q[x]/(p) (CRT); the preimage of
+    # the unit of one factor is its idempotent
+    tables = [_residue_table(p, d) for p, _ in factors]
+    crt_inv = linalg.inverse([row for table in tables for row in table])
+    power_matrix = list(map(list, zip(*powers)))
+
     # CRT idempotents in the quotient, then unique lifts through the nilradical
     components = []
-    power_basis = [quot.one()]
-    for _ in range(quot.dim - 1):
-        power_basis.append(quot.mul(power_basis[-1], primitive))
-    power_matrix = list(map(list, zip(*power_basis)))
-    power_inv = linalg.inverse(power_matrix)
-    # each basis element as a polynomial in the primitive element
-    in_power_basis = [linalg.mat_vec(power_inv, qc) for qc in projected]
-
-    for p, _ in factors:
-        p_coeffs = univariate_coeffs(p, "x")
-        q_coeffs, rem = uni_divmod(minpoly, p_coeffs)
-        assert not rem
-        g, u_coeffs, _ = uni_ext_gcd(q_coeffs, p_coeffs)
-        assert g == [Fraction(1)]
-        # idempotent polynomial u*q reduced mod the minimal polynomial
-        prod = [Fraction(0)] * (len(u_coeffs) + len(q_coeffs) - 1)
-        for i, uc in enumerate(u_coeffs):
-            for j, qc in enumerate(q_coeffs):
-                prod[i + j] += uc * qc
-        _, idem_coeffs = uni_divmod(prod, minpoly)
-        ebar = [
-            sum((c * u[r] for c, u in zip(idem_coeffs, power_basis)), Fraction(0))
-            for r in range(quot.dim)
-        ]
+    offset = 0
+    for (p, _), table in zip(factors, tables):
+        ebar = linalg.mat_vec(power_matrix, [row[offset] for row in crt_inv])
+        offset += len(table)
 
         e = quot.lift(ebar)
         for _ in range(algebra.dim + 2):
@@ -652,12 +662,7 @@ def _decompose(algebra):
         )
 
         residue_dim = p.total_degree()
-        rows = []
-        for tpoly in in_power_basis:
-            _, rem_p = uni_divmod(tpoly, p_coeffs)
-            rem_p = rem_p + [Fraction(0)] * (residue_dim - len(rem_p))
-            rows.append(rem_p[:residue_dim])
-        matrix = tuple(tuple(row[d] for row in rows) for d in range(residue_dim))
+        matrix = tuple(map(tuple, linalg.mat_mul(table, in_power_basis)))
 
         residue_poly = p
         if residue_dim == 1:
@@ -674,17 +679,18 @@ def _decompose(algebra):
         )
 
     # distinguished component first, remainder by descending idempotent coords
-    def is_distinguished(comp):
-        return comp.residue_dim == 1 and list(comp.residue_matrix[0]) == [
-            Fraction(1)
-        ] + [Fraction(0)] * (n - 1)
-
     components.sort(key=lambda c: tuple(c.idempotent.coords), reverse=True)
-    components.sort(key=lambda c: 0 if is_distinguished(c) else 1)
+    components.sort(key=lambda c: 0 if _is_distinguished(c) else 1)
 
     if sum(c.dim for c in components) != n:
         raise AlgebraError("component dimensions do not sum to the algebra dimension")
     return tuple(components)
+
+
+def _is_distinguished(comp):
+    """Whether the component's residue projection is coordinate 0 onto Q."""
+    first = comp.residue_matrix[0]
+    return comp.residue_dim == 1 and first[0] == 1 and not any(first[1:])
 
 
 def local_decompose(algebra):
@@ -753,14 +759,11 @@ def solve_zero_dim(ideal):
         return SolveResult((), False)
     if ideal.krull_dimension() != 0:
         raise ValueError("ideal is not zero-dimensional")
-    algebra, index = _quotient_algebra(ideal)
-    variables = ideal.variables
-    values = []
-    for v in variables:
-        vec = [Fraction(0)] * algebra.dim
-        for exp, c in ideal.normal_form(MultiPoly.variable(v, variables)).terms.items():
-            vec[index[exp]] += c
-        values.append(vec)
+    algebra, coords_of = _quotient_algebra(ideal)
+    values = [
+        coords_of(ideal.normal_form(MultiPoly.variable(v, ideal.variables)))
+        for v in ideal.variables
+    ]
     points = [
         tuple(apply_residue_projection(algebra, i, vec)[0] for vec in values)
         for i, comp in enumerate(algebra.components)

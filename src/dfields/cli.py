@@ -144,18 +144,8 @@ class Document:
 # parser
 
 
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+class _Cursor(_ExprParser):
+    """The expression parser's cursor, with the statement-level reads."""
 
     def expect(self, kind, what=None):
         tok = self.take()
@@ -167,15 +157,9 @@ class _Cursor:
             )
         return tok
 
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise PolyParseError(message, tok.line, tok.column)
-
     def expr(self, variables=None):
-        sub = _ExprParser(self.tokens, self.pos, variables)
-        poly = sub.parse_expr()
-        self.pos = sub.pos
-        return poly
+        self.variables = None if variables is None else tuple(variables)
+        return self.parse_expr()
 
     def poly_tuple(self, variables=None):
         self.expect("(")
@@ -233,7 +217,7 @@ def _parse_algebra(cursor, name):
         return AlgebraBlock(name, (variables, relations))
     cursor.expect("{")
     basis = None
-    table = []
+    table = {}  # (i, j) with i <= j -> (coords, the product as written)
     unit = None
     while cursor.peek().kind != "}":
         key = cursor.expect("NAME", "an algebra item")
@@ -252,8 +236,13 @@ def _parse_algebra(cursor, name):
                 cursor.error(f"unknown basis name {right.text!r}", right)
             cursor.expect("=")
             value = cursor.expr(basis)
-            i, j = basis.index(left.text), basis.index(right.text)
-            table.append(((min(i, j), max(i, j)), _check_coords(value, basis, key)))
+            i, j = sorted((basis.index(left.text), basis.index(right.text)))
+            written = f"{left.text}*{right.text}"
+            if (i, j) in table:
+                first = table[i, j][1]
+                same = "" if first == written else f" (same as {first})"
+                cursor.error(f"duplicate product {written}{same}", left)
+            table[i, j] = (_check_coords(value, basis, key), written)
         elif key.text == "unit":
             if basis is None:
                 cursor.error("basis must be declared before the unit", key)
@@ -265,15 +254,15 @@ def _parse_algebra(cursor, name):
     cursor.expect("}")
     if basis is None or unit is None:
         cursor.error(f"algebra {name!r} needs a basis and a unit")
-    pairs = {entry[0] for entry in table}
     for i in range(len(basis)):
         for j in range(i, len(basis)):
-            if (i, j) not in pairs:
+            if (i, j) not in table:
                 cursor.error(
                     f"algebra {name!r} is missing the product "
                     f"{basis[i]}*{basis[j]}"
                 )
-    return AlgebraBlock(name, None, basis, tuple(sorted(table)), unit)
+    entries = tuple((pair, coords) for pair, (coords, _) in sorted(table.items()))
+    return AlgebraBlock(name, None, basis, entries, unit)
 
 
 def _parse_variety(cursor, name):
@@ -520,7 +509,7 @@ _BLOCK_PARSERS = {
 
 def parse(text):
     """Parse DSL text into a Document.  Errors carry line and column."""
-    cursor = _Cursor(tokenize(text))
+    cursor = _Cursor(tokenize(text), 0)
     blocks = []
     while cursor.peek().kind != "EOF":
         kind = cursor.expect("NAME", "a block keyword")
@@ -679,6 +668,11 @@ class Resolver:
         if ucd_block.base is None:
             return BaseDStructure.trivial(algebra)
         dring = self.doc.lookup(ucd_block.base)
+        if dring.algebra != ucd_block.algebra:
+            raise UcdError(
+                f"base {dring.name!r} is a dring over algebra {dring.algebra!r}, "
+                f"not over the ucd's algebra {ucd_block.algebra!r}"
+            )
         if dring.relations:
             raise UcdError("a base must be a dring with no relations")
         return BaseDStructure(algebra, dring.variables, dict(dring.images))

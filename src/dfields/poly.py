@@ -1031,62 +1031,6 @@ def univariate_poly(coeffs, var):
     return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs) if c != 0})
 
 
-def _uni_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def uni_divmod(a, b):
-    a = list(a)
-    b = _uni_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("univariate division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while _uni_trim(a) and len(a) >= len(b):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[i + shift] -= factor * bc
-        _uni_trim(a)
-    return _uni_trim(q), a
-
-
-def uni_ext_gcd(a, b):
-    """Monic g plus u, v with u*a + v*b = g."""
-    a = _uni_trim(list(a))
-    b = _uni_trim(list(b))
-    r0, r1 = a, b
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-
-    def sub_mul(x, q, y):
-        # x - q*y on coefficient lists
-        prod = [Fraction(0)] * (len(q) + len(y) - 1) if q and y else []
-        for i, qc in enumerate(q):
-            for j, yc in enumerate(y):
-                prod[i + j] += qc * yc
-        out = [Fraction(0)] * max(len(x), len(prod))
-        for i, c in enumerate(x):
-            out[i] += c
-        for i, c in enumerate(prod):
-            out[i] -= c
-        return _uni_trim(out)
-
-    while r1:
-        q, r = uni_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, sub_mul(u0, q, u1)
-        v0, v1 = v1, sub_mul(v0, q, v1)
-    if r0:
-        lead = r0[-1]
-        r0 = [c / lead for c in r0]
-        u0 = [c / lead for c in u0]
-        v0 = [c / lead for c in v0]
-    return r0, u0, v0
-
-
 # ---------------------------------------------------------------------------
 # factorisation (univariate and small multivariate cases, via sympy)
 

@@ -1,11 +1,14 @@
 """Algebra axioms, presentations, and the local decomposition."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfields import linalg
 from dfields.algebra import (
     AlgebraError,
     FiniteDimAlgebra,
@@ -18,8 +21,17 @@ from dfields.algebra import (
     rational_field_algebra,
     residue_projection,
     apply_residue_projection,
+    _minimal_polynomial_in_quotient,
+    _Quotient,
 )
-from dfields.poly import format_poly, univariate_coeffs
+from dfields.poly import (
+    MultiPoly,
+    factor_univariate,
+    format_poly,
+    parse_polynomial,
+    univariate_coeffs,
+    univariate_poly,
+)
 
 
 def F(x):
@@ -318,6 +330,159 @@ def test_residue_projection_is_multiplicative(dual, q3, dual_x_q, trunc3, gauss)
                     )
                     assert lhs == rhs
             assert apply_residue_projection(algebra, idx, algebra.unit)[0] == 1
+
+
+def _uni_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _uni_divmod(a, b):
+    a = list(a)
+    b = _uni_trim(list(b))
+    q = [F(0)] * max(0, len(a) - len(b) + 1)
+    while _uni_trim(a) and len(a) >= len(b):
+        shift = len(a) - len(b)
+        factor = a[-1] / b[-1]
+        q[shift] = factor
+        for i, bc in enumerate(b):
+            a[i + shift] -= factor * bc
+    return _uni_trim(q), a
+
+
+def _uni_mul(a, b):
+    prod = [F(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, ac in enumerate(a):
+        for j, bc in enumerate(b):
+            prod[i + j] += ac * bc
+    return prod
+
+
+def _uni_sub_mul(x, q, y):
+    """x - q*y on coefficient lists."""
+    prod = _uni_mul(q, y)
+    out = [F(0)] * max(len(x), len(prod))
+    for i, c in enumerate(x):
+        out[i] += c
+    for i, c in enumerate(prod):
+        out[i] -= c
+    return _uni_trim(out)
+
+
+def _uni_ext_gcd(a, b):
+    """Monic g plus u with u*a = g mod b."""
+    r0, r1 = _uni_trim(list(a)), _uni_trim(list(b))
+    u0, u1 = [F(1)], []
+    while r1:
+        q, r = _uni_divmod(r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _uni_sub_mul(u0, q, u1)
+    return [c / r0[-1] for c in r0], [c / r0[-1] for c in u0]
+
+
+def _euclid_decompose(algebra):
+    """The local factors, split by univariate Euclid in the polynomial
+    ring of the primitive element: the reference for the CRT inverse of
+    local_decompose.  Maps each idempotent to its residue polynomial,
+    residue matrix and maximal-ideal basis."""
+    n = algebra.dim
+    a = algebra.struct_consts
+    trace = [sum(a[i][j][j] for j in range(n)) for i in range(n)]
+    trace_form = [
+        [sum(a[i][j][k] * trace[k] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    nil_basis = linalg.nullspace(trace_form)
+    quot = _Quotient(algebra, nil_basis)
+    projected = [quot.project(algebra.basis_element(i).coords) for i in range(n)]
+    rng = random.Random(20230517)
+    randoms = (
+        quot.project([F(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100)
+    )
+    for primitive in itertools.chain(projected, randoms):
+        minpoly = _minimal_polynomial_in_quotient(quot, primitive)[0]
+        if len(minpoly) - 1 == quot.dim:
+            break
+    power_basis = [quot.one()]
+    for _ in range(quot.dim - 1):
+        power_basis.append(quot.mul(power_basis[-1], primitive))
+    power_inv = linalg.inverse(list(map(list, zip(*power_basis))))
+    in_power_basis = [linalg.mat_vec(power_inv, qc) for qc in projected]
+
+    out = {}
+    _, factors = factor_univariate(univariate_poly(minpoly, "x"), "x")
+    for p, _ in factors:
+        p_coeffs = univariate_coeffs(p, "x")
+        q_coeffs, rem = _uni_divmod(minpoly, p_coeffs)
+        assert not rem
+        g, u_coeffs = _uni_ext_gcd(q_coeffs, p_coeffs)
+        assert g == [1]
+        _, idem = _uni_divmod(_uni_mul(u_coeffs, q_coeffs), minpoly)
+        e = quot.lift(
+            [sum(c * u[r] for c, u in zip(idem, power_basis)) for r in range(quot.dim)]
+        )
+        for _ in range(n + 2):
+            e2 = algebra.mul_coords(e, e)
+            if e2 == e:
+                break
+            e = [3 * x - 2 * y for x, y in zip(e2, algebra.mul_coords(e2, e))]
+        assert algebra.mul_coords(e, e) == e
+        mult_e = algebra.multiplication_matrix(e)
+        ideal_rows = [linalg.mat_vec(mult_e, v) for v in nil_basis]
+        reduced, pivots = linalg.rref(ideal_rows) if ideal_rows else ([], [])
+        r = p.total_degree()
+        rows = [(_uni_divmod(t, p_coeffs)[1] + [F(0)] * r)[:r] for t in in_power_basis]
+        out[tuple(e)] = (
+            format_poly(p if r > 1 else MultiPoly.variable("x")),
+            tuple(tuple(row[k] for row in rows) for k in range(r)),
+            tuple(tuple(reduced[i]) for i in range(len(pivots))),
+        )
+    return out
+
+
+_IRREDUCIBLE = (
+    "{v}", "{v} - 1", "{v} + 2", "{v}^2 + 1", "{v}^2 - 2", "{v}^2 + {v} + 1", "{v}^3 - 2",
+)
+
+
+def _relation(v, max_degree):
+    """A product of distinct irreducibles in v with multiplicities 1-2."""
+    factors = st.lists(
+        st.tuples(st.sampled_from(_IRREDUCIBLE), st.integers(1, 2)),
+        min_size=1,
+        max_size=3,
+        unique_by=lambda pair: pair[0],
+    )
+    return factors.map(
+        lambda fs: "*".join(f"({p.format(v=v)})^{m}" for p, m in fs)
+    ).filter(lambda text: parse_polynomial(text).total_degree() <= max_degree)
+
+
+_SPLIT_ALGEBRAS = st.one_of(
+    _relation("y", 6).map(lambda f: from_presentation(["y"], [f])),
+    st.tuples(_relation("y", 4), _relation("z", 3)).map(
+        lambda fg: from_presentation(["y", "z"], list(fg))
+    ),
+    st.tuples(_relation("y", 3), _relation("y", 3)).map(
+        lambda fg: product_algebra(*(from_presentation(["y"], [f]) for f in fg))
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SPLIT_ALGEBRAS)
+def test_crt_split_matches_euclid_reference(algebra):
+    comps = local_decompose(algebra)
+    assert {
+        c.idempotent.coords: (
+            format_poly(c.residue_poly),
+            c.residue_matrix,
+            tuple(el.coords for el in c.max_ideal_basis),
+        )
+        for c in comps
+    } == _euclid_decompose(algebra)
+    assert len(comps) == len(set(c.idempotent.coords for c in comps))
 
 
 def test_pi_is_coordinate_zero_for_adapted_algebras(dual, q3, dual_x_q):

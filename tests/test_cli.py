@@ -110,6 +110,22 @@ def test_unknown_variable_in_payload_is_an_error():
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "products, message, column",
+    [
+        ("mul u*u = u; mul u*v = 0; mul v*v = v; mul v*v = 0;",
+         r"duplicate product v\*v", 72),
+        ("mul u*u = u; mul u*v = 0; mul v*u = 0; mul v*v = v;",
+         r"duplicate product v\*u \(same as u\*v\)", 59),
+    ],
+)
+def test_duplicate_product_is_a_parse_error(products, message, column):
+    text = f"algebra a {{ basis = [u, v]; {products} unit = u + v; }}"
+    with pytest.raises(PolyParseError, match=message) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 # ---------------------------------------------------------------------------
 # canonical printing
 
@@ -274,6 +290,23 @@ def test_main_budget_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "budget exhausted" in err
+
+
+def test_ucd_base_over_another_algebra_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "base.dr"
+    path.write_text(
+        "algebra dual = Q[e]/(e^2);\n"
+        "algebra split { basis = [u, v]; mul u*u = u; mul u*v = 0; mul v*v = v;"
+        " unit = u + v; }\n"
+        "dring par { algebra = split; ring = Q[t]; d t = (t, t); }\n"
+        "variety line { vars = [x]; }\n"
+        "ucd c { algebra = dual; base = par; X = line; Y = (x_1 - x_0^2);"
+        " witness = (0, 0, 0); }\n"
+    )
+    code = main(["ucd", "check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "'split'" in err and "'dual'" in err
 
 
 def test_fixture_corpus_runs_clean_and_fast():
