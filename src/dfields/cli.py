@@ -132,6 +132,9 @@ def _lookup(blocks, name):
 @dataclass(frozen=True)
 class Document:
     blocks: tuple
+    # presented algebras built while parsing, by block name; a Resolver
+    # starts from these instead of building them again
+    algebras: dict = field(default_factory=dict, compare=False, repr=False)
 
     def of_type(self, cls):
         return [b for b in self.blocks if isinstance(b, cls)]
@@ -145,7 +148,12 @@ class Document:
 
 
 class _Cursor(_ExprParser):
-    """The expression parser's cursor, with the statement-level reads."""
+    """The expression parser's cursor, with the statement-level reads and
+    the presented algebras built so far (by block name)."""
+
+    def __init__(self, tokens):
+        super().__init__(tokens, 0)
+        self.algebras = {}
 
     def expect(self, kind, what=None):
         tok = self.take()
@@ -169,6 +177,15 @@ class _Cursor(_ExprParser):
             items.append(self.expr(variables))
         self.expect(")")
         return tuple(items)
+
+    def image(self, key, var, items, variables):
+        """Reads ``= (..)`` after the item ``key var`` and appends (var,
+        components) to ``items``; a second item for one variable is an
+        error."""
+        if any(v == var.text for v, _ in items):
+            self.error(f"duplicate item '{key.text} {var.text}'", var)
+        self.expect("=")
+        items.append((var.text, self.poly_tuple(variables)))
 
     def name_list(self):
         self.expect("[")
@@ -309,8 +326,7 @@ def _parse_dring(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text not in variables:
                 cursor.error(f"{var.text!r} is not a ring variable", var)
-            cursor.expect("=")
-            images.append((var.text, cursor.poly_tuple(variables)))
+            cursor.image(key, var, images, variables)
         else:
             cursor.error(f"unknown dring item {key.text!r}", key)
         cursor.expect(";")
@@ -339,8 +355,7 @@ def _parse_dvariety(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text not in variety.variables:
                 cursor.error(f"{var.text!r} is not a coordinate", var)
-            cursor.expect("=")
-            section.append((var.text, cursor.poly_tuple(variety.variables)))
+            cursor.image(key, var, section, variety.variables)
         else:
             cursor.error(f"unknown dvariety item {key.text!r}", key)
         cursor.expect(";")
@@ -381,7 +396,8 @@ def _parse_ucd(cursor, name, doc_blocks):
             if algebra is None or x_block is None:
                 cursor.error("algebra and X must come before Y", key)
             y_vars = prolonged_variables(
-                base.variables if base else (), x_block.variables, _algebra_dim(algebra)
+                base.variables if base else (), x_block.variables,
+                _algebra_dim(algebra, cursor.algebras),
             )
             cursor.expect("=")
             y_generators = cursor.poly_tuple(y_vars)
@@ -406,8 +422,7 @@ def _parse_ucd(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text not in x_block.variables:
                 cursor.error(f"{var.text!r} is not an X coordinate", var)
-            cursor.expect("=")
-            d_images.append((var.text, cursor.poly_tuple(x_block.variables)))
+            cursor.image(key, var, d_images, x_block.variables)
         else:
             cursor.error(f"unknown ucd item {key.text!r}", key)
         cursor.expect(";")
@@ -461,8 +476,7 @@ def _parse_descend(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text not in variables:
                 cursor.error(f"{var.text!r} is not a coordinate", var)
-            cursor.expect("=")
-            section.append((var.text, cursor.poly_tuple((alpha,) + variables)))
+            cursor.image(key, var, section, (alpha,) + variables)
         else:
             cursor.error(f"unknown descend item {key.text!r}", key)
         cursor.expect(";")
@@ -490,11 +504,14 @@ def _resolve_ref(doc_blocks, tok, cls):
     return block
 
 
-def _algebra_dim(block):
+def _algebra_dim(block, algebras):
+    """The dimension of an algebra block; a presented algebra is built once
+    and kept in ``algebras``."""
     if block.presentation is None:
         return len(block.basis)
-    variables, relations = block.presentation
-    return from_presentation(variables, relations).dim
+    if block.name not in algebras:
+        algebras[block.name] = from_presentation(*block.presentation)
+    return algebras[block.name].dim
 
 
 _BLOCK_PARSERS = {
@@ -509,7 +526,7 @@ _BLOCK_PARSERS = {
 
 def parse(text):
     """Parse DSL text into a Document.  Errors carry line and column."""
-    cursor = _Cursor(tokenize(text), 0)
+    cursor = _Cursor(tokenize(text))
     blocks = []
     while cursor.peek().kind != "EOF":
         kind = cursor.expect("NAME", "a block keyword")
@@ -519,7 +536,7 @@ def parse(text):
         if _lookup(blocks, name_tok.text) is not None:
             cursor.error(f"duplicate block name {name_tok.text!r}", name_tok)
         blocks.append(_BLOCK_PARSERS[kind.text](cursor, name_tok.text, blocks))
-    return Document(tuple(blocks))
+    return Document(tuple(blocks), cursor.algebras)
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +655,7 @@ class Resolver:
     def __init__(self, doc, budget=None):
         self.doc = doc
         self.budget = budget or GroebnerBudget()
-        self._algebras = {}
+        self._algebras = dict(doc.algebras)
 
     def algebra(self, name):
         if name not in self._algebras:

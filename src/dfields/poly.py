@@ -25,12 +25,27 @@ arithmetic:
 - results that are clean by construction (sums, products, scalings,
   remainders, S-polynomials) are built by ``MultiPoly._trusted`` without
   re-validating; ``MultiPoly(...)`` validates outside input in full.
+
+Inside :func:`groebner_basis_of` the coefficients are ints (fraction-free).
+Each basis entry is a dict of coprime int coefficients with a positive
+leading coefficient, plus its leading exponent; an input generator is
+scaled once by the lcm of its denominators and divided by its content.
+S-pairs are formed on ints, and candidates are pseudo-divided: the
+division of :func:`normal_form`, step for step, except that before
+cancelling c*x^a by g the working terms and the remainder are multiplied
+by lc(g) / gcd(c, lc(g)).  Every scaling is by a nonzero constant, so the
+pairs, the leads and the budget errors are those of the division over Q.
+Each nonzero remainder is made primitive before it joins the basis, and
+the reduced basis is converted to monic Fraction coefficients once, at
+the end.  :func:`normal_form` itself stays on Fractions: it is the exact
+remainder that membership tests and the other modules read as a value.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
@@ -789,14 +804,111 @@ def _gm_update(G, pairs, h, order):
     return new_G, surviving
 
 
+def _integer_terms(p):
+    """The terms of p times lcm(denominators) / gcd(numerators): coprime
+    int coefficients."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    num = math.gcd(*(c.numerator for c in p.terms.values()))
+    return {e: c.numerator // num * (den // c.denominator) for e, c in p.terms.items()}
+
+
+def _primitive(terms, lead):
+    """int terms divided by their content, signed so that the coefficient
+    at ``lead`` is positive."""
+    content = math.gcd(*terms.values())
+    if terms[lead] < 0:
+        content = -content
+    if content == 1:
+        return terms
+    return {e: c // content for e, c in terms.items()}
+
+
+def _s_pair(f, g):
+    """The S-polynomial of two integer basis entries (terms, lead), as int
+    terms: (lc_g/d) x^(lcm-lf) f - (lc_f/d) x^(lcm-lg) g, d = gcd(lc_f, lc_g)."""
+    (fterms, lf), (gterms, lg) = f, g
+    lcm = _exp_lcm(lf, lg)
+    d = math.gcd(fterms[lf], gterms[lg])
+    cf, cg = gterms[lg] // d, fterms[lf] // d
+    shift = _exp_sub(lcm, lf)
+    out = {tuple(map(add, m, shift)): cf * c for m, c in fterms.items()}
+    shift = _exp_sub(lcm, lg)
+    for m, c in gterms.items():
+        exp = tuple(map(add, m, shift))
+        c = out.get(exp, 0) - cg * c
+        if c:
+            out[exp] = c
+        else:
+            del out[exp]
+    return out
+
+
+def _pseudo_remainder(terms, basis, order, budget):
+    """A nonzero rational multiple of :func:`normal_form` on int terms.
+
+    ``basis`` holds integer entries (terms, lead) with positive leading
+    coefficients.  The division is :func:`normal_form`'s, step for step:
+    the same heap, the same popped leads, the same divisor and the same
+    budget check.  To cancel c*x^a by g it first multiplies the working
+    terms and the remainder by lc_g / gcd(c, lc_g), so every coefficient
+    stays an int.  The remainder comes out in descending order.
+    """
+    neg_key = order.neg_key
+    max_degree = budget.max_degree
+    work = dict(terms)
+    heap = [(neg_key(exp), exp) for exp in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        lead = heapq.heappop(heap)[1]
+        c = work.pop(lead, None)
+        if c is None:
+            continue
+        if sum(lead) > max_degree:
+            raise BudgetExceededError(
+                f"budget exhausted: degree {sum(lead)} exceeds cap {max_degree}"
+            )
+        for gterms, glm in basis:
+            if all(map(le, glm, lead)):
+                glc = gterms[glm]
+                d = math.gcd(c, glc)
+                scale = glc // d
+                if scale != 1:
+                    work = {e: v * scale for e, v in work.items()}
+                    remainder = {e: v * scale for e, v in remainder.items()}
+                factor = -(c // d)
+                shift = _exp_sub(lead, glm)
+                for m, gc in gterms.items():
+                    if m == glm:
+                        continue
+                    exp = tuple(map(add, m, shift))
+                    old = work.get(exp)
+                    if old is None:
+                        work[exp] = factor * gc
+                        heapq.heappush(heap, (neg_key(exp), exp))
+                    else:
+                        old += factor * gc
+                        if old:
+                            work[exp] = old
+                        else:
+                            del work[exp]
+                break
+        else:
+            remainder[lead] = c
+    return remainder
+
+
 def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     """Reduced Groebner basis of the ideal spanned by ``generators``."""
     budget = budget or DEFAULT_BUDGET
     variables = tuple(variables)
-    queue = [g.on_variables(variables) for g in generators if not g.is_zero()]
+    queue = [
+        _integer_terms(g.on_variables(variables)) for g in generators if not g.is_zero()
+    ]
     if not queue:
         return ()
 
+    neg_key = order.neg_key
     G = []
     pairs = []
     while queue or pairs:
@@ -805,43 +917,41 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
         else:
             # the first pair with the smallest lcm
             keys = [pair[0] for pair in pairs]
-            _, _, (f, _), (g, _) = pairs.pop(keys.index(min(keys)))
-            cand = s_polynomial(f, g, order)
-        reduced = normal_form(cand, [g for g, _ in G], order, budget) if G else cand
-        if reduced.is_zero():
+            _, _, f, g = pairs.pop(keys.index(min(keys)))
+            cand = _s_pair(f, g)
+        reduced = _pseudo_remainder(cand, G, order, budget) if G else cand
+        if not reduced:
             continue
-        reduced = reduced.monic(order)
-        if reduced.total_degree() > budget.max_degree:
+        lead = min(reduced, key=neg_key)
+        reduced = _primitive(reduced, lead)
+        degree = max(map(sum, reduced))
+        if degree > budget.max_degree:
             raise BudgetExceededError(
-                f"budget exhausted: degree {reduced.total_degree()} exceeds cap "
-                f"{budget.max_degree}"
+                f"budget exhausted: degree {degree} exceeds cap {budget.max_degree}"
             )
-        G, pairs = _gm_update(G, pairs, (reduced, reduced.leading_exponent(order)), order)
+        G, pairs = _gm_update(G, pairs, (reduced, lead), order)
         if len(G) > budget.max_basis:
             raise BudgetExceededError(
                 f"budget exhausted: basis size exceeds cap {budget.max_basis}"
             )
 
-    # minimalise, then interreduce to the unique reduced basis
+    # minimalise and interreduce in one pass, smallest lead first: each kept
+    # element's tail is reduced by the kept elements before it (only a
+    # smaller lead can divide a tail term, and no lead changes), which
+    # gives the unique reduced basis
     minimal = []
-    for g, lm in sorted(G, key=lambda entry: order.key(entry[1])):
-        if not any(_exp_divides(m.leading_exponent(order), lm) for m in minimal):
-            minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1:]
-            r = normal_form(g, others, order, budget).monic(order) if others else g
-            if r.terms != g.terms:
-                if r.is_zero():
-                    minimal.pop(i)
-                else:
-                    minimal[i] = r
-                changed = True
-                break
-    minimal.sort(key=lambda p: order.key(p.leading_exponent(order)), reverse=True)
-    return tuple(minimal)
+    for terms, lead in sorted(G, key=lambda entry: order.key(entry[1])):
+        if not any(_exp_divides(m, lead) for _, m in minimal):
+            if minimal:
+                terms = _primitive(_pseudo_remainder(terms, minimal, order, budget), lead)
+            minimal.append((terms, lead))
+    basis = []
+    for terms, lead in reversed(minimal):
+        lc = terms[lead]
+        basis.append(
+            MultiPoly._trusted(variables, {e: Fraction(c, lc) for e, c in terms.items()})
+        )
+    return tuple(basis)
 
 
 class Ideal:

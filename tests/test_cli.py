@@ -126,6 +126,48 @@ def test_duplicate_product_is_a_parse_error(products, message, column):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+_REPEATED_ITEMS = {
+    "dring": "algebra dual = Q[e]/(e^2); "
+             "dring f { algebra = dual; ring = Q[x]; d x = (x, 1); d x = (x, 2); }",
+    "dvariety": "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } "
+                "dvariety f { algebra = dual; variety = l; s x = (x, 1); s x = (x, 2); }",
+    "ucd": "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } "
+           "ucd f { algebra = dual; X = l; Y = (x_1); d x = (x, 1); d x = (x, 2); }",
+    "descend": "algebra dual = Q[e]/(e^2); descend f { algebra = dual; "
+               "minpoly a = a^2 + 1; d a = (a, 0); vars = [x]; s x = (x, 0); s x = (x, 1); }",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_REPEATED_ITEMS))
+def test_repeated_image_is_a_parse_error(kind):
+    text = _REPEATED_ITEMS[kind]
+    item = "s x" if kind in ("dvariety", "descend") else "d x"
+    with pytest.raises(PolyParseError, match=f"duplicate item '{item}'") as err:
+        parse(text)
+    # the error points at the variable of the second item
+    assert (err.value.line, err.value.column) == (1, text.rindex(item) + 3)
+
+
+def test_presented_algebra_is_built_once_per_document(monkeypatch):
+    import dfields.cli
+
+    calls = []
+    original = dfields.cli.from_presentation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dfields.cli, "from_presentation", counting)
+    doc = parse(fixture_text("ode_quadratic.dr"))
+    assert len(calls) == 1
+    assert run("ucd check", doc).exit_code == 0
+    assert len(calls) == 1
+    # a second document builds its own algebra
+    parse(fixture_text("ode_quadratic.dr"))
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # canonical printing
 

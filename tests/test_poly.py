@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfields.poly import (
@@ -406,6 +406,139 @@ def test_reduced_basis_matches_independent_implementation(rng):
         ideal = _random_ideal(rng)
         mine = {frozenset(g.terms.items()) for g in ideal.groebner_basis()}
         assert mine == _sympy_groebner_set(ideal.generators, ideal.variables)
+
+
+# ---------------------------------------------------------------------------
+# the integer Buchberger loop against the Fraction loop it replaced
+
+
+def _reference_gm_update(G, pairs, h, order):
+    """Gebauer-Moeller pair update: basis entries are (polynomial, leading
+    exponent), a pair is (sort key of the lcm, lcm, entry, entry)."""
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def coprime(a, b):
+        return not any(x * y for x, y in zip(a, b))
+
+    lmh = h[1]
+    candidates = [(g, lcm(lmh, g[1])) for g in G]
+    kept = []
+    for i, (g1, t1) in enumerate(candidates):
+        if coprime(lmh, g1[1]) or not (
+            any(divides(t2, t1) for _, t2 in candidates[i + 1:])
+            or any(divides(t2, t1) for _, t2 in kept)
+        ):
+            kept.append((g1, t1))
+    new_pairs = [(order.key(t), t, h, g) for g, t in kept if not coprime(lmh, g[1])]
+    surviving = [
+        pair for pair in pairs
+        if not divides(lmh, pair[1])
+        or lcm(lmh, pair[2][1]) == pair[1]
+        or lcm(lmh, pair[3][1]) == pair[1]
+    ]
+    surviving.extend(new_pairs)
+    new_G = [g for g in G if not divides(lmh, g[1])]
+    new_G.append(h)
+    return new_G, surviving
+
+
+def _reference_groebner_basis(generators, variables, order, budget):
+    """Buchberger on Fraction coefficients: monic S-polynomials, exact
+    normal forms, and an interreduction that restarts after every change."""
+    queue = [g.on_variables(variables) for g in generators if not g.is_zero()]
+    if not queue:
+        return ()
+    G, pairs = [], []
+    while queue or pairs:
+        if queue:
+            cand = queue.pop(0)
+        else:
+            keys = [pair[0] for pair in pairs]
+            _, _, (f, _), (g, _) = pairs.pop(keys.index(min(keys)))
+            cand = s_polynomial(f, g, order)
+        reduced = normal_form(cand, [g for g, _ in G], order, budget) if G else cand
+        if reduced.is_zero():
+            continue
+        reduced = reduced.monic(order)
+        if reduced.total_degree() > budget.max_degree:
+            raise BudgetExceededError(
+                f"budget exhausted: degree {reduced.total_degree()} exceeds cap "
+                f"{budget.max_degree}"
+            )
+        G, pairs = _reference_gm_update(
+            G, pairs, (reduced, reduced.leading_exponent(order)), order
+        )
+        if len(G) > budget.max_basis:
+            raise BudgetExceededError(
+                f"budget exhausted: basis size exceeds cap {budget.max_basis}"
+            )
+    minimal = []
+    for g, lm in sorted(G, key=lambda entry: order.key(entry[1])):
+        if not any(all(x <= y for x, y in zip(m.leading_exponent(order), lm)) for m in minimal):
+            minimal.append(g)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(minimal):
+            others = minimal[:i] + minimal[i + 1:]
+            r = normal_form(g, others, order, budget).monic(order) if others else g
+            if r.terms != g.terms:
+                minimal[i] = r
+                changed = True
+                break
+    minimal.sort(key=lambda p: order.key(p.leading_exponent(order)), reverse=True)
+    return tuple(minimal)
+
+
+# coefficients with denominators and signs, so that leading coefficients
+# are rarely 1 and the pseudo-division has to scale
+_RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 2, 3, 5))
+)
+_GB_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _RATIONALS, min_size=1, max_size=4
+).map(lambda terms: MultiPoly(_VARS, terms))
+_GB_ORDERS = st.sampled_from(
+    (GREVLEX, LEX, MonomialOrder("block", 1), MonomialOrder("block", 2))
+)
+
+
+def _basis_or_error(compute, *args):
+    try:
+        return compute(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+# negative, non-unit leading coefficients and denominators; lex pushes the
+# degree past a cap that grevlex stays under
+_SCALED_PAIR = [P("-3*x*y + 2/5*z^2 - 1", _VARS), P("4*x^2 - 7/3*y*z + z", _VARS)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GB_ORDERS, st.lists(_GB_POLYS, min_size=1, max_size=3), st.integers(3, 8))
+@example(GREVLEX, _SCALED_PAIR, 8)
+@example(LEX, _SCALED_PAIR, 4)
+@example(MonomialOrder("block", 1), _SCALED_PAIR, 8)
+def test_integer_engine_matches_fraction_reference(order, gens, cap):
+    budget = GroebnerBudget(max_degree=cap)
+    mine = _basis_or_error(groebner_basis_of, gens, _VARS, order, budget)
+    reference = _basis_or_error(_reference_groebner_basis, gens, _VARS, order, budget)
+    if isinstance(reference, str):
+        assert mine == reference
+        return
+    assert isinstance(mine, tuple)
+    assert [(g.variables, g.terms) for g in mine] == [
+        (g.variables, g.terms) for g in reference
+    ]
+    for g in mine:
+        assert all(type(c) is Fraction for c in g.terms.values())
+        assert g.leading_coefficient(order) == 1
 
 
 def test_cyclic_four_system():
