@@ -76,6 +76,7 @@ class FiniteDimAlgebra:
         self.basis_names = tuple(basis_names)
         self.presentation = None
         self._components = None
+        self._int_constants = None
         self._nonzero = tuple(
             (i, j, k, a[i][j][k])
             for i in range(n)
@@ -87,6 +88,22 @@ class FiniteDimAlgebra:
         self._rows = [[[] for _ in range(n)] for _ in range(n)]
         for i, j, k, c in self._nonzero:
             self._rows[i][j].append((k, c))
+
+    @property
+    def int_constants(self):
+        """The nonzero structure constants on ints: (den, entries) with den
+        their common denominator and entries the tuples (i, j, k,
+        den * a[i][j][k]).  Built on first use and kept."""
+        if self._int_constants is None:
+            den = math.lcm(*(c.denominator for *_, c in self._nonzero))
+            self._int_constants = (
+                den,
+                tuple(
+                    (i, j, k, c.numerator * (den // c.denominator))
+                    for i, j, k, c in self._nonzero
+                ),
+            )
+        return self._int_constants
 
     # -- elements -----------------------------------------------------------
 
@@ -308,10 +325,9 @@ def check_algebra(algebra):
     nonzero = algebra._nonzero
     # rows[i][j]: pairs (k, den * a[i][j][k]) with den the common
     # denominator, so that the associativity sums run on integers
-    den = math.lcm(*(c.denominator for *_, c in nonzero))
     rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in nonzero:
-        rows[i][j].append((k, c.numerator * (den // c.denominator)))
+    for i, j, k, c in algebra.int_constants[1]:
+        rows[i][j].append((k, c))
     violations = [
         AxiomViolation("commutativity", idx)
         for idx in sorted(
@@ -586,9 +602,11 @@ def _residue_table(p, d):
 
 def _decompose(algebra):
     n = algebra.dim
-    report = check_algebra(algebra)
-    if not report.is_valid:
-        raise AlgebraError(f"cannot decompose an invalid algebra: {report.describe()}")
+    # a presented algebra is Q[x]/I, valid by construction; a table is checked
+    if algebra.presentation is None:
+        report = check_algebra(algebra)
+        if not report.is_valid:
+            raise AlgebraError(f"cannot decompose an invalid algebra: {report.describe()}")
 
     # nilradical: kernel of the trace form (characteristic 0), with
     # Tr(e_i e_j) = sum_k a[i][j][k] Tr(e_k) and Tr(e_i) = sum_j a[i][j][j]

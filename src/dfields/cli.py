@@ -187,6 +187,17 @@ class _Cursor(_ExprParser):
         self.expect("=")
         items.append((var.text, self.poly_tuple(variables)))
 
+    def item_key(self, what, seen, repeatable=()):
+        """Reads the key of a block item; a second occurrence in the block
+        (``seen`` holds the keys read so far) of a key not in
+        ``repeatable`` is an error."""
+        key = self.expect("NAME", what)
+        if key.text not in repeatable:
+            if key.text in seen:
+                self.error(f"duplicate item {key.text!r}", key)
+            seen.add(key.text)
+        return key
+
     def name_list(self):
         self.expect("[")
         names = []
@@ -236,8 +247,9 @@ def _parse_algebra(cursor, name):
     basis = None
     table = {}  # (i, j) with i <= j -> (coords, the product as written)
     unit = None
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "an algebra item")
+        key = cursor.item_key("an algebra item", seen, ("mul",))
         if key.text == "basis":
             cursor.expect("=")
             basis = cursor.name_list()
@@ -286,8 +298,9 @@ def _parse_variety(cursor, name):
     cursor.expect("{")
     variables = None
     generators = ()
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "a variety item")
+        key = cursor.item_key("a variety item", seen)
         if key.text == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
@@ -312,8 +325,9 @@ def _parse_dring(cursor, name, doc_blocks):
     variables = None
     relations = ()
     images = []
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "a dring item")
+        key = cursor.item_key("a dring item", seen, ("d",))
         if key.text == "algebra":
             cursor.expect("=")
             algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
@@ -341,8 +355,9 @@ def _parse_dvariety(cursor, name, doc_blocks):
     algebra = None
     variety = None
     section = []
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "a dvariety item")
+        key = cursor.item_key("a dvariety item", seen, ("s",))
         if key.text == "algebra":
             cursor.expect("=")
             algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
@@ -381,8 +396,9 @@ def _parse_ucd(cursor, name, doc_blocks):
         if y_vars is None:
             cursor.error("algebra and X must be declared before this item", tok)
 
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "a ucd item")
+        key = cursor.item_key("a ucd item", seen, ("d",))
         if key.text == "algebra":
             cursor.expect("=")
             algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock)
@@ -440,12 +456,13 @@ def _parse_descend(cursor, name, doc_blocks):
     algebra = None
     alpha = None
     minpoly = None
-    alpha_images = None
+    alpha_image = []  # the one item 'd alpha', as (alpha, components)
     variables = None
     generators = ()
     section = []
+    seen = set()
     while cursor.peek().kind != "}":
-        key = cursor.expect("NAME", "a descend item")
+        key = cursor.item_key("a descend item", seen, ("d", "s"))
         if key.text == "algebra":
             cursor.expect("=")
             algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
@@ -460,8 +477,7 @@ def _parse_descend(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text != alpha:
                 cursor.error(f"descend blocks only give an image for {alpha!r}", var)
-            cursor.expect("=")
-            alpha_images = cursor.poly_tuple((alpha,))
+            cursor.image(key, var, alpha_image, (alpha,))
         elif key.text == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
@@ -481,11 +497,11 @@ def _parse_descend(cursor, name, doc_blocks):
             cursor.error(f"unknown descend item {key.text!r}", key)
         cursor.expect(";")
     cursor.expect("}")
-    if algebra is None or minpoly is None or alpha_images is None or variables is None:
+    if algebra is None or minpoly is None or not alpha_image or variables is None:
         cursor.error(f"descend {name!r} needs algebra, minpoly, d {alpha or 'alpha'}, vars")
     generators = tuple(g for g in generators if not g.is_zero())
     return DescendBlock(
-        name, algebra, alpha, minpoly, alpha_images, variables, generators,
+        name, algebra, alpha, minpoly, alpha_image[0][1], variables, generators,
         tuple(section),
     )
 

@@ -9,10 +9,23 @@ richer coefficient rings are modelled upstream by parameter variables.
 image of a ring element under an operator, and the expansion of a
 generator under the generic point of a prolongation, are both computed by
 it from a map of variable images.
+
+Products in R (x) D run on ints.  The structure constants of D are kept
+as ints over one common denominator (``FiniteDimAlgebra.int_constants``),
+each operand's components are scaled to ints over one common denominator,
+and every multiply-add goes into one int term dict per component; a
+Fraction is built once per output term, when the dict is divided by the
+product of the denominators.  :func:`push_through` adds every term
+c * P_1 * ... * P_r of a polynomial (P_i its cached, reduced variable
+powers) into such dicts and reduces each component once, at the end:
+normal forms are linear and NF(NF(a) NF(b)) = NF(ab), so this is the
+normal form of the term-by-term sum, and ``DOperator.apply`` does not
+reduce again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
@@ -22,6 +35,8 @@ from .poly import (
     Ideal,
     MonomialOrder,
     MultiPoly,
+    _common_int_terms,
+    _fraction_terms,
     as_poly,
     format_poly,
     groebner_basis_of,
@@ -125,6 +140,34 @@ class TensorElement:
         return "TensorElement(" + ", ".join(format_poly(c) for c in self.comps) + ")"
 
 
+def _add_products(sums, table, left, right, factor):
+    """sums[k] += factor * s * (left[i] * right[j]) over the int structure
+    constants (i, j, k, s), on components given as lists of (exponent, int)
+    pairs and accumulators given as int term dicts."""
+    for i, j, k, s in table:
+        li = left[i]
+        rj = right[j]
+        if not li or not rj:
+            continue
+        target = sums[k]
+        get = target.get
+        fs = factor * s
+        for e1, c1 in li:
+            cc1 = fs * c1
+            for e2, c2 in rj:
+                exp = tuple(map(add, e1, e2))
+                target[exp] = get(exp, 0) + cc1 * c2
+
+
+def _tensor_from_ints(algebra, variables, sums, den, ideal):
+    """A TensorElement from int term dicts over ``den``; components reduced
+    mod ``ideal`` when given."""
+    comps = [MultiPoly._trusted(variables, _fraction_terms(t, den)) for t in sums]
+    if ideal is not None:
+        comps = [ideal.normal_form(p) for p in comps]
+    return TensorElement(algebra, comps)
+
+
 def tensor_mul(a, b, ideal=None):
     """Product in R tensor D; components reduced mod ``ideal`` when given."""
     algebra = a.algebra
@@ -132,28 +175,13 @@ def tensor_mul(a, b, ideal=None):
     for p in a.comps + b.comps:
         if p.variables != variables:
             variables += tuple(v for v in p.variables if v not in variables)
-    a_terms = [p.on_variables(variables).terms for p in a.comps]
-    b_terms = [p.on_variables(variables).terms for p in b.comps]
-    # one term dict per component, built into a polynomial once at the end
+    da, a_ints = _common_int_terms([p.on_variables(variables) for p in a.comps])
+    db, b_ints = _common_int_terms([p.on_variables(variables) for p in b.comps])
+    ds, table = algebra.int_constants
+    # one int term dict per component, divided by the common denominator once
     sums = [{} for _ in range(algebra.dim)]
-    for i, j, k, c in algebra._nonzero:
-        ai = a_terms[i]
-        bj = b_terms[j]
-        if not ai or not bj:
-            continue
-        target = sums[k]
-        for e1, c1 in ai.items():
-            cc1 = c * c1
-            for e2, c2 in bj.items():
-                exp = tuple(map(add, e1, e2))
-                old = target.get(exp)
-                target[exp] = cc1 * c2 if old is None else old + cc1 * c2
-    comps = [
-        MultiPoly._trusted(variables, {e: v for e, v in terms.items() if v}) for terms in sums
-    ]
-    if ideal is not None:
-        comps = [ideal.normal_form(p) for p in comps]
-    return TensorElement(algebra, comps)
+    _add_products(sums, table, a_ints, b_ints, 1)
+    return _tensor_from_ints(algebra, variables, sums, da * db * ds, ideal)
 
 
 def push_through(algebra, polys, images, variables, ideal=None):
@@ -163,30 +191,64 @@ def push_through(algebra, polys, images, variables, ideal=None):
     term products go through the structure constants of D, reduced mod
     ``ideal`` when given.  The images and the results live on
     ``variables``; one power cache serves the whole list.
+
+    The terms of a polynomial are summed on ints and each component is
+    built, and reduced, once per polynomial (see the module docstring).
     """
-    # powers[v][e] is the image of v^e, reduced mod ``ideal`` when given
+    ds, table = algebra.int_constants
+
+    def ints(t):
+        return _common_int_terms([p.on_variables(variables) for p in t.comps])
+
+    def entry(t):
+        return t, ints(t)
+
+    one = ints(TensorElement.one(algebra, variables))
+
+    # powers[v][e] is (the image of v^e, reduced mod ``ideal`` when given,
+    # and its int form)
     powers = {
-        v: [None, image if ideal is None else image.reduce(ideal)]
+        v: [None, entry(image if ideal is None else image.reduce(ideal))]
         for v, image in images.items()
     }
     out = []
     for f in polys:
-        total = TensorElement(algebra, [MultiPoly.zero(variables)] * algebra.dim)
+        # each term as (c, int form of P_1 ... P_(r-1) or None, of P_r)
+        parts = []
         for exp, c in f.terms.items():
-            term = None
+            factors = []
             for v, e in zip(f.variables, exp):
                 if not e:
                     continue
                 cache = powers[v]
                 while len(cache) <= e:
-                    cache.append(tensor_mul(cache[-1], images[v], ideal))
-                term = cache[e] if term is None else tensor_mul(term, cache[e], ideal)
-            if term is None:
-                term = TensorElement.constant(algebra, c, variables)
-            else:
-                term = TensorElement(algebra, [p.scale(c) for p in term.comps])
-            total = total + term
-        out.append(total)
+                    cache.append(entry(tensor_mul(cache[-1][0], images[v], ideal)))
+                factors.append(cache[e])
+            if not factors:
+                parts.append((c, None, one))
+                continue
+            left = None
+            for t, _ in factors[:-1]:
+                left = t if left is None else tensor_mul(left, t, ideal)
+            if left is not None:
+                left = ints(left)
+            parts.append((c, left, factors[-1][1]))
+        # the denominator of each term, and their lcm
+        dens = [
+            c.denominator * right[0] * (1 if left is None else left[0] * ds)
+            for c, left, right in parts
+        ]
+        den = math.lcm(*dens)
+        sums = [{} for _ in range(algebra.dim)]
+        for (c, left, right), d in zip(parts, dens):
+            factor = c.numerator * (den // d)
+            if left is not None:
+                _add_products(sums, table, left[1], right[1], factor)
+                continue
+            for target, comp in zip(sums, right[1]):
+                for e, x in comp:
+                    target[e] = target.get(e, 0) + factor * x
+        out.append(_tensor_from_ints(algebra, variables, sums, den, ideal))
     return out
 
 
@@ -218,8 +280,7 @@ class DOperator:
     def apply(self, f):
         """The image of a ring element, components reduced to normal form."""
         f = self._ring_element(f)
-        (image,) = push_through(self.algebra, [f], self.images, self.variables, self.ideal)
-        return image.reduce(self.ideal)
+        return push_through(self.algebra, [f], self.images, self.variables, self.ideal)[0]
 
     def component(self, f, i):
         """The e_i component of the image of f."""

@@ -24,7 +24,12 @@ arithmetic:
   JSC 2011), skipping entries whose term has cancelled;
 - results that are clean by construction (sums, products, scalings,
   remainders, S-polynomials) are built by ``MultiPoly._trusted`` without
-  re-validating; ``MultiPoly(...)`` validates outside input in full.
+  re-validating; ``MultiPoly(...)`` validates outside input in full;
+- a product multiplies ints: each operand's terms are scaled by the lcm
+  of its denominators (:func:`_common_int_terms`), the numerators are
+  multiplied and summed, and each output term becomes one Fraction over
+  the product of the two denominators (:func:`_fraction_terms`).  The
+  tensor products of ``dring`` use the same two helpers.
 
 Inside :func:`groebner_basis_of` the coefficients are ints (fraction-free).
 Each basis entry is a dict of coprime int coefficients with a positive
@@ -333,13 +338,15 @@ class MultiPoly:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
+        da, (a_ints,) = _common_int_terms([a])
+        db, (b_ints,) = _common_int_terms([b])
         terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
+        get = terms.get
+        for e1, c1 in a_ints:
+            for e2, c2 in b_ints:
                 exp = tuple(map(add, e1, e2))
-                c = terms.get(exp)
-                terms[exp] = c1 * c2 if c is None else c + c1 * c2
-        return MultiPoly._trusted(a.variables, {e: c for e, c in terms.items() if c})
+                terms[exp] = get(exp, 0) + c1 * c2
+        return MultiPoly._trusted(a.variables, _fraction_terms(terms, da * db))
 
     __rmul__ = __mul__
 
@@ -455,6 +462,27 @@ def _merge_terms(terms, other, negate):
     return out
 
 
+def _common_int_terms(polys):
+    """The lcm d of the denominators of the polynomials' coefficients, and
+    each polynomial's terms as a list of (exponent, d * coefficient) pairs
+    of ints."""
+    den = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
+    if den == 1:
+        return 1, [[(e, c.numerator) for e, c in p.terms.items()] for p in polys]
+    return den, [
+        [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
+        for p in polys
+    ]
+
+
+def _fraction_terms(terms, den):
+    """The Fraction terms of an int term dict over the denominator ``den``,
+    with zero terms dropped: one Fraction per surviving term."""
+    if den == 1:
+        return {e: Fraction(v) for e, v in terms.items() if v}
+    return {e: Fraction(v, den) for e, v in terms.items() if v}
+
+
 def linear_combination(coeffs, polys, variables):
     """sum_j coeffs[j] * polys[j], as a polynomial on ``variables``."""
     variables = tuple(variables)
@@ -504,9 +532,10 @@ def tokenize(text):
             while i < len(text) and text[i] != "\n":
                 i += 1
             continue
-        if ch.isdigit():
+        # decimal digits only: int() rejects other digits, such as '²'
+        if ch.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(Token("INT", text[i:j], line, col))
             col += j - i

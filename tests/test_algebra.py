@@ -233,6 +233,35 @@ def test_component_counts_for_standard_algebras(dual, twonil, q3, dual_x_q, trun
         assert report.is_local == (expected[id(algebra)] == 1)
 
 
+def _count_checks(monkeypatch):
+    import dfields.algebra
+
+    calls = []
+    original = dfields.algebra.check_algebra
+
+    def counting(algebra):
+        calls.append(algebra)
+        return original(algebra)
+
+    monkeypatch.setattr(dfields.algebra, "check_algebra", counting)
+    return calls
+
+
+def test_decomposing_a_presented_algebra_skips_the_axiom_check(monkeypatch):
+    calls = _count_checks(monkeypatch)
+    algebra = from_presentation(["x", "y"], ["x^2 - 1", "y^2"])
+    assert len(local_decompose(algebra)) == 2
+    assert calls == []
+    # a table is still checked, and an invalid one rejected
+    table = FiniteDimAlgebra(algebra.struct_consts, algebra.unit)
+    assert len(local_decompose(table)) == 2
+    assert calls == [table]
+    broken = [[[F(1), F(0)], [F(0), F(0)]], [[F(0), F(0)], [F(1), F(0)]]]
+    with pytest.raises(AlgebraError, match="cannot decompose an invalid algebra"):
+        local_decompose(FiniteDimAlgebra(broken, (1, 0)))
+    assert len(calls) == 2
+
+
 def test_dual_component_data(dual):
     (comp,) = local_decompose(dual)
     assert format_poly(comp.residue_poly) == "x"

@@ -148,6 +148,57 @@ def test_repeated_image_is_a_parse_error(kind):
     assert (err.value.line, err.value.column) == (1, text.rindex(item) + 3)
 
 
+_REPEATED_SINGLE_ITEMS = [
+    ("algebra", "basis", "algebra a { basis = [u]; basis = [u]; mul u*u = u; unit = u; }"),
+    ("algebra", "unit", "algebra a { basis = [u]; mul u*u = u; unit = u; unit = u; }"),
+    ("variety", "vars", "variety l { vars = [x]; vars = [x]; }"),
+    ("variety", "ideal", "variety l { vars = [x]; ideal = (x); ideal = (x - 1); }"),
+    ("dring", "algebra", "algebra dual = Q[e]/(e^2); "
+                         "dring f { algebra = dual; algebra = dual; ring = Q[x]; d x = (x, 1); }"),
+    ("dring", "ring", "algebra dual = Q[e]/(e^2); "
+                      "dring f { algebra = dual; ring = Q[x]; ring = Q[x]; d x = (x, 1); }"),
+    ("dvariety", "algebra", "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } "
+                            "dvariety f { algebra = dual; algebra = dual; variety = l; }"),
+    ("dvariety", "variety", "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } "
+                            "dvariety f { algebra = dual; variety = l; variety = l; }"),
+]
+_UCD_HEAD = "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } ucd f { algebra = dual; X = l; "
+_REPEATED_SINGLE_ITEMS += [
+    ("ucd", "algebra", _UCD_HEAD + "algebra = dual; Y = (x_1); }"),
+    ("ucd", "base", "algebra dual = Q[e]/(e^2); variety l { vars = [x]; } "
+                    "dring b { algebra = dual; ring = Q[t]; d t = (t, 1); } "
+                    "ucd f { algebra = dual; base = b; base = b; X = l; Y = (x_1); }"),
+    ("ucd", "X", _UCD_HEAD + "X = l; Y = (x_1); }"),
+    ("ucd", "Y", _UCD_HEAD + "Y = (x_1); Y = (x_0); }"),
+    ("ucd", "witness", _UCD_HEAD + "Y = (x_1); witness = (0, 0); witness = (1, 0); }"),
+    ("ucd", "h", _UCD_HEAD + "Y = (x_1); h = x_0; h = 1; }"),
+    ("ucd", "assert_irreducible",
+     _UCD_HEAD + "Y = (x_1); assert_irreducible = [X]; assert_irreducible = [Y]; }"),
+]
+_DESCEND_HEAD = "algebra dual = Q[e]/(e^2); descend f { algebra = dual; minpoly a = a^2 + 1; "
+_REPEATED_SINGLE_ITEMS += [
+    ("descend", "algebra", _DESCEND_HEAD + "algebra = dual; d a = (a, 0); vars = [x]; }"),
+    ("descend", "minpoly", _DESCEND_HEAD + "minpoly a = a^2 - 2; d a = (a, 0); vars = [x]; }"),
+    ("descend", "d a", _DESCEND_HEAD + "d a = (a, 0); d a = (a, 1); vars = [x]; }"),
+    ("descend", "vars", _DESCEND_HEAD + "d a = (a, 0); vars = [x]; vars = [x]; }"),
+    ("descend", "ideal",
+     _DESCEND_HEAD + "d a = (a, 0); vars = [x]; ideal = (x - a); ideal = (x + a); }"),
+]
+
+
+@pytest.mark.parametrize(
+    "item, text",
+    [(item, text) for _, item, text in _REPEATED_SINGLE_ITEMS],
+    ids=[f"{kind}-{item}" for kind, item, _ in _REPEATED_SINGLE_ITEMS],
+)
+def test_repeated_single_item_is_a_parse_error(item, text):
+    with pytest.raises(PolyParseError, match=f"duplicate item '{item}'") as err:
+        parse(text)
+    # the error points at the second key (at the variable for 'd a')
+    column = text.rindex(item + " ") + 1 + (2 if item == "d a" else 0)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_presented_algebra_is_built_once_per_document(monkeypatch):
     import dfields.cli
 
@@ -318,6 +369,15 @@ def test_main_reports_parse_errors_as_input_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "error:" in err
+
+
+def test_main_reports_superscript_exponent_as_input_error(tmp_path, capsys):
+    path = tmp_path / "sup.dr"
+    path.write_text("algebra D = Q[e]/(e^\u00b2);\n", encoding="utf-8")
+    code = main(["algebra", "check", str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "unexpected character '\u00b2' (line 1, column 21)" in err
 
 
 def test_main_budget_flag(tmp_path, capsys):

@@ -110,6 +110,14 @@ def test_parse_error_carries_position():
     assert err.value.column == 5
 
 
+@pytest.mark.parametrize("text, column", [("x^\u00b2", 3), ("\u00b2*x", 1), ("x + 2\u00b3", 6)])
+def test_non_decimal_digits_are_unexpected_characters(text, column):
+    # '²' and '³' are digits to str.isdigit but not to int()
+    with pytest.raises(PolyParseError, match="unexpected character") as err:
+        P(text)
+    assert (err.value.line, err.value.column) == (1, column)
+
+
 def test_parse_unknown_variable_rejected():
     with pytest.raises(PolyParseError):
         P("x + z", ("x", "y"))
