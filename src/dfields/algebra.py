@@ -56,14 +56,19 @@ class FiniteDimAlgebra:
     """
 
     def __init__(self, struct_consts, unit, basis_names=None):
-        a = [[[Fraction(c) for c in row] for row in plane] for plane in struct_consts]
+        # Fractions are kept as given: rebuilding all n^3 of them dominated
+        # from_presentation on large quotients
+        a = [
+            [[c if type(c) is Fraction else Fraction(c) for c in row] for row in plane]
+            for plane in struct_consts
+        ]
         n = len(a)
         if n == 0:
             raise AlgebraError("algebra dimension must be positive")
         for plane in a:
             if len(plane) != n or any(len(row) != n for row in plane):
                 raise AlgebraError("structure constants are not an n x n x n tensor")
-        b = [Fraction(c) for c in unit]
+        b = [c if type(c) is Fraction else Fraction(c) for c in unit]
         if len(b) != n:
             raise AlgebraError("unit vector length does not match dimension")
         if basis_names is None:

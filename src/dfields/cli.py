@@ -152,7 +152,7 @@ class _Cursor(_ExprParser):
     the presented algebras built so far (by block name)."""
 
     def __init__(self, tokens):
-        super().__init__(tokens, 0)
+        super().__init__(tokens)
         self.algebras = {}
 
     def expect(self, kind, what=None):
@@ -165,11 +165,16 @@ class _Cursor(_ExprParser):
             )
         return tok
 
-    def expr(self, variables=None):
-        self.variables = None if variables is None else tuple(variables)
-        return self.parse_expr()
+    def expr(self, variables):
+        """The expression at the cursor as a polynomial on its names in order
+        of first appearance; a name outside ``variables`` is an error."""
+        start = self.pos
+        variables = tuple(variables)
+        poly = MultiPoly._trusted(variables, self.terms_on(variables))
+        names = dict.fromkeys(tok.text for tok in self.tokens[start : self.pos] if tok.kind == "NAME")
+        return poly.on_variables(names)
 
-    def poly_tuple(self, variables=None):
+    def poly_tuple(self, variables):
         self.expect("(")
         items = [self.expr(variables)]
         while self.peek().kind == ",":

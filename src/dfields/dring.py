@@ -175,8 +175,8 @@ def tensor_mul(a, b, ideal=None):
     for p in a.comps + b.comps:
         if p.variables != variables:
             variables += tuple(v for v in p.variables if v not in variables)
-    da, a_ints = _common_int_terms([p.on_variables(variables) for p in a.comps])
-    db, b_ints = _common_int_terms([p.on_variables(variables) for p in b.comps])
+    da, a_ints = _common_int_terms([p.on_variables(variables).terms for p in a.comps])
+    db, b_ints = _common_int_terms([p.on_variables(variables).terms for p in b.comps])
     ds, table = algebra.int_constants
     # one int term dict per component, divided by the common denominator once
     sums = [{} for _ in range(algebra.dim)]
@@ -198,7 +198,7 @@ def push_through(algebra, polys, images, variables, ideal=None):
     ds, table = algebra.int_constants
 
     def ints(t):
-        return _common_int_terms([p.on_variables(variables) for p in t.comps])
+        return _common_int_terms([p.on_variables(variables).terms for p in t.comps])
 
     def entry(t):
         return t, ints(t)

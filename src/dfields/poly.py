@@ -28,8 +28,9 @@ arithmetic:
 - a product multiplies ints: each operand's terms are scaled by the lcm
   of its denominators (:func:`_common_int_terms`), the numerators are
   multiplied and summed, and each output term becomes one Fraction over
-  the product of the two denominators (:func:`_fraction_terms`).  The
-  tensor products of ``dring`` use the same two helpers.
+  the product of the two denominators (:func:`_fraction_terms`); a
+  one-term factor just scales the other's terms.  The tensor products of
+  ``dring`` use the same two helpers.
 
 Inside :func:`groebner_basis_of` the coefficients are ints (fraction-free).
 Each basis entry is a dict of coprime int coefficients with a positive
@@ -44,16 +45,28 @@ Each nonzero remainder is made primitive before it joins the basis, and
 the reduced basis is converted to monic Fraction coefficients once, at
 the end.  :func:`normal_form` itself stays on Fractions: it is the exact
 remainder that membership tests and the other modules read as a value.
+
+Polynomial text is read in one pass.  :func:`tokenize` runs one compiled
+regular expression over the text and yields ``Token`` named tuples with
+their line and column.  The recursive-descent parser works on term dicts
+{exponent: coefficient} on one dense exponent layout: the variables given
+or, without them, the text's names in order of first appearance.  It keeps
+integer coefficients as ints, raises a one-term dict to a power by scaling
+its exponent, and builds one ``MultiPoly`` per expression, at the end.  The
+document parser of ``cli`` reads its expressions through the same parser.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
+from typing import NamedTuple
 
 import sympy
 
@@ -338,29 +351,15 @@ class MultiPoly:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        da, (a_ints,) = _common_int_terms([a])
-        db, (b_ints,) = _common_int_terms([b])
-        terms = {}
-        get = terms.get
-        for e1, c1 in a_ints:
-            for e2, c2 in b_ints:
-                exp = tuple(map(add, e1, e2))
-                terms[exp] = get(exp, 0) + c1 * c2
-        return MultiPoly._trusted(a.variables, _fraction_terms(terms, da * db))
+        return MultiPoly._trusted(a.variables, _mul_terms(a.terms, b.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.one(self.variables)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        zero = (0,) * len(self.variables)
+        return MultiPoly._trusted(self.variables, _pow_terms(self.terms, n, zero))
 
     def scale(self, c):
         c = _as_fraction(c)
@@ -462,16 +461,16 @@ def _merge_terms(terms, other, negate):
     return out
 
 
-def _common_int_terms(polys):
-    """The lcm d of the denominators of the polynomials' coefficients, and
-    each polynomial's terms as a list of (exponent, d * coefficient) pairs
-    of ints."""
-    den = math.lcm(*[c.denominator for p in polys for c in p.terms.values()])
+def _common_int_terms(term_dicts):
+    """The lcm d of the denominators of the coefficients of the term dicts,
+    and each dict's terms as a list of (exponent, d * coefficient) pairs of
+    ints."""
+    den = math.lcm(*[c.denominator for terms in term_dicts for c in terms.values()])
     if den == 1:
-        return 1, [[(e, c.numerator) for e, c in p.terms.items()] for p in polys]
+        return 1, [[(e, c.numerator) for e, c in terms.items()] for terms in term_dicts]
     return den, [
-        [(e, c.numerator * (den // c.denominator)) for e, c in p.terms.items()]
-        for p in polys
+        [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+        for terms in term_dicts
     ]
 
 
@@ -481,6 +480,47 @@ def _fraction_terms(terms, den):
     if den == 1:
         return {e: Fraction(v) for e, v in terms.items() if v}
     return {e: Fraction(v, den) for e, v in terms.items() if v}
+
+
+_ONE = Fraction(1)
+
+
+def _mul_terms(a, b):
+    """The term dict of the product of two term dicts on one variable tuple.
+    A one-term factor scales the other's terms; otherwise the int numerators
+    are multiplied over the product of the two common denominators, and one
+    Fraction is built per output term."""
+    if len(a) == 1:
+        ((e1, c1),) = a.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
+    if len(b) == 1:
+        ((e2, c2),) = b.items()
+        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
+    da, (a_ints,) = _common_int_terms([a])
+    db, (b_ints,) = _common_int_terms([b])
+    terms = {}
+    get = terms.get
+    for e1, c1 in a_ints:
+        for e2, c2 in b_ints:
+            exp = tuple(map(add, e1, e2))
+            terms[exp] = get(exp, 0) + c1 * c2
+    return _fraction_terms(terms, da * db)
+
+
+def _pow_terms(terms, n, zero):
+    """The term dict of the n-th power (n >= 0) of a term dict whose zero
+    exponent is ``zero``: one term's exponent is scaled, otherwise powers
+    are squared and multiplied."""
+    if len(terms) == 1:
+        ((e, c),) = terms.items()
+        return {tuple([k * n for k in e]): c**n}
+    result = {zero: _ONE}
+    while n:
+        if n & 1:
+            result = _mul_terms(result, terms)
+        terms = _mul_terms(terms, terms) if n > 1 else terms
+        n >>= 1
+    return result
 
 
 def linear_combination(coeffs, polys, variables):
@@ -501,11 +541,16 @@ def linear_combination(coeffs, polys, variables):
 # text form
 
 
-_SYMBOLS = "+-*^(),/;={}[]"
+# Blanks, then one group per token class, tried in order: a newline, a
+# comment, an integer (decimal digits only: int() rejects other digits, such
+# as '²'), an ASCII name, a symbol, any other run of word characters (a name
+# when it starts with a letter) and any other character but a blank.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(\d+)|([A-Za-z_]\w*)|([-+*^(),/;={}\[\]])|(\w+)|([^ \t\r]))"
+)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -513,50 +558,46 @@ class Token:
 
 
 def tokenize(text):
-    """Tokens for the polynomial/DSL syntax.  '#' starts a comment."""
+    """Tokens for the polynomial/DSL syntax.  '#' starts a comment.  A name
+    starts with a letter or '_' and goes on over letters, digits and '_'; an
+    integer is a run of decimal digits."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    append, new = tokens.append, tuple.__new__
+    line, line_start, end = 1, 0, len(text)
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if group == 2:
+            if m.end() == end:  # the end of input is where its last comment starts
+                end = m.start(2)
             continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        # decimal digits only: int() rejects other digits, such as '²'
-        if ch.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
+        word = m[group]
+        column = m.start(group) - line_start + 1
+        # tuple.__new__ skips the Python-level Token.__new__
+        if group == 5:
+            append(new(Token, (word, word, line, column)))
+        elif group == 4 or (group == 6 and word[0].isalpha()):
+            append(new(Token, ("NAME", word, line, column)))
+        elif group == 3:
+            append(new(Token, ("INT", word, line, column)))
+        else:
+            raise PolyParseError(f"unexpected character {word[0]!r}", line, column)
+    append(Token("EOF", "", line, end - line_start + 1))
     return tokens
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(variables):
+    """The zero exponent on ``variables`` and each name's unit exponent, with
+    its 1 at the name's last position (as :meth:`MultiPoly.on_variables`
+    places a repeated name).  The cached dict is shared: callers only read
+    it."""
+    zero = (0,) * len(variables)
+    pos = {v: i for i, v in enumerate(variables)}
+    return zero, {v: zero[:i] + (1,) + zero[i + 1 :] for v, i in pos.items()}
 
 
 class _ExprParser:
@@ -565,13 +606,16 @@ class _ExprParser:
     Grammar: expr := term (("+"|"-") term)*; term := factor ("*" factor)*;
     factor := atom ("^" INT)?; atom := NAME | INT ("/" INT)? | "(" expr ")"
     | ("-"|"+") factor.  Implicit multiplication is a syntax error.
+
+    The parse methods return term dicts {exponent: nonzero coefficient} on
+    the variable tuple given to :meth:`terms_on`, and build no polynomial on
+    the way.  Integer coefficients stay ints until :meth:`terms_on` makes
+    each surviving one a Fraction.
     """
 
-    def __init__(self, tokens, pos, variables=None):
+    def __init__(self, tokens, pos=0):
         self.tokens = tokens
         self.pos = pos
-        self.variables = None if variables is None else tuple(variables)
-        self.seen = []
 
     def peek(self):
         return self.tokens[self.pos]
@@ -585,65 +629,68 @@ class _ExprParser:
         tok = tok or self.peek()
         raise PolyParseError(message, tok.line, tok.column)
 
+    def terms_on(self, variables):
+        """The term dict, with Fraction coefficients, of the expression at
+        the cursor on ``variables``; a name outside them is an error."""
+        self.zero, self.units = _layout(variables)
+        terms = self.parse_expr()
+        return {e: Fraction(c) if type(c) is int else c for e, c in terms.items()}
+
     def parse_expr(self):
-        node = self.parse_term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            rhs = self.parse_term()
-            node = node + rhs if op == "+" else node - rhs
-        return node
+        terms = self.parse_term()
+        while (kind := self.tokens[self.pos].kind) == "+" or kind == "-":
+            self.pos += 1
+            terms = _merge_terms(terms, self.parse_term(), kind == "-")
+        return terms
 
     def parse_term(self):
-        node = self.parse_factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = node * self.parse_factor()
-        nxt = self.peek()
+        terms = self.parse_factor()
+        while (nxt := self.tokens[self.pos]).kind == "*":
+            self.pos += 1
+            terms = _mul_terms(terms, self.parse_factor())
         if nxt.kind in ("NAME", "INT", "("):
             self.error(f"missing '*' before {nxt.text!r}", nxt)
-        return node
+        return terms
 
     def parse_factor(self):
-        node = self.parse_atom()
-        if self.peek().kind == "^":
+        terms = self.parse_atom()
+        if self.tokens[self.pos].kind == "^":
             caret = self.take()
-            tok = self.peek()
+            tok = self.take()
             if tok.kind != "INT":
                 self.error("exponent must be a nonnegative integer", caret)
-            self.take()
-            node = node ** int(tok.text)
-        return node
+            terms = _pow_terms(terms, int(tok.text), self.zero)
+        return terms
 
     def parse_atom(self):
         tok = self.take()
-        if tok.kind == "-":
-            return -self.parse_factor()
-        if tok.kind == "+":
-            return self.parse_factor()
-        if tok.kind == "INT":
-            num = int(tok.text)
-            if self.peek().kind == "/":
-                self.take()
-                den = self.peek()
+        kind = tok.kind
+        if kind == "NAME":
+            unit = self.units.get(tok.text)
+            if unit is None:
+                self.error(f"unknown variable {tok.text!r}", tok)
+            return {unit: 1}
+        if kind == "INT":
+            c = int(tok.text)
+            if self.tokens[self.pos].kind == "/":
+                self.pos += 1
+                den = self.take()
                 if den.kind != "INT":
                     self.error("expected integer denominator", den)
-                self.take()
                 if int(den.text) == 0:
                     self.error("zero denominator", den)
-                return MultiPoly.constant(Fraction(num, int(den.text)))
-            return MultiPoly.constant(num)
-        if tok.kind == "NAME":
-            if self.variables is not None and tok.text not in self.variables:
-                self.error(f"unknown variable {tok.text!r}", tok)
-            if tok.text not in self.seen:
-                self.seen.append(tok.text)
-            return MultiPoly.variable(tok.text)
-        if tok.kind == "(":
-            node = self.parse_expr()
+                c = Fraction(c, int(den.text))
+            return {self.zero: c} if c else {}
+        if kind == "-":
+            return {e: -c for e, c in self.parse_factor().items()}
+        if kind == "+":
+            return self.parse_factor()
+        if kind == "(":
+            terms = self.parse_expr()
             closing = self.take()
             if closing.kind != ")":
                 self.error("expected ')'", closing)
-            return node
+            return terms
         self.error(f"unexpected token {tok.text!r}", tok)
 
 
@@ -652,14 +699,15 @@ def parse_polynomial(text, variables=None):
     rejected and the result lives on exactly those variables; otherwise the
     variables are taken in order of first appearance."""
     tokens = tokenize(text)
-    parser = _ExprParser(tokens, 0, variables)
-    poly = parser.parse_expr()
+    if variables is None:
+        variables = dict.fromkeys(tok.text for tok in tokens if tok.kind == "NAME")
+    variables = tuple(variables)
+    parser = _ExprParser(tokens)
+    terms = parser.terms_on(variables)
     tail = parser.peek()
     if tail.kind != "EOF":
         parser.error(f"unexpected trailing {tail.text!r}", tail)
-    if variables is not None:
-        return poly.on_variables(tuple(variables))
-    return poly.on_variables(tuple(parser.seen))
+    return MultiPoly._trusted(variables, terms)
 
 
 def as_poly(value, variables=None):

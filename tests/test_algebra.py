@@ -88,6 +88,23 @@ def test_dimension_mismatch_is_input_error():
         FiniteDimAlgebra([[[F(1)]]], (1, 0))
 
 
+def test_constants_become_fractions_and_fractions_are_kept():
+    # Q[v]/(v^2 + 3v - 1/2) on the basis 1, v, given as Fractions, ints and
+    # strings
+    table = [[[F(1), F(0)], [F(0), F(1)]], [[F(0), F(1)], [Fraction(1, 2), F(-3)]]]
+    given = FiniteDimAlgebra(table, (F(1), F(0)))
+    assert given.struct_consts[1][1][0] is table[1][1][0]
+    ints = [[[1, 0], [0, 1]], [[0, 1], [Fraction(1, 2), -3]]]
+    strings = [[["1", "0"], ["0", "1"]], [["0", "1"], ["1/2", "-3"]]]
+    for consts, unit in ((ints, (1, 0)), (strings, ("1", "0"))):
+        algebra = FiniteDimAlgebra(consts, unit)
+        entries = [c for plane in algebra.struct_consts for row in plane for c in row]
+        assert all(type(c) is Fraction for c in entries + list(algebra.unit))
+        assert (algebra.struct_consts, algebra.unit) == (given.struct_consts, given.unit)
+        assert algebra._nonzero == given._nonzero
+        assert check_algebra(algebra).is_valid
+
+
 def _dense_check(algebra):
     """The plain loops over every index tuple: the reference for the
     sparse check_algebra, as (kind, indices) pairs in report order."""

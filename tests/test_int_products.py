@@ -1,10 +1,11 @@
 """The integer product kernels against Fraction references.
 
-``MultiPoly.__mul__``, ``dring.tensor_mul`` and ``dring.push_through``
-multiply on int numerators over a common denominator.  The references
-below multiply Fraction by Fraction, term by term, reducing every power
-and every product mod the ideal; the results must agree term for term and
-keep Fraction coefficients."""
+``MultiPoly.__mul__`` and ``__pow__``, ``dring.tensor_mul`` and
+``dring.push_through`` multiply on int numerators over a common denominator
+(a one-term factor of a polynomial product scales the other factor's
+Fractions instead).  The references below multiply Fraction by Fraction,
+term by term, reducing every power and every product mod the ideal; the
+results must agree term for term and keep Fraction coefficients."""
 
 from fractions import Fraction
 from operator import add
@@ -143,6 +144,15 @@ def _assert_same(result, expected):
 @given(_POLYS, _POLYS)
 def test_polynomial_product_matches_fraction_reference(a, b):
     _assert_same(a * b, _reference_mul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POLYS, st.integers(0, 4))
+def test_polynomial_power_matches_fraction_reference(a, n):
+    expected = MultiPoly.one(VARS)
+    for _ in range(n):
+        expected = _reference_mul(expected, a)
+    _assert_same(a**n, expected)
 
 
 @settings(max_examples=60, deadline=None)

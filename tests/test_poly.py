@@ -1,5 +1,7 @@
 """Polynomial arithmetic, Groebner machinery, and the ideal toolkit."""
 
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from dfields.poly import (
     s_polynomial,
     univariate_coeffs,
 )
+from dfields import cli
 from dfields.algebra import solve_zero_dim
 
 from conftest import random_poly
@@ -133,6 +136,355 @@ def test_format_sorts_by_active_order():
     f = P("x + y^2", ("x", "y"))
     assert format_poly(f, GREVLEX) == "y^2 + x"
     assert format_poly(f, LEX) == "x + y^2"
+
+
+# ---------------------------------------------------------------------------
+# the parser against the MultiPoly-per-atom reference
+
+
+@dataclass(frozen=True)
+class _ReferenceToken:
+    kind: str
+    text: str
+    line: int
+    column: int
+
+
+def _reference_tokenize(text):
+    """The character-loop tokenizer the regex tokenizer replaced."""
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if ch == "#":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            tokens.append(_ReferenceToken("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(_ReferenceToken("NAME", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch in "+-*^(),/;={}[]":
+            tokens.append(_ReferenceToken(ch, ch, line, col))
+            i += 1
+            col += 1
+            continue
+        raise PolyParseError(f"unexpected character {ch!r}", line, col)
+    tokens.append(_ReferenceToken("EOF", "", line, col))
+    return tokens
+
+
+class _ReferenceParser:
+    """The parser that built a MultiPoly for every atom and merged variable
+    tuples at every operator; a node lives on its names in order of first
+    appearance."""
+
+    def __init__(self, tokens, pos, variables=None):
+        self.tokens = tokens
+        self.pos = pos
+        self.variables = None if variables is None else tuple(variables)
+        self.seen = []
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message, tok=None):
+        tok = tok or self.peek()
+        raise PolyParseError(message, tok.line, tok.column)
+
+    def parse_expr(self):
+        node = self.parse_term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take().kind
+            rhs = self.parse_term()
+            node = node + rhs if op == "+" else node - rhs
+        return node
+
+    def parse_term(self):
+        node = self.parse_factor()
+        while self.peek().kind == "*":
+            self.take()
+            node = node * self.parse_factor()
+        nxt = self.peek()
+        if nxt.kind in ("NAME", "INT", "("):
+            self.error(f"missing '*' before {nxt.text!r}", nxt)
+        return node
+
+    def parse_factor(self):
+        node = self.parse_atom()
+        if self.peek().kind == "^":
+            caret = self.take()
+            tok = self.peek()
+            if tok.kind != "INT":
+                self.error("exponent must be a nonnegative integer", caret)
+            self.take()
+            node = node ** int(tok.text)
+        return node
+
+    def parse_atom(self):
+        tok = self.take()
+        if tok.kind == "-":
+            return -self.parse_factor()
+        if tok.kind == "+":
+            return self.parse_factor()
+        if tok.kind == "INT":
+            num = int(tok.text)
+            if self.peek().kind == "/":
+                self.take()
+                den = self.peek()
+                if den.kind != "INT":
+                    self.error("expected integer denominator", den)
+                self.take()
+                if int(den.text) == 0:
+                    self.error("zero denominator", den)
+                return MultiPoly.constant(Fraction(num, int(den.text)))
+            return MultiPoly.constant(num)
+        if tok.kind == "NAME":
+            if self.variables is not None and tok.text not in self.variables:
+                self.error(f"unknown variable {tok.text!r}", tok)
+            if tok.text not in self.seen:
+                self.seen.append(tok.text)
+            return MultiPoly.variable(tok.text)
+        if tok.kind == "(":
+            node = self.parse_expr()
+            closing = self.take()
+            if closing.kind != ")":
+                self.error("expected ')'", closing)
+            return node
+        self.error(f"unexpected token {tok.text!r}", tok)
+
+
+def _reference_parse(text, variables=None):
+    parser = _ReferenceParser(_reference_tokenize(text), 0, variables)
+    poly = parser.parse_expr()
+    tail = parser.peek()
+    if tail.kind != "EOF":
+        parser.error(f"unexpected trailing {tail.text!r}", tail)
+    return poly.on_variables(tuple(parser.seen if variables is None else variables))
+
+
+class _ReferenceCursor(_ReferenceParser, cli._Cursor):
+    """``cli._Cursor`` with the reference parser under its statement reads:
+    an expression lives on the union of its nodes' variables."""
+
+    def __init__(self, tokens):
+        _ReferenceParser.__init__(self, tokens, 0)
+        self.algebras = {}
+
+    def expr(self, variables):
+        self.variables = tuple(variables)
+        return self.parse_expr()
+
+
+def _outcome(parse, *args):
+    """What a parse gives: ("poly", variables, terms) or ("error", message,
+    line, column)."""
+    try:
+        poly = parse(*args)
+    except PolyParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+    return ("poly", poly.variables, poly.terms)
+
+
+def _document_polys(node):
+    """Every polynomial in a parsed document's blocks, as (variables, terms),
+    in field order."""
+    if isinstance(node, MultiPoly):
+        return [(node.variables, node.terms)]
+    if dataclasses.is_dataclass(node):
+        node = [getattr(node, f.name) for f in dataclasses.fields(node)]
+    elif isinstance(node, dict):
+        node = list(node.values())
+    elif not isinstance(node, (tuple, list)):
+        return []
+    return [p for child in node for p in _document_polys(child)]
+
+
+def _parse_document(text, reference):
+    if not reference:
+        return cli.parse(text)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_Cursor", _ReferenceCursor)
+        mp.setattr(cli, "tokenize", _reference_tokenize)
+        return cli.parse(text)
+
+
+def _document_outcome(text, reference):
+    try:
+        doc = _parse_document(text, reference)
+    except PolyParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+    return ("doc", _document_polys(doc.blocks))
+
+
+_NAMES = ("x", "y", "z", "t_1")
+# blanks, newlines and comments between tokens
+_GAPS = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n ", "  # note\n"])
+_LEAVES = st.one_of(
+    st.sampled_from(_NAMES),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda f: f"{f[0]}/{f[1]}"),
+)
+
+
+def _extend(children):
+    binary = st.tuples(children, _GAPS, st.sampled_from("+-*"), _GAPS, children).map("".join)
+    paren = st.tuples(_GAPS, children, _GAPS).map(lambda t: "(" + "".join(t) + ")")
+    unary = st.tuples(st.sampled_from("-+"), _GAPS, children).map("".join)
+    power = st.tuples(paren | _LEAVES, _GAPS, st.integers(0, 3)).map(
+        lambda t: f"{t[0]}{t[1]}^{t[2]}"
+    )
+    return binary | paren | unary | power
+
+
+_EXPRESSIONS = st.tuples(_GAPS, st.recursive(_LEAVES, _extend, max_leaves=10), _GAPS).map(
+    "".join
+)
+_DECLARED = st.sampled_from([None, _NAMES, ("t_1", "z", "y", "x"), ("y", "x")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPRESSIONS, _DECLARED)
+@example("(x - x)*y + 0*z", None)
+@example("x^0 + 1/2*y^0", ("y", "x"))
+@example("x^2^3", None)
+def test_parser_matches_reference(text, variables):
+    # equal variables, equal term dicts and Fraction coefficients, or the
+    # same error at the same place
+    assert _outcome(parse_polynomial, text, variables) == _outcome(
+        _reference_parse, text, variables
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.permutations(_NAMES), min_size=1, max_size=2),
+    st.lists(_EXPRESSIONS, min_size=1, max_size=4),
+)
+def test_document_polynomials_match_reference(declared, exprs):
+    # Document equality is blind to a polynomial's variable order, so the
+    # variable tuples are compared one by one
+    text = "\n".join(
+        f"variety v{i} {{ vars = [{', '.join(names)}]; ideal = ({', '.join(exprs)}); }}"
+        for i, names in enumerate(declared)
+    )
+    assert _document_outcome(text, False) == _document_outcome(text, True)
+
+
+def test_fixture_polynomials_match_reference():
+    for name in cli.fixture_names():
+        text = cli.fixture_text(name)
+        assert _document_outcome(text, False) == _document_outcome(text, True), name
+
+
+def test_expression_lives_on_its_names_in_order_of_appearance():
+    doc = cli.parse("variety v { vars = [x, y]; ideal = (y^2 - x^3 - x); }")
+    assert doc.blocks[0].generators[0].variables == ("y", "x")
+    assert P("y^2 - x^3 - x").variables == ("y", "x")
+    assert P("y^2 - x^3 - x", ("x", "y")).variables == ("x", "y")
+
+
+# each error keeps the message, line and column of the reference parser
+_MALFORMED = [
+    ("x y", None, "missing '*' before 'y'", 1, 3),
+    ("2 x", None, "missing '*' before 'x'", 1, 3),
+    ("x^", None, "exponent must be a nonnegative integer", 1, 2),
+    ("x^-1", None, "exponent must be a nonnegative integer", 1, 2),
+    ("1/0", None, "zero denominator", 1, 3),
+    ("1/x", None, "expected integer denominator", 1, 3),
+    ("1/", None, "expected integer denominator", 1, 3),
+    ("(x", None, "expected ')'", 1, 3),
+    ("x +", None, "unexpected token ''", 1, 4),
+    ("* x", None, "unexpected token '*'", 1, 1),
+    ("x)", None, "unexpected trailing ')'", 1, 2),
+    ("x^2^3", None, "unexpected trailing '^'", 1, 4),
+    ("x^²", None, "unexpected character '²'", 1, 3),
+    ("²x", None, "unexpected character '²'", 1, 1),
+    ("x\u000b", None, "unexpected character '\\x0b'", 1, 2),
+    ("x + z", ("x", "y"), "unknown variable 'z'", 1, 5),
+    ("x² + 1", ("x", "y"), "unknown variable 'x²'", 1, 1),
+    ("x $", None, "unexpected character '$'", 1, 3),
+    ("", None, "unexpected token ''", 1, 1),
+    ("  # only a comment", None, "unexpected token ''", 1, 3),
+    ("x # c\n y", None, "missing '*' before 'y'", 2, 2),
+    ("x\n  + (y\n\t*", None, "unexpected token ''", 3, 3),
+    ("x\r\n+ $", None, "unexpected character '$'", 2, 3),
+    ("x +\n\n# c\n", None, "unexpected token ''", 4, 1),
+]
+_MALFORMED_DOCUMENTS = [
+    (
+        "variety v {\n\tvars = [x, y];\n\tideal = (x^2 + z);\n}\n",
+        "unknown variable 'z'", 3, 17,
+    ),
+    (
+        "# header\r\nvariety v {\r\n  vars = [x, y];  # coords\r\n  ideal = (x^2 +* y);\r\n}\r\n",
+        "unexpected token '*'", 4, 17,
+    ),
+    (
+        "algebra A = Q[e]/(e^2);\n\tvariety v {\n\t\tvars = [x];  # one\r\n\t\tideal = (x^2 2);\n}",
+        "missing '*' before '2'", 4, 16,
+    ),
+    ("algebra A = Q[e]/(e^2 + f);", "unknown variable 'f'", 1, 25),
+    (
+        "variety v {\r\n\tvars = [x, y];\r\n\tideal = (x*y, (x + 1)^²);\r\n}",
+        "unexpected character '²'", 3, 24,
+    ),
+    ("variety v {\n\tvars = [x];\n\tideal = (x^);\n}", "exponent must be a nonnegative integer", 3, 12),
+    ("variety v { vars = [x]; ideal = (x - 1/0); }", "zero denominator", 1, 40),
+    ("variety v {\n vars = [x];\n ideal = (x # open\n", "expected ')', found 'end of input'", 4, 1),
+    (
+        "algebra A {\r\n\tbasis = [one, e];\r\n\tunit = one;\r\n\tmul one*e = e $;\r\n}",
+        "unexpected character '$'", 4, 16,
+    ),
+]
+
+
+def _assert_error(exc, message, line, column):
+    assert str(exc) == f"{message} (line {line}, column {column})"
+    assert (exc.line, exc.column) == (line, column)
+
+
+@pytest.mark.parametrize("text, variables, message, line, column", _MALFORMED)
+def test_parse_error_positions_are_pinned(text, variables, message, line, column):
+    for declared in (variables, variables or ("x", "y")):
+        with pytest.raises(PolyParseError) as err:
+            P(text, declared)
+        _assert_error(err.value, message, line, column)
+
+
+@pytest.mark.parametrize("text, message, line, column", _MALFORMED_DOCUMENTS)
+def test_document_error_positions_are_pinned(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        cli.parse(text)
+    _assert_error(err.value, message, line, column)
 
 
 # ---------------------------------------------------------------------------
