@@ -743,6 +743,7 @@ class RunResult:
     exit_code: int
     lines: list = field(default_factory=list)
     payload: dict = field(default_factory=dict)
+    errors: list = field(default_factory=list)  # blocks stopped by the budget
 
     def text(self):
         return "\n".join(self.lines)
@@ -930,12 +931,17 @@ _COMMANDS = {
     "dvariety descend": (DescendBlock, "descend", _dvariety_descend),
 }
 
-# exit codes of a block from best to worst: verified, undetermined, refuted
-_SEVERITY = (0, 3, 2)
+# exit codes of a block from best to worst: verified, undetermined, refuted,
+# stopped by the budget
+_SEVERITY = (0, 3, 2, 1)
 
 
 def run(command, document, name=None, budget=None, order=GREVLEX):
-    """Run a command against a parsed document; deterministic output."""
+    """Run a command against a parsed document; deterministic output.
+
+    A block that exhausts the budget is recorded in ``errors`` (and as an
+    ``error`` entry of the payload) with exit code 1; the blocks after it
+    still run."""
     if command not in _COMMANDS:
         raise UcdError(f"unknown command {command!r}")
     cls, keyword, run_block = _COMMANDS[command]
@@ -950,7 +956,11 @@ def run(command, document, name=None, budget=None, order=GREVLEX):
     resolver = Resolver(document, budget)
     result = RunResult(0, [], {"command": command, "results": []})
     for block in blocks:
-        code, lines, entry = run_block(block, resolver, order)
+        try:
+            code, lines, entry = run_block(block, resolver, order)
+        except BudgetExceededError as exc:
+            code, lines, entry = 1, [], {"name": block.name, "error": str(exc)}
+            result.errors.append(f"{keyword} {block.name}: {exc}")
         result.exit_code = max(result.exit_code, code, key=_SEVERITY.index)
         result.lines.extend(lines)
         result.payload["results"].append(entry)
@@ -996,6 +1006,8 @@ def run_fixture_corpus(budget=None, order=GREVLEX):
                     continue
                 lines.append(f"{fname} :: {command}: exit {result.exit_code}")
                 lines.extend("  " + l for l in result.lines)
+                lines.extend(f"{fname} :: {command}: ERROR {e}" for e in result.errors)
+                ok = ok and not result.errors
     return ok, lines
 
 
@@ -1053,8 +1065,10 @@ def main(argv=None):
         return 1
     if args.json:
         print(json.dumps(result.payload, indent=2, sort_keys=True))
-    else:
+    elif result.lines:
         print(result.text())
+    for error in result.errors:
+        print(f"error: {error}", file=sys.stderr)
     return result.exit_code
 
 

@@ -83,7 +83,7 @@ def nullspace(a):
 def inverse(a):
     """Inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [a[i][:] + identity(n)[i] for i in range(n)]
+    aug = [row + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         return None

@@ -1167,9 +1167,9 @@ def _point_map(variables, point):
     return {v: _as_fraction(c) for v, c in zip(variables, point)}
 
 
-def jacobian_rank_at(generators, variables, point):
-    """Exact rank of the Jacobian of ``generators`` at a point of their
-    common zero set; raises NotOnVarietyError otherwise."""
+def jacobian_at(generators, variables, point):
+    """The Jacobian matrix of ``generators`` (one row each) at a point of
+    their common zero set; raises NotOnVarietyError otherwise."""
     variables = tuple(variables)
     coords = _point_map(variables, point)
     gens = [g.on_variables(variables) for g in generators]
@@ -1178,11 +1178,16 @@ def jacobian_rank_at(generators, variables, point):
             raise NotOnVarietyError(
                 f"point does not satisfy generator {format_poly(g)}"
             )
-    rows = [
+    return [
         [g.partial_derivative(v).evaluate(coords) for v in variables]
         for g in gens
     ]
-    return linalg.rank(rows)
+
+
+def jacobian_rank_at(generators, variables, point):
+    """Exact rank of the Jacobian of ``generators`` at a point of their
+    common zero set; raises NotOnVarietyError otherwise."""
+    return linalg.rank(jacobian_at(generators, variables, point))
 
 
 def is_smooth_point(ideal, point):
@@ -1262,6 +1267,16 @@ def factor_univariate(f, var=None):
         out.append((g.scale(Fraction(1) / lc), int(mult)))
     out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
     return unit, out
+
+
+def is_squarefree(f):
+    """True when no square of a nonconstant polynomial divides the nonzero
+    polynomial ``f``."""
+    used = sorted(f.used_variables())
+    if not used:
+        return True
+    _, factors = _sympy_from_multipoly(f, used).sqf_list()
+    return all(mult == 1 for _, mult in factors)
 
 
 # ---------------------------------------------------------------------------

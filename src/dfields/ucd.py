@@ -1,11 +1,46 @@
 """Per-instance verification of the geometric axiom hypotheses.
 
 An instance is a variety X, a subvariety Y of its prolongation, an
-optional open set U = Y minus V(h), and an optional smooth rational
-witness on Y.  The checker verifies, in order: containment of Y in the
-prolongation, dominance of every projection (by elimination ideals),
-smoothness of the witness, irreducibility where the polynomial toolkit
-can decide it (user assertions cover the rest), and nonemptiness of U.
+optional open set U = Y minus V(h), and an optional rational witness p on
+Y.  The checker answers, in order: containment of Y in the prolongation,
+dominance of every projection pi_i: Y -> X^sigma_i, smoothness of the
+witness, irreducibility of X and Y where the polynomial toolkit can decide
+it (user assertions cover the rest), and nonemptiness of U.
+
+Each hypothesis first tries a certificate: an exact proof from linear
+algebra at the witness that needs no Groebner basis of Y.  Let f_1..f_m be
+the nonzero generators of Y in n variables and J their Jacobian at p.
+
+- smooth_witness: p is on Y and rank J = m.  By the Jacobian criterion
+  (Eisenbud, Commutative Algebra, Thm 16.19) p is then a smooth point of
+  exactly one component Y_0 of Y, of dimension n - m, with tangent space
+  ker J.
+- U_nonempty: p is on Y, and there is no h or h(p) != 0.
+- Y_subset_of_tauX: every prolonged component is a Q-linear combination of
+  the generators of Y (one row reduction of their coefficient rows).
+- dominance_pi_i: containment holds, X^sigma_i is decided irreducible (an
+  assertion does not count), smooth_witness has its certificate, and
+  d(pi_i) on ker J has rank dim X^sigma_i.  That rank is at most the
+  generic rank of pi_i on Y_0, which in characteristic 0 is the dimension
+  of the image closure (generic smoothness, Hartshorne III.10.7); so the
+  closure is all of the irreducible X^sigma_i.
+- Y_irreducible: with that smooth witness, m >= 2 and n - m >= 1, Y has a
+  component of codimension at least 2 and positive dimension, so its
+  reduced basis is not the zero ideal, trivial, principal or
+  zero-dimensional.  If some f_j is nonzero at p + k for a basis vector k
+  of ker J, it is not linear either (a linear V(I) through p contains
+  p + ker J).  That is the case ``decide_irreducibility`` leaves
+  undetermined, so its answer is given without computing it.
+
+Where no certificate applies, the hypothesis is answered from Groebner
+bases of Y as before: ideal membership, elimination ideals, the Krull
+dimension and ``decide_irreducibility``.  A refutation there needs a
+proof.  A polynomial outside an ideal refutes containment or dominance
+only when it is also outside the radical (Rabinowitsch), that is, when it
+does not vanish on the variety.  A Jacobian rank below the codimension
+refutes smoothness only when I(Y) is radical by inspection (a linear or a
+squarefree principal reduced basis).  Otherwise the hypothesis is
+undetermined.
 
 The search procedure looks for rational points a of X whose canonical
 prolongation point lands in U.  Over Q the conclusion of the axiom can
@@ -15,18 +50,23 @@ never treated as a refutation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebra import solve_zero_dim
 from .poly import (
     EmptyVarietyError,
     Ideal,
+    IrreducibilityResult,
     MultiPoly,
     NotOnVarietyError,
     as_poly,
     decide_irreducibility,
     format_poly,
+    is_squarefree,
+    jacobian_at,
     jacobian_rank_at,
 )
 from .prolongation import (
@@ -122,17 +162,78 @@ class HypothesisReport:
         }
 
 
-def _containment_entries(inst):
-    bad = None
+def _nonzero_generators(ideal):
+    return [g for g in ideal.generators if not g.is_zero()]
+
+
+@dataclass(frozen=True)
+class _AtWitness:
+    """The Jacobian J of Y's nonzero generators at a witness on Y."""
+
+    rank: int
+    kernel: list  # a basis of ker J
+    smooth: bool  # rank J is the number of generators
+
+
+def _at_witness(inst):
+    """Jacobian data at the witness; None without a witness on Y."""
+    if inst.witness is None:
+        return None
+    gens = _nonzero_generators(inst.y_ideal)
+    variables = inst.y_ideal.variables
+    try:
+        rows = jacobian_at(gens, variables, inst.witness)
+    except NotOnVarietyError:
+        return None
+    kernel = linalg.nullspace(rows) if rows else linalg.identity(len(variables))
+    rank = len(variables) - len(kernel)
+    return _AtWitness(rank, kernel, rank == len(gens))
+
+
+def _outside_span(inst):
+    """The prolonged components, as (generator, level, component), that are
+    not Q-linear combinations of Y's generators: one row reduction of the
+    generators' coefficient rows, then each component reduced by its
+    pivot rows."""
+    gens = inst.y_ideal.generators
+    column = {e: k for k, e in enumerate(dict.fromkeys(e for g in gens for e in g.terms))}
+
+    def row(p):
+        out = [Fraction(0)] * len(column)
+        for e, c in p.terms.items():
+            out[column[e]] = c
+        return out
+
+    reduced, pivots = linalg.rref([row(g) for g in gens])
+    outside = []
     for f, comps in inst.prolonged.per_generator:
         for j, comp in enumerate(comps):
-            if not inst.y_ideal.contains(comp):
-                bad = (f, j, comp)
-                break
-        if bad:
-            break
-    if bad:
-        f, j, comp = bad
+            if any(e not in column for e in comp.terms):
+                outside.append((f, j, comp))
+                continue
+            v = row(comp)
+            for r, col in zip(reduced, pivots):
+                c = v[col]
+                if c:
+                    v = [a - c * b for a, b in zip(v, r)]
+            if any(v):
+                outside.append((f, j, comp))
+    return outside
+
+
+def _containment_entry(inst, components=None):
+    """Membership of prolonged components in I(Y) (all of them when
+    ``components`` is None); one outside I(Y) refutes only when it is
+    also outside the radical, that is, when it does not vanish on Y."""
+    if components is None:
+        components = [
+            (f, j, comp)
+            for f, comps in inst.prolonged.per_generator
+            for j, comp in enumerate(comps)
+        ]
+    for f, j, comp in components:
+        if inst.y_ideal.contains(comp) or inst.y_ideal.radical_contains(comp):
+            continue
         return HypothesisEntry(
             "Y_subset_of_tauX",
             "refuted",
@@ -141,10 +242,107 @@ def _containment_entries(inst):
     return HypothesisEntry("Y_subset_of_tauX", "verified")
 
 
-def _dominance_entries(inst):
-    algebra = inst.base.algebra
-    comps = algebra.components
-    entries = []
+def _twisted(inst, i):
+    """X^sigma_i: X with sigma_i applied to its parameter coefficients."""
+    if not inst.base.params:
+        return inst.x_ideal
+    return Ideal(
+        inst.x_ideal.variables,
+        [
+            sigma_twist(inst.base, i, g).on_variables(inst.x_ideal.variables)
+            for g in inst.x_ideal.generators
+        ],
+        inst.x_ideal.budget,
+    )
+
+
+def _dominance_certified(inst, i, at, decide):
+    """The certificate for pi_i once Y lies in the prolongation: X^sigma_i
+    is decided irreducible, the witness is smooth, and d(pi_i) on ker J
+    has rank dim X^sigma_i."""
+    twisted = _twisted(inst, i)
+    if at is None or not at.smooth or decide(twisted).status != "irreducible":
+        return False
+    variables = inst.y_ideal.variables
+    projection = pi_hat(inst.prolonged, i)
+    coords = [MultiPoly.variable(p, variables) for p in inst.base.params]
+    coords.extend(projection.images[x][0] for x in inst.xvars)
+    point = dict(zip(variables, inst.witness))
+    image = []
+    for c in coords:
+        grad = [c.partial_derivative(v).evaluate(point) for v in variables]
+        image.append([sum(g * k for g, k in zip(grad, vec)) for vec in at.kernel])
+    return linalg.rank(image) == twisted.krull_dimension()
+
+
+def _dominance_entry(inst, i):
+    """Dominance of pi_i by the elimination ideal of its graph."""
+    projection = pi_hat(inst.prolonged, i)
+    twisted = _twisted(inst, i)
+    row = inst.base.algebra.components[i].residue_matrix[0]
+    indicator = None
+    ones = [j for j, c in enumerate(row) if c == 1]
+    if len(ones) == 1 and all(c == 0 for j, c in enumerate(row) if j != ones[0]):
+        indicator = ones[0]
+
+    if indicator is not None:
+        zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
+    else:
+        zname = {x: f"{x}_sigma{i}" for x in inst.xvars}
+    graph_vars = inst.y_ideal.variables + tuple(
+        zname[x] for x in inst.xvars if zname[x] not in inst.y_ideal.variables
+    )
+    gens = [g.on_variables(graph_vars) for g in inst.y_ideal.generators]
+    for x in inst.xvars:
+        z = MultiPoly.variable(zname[x], graph_vars)
+        combo = projection.images[x][0].on_variables(graph_vars)
+        if not (z - combo).is_zero():
+            gens.append(z - combo)
+    keep = tuple(inst.base.params) + tuple(zname[x] for x in inst.xvars)
+    image_closure = Ideal(graph_vars, gens, inst.y_ideal.budget).elimination_ideal(keep)
+
+    rename = {zname[x]: MultiPoly.variable(x, inst.x_ideal.variables) for x in inst.xvars}
+    renamed = Ideal(
+        inst.x_ideal.variables,
+        [g.substitute(rename).on_variables(inst.x_ideal.variables)
+         for g in image_closure.generators],
+        inst.x_ideal.budget,
+    )
+
+    name = f"dominance_pi_{i}"
+    missing = _first_outside_radical(twisted, renamed.generators)
+    if missing is not None:
+        witness = missing.substitute(
+            {x: MultiPoly.variable(zname[x], image_closure.variables) for x in inst.xvars}
+        )
+        return HypothesisEntry(
+            name,
+            "refuted",
+            f"projection {i} is not dominant: elimination ideal contains "
+            f"{format_poly(witness)}",
+        )
+    backwards = _first_outside_radical(renamed, twisted.generators)
+    if backwards is not None:
+        return HypothesisEntry(
+            name,
+            "refuted",
+            f"image closure does not contain the twisted variety: "
+            f"{format_poly(backwards)} is missing",
+        )
+    return HypothesisEntry(name, "verified")
+
+
+def _first_outside_radical(ideal, polys):
+    """The first of ``polys`` that does not vanish on V(ideal): outside the
+    ideal (the cheap test) and outside its radical; None if there is none."""
+    return next(
+        (g for g in polys if not ideal.contains(g) and not ideal.radical_contains(g)),
+        None,
+    )
+
+
+def _dominance_entries(inst, contained, at, decide):
+    comps = inst.base.algebra.components
     if any(c.residue_dim != 1 for c in comps):
         return [
             HypothesisEntry(
@@ -153,78 +351,34 @@ def _dominance_entries(inst):
                 "some local component has residue degree > 1",
             )
         ]
-    for i in range(len(comps)):
-        projection = pi_hat(inst.prolonged, i)
-        twisted = Ideal(
-            inst.x_ideal.variables,
-            [
-                sigma_twist(inst.base, i, g).on_variables(inst.x_ideal.variables)
-                for g in inst.x_ideal.generators
-            ],
-            inst.x_ideal.budget,
-        )
+    return [
+        HypothesisEntry(f"dominance_pi_{i}", "verified")
+        if contained and _dominance_certified(inst, i, at, decide)
+        else _dominance_entry(inst, i)
+        for i in range(len(comps))
+    ]
 
-        row = comps[i].residue_matrix[0]
-        indicator = None
-        ones = [j for j, c in enumerate(row) if c == 1]
-        if len(ones) == 1 and all(c == 0 for j, c in enumerate(row) if j != ones[0]):
-            indicator = ones[0]
 
-        if indicator is not None:
-            zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
-        else:
-            zname = {x: f"{x}_sigma{i}" for x in inst.xvars}
-        graph_vars = inst.y_ideal.variables + tuple(
-            zname[x] for x in inst.xvars if zname[x] not in inst.y_ideal.variables
-        )
-        gens = [g.on_variables(graph_vars) for g in inst.y_ideal.generators]
-        for x in inst.xvars:
-            z = MultiPoly.variable(zname[x], graph_vars)
-            combo = projection.images[x][0].on_variables(graph_vars)
-            if not (z - combo).is_zero():
-                gens.append(z - combo)
-        keep = tuple(inst.base.params) + tuple(zname[x] for x in inst.xvars)
-        image_closure = Ideal(graph_vars, gens, inst.y_ideal.budget).elimination_ideal(keep)
+def _known_radical(ideal):
+    """I is radical by inspection of its reduced basis: all of it linear,
+    or one squarefree polynomial."""
+    basis = ideal.groebner_basis()
+    if all(g.total_degree() <= 1 for g in basis):
+        return True
+    return len(basis) == 1 and is_squarefree(basis[0])
 
-        rename = {zname[x]: MultiPoly.variable(x, inst.x_ideal.variables) for x in inst.xvars}
-        renamed = Ideal(
-            inst.x_ideal.variables,
-            [g.substitute(rename).on_variables(inst.x_ideal.variables)
-             for g in image_closure.generators],
-            inst.x_ideal.budget,
-        )
 
-        name = f"dominance_pi_{i}"
-        missing = [g for g in renamed.generators if not twisted.contains(g)]
-        if missing:
-            witness = missing[0].substitute(
-                {x: MultiPoly.variable(zname[x], image_closure.variables) for x in inst.xvars}
-            )
-            entries.append(
-                HypothesisEntry(
-                    name,
-                    "refuted",
-                    f"projection {i} is not dominant: elimination ideal contains "
-                    f"{format_poly(witness)}",
-                )
-            )
-            continue
-        backwards = [g for g in twisted.generators if not renamed.contains(g)]
-        if backwards:
-            entries.append(
-                HypothesisEntry(
-                    name,
-                    "refuted",
-                    f"image closure does not contain the twisted variety: "
-                    f"{format_poly(backwards[0])} is missing",
-                )
-            )
-            continue
-        entries.append(HypothesisEntry(name, "verified"))
-    return entries
+def _smoothness_certificate(at):
+    """The Jacobian criterion: rank J equal to the number of generators."""
+    if at is None or not at.smooth:
+        return None
+    return HypothesisEntry(
+        "smooth_witness", "verified", f"Jacobian rank {at.rank} = codimension"
+    )
 
 
 def _smoothness_entry(inst):
+    """Jacobian rank at the witness against the codimension of Y."""
     if inst.witness is None:
         return HypothesisEntry("smooth_witness", "undetermined", "no witness supplied")
     try:
@@ -242,16 +396,28 @@ def _smoothness_entry(inst):
         return HypothesisEntry(
             "smooth_witness", "verified", f"Jacobian rank {rank} = codimension"
         )
+    if rank > codim:
+        return HypothesisEntry(
+            "smooth_witness",
+            "undetermined",
+            f"Jacobian rank {rank} > codimension {codim}: the witness lies only "
+            f"on components of smaller dimension",
+        )
+    if _known_radical(inst.y_ideal):
+        return HypothesisEntry(
+            "smooth_witness",
+            "refuted",
+            f"Jacobian rank {rank} != codimension {codim} at the witness",
+        )
     return HypothesisEntry(
         "smooth_witness",
-        "refuted",
-        f"Jacobian rank {rank} != codimension {codim} at the witness",
+        "undetermined",
+        f"Jacobian rank {rank} < codimension {codim} at the witness, and I(Y) "
+        f"is not known to be radical",
     )
 
 
-def _irreducibility_entry(inst, which):
-    ideal = inst.x_ideal if which == "X" else inst.y_ideal
-    result = decide_irreducibility(ideal)
+def _irreducibility_verdict(inst, which, result):
     name = f"{which}_irreducible"
     if result.status == "irreducible":
         return HypothesisEntry(name, "verified", result.method)
@@ -262,12 +428,45 @@ def _irreducibility_entry(inst, which):
     return HypothesisEntry(name, "undetermined", result.detail or result.method)
 
 
+def _irreducibility_entry(inst, which, decide=None):
+    ideal = inst.x_ideal if which == "X" else inst.y_ideal
+    return _irreducibility_verdict(inst, which, (decide or decide_irreducibility)(ideal))
+
+
+def _irreducibility_certificate(inst, at):
+    """The Y entry without a basis of Y, when the smooth witness shows that
+    Y is outside every case decide_irreducibility supports; None otherwise."""
+    variables = inst.y_ideal.variables
+    gens = _nonzero_generators(inst.y_ideal)
+    m = len(gens)
+    if at is None or not at.smooth or m < 2 or len(variables) - m < 1:
+        return None
+    for k in at.kernel:
+        moved = dict(zip(variables, (a + b for a, b in zip(inst.witness, k))))
+        if any(g.evaluate(moved) != 0 for g in gens):
+            unsupported = IrreducibilityResult("undetermined", "unsupported-case")
+            return _irreducibility_verdict(inst, "Y", unsupported)
+    return None
+
+
+def _open_set_certificate(inst, at):
+    """U is nonempty when the witness lies on Y and outside V(h)."""
+    if at is None:
+        return None
+    if inst.h is None:
+        return HypothesisEntry("U_nonempty", "verified", "U = Y")
+    if inst.h.evaluate(dict(zip(inst.y_ideal.variables, inst.witness))) != 0:
+        return HypothesisEntry("U_nonempty", "verified", "h does not vanish on Y")
+    return None
+
+
 def _open_set_entry(inst):
+    """Emptiness of U from I(Y): 1 in I(Y), or h in its radical."""
     if inst.h is None:
         if inst.y_ideal.is_trivial():
             return HypothesisEntry("U_nonempty", "refuted", "Y itself is empty")
         return HypothesisEntry("U_nonempty", "verified", "U = Y")
-    if inst.y_ideal.contains(inst.h):
+    if inst.y_ideal.contains(inst.h) or inst.y_ideal.radical_contains(inst.h):
         return HypothesisEntry(
             "U_nonempty", "refuted", "h vanishes on all of Y, so U is empty"
         )
@@ -275,13 +474,19 @@ def _open_set_entry(inst):
 
 
 def check_instance(inst):
-    """Run every hypothesis check and collect the verdict."""
-    entries = [_containment_entries(inst)]
-    entries.extend(_dominance_entries(inst))
-    entries.append(_smoothness_entry(inst))
-    entries.append(_irreducibility_entry(inst, "X"))
-    entries.append(_irreducibility_entry(inst, "Y"))
-    entries.append(_open_set_entry(inst))
+    """Run every hypothesis check and collect the verdict: a certificate at
+    the witness where one applies, Groebner bases of Y where none does."""
+    at = _at_witness(inst)
+    decide = functools.cache(decide_irreducibility)
+    containment = _containment_entry(inst, _outside_span(inst))
+    entries = [containment]
+    entries.extend(
+        _dominance_entries(inst, containment.status == "verified", at, decide)
+    )
+    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst))
+    entries.append(_irreducibility_entry(inst, "X", decide))
+    entries.append(_irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y"))
+    entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst))
     return HypothesisReport(tuple(entries))
 
 

@@ -4,7 +4,8 @@ The golden files pin every fixture, and every fixture command there runs
 on one block.  These pins cover what a single block cannot show: the
 lines and JSON entries of several blocks in file order, the exit code
 merged over blocks (verified < undetermined < refuted), and the two
-selection errors of every command.
+selection errors of every command, and a block stopped by the budget
+next to one that finishes.
 """
 
 import json
@@ -12,6 +13,7 @@ import json
 import pytest
 
 from dfields.cli import main, parse, run
+from dfields.poly import GroebnerBudget
 from dfields.ucd import UcdError
 
 ALGEBRAS = """
@@ -169,6 +171,59 @@ def test_ucd_search_on_an_undetermined_and_a_refuted_block(tmp_path, capsys):
         ],
     }
     assert _cli(tmp_path, capsys, UCDS, ["ucd", "search"], ["open"])[0] == 3
+
+
+# the first block needs a Groebner basis past degree 10 (it has no witness,
+# so no certificate applies); the second is answered at its witness
+BUDGETED = """
+algebra dual = Q[e]/(e^2);
+algebra e3 = Q[e]/(e^3);
+variety line { vars = [x]; }
+variety curve { vars = [x, y]; ideal = (y^2 - x^3 - x); }
+ucd hard {
+  algebra = e3;
+  X = curve;
+  Y = (y_0^2 - x_0^3 - x_0,
+       2*y_0*y_1 - 3*x_0^2*x_1 - x_1,
+       2*y_0*y_2 + y_1^2 - 3*x_0^2*x_2 - 3*x_0*x_1^2 - x_2);
+}
+ucd easy {
+  algebra = dual;
+  X = line;
+  Y = (x_1 - x_0^2);
+  witness = (0, 0);
+}
+"""
+EASY_LINES = (
+    "ucd easy: verified\n"
+    "  Y_subset_of_tauX: verified\n"
+    "  dominance_pi_0: verified\n"
+    "  smooth_witness: verified (Jacobian rank 1 = codimension)\n"
+    "  X_irreducible: verified (zero-ideal)\n"
+    "  Y_irreducible: verified (principal-factorisation)\n"
+    "  U_nonempty: verified (U = Y)\n"
+)
+
+
+def test_a_block_over_budget_does_not_hide_the_next(tmp_path, capsys):
+    error = "budget exhausted: degree 11 exceeds cap 10"
+    code, out = _cli(tmp_path, capsys, BUDGETED, ["--budget", "10", "ucd", "check"])
+    assert code == 1
+    assert out == EASY_LINES
+    code = main(["--budget", "10", "--json", "ucd", "check", str(tmp_path / "doc.dr")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"error: ucd hard: {error}\n"
+    payload = json.loads(captured.out)
+    assert payload["results"][0] == {"name": "hard", "error": error}
+    assert [r["name"] for r in payload["results"]] == ["hard", "easy"]
+    assert payload["results"][1]["verdict"] == "verified"
+    result = run("ucd check", parse(BUDGETED), budget=GroebnerBudget(max_degree=10))
+    assert (result.exit_code, result.errors) == (1, [f"ucd hard: {error}"])
+    # without the cap the first block finishes too
+    code, out = _cli(tmp_path, capsys, BUDGETED, ["ucd", "check"])
+    assert code == 3
+    assert out.startswith("ucd hard: undetermined\n") and out.endswith(EASY_LINES)
 
 
 @pytest.mark.parametrize("command, keyword", COMMANDS.items())

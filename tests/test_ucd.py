@@ -1,6 +1,8 @@
 """Instance checking and point search for the axiom-scheme hypotheses."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfields.dvariety import make_dvariety, rational_sharp_points
 from dfields.poly import Ideal, parse_polynomial
@@ -123,12 +125,104 @@ def test_open_set_defined_by_nonvanishing_h(trivial_dual, line):
     assert check_instance(inst).entry("U_nonempty").status == "verified"
 
 
-def test_verdict_stable_under_redundant_generators(trivial_dual, line):
+def test_verdict_stable_under_redundant_generators_example(trivial_dual, line):
     base_y = ["x_1 - x_0^2"]
     padded_y = ["x_1 - x_0^2", "x_0*x_1 - x_0^3", "2*x_1 - 2*x_0^2"]
     a = ucd_instance(trivial_dual, line, Ideal(("x_0", "x_1"), base_y), witness=(0, 0))
     b = ucd_instance(trivial_dual, line, Ideal(("x_0", "x_1"), padded_y), witness=(0, 0))
     assert check_instance(a).verdict == check_instance(b).verdict == "verified"
+
+
+# (algebra fixture, X variables, X generators, Y generators, witness, h)
+REDUNDANCY_BASES = [
+    ("dual", ("x",), [], ["x_1 - x_0^2"], (0, 0), None),
+    ("dual", ("x",), [], ["x_1 - x_0^2"], (0, 0), "x_0"),
+    ("dual", ("x",), [], ["x_0"], (0, 0), None),
+    ("dual", ("x",), [], ["x_1^2 - x_0^3"], (0, 0), None),
+    ("dual", ("x",), [], ["x_1 - x_0^2"], None, None),
+    ("dual", ("x", "y"), [], ["x_0", "y_0 - 1"], (0, 1, 0, 0), None),
+    ("dual", ("x", "y"), ["y - x^2"], ["y_0 - x_0^2", "y_1 - 2*x_0*x_1"], (1, 1, 1, 2), None),
+    ("dual", ("x", "y"), ["y - x^2"], ["y_0 - x_0^2", "y_1 - 2*x_0*x_1", "x_0"],
+     (0, 0, 1, 0), None),
+    ("qxq", ("x",), [], ["x_1 - x_0"], (0, 0), None),
+    ("qxq", ("x",), [], ["x_1"], (0, 0), None),
+    ("qxq", ("x", "y"), ["x^2 + y^2 - 1"], ["x_0^2 + y_0^2 - 1", "x_1^2 + y_1^2 - 1"],
+     (1, 0, 0, 1), None),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    base=st.sampled_from(REDUNDANCY_BASES),
+    products=st.lists(
+        st.tuples(st.integers(0, 3), st.none() | st.integers(0, 3)), min_size=1, max_size=2
+    ),
+)
+def test_verdict_stable_under_redundant_generators(base, products, request):
+    """Squaring a generator, or multiplying it by another, and adding the
+    result leaves the ideal, and so every status, unchanged."""
+    algebra, xvars, xgens, ygens, witness, h = base
+    trivial = BaseDStructure.trivial(request.getfixturevalue(algebra))
+    x_ideal = Ideal(xvars, xgens)
+    yvars = tuple(f"{x}_{level}" for level in range(2) for x in xvars)
+    gens = [P(g, yvars) for g in ygens]
+    padded = gens + [
+        gens[i % len(gens)] * gens[(i if j is None else j) % len(gens)]
+        for i, j in products
+    ]
+
+    def statuses(generators):
+        inst = ucd_instance(
+            trivial, x_ideal, Ideal(yvars, generators), witness=witness, h=h
+        )
+        report = check_instance(inst)
+        return report.verdict, [(e.name, e.status) for e in report.entries]
+
+    assert statuses(padded) == statuses(gens)
+
+
+def test_squared_generator_does_not_refute_smoothness(trivial_dual, line):
+    # I(Y) is not radical, so a Jacobian rank below the codimension proves
+    # nothing: the reduced variety is the smooth parabola
+    y = Ideal(("x_0", "x_1"), ["(x_1 - x_0^2)^2"])
+    report = check_instance(ucd_instance(trivial_dual, line, y, witness=(0, 0)))
+    assert report.verdict == "undetermined"
+    assert [(e.name, e.status, e.detail) for e in report.entries] == [
+        ("Y_subset_of_tauX", "verified", ""),
+        ("dominance_pi_0", "verified", ""),
+        ("smooth_witness", "undetermined",
+         "Jacobian rank 0 < codimension 1 at the witness, and I(Y) is not known "
+         "to be radical"),
+        ("X_irreducible", "verified", "zero-ideal"),
+        ("Y_irreducible", "verified", "principal-factorisation"),
+        ("U_nonempty", "verified", "U = Y"),
+    ]
+
+
+def test_dominance_is_not_refuted_by_a_non_radical_x(trivial_dual):
+    # the elimination ideal holds y - x^2, which is not in ((y - x^2)^2)
+    # but vanishes on the same variety
+    x = Ideal(("x", "y"), ["(y - x^2)^2"])
+    y = Ideal(("x_0", "y_0", "x_1", "y_1"), ["y_0 - x_0^2", "y_1 - 2*x_0*x_1"])
+    report = check_instance(ucd_instance(trivial_dual, x, y))
+    assert report.verdict == "undetermined"
+    assert [(e.name, e.status, e.detail) for e in report.entries] == [
+        ("Y_subset_of_tauX", "verified", ""),
+        ("dominance_pi_0", "verified", ""),
+        ("smooth_witness", "undetermined", "no witness supplied"),
+        ("X_irreducible", "verified", "principal-factorisation"),
+        ("Y_irreducible", "undetermined", "unsupported-case"),
+        ("U_nonempty", "verified", "U = Y"),
+    ]
+
+
+def test_h_in_the_radical_of_y_empties_u(trivial_dual, line):
+    y = Ideal(("x_0", "x_1"), ["x_0^2", "x_1"])
+    inst = ucd_instance(trivial_dual, line, y, witness=(0, 0), h="x_0")
+    entry = check_instance(inst).entry("U_nonempty")
+    assert (entry.status, entry.detail) == (
+        "refuted", "h vanishes on all of Y, so U is empty"
+    )
 
 
 def test_inconsistent_variable_layout_rejected(trivial_dual, line):

@@ -1,0 +1,127 @@
+"""Certificates at the witness against the Groebner-basis path.
+
+``check_instance`` answers a hypothesis by a certificate at the witness
+where one applies and by Groebner bases of Y otherwise.  On prolongations
+of four curves over local and split algebras, intact and with the broken
+extra generator x_0, and with the witness on and off Y, every status must
+be the one the Groebner-basis helpers give when called directly.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from dfields.poly import Ideal, parse_polynomial
+from dfields.prolongation import BaseDStructure, prolong
+from dfields.ucd import (
+    _at_witness,
+    _containment_entry,
+    _dominance_certified,
+    _dominance_entry,
+    _irreducibility_certificate,
+    _irreducibility_entry,
+    _open_set_certificate,
+    _open_set_entry,
+    _outside_span,
+    _smoothness_entry,
+    check_instance,
+    decide_irreducibility,
+    ucd_instance,
+)
+
+# name: (variables, generators, a rational point)
+CURVES = {
+    "elliptic": (("x", "y"), ["y^2 - x^3 - x"], (0, 0)),
+    "circle": (("x", "y"), ["x^2 + y^2 - 1"], (Fraction(3, 5), Fraction(4, 5))),
+    "parabola": (("x", "y"), ["y - x^2"], (2, 4)),
+    "twisted_cubic": (("x", "y", "z"), ["y - x^2", "z - x^3"], (-1, 1, -1)),
+}
+ALGEBRAS = ("dual", "trunc3", "qxq", "dual_x_q")
+
+
+def _instances(algebra, curve):
+    """(label, instance) for intact and broken Y, witness on and off."""
+    xvars, xgens, point = CURVES[curve]
+    base = BaseDStructure.trivial(algebra)
+    x_ideal = Ideal(xvars, xgens)
+    prolonged = prolong(base, x_ideal)
+    yvars = prolonged.variables
+    on = tuple(Fraction(c) * u for u in algebra.unit for c in point)
+    off = (on[0] + 1,) + on[1:]
+    for broken in (False, True):
+        gens = list(prolonged.prolonged_ideal.generators)
+        if broken:
+            gens.append(parse_polynomial(yvars[0], yvars))
+        y = Ideal(yvars, gens)
+        for label, witness in (("on", on), ("off", off)):
+            name = f"{'broken' if broken else 'intact'}/{label}"
+            yield name, ucd_instance(base, x_ideal, y, witness=witness)
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_certificates_agree_with_the_groebner_path(algebra_name, curve, request):
+    algebra = request.getfixturevalue(algebra_name)
+    for label, inst in _instances(algebra, curve):
+        report = check_instance(inst)
+        fallback = [_containment_entry(inst)]
+        fallback.extend(
+            _dominance_entry(inst, i) for i in range(len(algebra.components))
+        )
+        fallback.append(_smoothness_entry(inst))
+        fallback.append(_irreducibility_entry(inst, "X"))
+        fallback.append(_irreducibility_entry(inst, "Y"))
+        fallback.append(_open_set_entry(inst))
+        assert [(e.name, e.status) for e in report.entries] == [
+            (e.name, e.status) for e in fallback
+        ], label
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_intact_prolongations_are_verified_by_certificates(algebra_name, curve, request):
+    algebra = request.getfixturevalue(algebra_name)
+    (_, inst), = [(l, i) for l, i in _instances(algebra, curve) if l == "intact/on"]
+    at = _at_witness(inst)
+    assert at is not None and at.smooth
+    assert _outside_span(inst) == []
+    assert _open_set_certificate(inst, at) is not None
+    assert _irreducibility_certificate(inst, at) is not None
+    # the twisted cubic is not a case decide_irreducibility supports, so its
+    # projections keep their elimination ideals
+    dominance = [
+        _dominance_certified(inst, i, at, decide_irreducibility)
+        for i in range(len(algebra.components))
+    ]
+    assert all(dominance) == (curve != "twisted_cubic")
+
+
+def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
+    # sigma_1 shifts the parameter: t -> t + 1, so pi_1 lands in x^2 = t + 1
+    base = BaseDStructure(qxq, ("t",), {"t": ("t", "t + 1")})
+    x_ideal = Ideal(("t", "x"), ["x^2 - t"])
+    prolonged = prolong(base, x_ideal)
+    yvars = prolonged.variables
+    on = (Fraction(9, 16), Fraction(3, 4), Fraction(5, 4))
+    for extra in ([], [parse_polynomial("x_0 - 3/4", yvars)], [parse_polynomial("t", yvars)]):
+        y = Ideal(yvars, list(prolonged.prolonged_ideal.generators) + extra)
+        for witness in (on, (0, 0, 1), (1, 1, 1)):
+            inst = ucd_instance(base, x_ideal, y, witness=witness)
+            at = _at_witness(inst)
+            fallback = [
+                _containment_entry(inst),
+                _dominance_entry(inst, 0),
+                _dominance_entry(inst, 1),
+                _smoothness_entry(inst),
+                _irreducibility_entry(inst, "X"),
+                _irreducibility_entry(inst, "Y"),
+                _open_set_entry(inst),
+            ]
+            report = check_instance(inst)
+            assert [(e.name, e.status) for e in report.entries] == [
+                (e.name, e.status) for e in fallback
+            ], (extra, witness)
+            if not extra and witness == on:
+                assert all(
+                    _dominance_certified(inst, i, at, decide_irreducibility) for i in (0, 1)
+                )
