@@ -12,6 +12,12 @@ coordinates in its power basis, the residue map onto Q[x]/(p) for each
 factor p of m is the table of x^k mod p, and one inverse of the stacked
 tables (the Chinese-remainder isomorphism) gives every idempotent.
 
+All of it runs on ints: the structure constants are int rows over one
+denominator (see :class:`FiniteDimAlgebra`), every vector of the
+decomposition is exact, ints over one denominator in lowest terms
+(``_exact``), eliminations are the fraction-free ones of ``linalg``, and
+the components receive Fractions once, when they are built.
+
 It is also the package's one zero-dimensional engine: for a
 zero-dimensional ideal I, Q[x]/I is such an algebra, its local factors
 are the Q-irreducible components of V(I), and the factors of residue
@@ -41,23 +47,43 @@ from .poly import (
 )
 
 
+_ZERO = Fraction(0)
+
+
 class AlgebraError(Exception):
     """Structural problem with an algebra or a presentation."""
+
+
+def _exact(nums, den):
+    """The exact vector nums / den in lowest terms, with den > 0: ints with
+    one denominator, the form every vector of the decomposition takes."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
 
 
 class FiniteDimAlgebra:
     """A commutative unital Q-algebra of finite dimension.
 
-    ``struct_consts[i][j][k]`` is the e_k coordinate of e_i * e_j and
-    ``unit`` holds the coordinates of 1.  The local decomposition is
-    computed lazily and cached; ``pi_index`` names the local component
-    whose residue projection is the distinguished coordinate-0 map,
-    when such a component exists.
+    The structure constants a[i][j][k] (e_i * e_j = sum_k a[i][j][k] e_k)
+    are stored once, sparse and on ints: ``_den`` is the common
+    denominator of the nonzero constants and ``_rows[i][j]`` holds the
+    pairs (k, _den * a[i][j][k]) of the nonzero ones, by increasing k.
+    Products, the axiom check, the trace form and the local decomposition
+    all run on these rows.  Fractions appear only at the edge: ``unit``
+    holds the coordinates of 1, element coordinates are Fractions, and the
+    dense tensor ``struct_consts`` is built on first read (a given table
+    is kept as given).  The local decomposition is computed lazily and
+    cached; ``pi_index`` names the local component whose residue
+    projection is the distinguished coordinate-0 map, when such a
+    component exists.
     """
 
     def __init__(self, struct_consts, unit, basis_names=None):
-        # Fractions are kept as given: rebuilding all n^3 of them dominated
-        # from_presentation on large quotients
+        # given Fractions are kept, and the given table is struct_consts
         a = [
             [[c if type(c) is Fraction else Fraction(c) for c in row] for row in plane]
             for plane in struct_consts
@@ -68,6 +94,24 @@ class FiniteDimAlgebra:
         for plane in a:
             if len(plane) != n or any(len(row) != n for row in plane):
                 raise AlgebraError("structure constants are not an n x n x n tensor")
+        nonzero = [[[(k, c) for k, c in enumerate(row) if c] for row in plane] for plane in a]
+        den = math.lcm(*(c.denominator for plane in nonzero for row in plane for _, c in row))
+        rows = [
+            [tuple((k, c.numerator * (den // c.denominator)) for k, c in row) for row in plane]
+            for plane in nonzero
+        ]
+        self._setup(den, rows, unit, basis_names)
+        self._struct_consts = tuple(tuple(tuple(row) for row in plane) for plane in a)
+
+    @classmethod
+    def _from_rows(cls, den, rows, unit, basis_names=None):
+        """The algebra with the given int rows (see the class docstring)."""
+        algebra = cls.__new__(cls)
+        algebra._setup(den, rows, unit, basis_names)
+        return algebra
+
+    def _setup(self, den, rows, unit, basis_names):
+        n = len(rows)
         b = [c if type(c) is Fraction else Fraction(c) for c in unit]
         if len(b) != n:
             raise AlgebraError("unit vector length does not match dimension")
@@ -76,23 +120,31 @@ class FiniteDimAlgebra:
         if len(basis_names) != n:
             raise AlgebraError("basis name count does not match dimension")
         self.dim = n
-        self.struct_consts = tuple(tuple(tuple(row) for row in plane) for plane in a)
+        self._den = den
+        self._rows = rows
         self.unit = tuple(b)
         self.basis_names = tuple(basis_names)
         self.presentation = None
+        self._struct_consts = None
         self._components = None
         self._int_constants = None
-        self._nonzero = tuple(
-            (i, j, k, a[i][j][k])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-            if a[i][j][k] != 0
-        )
-        # _rows[i][j]: the pairs (k, a[i][j][k]) of the nonzero constants
-        self._rows = [[[] for _ in range(n)] for _ in range(n)]
-        for i, j, k, c in self._nonzero:
-            self._rows[i][j].append((k, c))
+
+    @property
+    def struct_consts(self):
+        """The dense tensor a[i][j][k] of Fractions, built on first read."""
+        if self._struct_consts is None:
+            n, den = self.dim, self._den
+            planes = []
+            for plane in self._rows:
+                dense_plane = []
+                for row in plane:
+                    dense = [_ZERO] * n
+                    for k, c in row:
+                        dense[k] = Fraction(c, den)
+                    dense_plane.append(tuple(dense))
+                planes.append(tuple(dense_plane))
+            self._struct_consts = tuple(planes)
+        return self._struct_consts
 
     @property
     def int_constants(self):
@@ -100,12 +152,13 @@ class FiniteDimAlgebra:
         their common denominator and entries the tuples (i, j, k,
         den * a[i][j][k]).  Built on first use and kept."""
         if self._int_constants is None:
-            den = math.lcm(*(c.denominator for *_, c in self._nonzero))
             self._int_constants = (
-                den,
+                self._den,
                 tuple(
-                    (i, j, k, c.numerator * (den // c.denominator))
-                    for i, j, k, c in self._nonzero
+                    (i, j, k, c)
+                    for i, plane in enumerate(self._rows)
+                    for j, row in enumerate(plane)
+                    for k, c in row
                 ),
             )
         return self._int_constants
@@ -126,39 +179,52 @@ class FiniteDimAlgebra:
     def zero(self):
         return AlgebraElement(self, [Fraction(0)] * self.dim)
 
-    def mul_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
+    def _mul_ints(self, u, v):
+        """_den * u * v for int coordinate vectors u and v."""
+        out = [0] * self.dim
         v_support = [(j, y) for j, y in enumerate(v) if y]
+        rows = self._rows
         for i, x in enumerate(u):
             if x:
-                row = self._rows[i]
+                row = rows[i]
                 for j, y in v_support:
                     xy = x * y
                     for k, c in row[j]:
                         out[k] += c * xy
         return out
 
+    def _mul(self, u, v):
+        """The product of two exact vectors (nums, den)."""
+        return _exact(self._mul_ints(u[0], v[0]), u[1] * v[1] * self._den)
+
+    def mul_coords(self, u, v):
+        u, du = linalg.int_row(u)
+        v, dv = linalg.int_row(v)
+        return linalg.fractions_of(self._mul_ints(u, v), du * dv * self._den)
+
     def multiplication_matrix(self, coords):
         """Matrix of multiplication by the given element."""
         n = self.dim
-        m = [[Fraction(0)] * n for _ in range(n)]
-        for i, j, k, c in self._nonzero:
-            if coords[i]:
-                m[k][j] += c * coords[i]
-        return m
+        nums, den = linalg.int_row(coords)
+        m = [[0] * n for _ in range(n)]
+        for i, x in enumerate(nums):
+            if x:
+                for j, row in enumerate(self._rows[i]):
+                    for k, c in row:
+                        m[k][j] += c * x
+        return [linalg.fractions_of(row, den * self._den) for row in m]
 
     # -- axioms -------------------------------------------------------------
 
     def is_pi_adapted(self):
         """Whether extracting coordinate 0 is an algebra map onto Q, i.e.
         the basis is adapted to a distinguished projection."""
-        n = self.dim
         if self.unit[0] != 1:
             return False
-        for i in range(n):
-            for j in range(n):
-                expected = Fraction(1) if (i == 0 and j == 0) else Fraction(0)
-                if self.struct_consts[i][j][0] != expected:
+        for i, plane in enumerate(self._rows):
+            for j, row in enumerate(plane):
+                at_zero = row[0] if row and row[0][0] == 0 else None
+                if at_zero != ((0, self._den) if i == j == 0 else None):
                     return False
         return True
 
@@ -181,13 +247,20 @@ class FiniteDimAlgebra:
     # -- serialisation ---------------------------------------------------------
 
     def to_dict(self, with_components=False):
+        n, den = self.dim, self._den
+        table = []
+        for plane in self._rows:
+            strings = []
+            for row in plane:
+                entries = ["0"] * n
+                for k, c in row:
+                    entries[k] = str(Fraction(c, den))
+                strings.append(entries)
+            table.append(strings)
         data = {
             "dim": self.dim,
             "basis": list(self.basis_names),
-            "a": [
-                [[str(c) for c in row] for row in plane]
-                for plane in self.struct_consts
-            ],
+            "a": table,
             "b": [str(c) for c in self.unit],
         }
         if with_components:
@@ -323,22 +396,18 @@ def check_algebra(algebra):
     """Check commutativity, associativity, and the unit law exactly;
     every violated identity is reported with witness indices.
 
-    The sums run over the nonzero structure constants only; violations
-    come out in the order of a plain loop over all index tuples."""
+    The sums run on the int rows of the nonzero structure constants only;
+    violations come out in the order of a plain loop over all index
+    tuples."""
     n = algebra.dim
-    a = algebra.struct_consts
-    nonzero = algebra._nonzero
-    # rows[i][j]: pairs (k, den * a[i][j][k]) with den the common
-    # denominator, so that the associativity sums run on integers
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, c in algebra.int_constants[1]:
-        rows[i][j].append((k, c))
-    violations = [
-        AxiomViolation("commutativity", idx)
-        for idx in sorted(
-            {(min(i, j), max(i, j), k) for i, j, k, c in nonzero if a[j][i][k] != c}
-        )
-    ]
+    rows = algebra._rows
+    swapped = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                ij, ji = dict(rows[i][j]), dict(rows[j][i])
+                swapped.update((i, j, k) for k in ij.keys() | ji.keys() if ij.get(k) != ji.get(k))
+    violations = [AxiomViolation("commutativity", idx) for idx in sorted(swapped)]
     # (e_i e_j) e_k - e_i (e_j e_k), coordinate by coordinate
     for i in range(n):
         row_i = rows[i]
@@ -362,15 +431,20 @@ def check_algebra(algebra):
                         for m in range(n)
                         if diff[m]
                     )
-    b = algebra.unit
-    totals = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, k, c in nonzero:
-        if b[i]:
-            totals[j][k] += b[i] * c
+    # sum_i b_i a[i][j][k] = delta_jk, times the denominators of b and a
+    b, db = linalg.int_row(algebra.unit)
+    one = db * algebra._den
     for j in range(n):
-        for k in range(n):
-            if totals[j][k] != (1 if j == k else 0):
-                violations.append(AxiomViolation("unit", (j, k)))
+        totals = [0] * n
+        for i, x in enumerate(b):
+            if x:
+                for k, c in rows[i][j]:
+                    totals[k] += x * c
+        violations.extend(
+            AxiomViolation("unit", (j, k))
+            for k in range(n)
+            if totals[k] != (one if j == k else 0)
+        )
     return AlgebraReport(tuple(violations))
 
 
@@ -474,12 +548,19 @@ def _quotient_algebra(ideal):
         products.append(
             [ideal.normal_form(x[v] * products[p][j - p]) for j in range(i, n)]
         )
-    struct = [[None] * n for _ in range(n)]
+    # the int rows of the structure constants, straight from the normal forms
+    den = math.lcm(*(c.denominator for row in products for p in row for c in p.terms.values()))
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            struct[i][j] = struct[j][i] = coords_of(products[i][j - i])
+            terms = products[i][j - i].terms
+            if not terms.keys() <= index.keys():
+                raise AlgebraError("normal form left the standard-monomial span")
+            rows[i][j] = rows[j][i] = tuple(sorted(
+                (index[exp], c.numerator * (den // c.denominator)) for exp, c in terms.items()
+            ))
     names = tuple(_monomial_name(variables, m) for m in monomials)
-    algebra = FiniteDimAlgebra(struct, coords_of(products[0][0]), names)
+    algebra = FiniteDimAlgebra._from_rows(den, rows, coords_of(products[0][0]), names)
     algebra.presentation = (variables, ideal.generators)
     return algebra, coords_of
 
@@ -489,17 +570,18 @@ def product_algebra(*factors):
     if not factors:
         raise AlgebraError("product of no algebras")
     n = sum(f.dim for f in factors)
-    struct = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    unit = [Fraction(0)] * n
+    den = math.lcm(*(f._den for f in factors))
+    rows = [[()] * n for _ in range(n)]
+    unit = []
     offset = 0
     for f in factors:
-        for i in range(f.dim):
-            unit[offset + i] = f.unit[i]
-            for j in range(f.dim):
-                for k in range(f.dim):
-                    struct[offset + i][offset + j][offset + k] = f.struct_consts[i][j][k]
+        scale = den // f._den
+        for i, plane in enumerate(f._rows):
+            for j, row in enumerate(plane):
+                rows[offset + i][offset + j] = tuple((offset + k, c * scale) for k, c in row)
+        unit.extend(f.unit)
         offset += f.dim
-    return FiniteDimAlgebra(struct, unit)
+    return FiniteDimAlgebra._from_rows(den, rows, unit)
 
 
 def rational_field_algebra():
@@ -511,60 +593,67 @@ def rational_field_algebra():
 # local decomposition
 
 
-def _echelon_add(echelon, v, width):
-    """Reduce v by the rows of ``echelon`` (pairs (pivot, row) with entry 1
-    at the pivot, each row zero at the pivots of the rows before it).  A
-    remainder nonzero in its first ``width`` entries joins as a new row.
-    Returns the remainder."""
+def _echelon_add(echelon, vec, width):
+    """Reduce the exact vector ``vec`` by the rows of ``echelon``: pairs
+    (pivot, int row), each row zero at the pivots of the rows before it and
+    standing for itself divided by its pivot entry.  A remainder nonzero in
+    its first ``width`` entries joins as a new row.  Returns the remainder,
+    exact."""
+    nums, den = vec
     for pivot, row in echelon:
-        f = v[pivot]
+        f = nums[pivot]
         if f:
-            v = [a - f * b for a, b in zip(v, row)]
-    pivot = next((j for j in range(width) if v[j]), None)
+            p = row[pivot]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            nums, den = _exact([p * a - f * b for a, b in zip(nums, row)], den * p)
+    pivot = next((j for j in range(width) if nums[j]), None)
     if pivot is not None:
-        echelon.append((pivot, [c / v[pivot] for c in v]))
-    return v
+        echelon.append((pivot, linalg.primitive(nums)))
+    return nums, den
 
 
 class _Quotient:
-    """Coordinates for A/N given a basis of the ideal N."""
+    """Coordinates for A/N given a basis of the ideal N, on exact vectors.
+
+    With N row-reduced to rows n_r with pivots p_r, the basis elements e_i
+    with i off the pivots represent a basis of A/N, and the coordinates of
+    x are the entries off the pivots of x - sum_r (x[p_r] / n_r[p_r]) n_r.
+    """
 
     def __init__(self, algebra, nil_basis):
         self.algebra = algebra
-        self.nil_basis = nil_basis
-        n = algebra.dim
-        columns = [list(v) for v in nil_basis]
-        # e_i represents A/N when it is independent of N and of the e's
-        # taken before it
-        echelon = []
-        for v in columns:
-            _echelon_add(echelon, v, n)
-        self.rep_indices = []
-        for i in range(n):
-            e = [Fraction(1) if j == i else Fraction(0) for j in range(n)]
-            if any(_echelon_add(echelon, e, n)):
-                columns.append(e)
-                self.rep_indices.append(i)
+        reduced = [list(v) for v in nil_basis]
+        pivots = linalg.int_rref(reduced)
+        pivot_set = set(pivots)
+        self.rep_indices = [i for i in range(algebra.dim) if i not in pivot_set]
         self.dim = len(self.rep_indices)
-        to_coords = linalg.inverse(list(map(list, zip(*columns))))
-        if to_coords is None:
-            raise AlgebraError("nilradical basis is degenerate")
-        self._to_coords = to_coords[len(nil_basis):]
+        self._den = den = math.lcm(*(row[p] for row, p in zip(reduced, pivots)))
+        # row q of the coordinate map, times den, as (index, entry) pairs
+        self._to_coords = [
+            [(i, den)]
+            + [(p, -row[i] * (den // row[p])) for row, p in zip(reduced, pivots) if row[i]]
+            for i in self.rep_indices
+        ]
 
-    def project(self, coords):
-        return linalg.mat_vec(self._to_coords, list(coords))
+    def project(self, vec):
+        nums, den = vec
+        return _exact(
+            [sum(c * nums[j] for j, c in row) for row in self._to_coords], den * self._den
+        )
 
-    def lift(self, qcoords):
-        coords = [Fraction(0)] * self.algebra.dim
-        for c, idx in zip(qcoords, self.rep_indices):
-            coords[idx] += c
-        return coords
+    def lift(self, qvec):
+        nums, den = qvec
+        coords = [0] * self.algebra.dim
+        for c, idx in zip(nums, self.rep_indices):
+            coords[idx] = c
+        return coords, den
 
     def mul(self, u, v):
-        return self.project(self.algebra.mul_coords(self.lift(u), self.lift(v)))
+        return self.project(self.algebra._mul(self.lift(u), self.lift(v)))
 
     def one(self):
-        return self.project(self.algebra.unit)
+        return self.project(linalg.int_row(self.algebra.unit))
 
 
 def _minimal_polynomial_in_quotient(quot, u):
@@ -573,36 +662,52 @@ def _minimal_polynomial_in_quotient(quot, u):
     (u^k, e_k) that carry their combination of the powers along.
 
     Also returns the powers 1, u, ... below the degree and the elimination
-    rows; each row is (v, t) with v = sum_k t_k u^k."""
+    rows; each row stands for (v, t) with v = sum_k t_k u^k."""
     d = quot.dim
     echelon = []
     powers = []
     power = quot.one()
     for k in range(d + 1):
-        tag = [Fraction(0)] * (d + 1)
-        tag[k] = Fraction(1)
-        rest = _echelon_add(echelon, power + tag, d)
+        nums, den = power
+        tag = [0] * (d + 1)
+        tag[k] = den
+        rest, rest_den = _echelon_add(echelon, (nums + tag, den), d)
         if not any(rest[:d]):
-            return rest[d:d + k + 1], powers, echelon
+            return linalg.fractions_of(rest[d:d + k + 1], rest_den), powers, echelon
         powers.append(power)
         power = quot.mul(power, u)
     raise AlgebraError("minimal polynomial search exceeded quotient dimension")
 
 
 def _residue_table(p, d):
-    """The columns x^k mod p for k < d, as a matrix: the residue map of
-    Q[x]/(m) onto Q[x]/(p) on power bases, for any multiple m of p of
-    degree d."""
-    p_coeffs = univariate_coeffs(p, "x")
-    r = len(p_coeffs) - 1
-    column = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    """The columns x^k mod p for k < d, as a matrix of exact rows over one
+    denominator: the residue map of Q[x]/(m) onto Q[x]/(p) on power bases,
+    for any multiple m of p of degree d."""
+    p_ints, p_den = linalg.int_row(univariate_coeffs(p, "x"))
+    r = len(p_ints) - 1
+    column, den = [1] + [0] * (r - 1), 1
     columns = []
     for _ in range(d):
-        columns.append(column)
+        columns.append((column, den))
         # x * column, less its top coefficient times the monic p
         top = column[-1]
-        column = [a - top * b for a, b in zip([Fraction(0)] + column[:-1], p_coeffs)]
-    return [list(row) for row in zip(*columns)]
+        column, den = _exact(
+            [p_den * a - top * b for a, b in zip([0] + column[:-1], p_ints)], den * p_den
+        )
+    den = math.lcm(*(cd for _, cd in columns))
+    scaled = [[x * (den // cd) for x in c] for c, cd in columns]
+    return [(list(row), den) for row in zip(*scaled)]
+
+
+def _combine(coeffs, vectors):
+    """sum_k coeffs[k] * vectors[k], for exact scalars and exact vectors."""
+    den = math.lcm(*(cd * vd for (c, cd), (_, vd) in zip(coeffs, vectors) if c))
+    out = [0] * len(vectors[0][0])
+    for (c, cd), (nums, vd) in zip(coeffs, vectors):
+        if c:
+            f = c * (den // (cd * vd))
+            out = [a + f * b for a, b in zip(out, nums)]
+    return _exact(out, den)
 
 
 def _decompose(algebra):
@@ -614,24 +719,23 @@ def _decompose(algebra):
             raise AlgebraError(f"cannot decompose an invalid algebra: {report.describe()}")
 
     # nilradical: kernel of the trace form (characteristic 0), with
-    # Tr(e_i e_j) = sum_k a[i][j][k] Tr(e_k) and Tr(e_i) = sum_j a[i][j][j]
-    trace = [Fraction(0)] * n
-    for i, j, k, c in algebra._nonzero:
-        if j == k:
-            trace[i] += c
-    trace_form = [[Fraction(0)] * n for _ in range(n)]
-    for i, j, k, c in algebra._nonzero:
-        trace_form[i][j] += c * trace[k]
-    nil_basis = linalg.nullspace(trace_form)
+    # Tr(e_i e_j) = sum_k a[i][j][k] Tr(e_k) and Tr(e_i) = sum_j a[i][j][j];
+    # on the int rows, trace holds den * Tr(e_i) and the form is den^2 times
+    rows = algebra._rows
+    trace = [sum(c for j, row in enumerate(plane) for k, c in row if k == j) for plane in rows]
+    trace_form = [[sum(c * trace[k] for k, c in row) for row in plane] for plane in rows]
+    nil_basis = linalg.int_nullspace(trace_form)
     quot = _Quotient(algebra, nil_basis)
-    projected = [quot.project(algebra.basis_element(i).coords) for i in range(n)]
+    projected = []
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        projected.append(quot.project((unit, 1)))
 
     # primitive element for the semisimple quotient: every basis element,
     # then up to 100 seeded random elements
     rng = random.Random(20230517)
-    randoms = (
-        quot.project([Fraction(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100)
-    )
+    randoms = (quot.project(([rng.randint(-5, 5) for _ in range(n)], 1)) for _ in range(100))
     d = quot.dim
     for primitive in itertools.chain(projected, randoms):
         minpoly, powers, echelon = _minimal_polynomial_in_quotient(quot, primitive)
@@ -646,53 +750,64 @@ def _decompose(algebra):
     if any(mult_ != 1 for _, mult_ in factors):
         raise AlgebraError("semisimple quotient has a repeated factor; trace form is wrong")
 
-    # column i: e_i as a polynomial in the primitive element; reducing
-    # (-q, 0) through the elimination rows leaves (0, t), q = sum_k t_k u^k
-    zeros = [Fraction(0)] * (d + 1)
-    in_power_basis = list(zip(*(
-        _echelon_add(echelon, [-c for c in qc] + zeros, d)[d:2 * d] for qc in projected
-    )))
+    # e_i as a polynomial in the primitive element: reducing (-q, 0)
+    # through the elimination rows leaves (0, t), q = sum_k t_k u^k
+    zeros = [0] * (d + 1)
+    in_power_basis = []
+    for nums, den in projected:
+        rest, rest_den = _echelon_add(echelon, ([-c for c in nums] + zeros, den), d)
+        in_power_basis.append((rest[d:2 * d], rest_den))
     # Q[x]/(minpoly) is the product of the Q[x]/(p) (CRT); the preimage of
     # the unit of one factor is its idempotent
     tables = [_residue_table(p, d) for p, _ in factors]
-    crt_inv = linalg.inverse([row for table in tables for row in table])
-    power_matrix = list(map(list, zip(*powers)))
+    crt_inv = linalg.int_inverse([row for table in tables for row in table])
+    if crt_inv is None:
+        raise AlgebraError("residue tables of the factors are not independent")
 
     # CRT idempotents in the quotient, then unique lifts through the nilradical
     components = []
     offset = 0
     for (p, _), table in zip(factors, tables):
-        ebar = linalg.mat_vec(power_matrix, [row[offset] for row in crt_inv])
+        ebar = _combine([(nums[offset], den) for nums, den in crt_inv], powers)
         offset += len(table)
 
         e = quot.lift(ebar)
         for _ in range(algebra.dim + 2):
-            e2 = algebra.mul_coords(e, e)
+            e2 = algebra._mul(e, e)
             if e2 == e:
                 break
-            e3 = algebra.mul_coords(e2, e)
-            e = [3 * a - 2 * b for a, b in zip(e2, e3)]
+            e = _combine([(3, 1), (-2, 1)], [e2, algebra._mul(e2, e)])
         else:
             raise AlgebraError("idempotent lifting did not converge")
+        e_nums, e_den = e
 
-        # component data
-        mult_e = algebra.multiplication_matrix(e)
-        comp_dim = linalg.rank(mult_e)
-        ideal_rows = [linalg.mat_vec(mult_e, v) for v in nil_basis]
-        reduced, pivots = linalg.rref(ideal_rows) if ideal_rows else ([], [])
+        # component data: multiplication by e projects onto the component,
+        # so its rank is its trace; e N is the maximal ideal
+        comp_dim, rem = divmod(sum(a * b for a, b in zip(e_nums, trace)), e_den * algebra._den)
+        if rem:
+            raise AlgebraError("idempotent has a non-integral trace")
+        ideal_rows = [algebra._mul_ints(e_nums, v) for v in nil_basis]
+        pivots = linalg.int_rref(ideal_rows)
         max_ideal = tuple(
-            AlgebraElement(algebra, reduced[r]) for r in range(len(pivots))
+            AlgebraElement(algebra, linalg.fractions_of(row, row[c]))
+            for row, c in zip(ideal_rows, pivots)
         )
 
         residue_dim = p.total_degree()
-        matrix = tuple(map(tuple, linalg.mat_mul(table, in_power_basis)))
+        matrix = tuple(
+            tuple(
+                Fraction(sum(a * b for a, b in zip(nums, t)), den * t_den)
+                for t, t_den in in_power_basis
+            )
+            for nums, den in table
+        )
 
         residue_poly = p
         if residue_dim == 1:
             residue_poly = MultiPoly.variable("x")
         components.append(
             LocalComponent(
-                idempotent=AlgebraElement(algebra, e),
+                idempotent=AlgebraElement(algebra, linalg.fractions_of(e_nums, e_den)),
                 dim=comp_dim,
                 max_ideal_basis=max_ideal,
                 residue_poly=residue_poly,

@@ -68,8 +68,6 @@ from fractions import Fraction
 from operator import add, le, mul, neg, sub
 from typing import NamedTuple
 
-import sympy
-
 from . import linalg
 
 
@@ -1224,10 +1222,13 @@ def univariate_poly(coeffs, var):
 
 
 # ---------------------------------------------------------------------------
-# factorisation (univariate and small multivariate cases, via sympy)
+# factorisation (univariate and small multivariate cases, via sympy; sympy
+# is imported on first use, so that importing the package does not load it)
 
 
 def _sympy_from_multipoly(f, gens):
+    import sympy
+
     symbols = [sympy.Symbol(v) for v in gens]
     rep = {}
     pos = [f.variables.index(v) for v in gens]
@@ -1238,6 +1239,8 @@ def _sympy_from_multipoly(f, gens):
 
 
 def _multipoly_from_sympy(poly, gens):
+    import sympy
+
     terms = {}
     for exp, c in poly.terms():
         q = sympy.Rational(c)
@@ -1246,7 +1249,11 @@ def _multipoly_from_sympy(poly, gens):
 
 
 def factor_univariate(f, var=None):
-    """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)])."""
+    """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)]).
+
+    Degree 2 and below is done here: a monic quadratic splits exactly when
+    its discriminant is the square of a rational.  Higher degrees go to
+    sympy."""
     used = f.used_variables()
     if var is None:
         if len(used) != 1:
@@ -1256,17 +1263,40 @@ def factor_univariate(f, var=None):
         raise ValueError("polynomial is not univariate")
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
-    spoly = _sympy_from_multipoly(f, [var])
-    const, factors = spoly.factor_list()
-    unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
-    out = []
-    for fac, mult in factors:
-        g = _multipoly_from_sympy(fac, [var])
-        lc = g.leading_coefficient(LEX)
-        unit *= lc ** mult
-        out.append((g.scale(Fraction(1) / lc), int(mult)))
+    coeffs = univariate_coeffs(f, var)
+    if len(coeffs) <= 3:
+        unit = coeffs[-1]
+        out = [] if len(coeffs) == 1 else _split_quadratic([c / unit for c in coeffs], var)
+    else:
+        import sympy
+
+        spoly = _sympy_from_multipoly(f, [var])
+        const, factors = spoly.factor_list()
+        unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
+        out = []
+        for fac, mult in factors:
+            g = _multipoly_from_sympy(fac, [var])
+            lc = g.leading_coefficient(LEX)
+            unit *= lc ** mult
+            out.append((g.scale(Fraction(1) / lc), int(mult)))
     out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
     return unit, out
+
+
+def _split_quadratic(monic, var):
+    """The factors of a monic polynomial of degree 1 or 2, low degree first
+    in ``monic``, as factor_univariate lists them (before sorting)."""
+    if len(monic) == 2:
+        return [(univariate_poly(monic, var), 1)]
+    c, b, _ = monic
+    disc = b * b - 4 * c
+    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return [(univariate_poly(monic, var), 1)]
+    root = Fraction(num, den)
+    if not root:
+        return [(univariate_poly([b / 2, Fraction(1)], var), 2)]
+    return [(univariate_poly([(b + sign * root) / 2, Fraction(1)], var), 1) for sign in (1, -1)]
 
 
 def is_squarefree(f):

@@ -377,8 +377,35 @@ def _smoothness_certificate(at):
     )
 
 
-def _smoothness_entry(inst):
-    """Jacobian rank at the witness against the codimension of Y."""
+def _complete_intersection(ideal, point, codim):
+    """Whether codim polynomials generate the ideal: the first nonzero
+    generators, then reduced basis elements, whose gradients at the point
+    on V(ideal) are independent, chosen greedily.  A polynomial that only
+    multiplies others has gradient zero there, so redundant generators of
+    that kind never change the choice."""
+    generators = _nonzero_generators(ideal)
+    basis = ideal.groebner_basis()
+    chosen = []
+    for g in generators + list(basis):
+        if len(chosen) == codim:
+            break
+        if linalg.rank(jacobian_at(chosen + [g], ideal.variables, point)) > len(chosen):
+            chosen.append(g)
+    if len(chosen) < codim:
+        return False
+    return all(g in chosen for g in generators) or (
+        Ideal(ideal.variables, chosen, ideal.budget).groebner_basis() == basis
+    )
+
+
+def _smoothness_entry(inst, decide=None):
+    """Jacobian rank at the witness against the codimension of Y.
+
+    Rank = codimension shows a smooth witness only when every component of
+    Y through it has the dimension of Y; that is known when codimension-many
+    polynomials generate I(Y) (a complete intersection is unmixed), or when
+    Y is decided irreducible.  Otherwise a smaller component may pass
+    through the witness and be singular there."""
     if inst.witness is None:
         return HypothesisEntry("smooth_witness", "undetermined", "no witness supplied")
     try:
@@ -393,8 +420,17 @@ def _smoothness_entry(inst):
         return HypothesisEntry("smooth_witness", "refuted", "Y is empty")
     codim = len(inst.y_ideal.variables) - dim
     if rank == codim:
+        if _complete_intersection(inst.y_ideal, inst.witness, codim) or (
+            (decide or decide_irreducibility)(inst.y_ideal).status == "irreducible"
+        ):
+            return HypothesisEntry(
+                "smooth_witness", "verified", f"Jacobian rank {rank} = codimension"
+            )
         return HypothesisEntry(
-            "smooth_witness", "verified", f"Jacobian rank {rank} = codimension"
+            "smooth_witness",
+            "undetermined",
+            f"Jacobian rank {rank} = codimension {codim}, but Y is not known to be "
+            f"equidimensional: a smaller component through the witness may be singular there",
         )
     if rank > codim:
         return HypothesisEntry(
@@ -483,9 +519,11 @@ def check_instance(inst):
     entries.extend(
         _dominance_entries(inst, containment.status == "verified", at, decide)
     )
-    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst))
+    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, decide))
     entries.append(_irreducibility_entry(inst, "X", decide))
-    entries.append(_irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y"))
+    entries.append(
+        _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y", decide)
+    )
     entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst))
     return HypothesisReport(tuple(entries))
 

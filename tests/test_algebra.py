@@ -21,8 +21,6 @@ from dfields.algebra import (
     rational_field_algebra,
     residue_projection,
     apply_residue_projection,
-    _minimal_polynomial_in_quotient,
-    _Quotient,
 )
 from dfields.poly import (
     MultiPoly,
@@ -31,6 +29,15 @@ from dfields.poly import (
     parse_polynomial,
     univariate_coeffs,
     univariate_poly,
+)
+
+from test_linalg import (
+    reference_inverse,
+    reference_mat_mul,
+    reference_mat_vec,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
 )
 
 
@@ -101,7 +108,7 @@ def test_constants_become_fractions_and_fractions_are_kept():
         entries = [c for plane in algebra.struct_consts for row in plane for c in row]
         assert all(type(c) is Fraction for c in entries + list(algebra.unit))
         assert (algebra.struct_consts, algebra.unit) == (given.struct_consts, given.unit)
-        assert algebra._nonzero == given._nonzero
+        assert (algebra._den, algebra._rows) == (given._den, given._rows)
         assert check_algebra(algebra).is_valid
 
 
@@ -427,29 +434,192 @@ def _uni_ext_gcd(a, b):
     return [c / r0[-1] for c in r0], [c / r0[-1] for c in u0]
 
 
+# ---------------------------------------------------------------------------
+# Fraction reference for the local decomposition: the routines as they ran
+# on Fractions before the int kernels, reading the dense struct_consts
+
+
+def _ref_mul(algebra, u, v):
+    a = algebra.struct_consts
+    out = [F(0)] * algebra.dim
+    for i, x in enumerate(u):
+        for j, y in enumerate(v):
+            if x and y:
+                for k, c in enumerate(a[i][j]):
+                    out[k] += c * x * y
+    return out
+
+
+def _ref_multiplication_matrix(algebra, coords):
+    n, a = algebra.dim, algebra.struct_consts
+    return [
+        [sum((a[i][j][k] * coords[i] for i in range(n)), F(0)) for j in range(n)]
+        for k in range(n)
+    ]
+
+
+def _ref_echelon_add(echelon, v, width):
+    for pivot, row in echelon:
+        f = v[pivot]
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    pivot = next((j for j in range(width) if v[j]), None)
+    if pivot is not None:
+        echelon.append((pivot, [c / v[pivot] for c in v]))
+    return v
+
+
+class _RefQuotient:
+    """Coordinates for A/N: e_i represents A/N when it is independent of N
+    and of the e's taken before it."""
+
+    def __init__(self, algebra, nil_basis):
+        self.algebra = algebra
+        n = algebra.dim
+        columns = [list(v) for v in nil_basis]
+        echelon = []
+        for v in columns:
+            _ref_echelon_add(echelon, v, n)
+        self.rep_indices = []
+        for i in range(n):
+            e = [F(1) if j == i else F(0) for j in range(n)]
+            if any(_ref_echelon_add(echelon, e, n)):
+                columns.append(e)
+                self.rep_indices.append(i)
+        self.dim = len(self.rep_indices)
+        self._to_coords = reference_inverse(list(map(list, zip(*columns))))[len(nil_basis):]
+
+    def project(self, coords):
+        return reference_mat_vec(self._to_coords, list(coords))
+
+    def lift(self, qcoords):
+        coords = [F(0)] * self.algebra.dim
+        for c, idx in zip(qcoords, self.rep_indices):
+            coords[idx] += c
+        return coords
+
+    def mul(self, u, v):
+        return self.project(_ref_mul(self.algebra, self.lift(u), self.lift(v)))
+
+    def one(self):
+        return self.project(self.algebra.unit)
+
+
+def _ref_minimal_polynomial(quot, u):
+    d = quot.dim
+    echelon = []
+    powers = []
+    power = quot.one()
+    for k in range(d + 1):
+        tag = [F(0)] * (d + 1)
+        tag[k] = F(1)
+        rest = _ref_echelon_add(echelon, power + tag, d)
+        if not any(rest[:d]):
+            return rest[d:d + k + 1], powers, echelon
+        powers.append(power)
+        power = quot.mul(power, u)
+    raise AssertionError("minimal polynomial search exceeded quotient dimension")
+
+
+def _ref_residue_table(p, d):
+    p_coeffs = univariate_coeffs(p, "x")
+    r = len(p_coeffs) - 1
+    column = [F(1)] + [F(0)] * (r - 1)
+    columns = []
+    for _ in range(d):
+        columns.append(column)
+        top = column[-1]
+        column = [a - top * b for a, b in zip([F(0)] + column[:-1], p_coeffs)]
+    return [list(row) for row in zip(*columns)]
+
+
+def _ref_primitive_element(algebra):
+    """The nilradical basis, the quotient, the projected basis and the
+    primitive element with its minimal polynomial, powers and elimination
+    rows, found as local_decompose finds them."""
+    n, a = algebra.dim, algebra.struct_consts
+    trace = [sum(a[i][j][j] for j in range(n)) for i in range(n)]
+    trace_form = [
+        [sum(a[i][j][k] * trace[k] for k in range(n)) for j in range(n)] for i in range(n)
+    ]
+    nil_basis = reference_nullspace(trace_form)
+    quot = _RefQuotient(algebra, nil_basis)
+    projected = [quot.project([F(int(j == i)) for j in range(n)]) for i in range(n)]
+    rng = random.Random(20230517)
+    randoms = (quot.project([F(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100))
+    for primitive in itertools.chain(projected, randoms):
+        minpoly, powers, echelon = _ref_minimal_polynomial(quot, primitive)
+        if len(minpoly) - 1 == quot.dim:
+            return nil_basis, quot, projected, primitive, minpoly, powers, echelon
+    raise AssertionError("no primitive element")
+
+
+def _ref_lift_idempotent(algebra, e):
+    for _ in range(algebra.dim + 2):
+        e2 = _ref_mul(algebra, e, e)
+        if e2 == e:
+            return e
+        e = [3 * x - 2 * y for x, y in zip(e2, _ref_mul(algebra, e2, e))]
+    raise AssertionError("idempotent lifting did not converge")
+
+
+def _reference_to_dict(algebra):
+    """algebra.to_dict(with_components=True), computed on Fractions."""
+    nil_basis, quot, projected, _, minpoly, powers, echelon = _ref_primitive_element(algebra)
+    d = quot.dim
+    _, factors = factor_univariate(univariate_poly(minpoly, "x"), "x")
+    zeros = [F(0)] * (d + 1)
+    in_power_basis = list(zip(*(
+        _ref_echelon_add(echelon, [-c for c in qc] + zeros, d)[d:2 * d] for qc in projected
+    )))
+    tables = [_ref_residue_table(p, d) for p, _ in factors]
+    crt_inv = reference_inverse([row for table in tables for row in table])
+    power_matrix = list(map(list, zip(*powers)))
+    comps = []
+    offset = 0
+    for (p, _), table in zip(factors, tables):
+        ebar = reference_mat_vec(power_matrix, [row[offset] for row in crt_inv])
+        offset += len(table)
+        e = _ref_lift_idempotent(algebra, quot.lift(ebar))
+        mult_e = _ref_multiplication_matrix(algebra, e)
+        ideal_rows = [reference_mat_vec(mult_e, v) for v in nil_basis]
+        reduced, pivots = reference_rref(ideal_rows) if ideal_rows else ([], [])
+        residue_dim = p.total_degree()
+        comps.append({
+            "idempotent": [str(c) for c in e],
+            "dim": reference_rank(mult_e),
+            "residue_poly": format_poly(p if residue_dim > 1 else MultiPoly.variable("x")),
+            "residue_dim": residue_dim,
+            "max_ideal_basis": [[str(c) for c in reduced[r]] for r in range(len(pivots))],
+            "matrix": reference_mat_mul(table, in_power_basis),
+            "key": tuple(e),
+        })
+
+    def distinguished(comp):
+        first = comp["matrix"][0]
+        return comp["residue_dim"] == 1 and first[0] == 1 and not any(first[1:])
+
+    comps.sort(key=lambda c: c["key"], reverse=True)
+    comps.sort(key=lambda c: 0 if distinguished(c) else 1)
+    return {
+        "dim": algebra.dim,
+        "basis": list(algebra.basis_names),
+        "a": [[[str(c) for c in row] for row in plane] for plane in algebra.struct_consts],
+        "b": [str(c) for c in algebra.unit],
+        "pi_index": 0 if distinguished(comps[0]) else None,
+        "components": [
+            {k: v for k, v in c.items() if k not in ("matrix", "key")} for c in comps
+        ],
+    }
+
+
 def _euclid_decompose(algebra):
     """The local factors, split by univariate Euclid in the polynomial
     ring of the primitive element: the reference for the CRT inverse of
     local_decompose.  Maps each idempotent to its residue polynomial,
     residue matrix and maximal-ideal basis."""
     n = algebra.dim
-    a = algebra.struct_consts
-    trace = [sum(a[i][j][j] for j in range(n)) for i in range(n)]
-    trace_form = [
-        [sum(a[i][j][k] * trace[k] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-    nil_basis = linalg.nullspace(trace_form)
-    quot = _Quotient(algebra, nil_basis)
-    projected = [quot.project(algebra.basis_element(i).coords) for i in range(n)]
-    rng = random.Random(20230517)
-    randoms = (
-        quot.project([F(rng.randint(-5, 5)) for _ in range(n)]) for _ in range(100)
-    )
-    for primitive in itertools.chain(projected, randoms):
-        minpoly = _minimal_polynomial_in_quotient(quot, primitive)[0]
-        if len(minpoly) - 1 == quot.dim:
-            break
+    nil_basis, quot, projected, primitive, minpoly, _, _ = _ref_primitive_element(algebra)
     power_basis = [quot.one()]
     for _ in range(quot.dim - 1):
         power_basis.append(quot.mul(power_basis[-1], primitive))
@@ -529,6 +699,67 @@ def test_crt_split_matches_euclid_reference(algebra):
         for c in comps
     } == _euclid_decompose(algebra)
     assert len(comps) == len(set(c.idempotent.coords for c in comps))
+
+
+_FACTORS = (
+    rational_field_algebra(),
+    from_presentation(["e"], ["e^2"]),
+    from_presentation(["e"], ["e^3"]),
+    from_presentation(["y"], ["y^2 + 1"]),
+    from_presentation(["y"], ["y^2 - 2/3"]),
+    from_presentation(["y"], ["(y - 1/2)^2"]),
+)
+
+
+def _transpose(m):
+    return list(map(list, zip(*m)))
+
+
+def _change_of_basis(algebra, t):
+    """The same algebra as a table on the basis f_i = sum_j t[i][j] e_j."""
+    n, a = algebra.dim, algebra.struct_consts
+    to_f = _transpose(reference_inverse(t))
+    table = []
+    for i in range(n):
+        plane = []
+        for j in range(n):
+            prod = [F(0)] * n
+            for p, x in enumerate(t[i]):
+                for q, y in enumerate(t[j]):
+                    if x and y:
+                        prod = [s + x * y * c for s, c in zip(prod, a[p][q])]
+            plane.append(reference_mat_vec(to_f, prod))
+        table.append(plane)
+    return FiniteDimAlgebra(table, reference_mat_vec(to_f, list(algebra.unit)))
+
+
+@st.composite
+def _products_in_a_random_basis(draw):
+    """A product of small local algebras, as a table in a basis L U with L
+    unit lower triangular and U upper triangular, both invertible."""
+    algebra = product_algebra(*draw(st.lists(st.sampled_from(_FACTORS), min_size=2, max_size=3)))
+    n = algebra.dim
+    small = st.integers(-1, 1).map(F)
+    diagonal = st.sampled_from((F(1), F(-1), F(2), Fraction(1, 2)))
+    lower = [[draw(small) if j < i else F(int(i == j)) for j in range(n)] for i in range(n)]
+    upper = [
+        [draw(small) if j > i else (draw(diagonal) if i == j else F(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    return _change_of_basis(algebra, reference_mat_mul(lower, upper))
+
+
+_DECOMPOSED_ALGEBRAS = st.one_of(
+    st.integers(1, 8).map(lambda k: from_presentation(["e"], [f"e^{k}"])),
+    _relation("y", 6).map(lambda f: from_presentation(["y"], [f])),
+    _products_in_a_random_basis(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DECOMPOSED_ALGEBRAS)
+def test_decomposition_matches_fraction_reference(algebra):
+    assert algebra.to_dict(with_components=True) == _reference_to_dict(algebra)
 
 
 def test_pi_is_coordinate_zero_for_adapted_algebras(dual, q3, dual_x_q):

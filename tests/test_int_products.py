@@ -44,7 +44,14 @@ def _reference_tensor_mul(a, b, ideal=None):
     algebra = a.algebra
     variables = a.comps[0].variables
     sums = [{} for _ in range(algebra.dim)]
-    for i, j, k, c in algebra._nonzero:
+    nonzero = [
+        (i, j, k, c)
+        for i, plane in enumerate(algebra.struct_consts)
+        for j, row in enumerate(plane)
+        for k, c in enumerate(row)
+        if c
+    ]
+    for i, j, k, c in nonzero:
         target = sums[k]
         for e1, c1 in a.comps[i].terms.items():
             cc1 = c * c1

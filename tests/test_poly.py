@@ -33,6 +33,9 @@ from dfields.poly import (
     radical_membership,
     s_polynomial,
     univariate_coeffs,
+    univariate_poly,
+    _multipoly_from_sympy,
+    _sympy_from_multipoly,
 )
 from dfields import cli
 from dfields.algebra import solve_zero_dim
@@ -1013,6 +1016,57 @@ def test_factor_tracks_units_and_multiplicity():
     unit, factors = factor_univariate(P("4*x^2 - 4*x + 1"))
     assert [(format_poly(f), m) for f, m in factors] == [("x - 1/2", 2)]
     assert unit == 4
+
+
+def _sympy_factor_univariate(f, var):
+    """factor_univariate with every degree sent to sympy: the reference for
+    the cases of degree 2 and below that no longer reach it."""
+    import sympy
+
+    const, factors = _sympy_from_multipoly(f, [var]).factor_list()
+    unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
+    out = []
+    for fac, mult in factors:
+        g = _multipoly_from_sympy(fac, [var])
+        lc = g.leading_coefficient(LEX)
+        unit *= lc ** mult
+        out.append((g.scale(1 / lc), int(mult)))
+    out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
+    return unit, out
+
+
+_RATIONALS = st.fractions(-5, 5, max_denominator=6)
+
+
+@st.composite
+def _low_degree(draw):
+    """Coefficients, low first, of a polynomial of degree at most 2 with a
+    rational leading coefficient: a constant, a linear polynomial, a
+    product of two linear factors (a double root when they agree), or any
+    quadratic, most of which are irreducible."""
+    lead = draw(_RATIONALS.filter(bool))
+    kind = draw(st.sampled_from(("constant", "linear", "split", "double", "any")))
+    if kind == "constant":
+        return [lead]
+    if kind == "linear":
+        return [-lead * draw(_RATIONALS), lead]
+    if kind == "any":
+        return [draw(_RATIONALS), draw(_RATIONALS), lead]
+    r = draw(_RATIONALS)
+    s = r if kind == "double" else draw(_RATIONALS)
+    return [lead * r * s, -lead * (r + s), lead]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_low_degree())
+@example([Fraction(-2), Fraction(0), Fraction(1)])  # irreducible: x^2 - 2
+@example([Fraction(3, 4), Fraction(-3), Fraction(3)])  # 3 (x - 1/2)^2
+@example([Fraction(1), Fraction(-3), Fraction(2)])  # 2 (x - 1) (x - 1/2)
+def test_low_degree_factorisation_matches_sympy(coeffs):
+    f = univariate_poly(coeffs, "t")
+    assert factor_univariate(f, "t") == _sympy_factor_univariate(f, "t")
+    if len(coeffs) > 1:
+        assert factor_univariate(f) == _sympy_factor_univariate(f, "t")
 
 
 def test_solve_zero_dim_two_points():

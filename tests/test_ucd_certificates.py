@@ -11,7 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from dfields.poly import Ideal, parse_polynomial
+from dfields.algebra import rational_field_algebra
+from dfields.cli import parse, run
+from dfields.poly import Ideal, IrreducibilityResult, parse_polynomial
 from dfields.prolongation import BaseDStructure, prolong
 from dfields.ucd import (
     _at_witness,
@@ -125,3 +127,55 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
                 assert all(
                     _dominance_certified(inst, i, at, decide_irreducibility) for i in (0, 1)
                 )
+
+
+NODE_DOCUMENT = """
+algebra q = Q[t]/(t);
+
+variety space { vars = [x, y, z]; }
+
+ucd node {
+  algebra = q;
+  X = space;
+  Y = (z_0*(x_0 - 5), z_0*(y_0^2 - (z_0 - 1)^2*z_0));
+  witness = (5, 0, 1);
+}
+"""
+
+
+def test_rank_equal_to_codimension_does_not_verify_a_node_on_a_smaller_component():
+    # Y is the plane z = 0 and the nodal curve x = 5, y^2 = (z - 1)^2 z; the
+    # witness is the node, where the Jacobian rank 1 equals the codimension
+    # of the plane but the curve is singular
+    lines = run("ucd check", parse(NODE_DOCUMENT)).lines
+    assert (
+        "  smooth_witness: undetermined (Jacobian rank 1 = codimension 1, but Y is not "
+        "known to be equidimensional: a smaller component through the witness may be "
+        "singular there)"
+    ) in lines
+
+
+def _node_instance(gens, witness):
+    base = BaseDStructure.trivial(rational_field_algebra())
+    x_ideal = Ideal(("x", "y", "z"), [])
+    yvars = prolong(base, x_ideal).variables
+    return ucd_instance(base, x_ideal, Ideal(yvars, gens), witness=witness)
+
+
+def test_rank_equal_to_codimension_verifies_an_equidimensional_y():
+    cases = (
+        # two generators in codimension 2
+        (["x_0 - 5", "y_0^2 - z_0^3 - z_0"], (5, 0, 0)),
+        # four generators, the first two of which generate
+        (["x_0 - y_0", "y_0 - z_0", "x_0 - z_0", "(x_0 - y_0)^2"], (1, 1, 1)),
+    )
+    for gens, witness in cases:
+        entry = _smoothness_entry(_node_instance(gens, witness))
+        assert (entry.status, entry.detail) == ("verified", "Jacobian rank 2 = codimension")
+    # Y decided irreducible: every component through the witness is Y
+    node = _node_instance(
+        ["z_0*(x_0 - 5)", "z_0*(y_0^2 - (z_0 - 1)^2*z_0)"], (5, 0, 1)
+    )
+    assert _smoothness_entry(node).status == "undetermined"
+    irreducible = lambda ideal: IrreducibilityResult("irreducible", "given")  # noqa: E731
+    assert _smoothness_entry(node, irreducible).status == "verified"
