@@ -39,7 +39,7 @@ from .algebra import (
     from_presentation,
     local_decompose,
 )
-from .dring import DRingError, make_doperator
+from .dring import DRingError, check_image_size, make_doperator
 from .dvariety import (
     DVarietyError,
     make_dvariety,
@@ -722,6 +722,8 @@ class Resolver:
 
     def instance(self, block):
         base = self.base(block)
+        for v, comps in block.d_images:
+            check_image_size(base.algebra, v, comps)
         variety = self.doc.lookup(block.x_ref)
         params = tuple(base.params)
         x_ideal = self.ideal(params + variety.variables, variety.generators)

@@ -301,6 +301,15 @@ class DOperator:
         return f"DOperator(vars={list(self.variables)}, relations=[{rels}])"
 
 
+def check_image_size(algebra, v, comps):
+    """Raise DRingError unless the image ``comps`` of ``v`` has dim(D)
+    components."""
+    if len(comps) != algebra.dim:
+        raise DRingError(
+            f"image of {v!r} has {len(comps)} components; dim(D) is {algebra.dim}"
+        )
+
+
 def _coerce_images(algebra, ideal, images):
     out = {}
     for v, img in images.items():
@@ -308,10 +317,7 @@ def _coerce_images(algebra, ideal, images):
             raise DRingError(f"image given for {v!r}, which is not a ring variable")
         comps = img.comps if isinstance(img, TensorElement) else img
         comps = [as_poly(c, ideal.variables) for c in comps]
-        if len(comps) != algebra.dim:
-            raise DRingError(
-                f"image of {v!r} has {len(comps)} components; dim(D) is {algebra.dim}"
-            )
+        check_image_size(algebra, v, comps)
         out[v] = TensorElement(algebra, comps)
     missing = set(ideal.variables) - set(out)
     if missing:

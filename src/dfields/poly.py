@@ -19,12 +19,9 @@ arithmetic:
   ``min`` find the leading term;
 - a polynomial computes its leading exponent once per order and keeps it,
   and each S-pair keeps the sort key of its lcm from when it is formed;
-- :func:`normal_form` divides with a heap of negated keys over the working
-  terms (Monagan and Pearce, "Sparse polynomial division using a heap",
-  JSC 2011), skipping entries whose term has cancelled;
 - results that are clean by construction (sums, products, scalings,
-  remainders, S-polynomials) are built by ``MultiPoly._trusted`` without
-  re-validating; ``MultiPoly(...)`` validates outside input in full;
+  remainders) are built by ``MultiPoly._trusted`` without re-validating;
+  ``MultiPoly(...)`` validates outside input in full;
 - a product multiplies ints: each operand's terms are scaled by the lcm
   of its denominators (:func:`_common_int_terms`), the numerators are
   multiplied and summed, and each output term becomes one Fraction over
@@ -32,19 +29,19 @@ arithmetic:
   one-term factor just scales the other's terms.  The tensor products of
   ``dring`` use the same two helpers.
 
-Inside :func:`groebner_basis_of` the coefficients are ints (fraction-free).
-Each basis entry is a dict of coprime int coefficients with a positive
-leading coefficient, plus its leading exponent; an input generator is
-scaled once by the lcm of its denominators and divided by its content.
-S-pairs are formed on ints, and candidates are pseudo-divided: the
-division of :func:`normal_form`, step for step, except that before
-cancelling c*x^a by g the working terms and the remainder are multiplied
-by lc(g) / gcd(c, lc(g)).  Every scaling is by a nonzero constant, so the
-pairs, the leads and the budget errors are those of the division over Q.
-Each nonzero remainder is made primitive before it joins the basis, and
-the reduced basis is converted to monic Fraction coefficients once, at
-the end.  :func:`normal_form` itself stays on Fractions: it is the exact
-remainder that membership tests and the other modules read as a value.
+:func:`_pseudo_remainder` is the one division routine, and it runs on ints.
+It divides with a heap of negated keys over the working terms (Monagan and
+Pearce, "Sparse polynomial division using a heap", JSC 2011), skipping
+entries whose term has cancelled.  Before it cancels c*x^a by g it
+multiplies the working terms and the remainder by lc(g) / gcd(c, lc(g)),
+and it returns the product of these scalings.  Each scaling is a nonzero
+constant, so the popped leads and the budget errors are those of the
+division over Q.  :func:`normal_form` scales f to ints once, divides by the
+int form each basis polynomial keeps, and divides the remainder once by the
+scale product.  :func:`groebner_basis_of` keeps each basis entry as coprime
+ints with a positive leading coefficient, forms S-pairs on ints, and makes
+each nonzero remainder primitive; the reduced basis becomes monic
+Fractions once, at the end, each keeping its ints as its int form.
 
 Polynomial text is read in one pass.  :func:`tokenize` runs one compiled
 regular expression over the text and yields ``Token`` named tuples with
@@ -176,8 +173,8 @@ class MultiPoly:
     """
 
     # _lead ({order: leading exponent}) is only set once a leading exponent
-    # is asked for
-    __slots__ = ("variables", "terms", "_canon", "_lead")
+    # is asked for, _ints (see _int_terms) once the int form is
+    __slots__ = ("variables", "terms", "_canon", "_lead", "_ints")
 
     def __init__(self, variables=(), terms=None):
         object.__setattr__(self, "variables", tuple(variables))
@@ -424,6 +421,19 @@ class MultiPoly:
                 raise ValueError("zero polynomial has no leading term")
             lead = cache[order] = min(self.terms, key=order.neg_key)
         return lead
+
+    def _int_terms(self):
+        """The terms times lcm(denominators) / gcd(numerators): coprime int
+        coefficients, computed once; the dict is shared, so callers only
+        read it."""
+        try:
+            return self._ints
+        except AttributeError:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            num = math.gcd(*(c.numerator for c in self.terms.values()))
+            ints = {e: c.numerator // num * (den // c.denominator) for e, c in self.terms.items()}
+            object.__setattr__(self, "_ints", ints)
+            return ints
 
     def leading_coefficient(self, order=GREVLEX):
         return self.terms[self.leading_exponent(order)]
@@ -781,70 +791,25 @@ def _exp_coprime(a, b):
     return not any(map(mul, a, b))
 
 
-def _mono_times(p, exp, coeff):
-    return {tuple(map(add, m, exp)): c * coeff for m, c in p.terms.items()}
-
-
 def normal_form(f, basis, order=GREVLEX, budget=None):
     """Remainder of f on full division by ``basis`` (list of nonzero polys).
 
     All polynomials must share one variable tuple.  The result has no term
     divisible by any basis leading monomial; deterministic for fixed input.
     Each step divides the largest remaining term by the first basis element
-    whose leading monomial divides it.
+    whose leading monomial divides it (:func:`_pseudo_remainder`, on ints).
+    An f within the degree budget with no divisible term is returned as is.
     """
     budget = budget or DEFAULT_BUDGET
-    neg_key = order.neg_key
-    info = []
-    for g in basis:
-        glm = g.leading_exponent(order)
-        info.append((glm, g.terms[glm], g.terms))
-    work = dict(f.terms)
-    # min-heap of (negated key, exponent) over the terms of ``work``; an
-    # entry whose term has cancelled, or was already taken, is skipped
-    heap = [(neg_key(exp), exp) for exp in work]
-    heapq.heapify(heap)
-    remainder = {}
-    while heap:
-        lead = heapq.heappop(heap)[1]
-        c = work.pop(lead, None)
-        if c is None:
-            continue
-        if sum(lead) > budget.max_degree:
-            raise BudgetExceededError(
-                f"budget exhausted: degree {sum(lead)} exceeds cap {budget.max_degree}"
-            )
-        for glm, glc, gterms in info:
-            if _exp_divides(glm, lead):
-                factor = -c / glc
-                shift = _exp_sub(lead, glm)
-                for m, gc in gterms.items():
-                    if m == glm:
-                        continue
-                    exp = tuple(map(add, m, shift))
-                    old = work.get(exp)
-                    if old is None:
-                        work[exp] = factor * gc
-                        heapq.heappush(heap, (neg_key(exp), exp))
-                    else:
-                        old += factor * gc
-                        if old:
-                            work[exp] = old
-                        else:
-                            del work[exp]
-                break
-        else:
-            remainder[lead] = c
-    return MultiPoly._trusted(f.variables, remainder)
-
-
-def s_polynomial(f, g, order=GREVLEX):
-    lf = f.leading_exponent(order)
-    lg = g.leading_exponent(order)
-    lcm = _exp_lcm(lf, lg)
-    a = MultiPoly._trusted(f.variables, _mono_times(f, _exp_sub(lcm, lf), 1 / f.terms[lf]))
-    b = MultiPoly._trusted(g.variables, _mono_times(g, _exp_sub(lcm, lg), 1 / g.terms[lg]))
-    return a - b
+    leads = [g.leading_exponent(order) for g in basis]
+    if f.total_degree() <= budget.max_degree and not any(
+        _exp_divides(glm, exp) for exp in f.terms for glm in leads
+    ):
+        return f
+    den, (terms,) = _common_int_terms([f.terms])
+    ints = [(g._int_terms(), glm) for g, glm in zip(basis, leads)]
+    remainder, scale = _pseudo_remainder(terms, ints, order, budget)
+    return MultiPoly._trusted(f.variables, _fraction_terms(remainder, den * scale))
 
 
 def _gm_update(G, pairs, h, order):
@@ -879,14 +844,6 @@ def _gm_update(G, pairs, h, order):
     return new_G, surviving
 
 
-def _integer_terms(p):
-    """The terms of p times lcm(denominators) / gcd(numerators): coprime
-    int coefficients."""
-    den = math.lcm(*(c.denominator for c in p.terms.values()))
-    num = math.gcd(*(c.numerator for c in p.terms.values()))
-    return {e: c.numerator // num * (den // c.denominator) for e, c in p.terms.items()}
-
-
 def _primitive(terms, lead):
     """int terms divided by their content, signed so that the coefficient
     at ``lead`` is positive."""
@@ -919,14 +876,14 @@ def _s_pair(f, g):
 
 
 def _pseudo_remainder(terms, basis, order, budget):
-    """A nonzero rational multiple of :func:`normal_form` on int terms.
+    """The remainder of int terms on full division by ``basis``, integer
+    entries (terms, lead), and the product s of the scalings applied.
 
-    ``basis`` holds integer entries (terms, lead) with positive leading
-    coefficients.  The division is :func:`normal_form`'s, step for step:
-    the same heap, the same popped leads, the same divisor and the same
-    budget check.  To cancel c*x^a by g it first multiplies the working
-    terms and the remainder by lc_g / gcd(c, lc_g), so every coefficient
-    stays an int.  The remainder comes out in descending order.
+    Each popped lead is checked against the degree budget and divided by
+    the first entry whose lead divides it.  To cancel c*x^a by g it first
+    multiplies the working terms and the remainder by lc_g / gcd(c, lc_g),
+    so every coefficient stays an int.  The remainder comes out in
+    descending order, and remainder / s is the remainder over Q.
     """
     neg_key = order.neg_key
     max_degree = budget.max_degree
@@ -934,6 +891,7 @@ def _pseudo_remainder(terms, basis, order, budget):
     heap = [(neg_key(exp), exp) for exp in work]
     heapq.heapify(heap)
     remainder = {}
+    multiplier = 1
     while heap:
         lead = heapq.heappop(heap)[1]
         c = work.pop(lead, None)
@@ -951,6 +909,7 @@ def _pseudo_remainder(terms, basis, order, budget):
                 if scale != 1:
                     work = {e: v * scale for e, v in work.items()}
                     remainder = {e: v * scale for e, v in remainder.items()}
+                    multiplier *= scale
                 factor = -(c // d)
                 shift = _exp_sub(lead, glm)
                 for m, gc in gterms.items():
@@ -970,7 +929,7 @@ def _pseudo_remainder(terms, basis, order, budget):
                 break
         else:
             remainder[lead] = c
-    return remainder
+    return remainder, multiplier
 
 
 def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
@@ -978,7 +937,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     budget = budget or DEFAULT_BUDGET
     variables = tuple(variables)
     queue = [
-        _integer_terms(g.on_variables(variables)) for g in generators if not g.is_zero()
+        g.on_variables(variables)._int_terms() for g in generators if not g.is_zero()
     ]
     if not queue:
         return ()
@@ -994,7 +953,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
             keys = [pair[0] for pair in pairs]
             _, _, f, g = pairs.pop(keys.index(min(keys)))
             cand = _s_pair(f, g)
-        reduced = _pseudo_remainder(cand, G, order, budget) if G else cand
+        reduced = _pseudo_remainder(cand, G, order, budget)[0] if G else cand
         if not reduced:
             continue
         lead = min(reduced, key=neg_key)
@@ -1018,14 +977,14 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     for terms, lead in sorted(G, key=lambda entry: order.key(entry[1])):
         if not any(_exp_divides(m, lead) for _, m in minimal):
             if minimal:
-                terms = _primitive(_pseudo_remainder(terms, minimal, order, budget), lead)
+                terms = _primitive(_pseudo_remainder(terms, minimal, order, budget)[0], lead)
             minimal.append((terms, lead))
     basis = []
     for terms, lead in reversed(minimal):
         lc = terms[lead]
-        basis.append(
-            MultiPoly._trusted(variables, {e: Fraction(c, lc) for e, c in terms.items()})
-        )
+        g = MultiPoly._trusted(variables, {e: Fraction(c, lc) for e, c in terms.items()})
+        object.__setattr__(g, "_ints", terms)
+        basis.append(g)
     return tuple(basis)
 
 

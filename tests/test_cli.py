@@ -411,6 +411,18 @@ def test_ucd_base_over_another_algebra_is_an_input_error(tmp_path, capsys):
     assert "'split'" in err and "'dual'" in err
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_ucd_rejects_image_with_wrong_component_count(tmp_path, capsys, command):
+    path = tmp_path / "ode.dr"
+    path.write_text(
+        fixture_text("ode_quadratic.dr").replace("d x = (x, x^2);", "d x = (x, x^2, 1);")
+    )
+    code = main(["ucd", command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: image of 'x' has 3 components; dim(D) is 2" in err
+
+
 def test_fixture_corpus_runs_clean_and_fast():
     start = time.perf_counter()
     ok, lines = run_fixture_corpus()

@@ -31,7 +31,6 @@ from dfields.poly import (
     normal_form,
     parse_polynomial,
     radical_membership,
-    s_polynomial,
     univariate_coeffs,
     univariate_poly,
     _multipoly_from_sympy,
@@ -609,7 +608,9 @@ def _reference_normal_form(f, basis, order=GREVLEX, budget=None):
     while work:
         lead = max(work, key=order.key)
         if sum(lead) > budget.max_degree:
-            raise BudgetExceededError("reference: degree over the cap")
+            raise BudgetExceededError(
+                f"budget exhausted: degree {sum(lead)} exceeds cap {budget.max_degree}"
+            )
         c = work.pop(lead)
         for g, glm in info:
             if all(x <= y for x, y in zip(glm, lead)):
@@ -632,6 +633,11 @@ _VARS = ("x", "y", "z")
 _POLYS = st.dictionaries(_EXPS, st.integers(-2, 2), max_size=5).map(
     lambda terms: MultiPoly(_VARS, terms)
 )
+# coefficients with denominators and signs, so that leading coefficients
+# are rarely 1 and the pseudo-division has to scale
+_RATIONALS = st.builds(
+    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 2, 3, 5))
+)
 _NONZERO_POLYS = _POLYS.filter(lambda p: not p.is_zero())
 _DIVISION_ORDERS = st.sampled_from((GREVLEX, LEX, MonomialOrder("block", 1)))
 
@@ -641,10 +647,12 @@ _DIVISION_ORDERS = st.sampled_from((GREVLEX, LEX, MonomialOrder("block", 1)))
     st.lists(_NONZERO_POLYS, min_size=1, max_size=3),
     st.lists(_POLYS, max_size=3),
     _POLYS,
+    st.dictionaries(_EXPS, _RATIONALS, max_size=3).map(lambda t: MultiPoly(_VARS, t)),
 )
-def test_heap_division_matches_max_scan_reference(order, basis, multipliers, extra):
-    # f = sum m_i * g_i + extra: reducing it cancels terms along the way
-    f = extra
+def test_heap_division_matches_max_scan_reference(order, basis, multipliers, extra, fractional):
+    # f = sum m_i * g_i + extra + fractional: reducing it cancels terms along
+    # the way, and the fractional part gives f denominators
+    f = extra + fractional
     for m, g in zip(multipliers, basis):
         f = f + m * g
     remainder = normal_form(f, basis, order)
@@ -672,6 +680,11 @@ def test_heap_division_checks_degree_budget_on_each_lead():
     with pytest.raises(BudgetExceededError):
         _reference_normal_form(f, basis, LEX, tight)
     assert normal_form(f, basis, LEX) == P("y^5 + z", _VARS)
+
+
+def test_division_checks_degree_budget_on_terms_not_reduced():
+    with pytest.raises(BudgetExceededError):
+        normal_form(P("y^5", _VARS), [P("x", _VARS)], LEX, GroebnerBudget(max_degree=3))
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +716,6 @@ def test_trusted_results_are_clean(order, p, q, c):
     results = [p + q, p - q, p - p, p + (-p), p * q, p.scale(c), p.scale(Fraction(c, 2))]
     if not q.is_zero():
         results.append(normal_form(p, [q], order))
-        if not p.is_zero():
-            results.append(s_polynomial(p, q, order))
-            results.append(s_polynomial(p, p, order))
     for r in results:
         _assert_clean(r)
 
@@ -810,9 +820,28 @@ def _reference_gm_update(G, pairs, h, order):
     return new_G, surviving
 
 
+def s_polynomial(f, g, order=GREVLEX):
+    """The S-polynomial of f and g with both leading terms made monic."""
+    lf = f.leading_exponent(order)
+    lg = g.leading_exponent(order)
+    lcm = tuple(max(x, y) for x, y in zip(lf, lg))
+
+    def monic_times(p, lead):
+        shift = tuple(x - y for x, y in zip(lcm, lead))
+        lc = p.terms[lead]
+        terms = {tuple(map(sum, zip(m, shift))): c / lc for m, c in p.terms.items()}
+        return MultiPoly(p.variables, terms)
+
+    return monic_times(f, lf) - monic_times(g, lg)
+
+
 def _reference_groebner_basis(generators, variables, order, budget):
     """Buchberger on Fraction coefficients: monic S-polynomials, exact
     normal forms, and an interreduction that restarts after every change."""
+
+    def reduce(f, basis):
+        return MultiPoly(f.variables, _reference_normal_form(f, basis, order, budget))
+
     queue = [g.on_variables(variables) for g in generators if not g.is_zero()]
     if not queue:
         return ()
@@ -824,7 +853,7 @@ def _reference_groebner_basis(generators, variables, order, budget):
             keys = [pair[0] for pair in pairs]
             _, _, (f, _), (g, _) = pairs.pop(keys.index(min(keys)))
             cand = s_polynomial(f, g, order)
-        reduced = normal_form(cand, [g for g, _ in G], order, budget) if G else cand
+        reduced = reduce(cand, [g for g, _ in G]) if G else cand
         if reduced.is_zero():
             continue
         reduced = reduced.monic(order)
@@ -849,7 +878,7 @@ def _reference_groebner_basis(generators, variables, order, budget):
         changed = False
         for i, g in enumerate(minimal):
             others = minimal[:i] + minimal[i + 1:]
-            r = normal_form(g, others, order, budget).monic(order) if others else g
+            r = reduce(g, others).monic(order) if others else g
             if r.terms != g.terms:
                 minimal[i] = r
                 changed = True
@@ -858,11 +887,6 @@ def _reference_groebner_basis(generators, variables, order, budget):
     return tuple(minimal)
 
 
-# coefficients with denominators and signs, so that leading coefficients
-# are rarely 1 and the pseudo-division has to scale
-_RATIONALS = st.builds(
-    Fraction, st.integers(-6, 6).filter(bool), st.sampled_from((1, 1, 2, 3, 5))
-)
 _GB_POLYS = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 3), _RATIONALS, min_size=1, max_size=4
 ).map(lambda terms: MultiPoly(_VARS, terms))
