@@ -39,7 +39,7 @@ from .algebra import (
     from_presentation,
     local_decompose,
 )
-from .dring import DRingError, check_image_size, make_doperator
+from .dring import DRingError, check_images, make_doperator
 from .dvariety import (
     DVarietyError,
     make_dvariety,
@@ -722,9 +722,9 @@ class Resolver:
 
     def instance(self, block):
         base = self.base(block)
-        for v, comps in block.d_images:
-            check_image_size(base.algebra, v, comps)
         variety = self.doc.lookup(block.x_ref)
+        if block.d_images:
+            check_images(base.algebra, variety.variables, dict(block.d_images))
         params = tuple(base.params)
         x_ideal = self.ideal(params + variety.variables, variety.generators)
         y_vars = prolonged_variables(params, variety.variables, base.algebra.dim)

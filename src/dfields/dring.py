@@ -12,15 +12,24 @@ it from a map of variable images.
 
 Products in R (x) D run on ints.  The structure constants of D are kept
 as ints over one common denominator (``FiniteDimAlgebra.int_constants``),
-each operand's components are scaled to ints over one common denominator,
-and every multiply-add goes into one int term dict per component; a
-Fraction is built once per output term, when the dict is divided by the
-product of the denominators.  :func:`push_through` adds every term
-c * P_1 * ... * P_r of a polynomial (P_i its cached, reduced variable
-powers) into such dicts and reduces each component once, at the end:
-normal forms are linear and NF(NF(a) NF(b)) = NF(ab), so this is the
-normal form of the term-by-term sum, and ``DOperator.apply`` does not
-reduce again.
+and an operand's components are kept as ints over one common denominator
+too, next to their largest exponent per variable (its int form).  The one
+product loop, ``poly._add_products``, multiplies two int forms into one
+int term dict per component on packed exponents: each exponent tuple
+becomes one int with a slot per variable wide enough for the sum of the
+two operands' largest exponents, so the loop adds ints, and each output
+term is unpacked, and made a Fraction over the product of the
+denominators, once.
+
+The powers live in a :class:`PowerTable`: the variable images reduced mod
+the ideal, their powers and 1_D, each with its int form, filled on demand.
+A :class:`DOperator` owns one table, so every ``apply`` on it builds each
+power once.  :func:`push_through` adds every term c * P_1 * ... * P_r of a
+polynomial (P_i the table's reduced powers; a two-factor term multiplies
+the two cached int forms) into one packed int term dict per component and
+reduces each component once, at the end: normal forms are linear and
+NF(NF(a) NF(b)) = NF(ab), so this is the normal form of the term-by-term
+sum, and ``DOperator.apply`` does not reduce again.
 """
 
 from __future__ import annotations
@@ -29,14 +38,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .algebra import FiniteDimAlgebra
 from .poly import (
     Ideal,
     MonomialOrder,
     MultiPoly,
+    _add_products,
     _common_int_terms,
-    _fraction_terms,
+    _Packing,
+    _top_exponents,
     as_poly,
     format_poly,
     groebner_basis_of,
@@ -140,115 +152,144 @@ class TensorElement:
         return "TensorElement(" + ", ".join(format_poly(c) for c in self.comps) + ")"
 
 
-def _add_products(sums, table, left, right, factor):
-    """sums[k] += factor * s * (left[i] * right[j]) over the int structure
-    constants (i, j, k, s), on components given as lists of (exponent, int)
-    pairs and accumulators given as int term dicts."""
-    for i, j, k, s in table:
-        li = left[i]
-        rj = right[j]
-        if not li or not rj:
-            continue
-        target = sums[k]
-        get = target.get
-        fs = factor * s
-        for e1, c1 in li:
-            cc1 = fs * c1
-            for e2, c2 in rj:
-                exp = tuple(map(add, e1, e2))
-                target[exp] = get(exp, 0) + cc1 * c2
+class _IntForm(NamedTuple):
+    """Tensor components as ints over one denominator: ``comps[k]`` lists
+    the (exponent, den * coefficient) pairs of component k, and ``top`` is
+    the entrywise largest exponent over all components."""
+
+    den: int
+    comps: list
+    top: list
 
 
-def _tensor_from_ints(algebra, variables, sums, den, ideal):
-    """A TensorElement from int term dicts over ``den``; components reduced
-    mod ``ideal`` when given."""
-    comps = [MultiPoly._trusted(variables, _fraction_terms(t, den)) for t in sums]
+def _int_form(comps, variables):
+    den, comps = _common_int_terms([p.on_variables(variables).terms for p in comps])
+    top = _top_exponents([e for comp in comps for e, _ in comp], len(variables))
+    return _IntForm(den, comps, top)
+
+
+def _components(variables, packing, sums, den, ideal):
+    """The polynomials of packed int term dicts over ``den``, reduced mod
+    ``ideal`` when given."""
+    comps = [MultiPoly._trusted(variables, packing.fractions(t, den)) for t in sums]
     if ideal is not None:
         comps = [ideal.normal_form(p) for p in comps]
-    return TensorElement(algebra, comps)
+    return comps
+
+
+def _int_product(algebra, variables, a, b, ideal):
+    """The components on ``variables`` of the product of two int forms,
+    reduced mod ``ideal`` when given."""
+    ds, table = algebra.int_constants
+    packing = _Packing(map(add, a.top, b.top))
+    sums = [{} for _ in range(algebra.dim)]
+    _add_products(sums, table, packing.pack(a.comps), packing.pack(b.comps), 1)
+    return _components(variables, packing, sums, a.den * b.den * ds, ideal)
 
 
 def tensor_mul(a, b, ideal=None):
     """Product in R tensor D; components reduced mod ``ideal`` when given."""
-    algebra = a.algebra
     variables = a.comps[0].variables
     for p in a.comps + b.comps:
         if p.variables != variables:
             variables += tuple(v for v in p.variables if v not in variables)
-    da, a_ints = _common_int_terms([p.on_variables(variables).terms for p in a.comps])
-    db, b_ints = _common_int_terms([p.on_variables(variables).terms for p in b.comps])
-    ds, table = algebra.int_constants
-    # one int term dict per component, divided by the common denominator once
-    sums = [{} for _ in range(algebra.dim)]
-    _add_products(sums, table, a_ints, b_ints, 1)
-    return _tensor_from_ints(algebra, variables, sums, da * db * ds, ideal)
+    a_ints, b_ints = _int_form(a.comps, variables), _int_form(b.comps, variables)
+    return TensorElement(a.algebra, _int_product(a.algebra, variables, a_ints, b_ints, ideal))
 
 
-def push_through(algebra, polys, images, variables, ideal=None):
+class PowerTable:
+    """The variable images of an operator, reduced mod ``ideal`` when given,
+    their powers and the unit 1_D, each kept with its int form.
+
+    The table is filled on demand: an image is reduced when a term first
+    needs it, and x^(e+1) is built from x^e when a term first needs it.
+    Every :func:`push_through` on the table reads and extends the same
+    entries.
+    """
+
+    def __init__(self, algebra, images, variables, ideal=None):
+        self.algebra = algebra
+        self.images = images
+        self.variables = tuple(variables)
+        self.ideal = ideal
+        self._powers = {}
+        self._one = None
+
+    def one(self):
+        """The int form of 1_D."""
+        if self._one is None:
+            one = TensorElement.one(self.algebra, self.variables)
+            self._one = _int_form(one.comps, self.variables)
+        return self._one
+
+    def power(self, v, e):
+        """The int form of the image of v^e, for e >= 1."""
+        cache = self._powers.get(v)
+        if cache is None:
+            image = self.images[v]
+            if self.ideal is not None:
+                image = image.reduce(self.ideal)
+            cache = self._powers[v] = [None, _int_form(image.comps, self.variables)]
+        while len(cache) <= e:
+            cache.append(self.product(cache[-1], cache[1]))
+        return cache[e]
+
+    def product(self, a, b):
+        """The int form of the product of two int forms, reduced."""
+        comps = _int_product(self.algebra, self.variables, a, b, self.ideal)
+        return _int_form(comps, self.variables)
+
+
+def push_through(table, polys):
     """The images in R tensor D of a list of polynomials.
 
-    A coefficient c maps to c * 1_D and each variable v to ``images[v]``;
-    term products go through the structure constants of D, reduced mod
-    ``ideal`` when given.  The images and the results live on
-    ``variables``; one power cache serves the whole list.
+    A coefficient c maps to c * 1_D and each variable v to its image in the
+    :class:`PowerTable` ``table``; term products go through the structure
+    constants of D.  The results live on ``table.variables`` and are
+    reduced mod ``table.ideal`` when given.
 
-    The terms of a polynomial are summed on ints and each component is
-    built, and reduced, once per polynomial (see the module docstring).
+    The terms of a polynomial are summed on ints, on one packed exponent
+    layout, and each component is built, and reduced, once per polynomial
+    (see the module docstring).
     """
-    ds, table = algebra.int_constants
-
-    def ints(t):
-        return _common_int_terms([p.on_variables(variables).terms for p in t.comps])
-
-    def entry(t):
-        return t, ints(t)
-
-    one = ints(TensorElement.one(algebra, variables))
-
-    # powers[v][e] is (the image of v^e, reduced mod ``ideal`` when given,
-    # and its int form)
-    powers = {
-        v: [None, entry(image if ideal is None else image.reduce(ideal))]
-        for v, image in images.items()
-    }
+    algebra = table.algebra
+    ds, consts = algebra.int_constants
     out = []
     for f in polys:
         # each term as (c, int form of P_1 ... P_(r-1) or None, of P_r)
         parts = []
         for exp, c in f.terms.items():
-            factors = []
-            for v, e in zip(f.variables, exp):
-                if not e:
-                    continue
-                cache = powers[v]
-                while len(cache) <= e:
-                    cache.append(entry(tensor_mul(cache[-1][0], images[v], ideal)))
-                factors.append(cache[e])
+            factors = [table.power(v, e) for v, e in zip(f.variables, exp) if e]
             if not factors:
-                parts.append((c, None, one))
+                parts.append((c, None, table.one()))
                 continue
-            left = None
-            for t, _ in factors[:-1]:
-                left = t if left is None else tensor_mul(left, t, ideal)
-            if left is not None:
-                left = ints(left)
-            parts.append((c, left, factors[-1][1]))
+            left = factors[0] if len(factors) > 1 else None
+            for t in factors[1:-1]:
+                left = table.product(left, t)
+            parts.append((c, left, factors[-1]))
         # the denominator of each term, and their lcm
         dens = [
-            c.denominator * right[0] * (1 if left is None else left[0] * ds)
+            c.denominator * right.den * (1 if left is None else left.den * ds)
             for c, left, right in parts
         ]
         den = math.lcm(*dens)
+        bounds = [0] * len(table.variables)
+        for _, left, right in parts:
+            top = right.top if left is None else map(add, left.top, right.top)
+            bounds = list(map(max, bounds, top))
+        packing = _Packing(bounds)
         sums = [{} for _ in range(algebra.dim)]
         for (c, left, right), d in zip(parts, dens):
             factor = c.numerator * (den // d)
+            right = packing.pack(right.comps)
             if left is not None:
-                _add_products(sums, table, left[1], right[1], factor)
+                _add_products(sums, consts, packing.pack(left.comps), right, factor)
                 continue
-            for target, comp in zip(sums, right[1]):
+            for target, comp in zip(sums, right):
                 for e, x in comp:
                     target[e] = target.get(e, 0) + factor * x
-        out.append(_tensor_from_ints(algebra, variables, sums, den, ideal))
+        comps = _components(table.variables, packing, sums, den, table.ideal)
+        out.append(TensorElement(algebra, comps))
     return out
 
 
@@ -263,6 +304,7 @@ class DOperator:
         self.algebra = algebra
         self.ideal = ideal
         self.images = images
+        self.powers = PowerTable(algebra, images, ideal.variables, ideal)
 
     @property
     def variables(self):
@@ -280,7 +322,7 @@ class DOperator:
     def apply(self, f):
         """The image of a ring element, components reduced to normal form."""
         f = self._ring_element(f)
-        return push_through(self.algebra, [f], self.images, self.variables, self.ideal)[0]
+        return push_through(self.powers, [f])[0]
 
     def component(self, f, i):
         """The e_i component of the image of f."""
@@ -301,28 +343,31 @@ class DOperator:
         return f"DOperator(vars={list(self.variables)}, relations=[{rels}])"
 
 
-def check_image_size(algebra, v, comps):
-    """Raise DRingError unless the image ``comps`` of ``v`` has dim(D)
+def check_images(algebra, variables, images):
+    """Raise DRingError unless ``images`` ({variable: components}) gives
+    each of ``variables``, and nothing else, an image of dim(D)
     components."""
-    if len(comps) != algebra.dim:
-        raise DRingError(
-            f"image of {v!r} has {len(comps)} components; dim(D) is {algebra.dim}"
-        )
+    for v, comps in images.items():
+        if v not in variables:
+            raise DRingError(f"image given for {v!r}, which is not a ring variable")
+        if len(comps) != algebra.dim:
+            raise DRingError(
+                f"image of {v!r} has {len(comps)} components; dim(D) is {algebra.dim}"
+            )
+    missing = set(variables) - set(images)
+    if missing:
+        raise DRingError(f"no image given for variable {sorted(missing)[0]!r}")
 
 
 def _coerce_images(algebra, ideal, images):
-    out = {}
-    for v, img in images.items():
-        if v not in ideal.variables:
-            raise DRingError(f"image given for {v!r}, which is not a ring variable")
-        comps = img.comps if isinstance(img, TensorElement) else img
-        comps = [as_poly(c, ideal.variables) for c in comps]
-        check_image_size(algebra, v, comps)
-        out[v] = TensorElement(algebra, comps)
-    missing = set(ideal.variables) - set(out)
-    if missing:
-        raise DRingError(f"no image given for variable {sorted(missing)[0]!r}")
-    return out
+    images = {
+        v: img.comps if isinstance(img, TensorElement) else img for v, img in images.items()
+    }
+    check_images(algebra, ideal.variables, images)
+    return {
+        v: TensorElement(algebra, [as_poly(c, ideal.variables) for c in comps])
+        for v, comps in images.items()
+    }
 
 
 def make_doperator(algebra, ideal, images):

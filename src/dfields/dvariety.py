@@ -448,7 +448,7 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
     # the comparison matrix: the algebra map alpha^p e_j -> image(alpha)^p e_j
     # on the r(l+1)-dimensional space Q(alpha) tensor D
     alpha_powers = [MultiPoly.variable(alpha, (alpha,)) ** p for p in range(r)]
-    powers = push_through(algebra, alpha_powers, ext_op.images, (alpha,), m_ideal)
+    powers = push_through(ext_op.powers, alpha_powers)
     size = r * dim
     matrix = [[Fraction(0)] * size for _ in range(size)]
     for p in range(r):

@@ -25,9 +25,19 @@ arithmetic:
 - a product multiplies ints: each operand's terms are scaled by the lcm
   of its denominators (:func:`_common_int_terms`), the numerators are
   multiplied and summed, and each output term becomes one Fraction over
-  the product of the two denominators (:func:`_fraction_terms`); a
-  one-term factor just scales the other's terms.  The tensor products of
-  ``dring`` use the same two helpers.
+  the product of the two denominators; a one-term factor just scales the
+  other's terms.  The tensor products of ``dring`` run through the same
+  helpers and the same loop, :func:`_add_products`.
+
+The product loop adds packed exponents (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007).  A :class:`_Packing` gives variable i a slot of b.bit_length() bits,
+where b is the sum of the two operands' largest exponents in variable i
+(:func:`_top_exponents`).  No entry of a product exponent exceeds that sum,
+so adding two packed ints never carries from one slot into the next: the
+packing is exact at any degree and has no fixed width.  The inner loop
+adds and multiplies ints only, and each output term is unpacked once, when
+it becomes a Fraction.
 
 :func:`_pseudo_remainder` is the one division routine, and it runs on ints.
 It divides with a heap of negated keys over the working terms (Monagan and
@@ -62,7 +72,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, mul, neg, sub
+from operator import add, le, lshift, mul, neg, sub
 from typing import NamedTuple
 
 from . import linalg
@@ -268,7 +278,8 @@ class MultiPoly:
         return used
 
     def canonical(self):
-        """Order-independent canonical form, used for equality and hashing."""
+        """Order-independent canonical form, used for hashing and for
+        equality across variable tuples."""
         if self._canon is None:
             items = []
             for exp, c in self.terms.items():
@@ -278,10 +289,14 @@ class MultiPoly:
         return self._canon
 
     def __eq__(self, other):
+        """Equal as polynomials: on one variable tuple the term dicts are
+        compared, across tuples the canonical forms."""
         if isinstance(other, (int, Fraction)):
-            other = MultiPoly.constant(other)
+            other = MultiPoly.constant(other, self.variables)
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if self.variables == other.variables:
+            return self.terms == other.terms
         return self.canonical() == other.canonical()
 
     def __hash__(self):
@@ -491,28 +506,95 @@ def _fraction_terms(terms, den):
 
 
 _ONE = Fraction(1)
+# the structure constants of Q over itself, for _add_products
+_SCALAR_TABLE = ((0, 0, 0, 1),)
+
+
+def _top_exponents(exps, n):
+    """The entrywise maximum of exponent vectors of length n; zeros when
+    there are none."""
+    columns = list(zip(*exps))
+    return [max(col) for col in columns] if columns else [0] * n
+
+
+class _Packing:
+    """A layout that packs an exponent vector into one int: entry i takes
+    its own slot of bounds[i].bit_length() bits.  The packed sum of two
+    vectors is the packing of their sum as long as every entry of the sum
+    stays within its bound, so a product loop sized from its operands'
+    largest exponents adds ints and never overflows a slot."""
+
+    __slots__ = ("shifts", "slots")
+
+    def __init__(self, bounds):
+        slots = []
+        shift = 0
+        for bound in bounds:
+            width = bound.bit_length()
+            slots.append((shift, (1 << width) - 1))
+            shift += width
+        self.shifts = [s for s, _ in slots]
+        self.slots = slots
+
+    def pack(self, comps):
+        """Lists of (exponent, coefficient) pairs with packed exponents."""
+        shifts = self.shifts
+        return [[(sum(map(lshift, e, shifts)), c) for e, c in comp] for comp in comps]
+
+    def fractions(self, terms, den):
+        """The Fraction term dict of a packed int term dict over ``den``,
+        zero terms dropped: each surviving term unpacked once."""
+        slots = self.slots
+        if den == 1:
+            return {
+                tuple([(k >> s) & m for s, m in slots]): Fraction(v)
+                for k, v in terms.items() if v
+            }
+        return {
+            tuple([(k >> s) & m for s, m in slots]): Fraction(v, den)
+            for k, v in terms.items() if v
+        }
+
+
+def _add_products(sums, table, left, right, factor):
+    """sums[k] += factor * s * (left[i] * right[j]) over the int structure
+    constants (i, j, k, s): the one product loop.  Components are lists of
+    (packed exponent, int) pairs on one :class:`_Packing`, and accumulators
+    int term dicts on packed exponents."""
+    for i, j, k, s in table:
+        li = left[i]
+        rj = right[j]
+        if not li or not rj:
+            continue
+        target = sums[k]
+        get = target.get
+        fs = factor * s
+        for e1, c1 in li:
+            cc1 = fs * c1
+            for e2, c2 in rj:
+                e = e1 + e2
+                target[e] = get(e, 0) + cc1 * c2
 
 
 def _mul_terms(a, b):
     """The term dict of the product of two term dicts on one variable tuple.
     A one-term factor scales the other's terms; otherwise the int numerators
-    are multiplied over the product of the two common denominators, and one
-    Fraction is built per output term."""
+    over the two common denominators are multiplied on packed exponents by
+    :func:`_add_products`, and one Fraction is built per output term."""
     if len(a) == 1:
         ((e1, c1),) = a.items()
         return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
     if len(b) == 1:
         ((e2, c2),) = b.items()
         return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
-    da, (a_ints,) = _common_int_terms([a])
-    db, (b_ints,) = _common_int_terms([b])
-    terms = {}
-    get = terms.get
-    for e1, c1 in a_ints:
-        for e2, c2 in b_ints:
-            exp = tuple(map(add, e1, e2))
-            terms[exp] = get(exp, 0) + c1 * c2
-    return _fraction_terms(terms, da * db)
+    if not a or not b:
+        return {}
+    da, a_ints = _common_int_terms([a])
+    db, b_ints = _common_int_terms([b])
+    packing = _Packing(map(add, _top_exponents(a, 0), _top_exponents(b, 0)))
+    product = {}
+    _add_products([product], _SCALAR_TABLE, packing.pack(a_ints), packing.pack(b_ints), 1)
+    return packing.fractions(product, da * db)
 
 
 def _pow_terms(terms, n, zero):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dring import TensorElement, make_doperator, push_through
+from .dring import PowerTable, TensorElement, make_doperator, push_through
 from .poly import Ideal, MultiPoly, as_poly, format_poly, linear_combination
 
 
@@ -142,7 +142,7 @@ def prolong(base, ideal, xvars=None):
     for x in xvars:
         block = [MultiPoly.variable(f"{x}_{level}", new_vars) for level in range(algebra.dim)]
         images[x] = TensorElement(algebra, block)
-    expansions = push_through(algebra, ideal.generators, images, new_vars)
+    expansions = push_through(PowerTable(algebra, images, new_vars), ideal.generators)
     per_generator = tuple((f, t.comps) for f, t in zip(ideal.generators, expansions))
     components = [c for _, comps in per_generator for c in comps if not c.is_zero()]
     prolonged = Ideal(new_vars, components, ideal.budget)

@@ -423,6 +423,21 @@ def test_ucd_rejects_image_with_wrong_component_count(tmp_path, capsys, command)
     assert "error: image of 'x' has 3 components; dim(D) is 2" in err
 
 
+@pytest.mark.parametrize("command", ["check", "search"])
+def test_ucd_rejects_images_that_leave_out_a_coordinate(tmp_path, capsys, command):
+    path = tmp_path / "plane.dr"
+    path.write_text(
+        "algebra dual = Q[e]/(e^2);\n"
+        "variety plane { vars = [x, y]; }\n"
+        "ucd p { algebra = dual; X = plane; Y = (x_1 - x_0^2, y_1 - y_0);\n"
+        "  d x = (x, x^2); }\n"
+    )
+    code = main(["ucd", command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: no image given for variable 'y'" in err
+
+
 def test_fixture_corpus_runs_clean_and_fast():
     start = time.perf_counter()
     ok, lines = run_fixture_corpus()

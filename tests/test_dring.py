@@ -146,6 +146,56 @@ def test_component_zero_is_normal_form(dual, rng):
 
 
 # ---------------------------------------------------------------------------
+# the power table an operator keeps
+
+
+def _fresh(op):
+    """The same operator with an empty power table."""
+    return make_doperator(op.algebra, op.ideal, op.images)
+
+
+def _ladder_poly(degree):
+    return P(f"(x + 2*y - 1/3)^{degree} + 3*x^{degree}*y - y^2", ("x", "y"))
+
+
+def test_interleaved_applies_match_a_fresh_operator(fixture_operators):
+    for name, _, op, oracle in fixture_operators:
+        op = _fresh(op)
+        for degree in (6, 2, 9, 2, 6):
+            f = _ladder_poly(degree)
+            image = op.apply(f)
+            assert image == _fresh(op).apply(f), name
+            assert list(image.comps) == list(oracle(f)), name
+
+
+def test_circle_operator_keeps_its_powers_reduced(dual):
+    circle = Ideal(("x", "y"), ["x^2 + y^2 - 1"])
+    op = make_doperator(dual, circle, {"x": ("x", "-y"), "y": ("y", "x")})
+    for degree in (6, 2, 9):
+        f = _ladder_poly(degree)
+        image = op.apply(f)
+        assert image == _fresh(op).apply(f)
+        assert all(circle.normal_form(c) == c for c in image.comps)
+    for v in ("x", "y"):
+        for e in range(1, 10):
+            # x^2 leads x^2 + y^2 - 1: no reduced power has an x^2 term
+            assert op.powers.power(v, e).top[0] <= 1
+
+
+def test_operators_on_one_ideal_share_no_powers(dual):
+    ring = Ideal(("x", "y"), [])
+    first = make_doperator(dual, ring, {"x": ("x", "y"), "y": ("y", "1")})
+    second = make_doperator(dual, ring, {"x": ("x", "x^2"), "y": ("y", "x")})
+    for degree in (2, 6, 3):
+        f = _ladder_poly(degree)
+        for op in (first, second, first):
+            assert op.apply(f) == _fresh(op).apply(f)
+    assert first.powers is not second.powers
+    for v in ("x", "y"):
+        assert first.powers.power(v, 3).comps != second.powers.power(v, 3).comps
+
+
+# ---------------------------------------------------------------------------
 # associated homomorphisms
 
 

@@ -5,7 +5,12 @@
 (a one-term factor of a polynomial product scales the other factor's
 Fractions instead).  The references below multiply Fraction by Fraction,
 term by term, reducing every power and every product mod the ideal; the
-results must agree term for term and keep Fraction coefficients."""
+results must agree term for term and keep Fraction coefficients.
+
+The one int product loop, ``poly._add_products``, adds exponents packed
+into ints.  ``_reference_products`` is the loop on exponent tuples that it
+replaced; the kernels must agree with it at any number of variables and
+any degree."""
 
 from fractions import Fraction
 from operator import add
@@ -19,8 +24,11 @@ from dfields.algebra import (
     product_algebra,
     rational_field_algebra,
 )
-from dfields.dring import TensorElement, push_through, tensor_mul
-from dfields.poly import Ideal, MultiPoly
+from dfields.cli import Resolver, parse
+from dfields.dring import PowerTable, TensorElement, push_through, tensor_mul
+from dfields.poly import Ideal, MultiPoly, _common_int_terms, _fraction_terms, _mul_terms
+
+from test_algebra import _products_in_a_random_basis
 
 F = Fraction
 VARS = ("x", "y")
@@ -182,7 +190,7 @@ def test_tensor_mul_matches_fraction_reference(algebra, a, b, ideal):
 )
 def test_push_through_matches_fraction_reference(algebra, polys, x_image, y_image, ideal):
     images = {"x": _tensor(algebra, x_image), "y": _tensor(algebra, y_image)}
-    results = push_through(algebra, polys, images, VARS, ideal)
+    results = push_through(PowerTable(algebra, images, VARS, ideal), polys)
     expected = _reference_push_through(algebra, polys, images, VARS, ideal)
     for result, reference in zip(results, expected):
         for r, e in zip(result.comps, reference.comps):
@@ -190,3 +198,109 @@ def test_push_through_matches_fraction_reference(algebra, polys, x_image, y_imag
             if ideal is not None:
                 # the components come out as normal forms
                 _assert_same(ideal.normal_form(r), r)
+
+
+# ---------------------------------------------------------------------------
+# the packed product loop against the tuple-exponent loop
+
+
+def _reference_products(sums, table, left, right, factor):
+    """sums[k] += factor * s * (left[i] * right[j]) over the int structure
+    constants (i, j, k, s), adding exponent tuples."""
+    for i, j, k, s in table:
+        target = sums[k]
+        for e1, c1 in left[i]:
+            for e2, c2 in right[j]:
+                exp = tuple(map(add, e1, e2))
+                target[exp] = target.get(exp, 0) + factor * s * c1 * c2
+
+
+def _reference_mul_terms(a, b):
+    da, a_ints = _common_int_terms([a])
+    db, b_ints = _common_int_terms([b])
+    sums = [{}]
+    _reference_products(sums, ((0, 0, 0, 1),), a_ints, b_ints, 1)
+    return _fraction_terms(sums[0], da * db)
+
+
+def _reference_tensor_ints(a, b):
+    algebra, variables = a.algebra, a.comps[0].variables
+    ds, table = algebra.int_constants
+    da, a_ints = _common_int_terms([p.terms for p in a.comps])
+    db, b_ints = _common_int_terms([p.terms for p in b.comps])
+    sums = [{} for _ in range(algebra.dim)]
+    _reference_products(sums, table, a_ints, b_ints, 1)
+    return [MultiPoly._trusted(variables, _fraction_terms(t, da * db * ds)) for t in sums]
+
+
+# the coefficient algebras of the operator_stream benchmark workload
+OPERATOR_ALGEBRAS = (
+    "algebra dual = Q[e]/(e^2);\n"
+    "algebra twonil = Q[e1, e2]/(e1^2, e1*e2, e2^2);\n"
+    "algebra trunc3 = Q[e]/(e^3);\n"
+    "algebra trunc4 = Q[e]/(e^4);\n"
+    "algebra q3 { basis = [u0, u1, u2]; mul u0*u0 = u0; mul u0*u1 = 0; mul u0*u2 = 0;\n"
+    "  mul u1*u1 = u1; mul u1*u2 = 0; mul u2*u2 = u2; unit = u0 + u1 + u2; }\n"
+    "algebra dual_x_q { basis = [u, e, v]; mul u*u = u; mul u*e = e; mul u*v = 0;\n"
+    "  mul e*e = 0; mul e*v = 0; mul v*v = v; unit = u + v; }\n"
+)
+_RESOLVER = Resolver(parse(OPERATOR_ALGEBRAS))
+STREAM_ALGEBRAS = tuple(
+    _RESOLVER.algebra(name) for name in ("dual", "twonil", "trunc3", "trunc4", "q3", "dual_x_q")
+)
+
+# ints next to negative and fractional Fractions
+_SIGNED = st.one_of(st.integers(-9, 9).filter(bool), _COEFFS)
+
+
+@st.composite
+def _wide_term_dicts(draw, count):
+    """``count`` term dicts on one layout of 1-12 variables with exponents
+    up to 200: empty, one-term and several-term dicts."""
+    n = draw(st.integers(1, 12))
+    exps = st.tuples(*[st.integers(0, 200)] * n)
+    return [draw(st.dictionaries(exps, _SIGNED, max_size=5)) for _ in range(count)]
+
+
+def _assert_same_terms(result, expected):
+    """Equal nonzero terms; the packed loop (not the one-term scaling, which
+    keeps int products int) makes Fractions."""
+    assert result == expected
+    assert all(c != 0 for c in result.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_term_dicts(2))
+def test_packed_product_matches_tuple_loop(pair):
+    a, b = pair
+    result = _mul_terms(a, b)
+    _assert_same_terms(result, _reference_mul_terms(a, b))
+    if len(a) > 1 and len(b) > 1:
+        assert all(type(c) is Fraction for c in result.values())
+
+
+def test_packed_product_edge_cases():
+    wide = {(200,) * 12: F(-1, 3), (0,) * 11 + (1,): 2}
+    for a, b in [({}, {}), ({}, wide), (wide, {}), ({(7,): F(1, 2)}, {(3,): -4, (0,): 1})]:
+        _assert_same_terms(_mul_terms(a, b), _reference_mul_terms(a, b))
+    square = _mul_terms(wide, wide)
+    assert square == _reference_mul_terms(wide, wide)
+    assert square[(400,) * 12] == F(1, 9)
+
+
+_TENSOR_ALGEBRAS = st.one_of(st.sampled_from(STREAM_ALGEBRAS), _products_in_a_random_basis())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TENSOR_ALGEBRAS, st.data())
+def test_packed_tensor_mul_matches_tuple_loop(algebra, data):
+    dicts = data.draw(_wide_term_dicts(2 * algebra.dim))
+    n = len(next((e for t in dicts for e in t), (0,)))
+    dicts = [{e[:n] + (0,) * (n - len(e)): c for e, c in t.items()} for t in dicts]
+    variables = tuple(f"x{i}" for i in range(n))
+    polys = [MultiPoly(variables, t) for t in dicts]
+    a = TensorElement(algebra, polys[: algebra.dim])
+    b = TensorElement(algebra, polys[algebra.dim :])
+    result = tensor_mul(a, b)
+    for r, e in zip(result.comps, _reference_tensor_ints(a, b)):
+        _assert_same(r, e)

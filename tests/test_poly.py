@@ -95,6 +95,40 @@ def test_constant_arithmetic_matches_fractions(a, b, n):
     assert (fa ** n).constant_value() == Fraction(a) ** n
 
 
+_XYZ = ("x", "y", "z")
+# tuples that hold x, y and z in some order, some with an unused w
+_TUPLES = st.one_of(st.permutations(_XYZ), st.permutations(_XYZ + ("w",))).map(tuple)
+_EQ_COEFFS = st.sampled_from([1, -2, Fraction(1, 2), Fraction(-3, 4)])
+_XYZ_POLYS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _EQ_COEFFS, max_size=3
+).map(lambda t: MultiPoly(_XYZ, t))
+
+
+@st.composite
+def _equality_operands(draw):
+    """A polynomial on some tuple, and a polynomial on some tuple, an int or
+    a Fraction: often the same value, often zero."""
+    a = draw(_XYZ_POLYS)
+    b = draw(st.one_of(st.just(a), _XYZ_POLYS, st.just(MultiPoly.zero(_XYZ))))
+    a, b = a.on_variables(draw(_TUPLES)), b.on_variables(draw(_TUPLES))
+    if b.is_constant() and draw(st.booleans()):
+        value = b.constant_value()
+        b = value.numerator if value.denominator == 1 and draw(st.booleans()) else value
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(_equality_operands())
+def test_equality_matches_canonical_forms(operands):
+    a, b = operands
+    other = b if isinstance(b, MultiPoly) else MultiPoly.constant(b)
+    expected = a.canonical() == other.canonical()
+    assert (a == b) is expected
+    assert (b == a) is expected
+    if expected:
+        assert hash(a) == hash(other)
+
+
 # ---------------------------------------------------------------------------
 # parsing and printing
 
