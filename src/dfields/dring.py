@@ -411,8 +411,8 @@ def product_rule_check(op, f, g):
     images of f and g?  Always true for a valid operator; exposed as a test
     oracle."""
     f, g = op._ring_element(f), op._ring_element(g)
-    lhs = op.apply(f * g)
-    rhs = tensor_mul(op.apply(f), op.apply(g), op.ideal)
+    lhs, image_f, image_g = push_through(op.powers, [f * g, f, g])
+    rhs = tensor_mul(image_f, image_g, op.ideal)
     return all(a == b for a, b in zip(lhs.comps, rhs.comps))
 
 

@@ -1263,8 +1263,22 @@ def univariate_poly(coeffs, var):
 
 
 # ---------------------------------------------------------------------------
-# factorisation (univariate and small multivariate cases, via sympy; sympy
-# is imported on first use, so that importing the package does not load it)
+# factorisation over Q
+#
+# The low-degree cases are answered here, exactly: the rational root
+# theorem peels the linear factors of a univariate polynomial, a quadratic
+# splits exactly when its discriminant is a rational square, and a cubic
+# without a rational root is irreducible.  A plane curve of degree 1 in one
+# variable over a constant, or of degree 2 over a constant with a
+# discriminant that is not a square, is irreducible.  sympy gets what is
+# left: univariate remainders of degree 4 and up, univariate polynomials
+# whose end coefficients are too large to enumerate their divisors, the
+# plane curves that fail both certificates, and squarefree tests.  It is
+# imported on first use, so that importing the package does not load it.
+
+# a univariate polynomial whose primitive int form has a constant or a
+# leading coefficient above this goes to sympy whole
+_DIVISOR_LIMIT = 10**6
 
 
 def _sympy_from_multipoly(f, gens):
@@ -1289,12 +1303,37 @@ def _multipoly_from_sympy(poly, gens):
     return MultiPoly(tuple(gens), terms)
 
 
-def factor_univariate(f, var=None):
-    """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)]).
+def _sort_factors(factors):
+    factors.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
+    return factors
 
-    Degree 2 and below is done here: a monic quadratic splits exactly when
-    its discriminant is the square of a rational.  Higher degrees go to
-    sympy."""
+
+def _sympy_factor_univariate(f, var):
+    """factor_univariate of a nonzero polynomial in ``var``, all by sympy."""
+    import sympy
+
+    const, factors = _sympy_from_multipoly(f, [var]).factor_list()
+    unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
+    out = []
+    for fac, mult in factors:
+        g = _multipoly_from_sympy(fac, [var])
+        lc = g.leading_coefficient(LEX)
+        unit *= lc ** mult
+        out.append((g.scale(Fraction(1) / lc), int(mult)))
+    return unit, _sort_factors(out)
+
+
+def factor_univariate(f, var=None):
+    """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)]),
+    the factors sorted by degree, then by terms.
+
+    On the primitive int form of f, the factor x^k and every rational root
+    p/q (p dividing the constant coefficient, q the leading one) are peeled
+    off with their multiplicities by exact deflation.  What remains has no
+    rational root: a quadratic is irreducible unless its discriminant is a
+    rational square, a cubic is irreducible, and degree 4 and up goes to
+    sympy.  When the constant or leading coefficient is above an internal
+    limit, the whole polynomial goes to sympy."""
     used = f.used_variables()
     if var is None:
         if len(used) != 1:
@@ -1305,23 +1344,78 @@ def factor_univariate(f, var=None):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     coeffs = univariate_coeffs(f, var)
-    if len(coeffs) <= 3:
-        unit = coeffs[-1]
-        out = [] if len(coeffs) == 1 else _split_quadratic([c / unit for c in coeffs], var)
-    else:
-        import sympy
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    zeros = next(i for i, c in enumerate(ints) if c)
+    ints = [c // content for c in ints[zeros:]]
+    if abs(ints[0]) > _DIVISOR_LIMIT or abs(ints[-1]) > _DIVISOR_LIMIT:
+        return _sympy_factor_univariate(f, var)
+    out = [(univariate_poly([0, 1], var), zeros)] if zeros else []
+    for p, q in _root_candidates(ints) if len(ints) > 3 else ():
+        mult = 0
+        while (quotient := _deflate(ints, p, q)) is not None:
+            ints, mult = quotient, mult + 1
+        if mult:
+            out.append((univariate_poly([Fraction(-p, q), 1], var), mult))
+            if len(ints) <= 3:
+                break
+    if len(ints) > 4:
+        out += _sympy_factor_univariate(univariate_poly(ints, var), var)[1]
+    elif len(ints) == 4:
+        out.append((univariate_poly([Fraction(c, ints[-1]) for c in ints], var), 1))
+    elif len(ints) > 1:
+        out += _split_quadratic([Fraction(c, ints[-1]) for c in ints], var)
+    return coeffs[-1], _sort_factors(out)
 
-        spoly = _sympy_from_multipoly(f, [var])
-        const, factors = spoly.factor_list()
-        unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
-        out = []
-        for fac, mult in factors:
-            g = _multipoly_from_sympy(fac, [var])
-            lc = g.leading_coefficient(LEX)
-            unit *= lc ** mult
-            out.append((g.scale(Fraction(1) / lc), int(mult)))
-    out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
-    return unit, out
+
+def _divisors(n):
+    """The positive divisors of the positive int n, by trial division."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _root_candidates(ints):
+    """The rational roots p/q (lowest terms, q > 0) that the rational root
+    theorem allows an int polynomial with a nonzero constant term, low
+    degree first, as (p, q) pairs.  A root p/q makes q*x - p a factor, so
+    q - p divides the value at 1 and q + p the value at -1; candidates that
+    fail this are skipped."""
+    at_one, at_minus_one = sum(ints), sum(ints[::2]) - sum(ints[1::2])
+    for q in _divisors(abs(ints[-1])):
+        for p in _divisors(abs(ints[0])):
+            if math.gcd(p, q) != 1:
+                continue
+            for p in (p, -p):
+                if _divides(q - p, at_one) and _divides(q + p, at_minus_one):
+                    yield p, q
+
+
+def _divides(d, n):
+    return n % d == 0 if d else n == 0
+
+
+def _deflate(ints, p, q):
+    """The quotient of an int polynomial (low degree first) by q*x - p when
+    p/q (lowest terms) is a root, else None.  By Gauss's lemma the quotient
+    has int coefficients, so an inexact step rules the root out."""
+    quotient = [0] * (len(ints) - 1)
+    b = 0
+    for i in range(len(ints) - 1, 0, -1):
+        b, r = divmod(ints[i] + p * b, q)
+        if r:
+            return None
+        quotient[i - 1] = b
+    return quotient if ints[0] + p * b == 0 else None
+
+
+def _rational_sqrt(c):
+    """The nonnegative square root of the Fraction c when it is the square
+    of a rational, else None."""
+    num, den = math.isqrt(max(c.numerator, 0)), math.isqrt(c.denominator)
+    if num * num != c.numerator or den * den != c.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def _split_quadratic(monic, var):
@@ -1330,14 +1424,59 @@ def _split_quadratic(monic, var):
     if len(monic) == 2:
         return [(univariate_poly(monic, var), 1)]
     c, b, _ = monic
-    disc = b * b - 4 * c
-    num, den = math.isqrt(max(disc.numerator, 0)), math.isqrt(disc.denominator)
-    if num * num != disc.numerator or den * den != disc.denominator:
+    root = _rational_sqrt(b * b - 4 * c)
+    if root is None:
         return [(univariate_poly(monic, var), 1)]
-    root = Fraction(num, den)
     if not root:
         return [(univariate_poly([b / 2, Fraction(1)], var), 2)]
     return [(univariate_poly([(b + sign * root) / 2, Fraction(1)], var), 1) for sign in (1, -1)]
+
+
+def _is_square(coeffs):
+    """Is the polynomial with these Fraction coefficients (low degree
+    first) the square of a polynomial over Q?  An odd degree or a leading
+    coefficient that is not a rational square rules it out; otherwise the
+    candidate root is solved from the top half of the coefficients and
+    squared back."""
+    if not coeffs:
+        return True
+    n = len(coeffs) - 1
+    top = _rational_sqrt(coeffs[-1])
+    if n % 2 or top is None:
+        return False
+    high, m = coeffs[::-1], n // 2
+    root = [top]
+    for k in range(1, m + 1):
+        root.append((high[k] - sum(root[i] * root[k - i] for i in range(1, k))) / (2 * top))
+    return all(
+        sum(root[i] * root[k - i] for i in range(max(0, k - m), min(k, m) + 1)) == high[k]
+        for k in range(n + 1)
+    )
+
+
+def _irreducible_by_certificate(f):
+    """True when the nonconstant f, in at most two variables, is
+    irreducible by one of two certificates, each variable in turn taken as
+    v and the other as u: f has degree 1 in v over a constant, or f is
+    a*v^2 + b*v + c with a constant a and b^2 - 4ac not a square in Q[u].
+    False means unknown."""
+    used = f.used_variables()
+    for v in sorted(used):
+        i = f.variables.index(v)
+        parts = {}
+        for exp, c in f.terms.items():
+            parts.setdefault(exp[i], {})[exp[:i] + (0,) + exp[i + 1 :]] = c
+        degree = max(parts)
+        lead = MultiPoly._trusted(f.variables, parts[degree])
+        if degree > 2 or not lead.is_constant():
+            continue
+        if degree == 1:
+            return True
+        b, c = (MultiPoly._trusted(f.variables, parts.get(k, {})) for k in (1, 0))
+        disc = b * b - c.scale(4 * lead.constant_value())
+        if not _is_square(univariate_coeffs(disc, next(iter(used - {v}), None))):
+            return True
+    return False
 
 
 def is_squarefree(f):
@@ -1368,7 +1507,10 @@ def decide_irreducibility(ideal):
     ``undetermined``.
 
     Classification works on the reduced Groebner basis, so the answer does
-    not depend on how the ideal was presented.  A zero-dimensional V(I) is
+    not depend on how the ideal was presented.  A principal ideal (f) is
+    irreducible when f passes one of the certificates of
+    :func:`_irreducible_by_certificate`; otherwise sympy factors f and the
+    distinct irreducible factors are counted.  A zero-dimensional V(I) is
     irreducible when Q[x]/I has one local component."""
     gens = list(ideal.groebner_basis())
     if not gens:
@@ -1381,9 +1523,9 @@ def decide_irreducibility(ideal):
 
     if len(gens) == 1 and len(gens[0].used_variables()) <= 2:
         f = gens[0]
-        used = sorted(f.used_variables())
-        spoly = _sympy_from_multipoly(f, used)
-        _, factors = spoly.factor_list()
+        if _irreducible_by_certificate(f):
+            return IrreducibilityResult("irreducible", "principal-factorisation")
+        _, factors = _sympy_from_multipoly(f, sorted(f.used_variables())).factor_list()
         nontrivial = [fac for fac, _ in factors if fac.total_degree() > 0]
         if len(nontrivial) == 1:
             return IrreducibilityResult("irreducible", "principal-factorisation")

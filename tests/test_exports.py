@@ -17,9 +17,43 @@ def test_type_hints_of_exported_dataclasses_resolve():
         typing.get_type_hints(cls)
 
 
-def test_importing_the_package_does_not_load_sympy():
-    # sympy is imported on first use by the factorisation routines
-    code = "import sys, dfields; assert 'sympy' not in sys.modules, sorted(sys.modules)"
+def _run_fresh(code):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_importing_the_package_does_not_load_sympy():
+    # sympy is imported on first use by the factorisation routines
+    _run_fresh("import sys, dfields; assert 'sympy' not in sys.modules, sorted(sys.modules)")
+
+
+_LOW_DEGREE_DOCUMENT = """
+algebra D = Q[e]/(e^3);
+variety X { vars = [x, y]; ideal = (y^2 - x^3 - x); }
+ucd inst {
+  algebra = D;
+  X = X;
+  Y = (y_0^2 - x_0^3 - x_0,
+       2*y_0*y_1 - 3*x_0^2*x_1 - x_1,
+       2*y_0*y_2 + y_1^2 - 3*x_0^2*x_2 - 3*x_0*x_1^2 - x_2);
+  witness = (0, 0, 0, 0, 0, 0);
+  assert_irreducible = [X, Y];
+}
+algebra A = Q[x]/((x - 1)*(x - 2)*(x - 3));
+"""
+
+
+def test_low_degree_factorisation_does_not_load_sympy():
+    # the elliptic curve is irreducible by its discriminant, and the
+    # decomposition factors a cubic with three rational roots: both are
+    # answered without sympy
+    _run_fresh(
+        "import sys\n"
+        "from dfields import cli\n"
+        f"doc = cli.parse({_LOW_DEGREE_DOCUMENT!r})\n"
+        "assert cli.run('ucd check', doc).payload['results'][0]['verdict'] == 'verified'\n"
+        "components = cli.run('algebra decompose', doc, 'A').payload['results'][0]['components']\n"
+        "assert len(components) == 3\n"
+        "assert 'sympy' not in sys.modules, sorted(sys.modules)\n"
+    )

@@ -33,10 +33,11 @@ from dfields.poly import (
     radical_membership,
     univariate_coeffs,
     univariate_poly,
-    _multipoly_from_sympy,
+    IrreducibilityResult,
+    _sympy_factor_univariate,
     _sympy_from_multipoly,
 )
-from dfields import cli
+from dfields import cli, poly
 from dfields.algebra import solve_zero_dim
 
 from conftest import random_poly
@@ -1076,23 +1077,6 @@ def test_factor_tracks_units_and_multiplicity():
     assert unit == 4
 
 
-def _sympy_factor_univariate(f, var):
-    """factor_univariate with every degree sent to sympy: the reference for
-    the cases of degree 2 and below that no longer reach it."""
-    import sympy
-
-    const, factors = _sympy_from_multipoly(f, [var]).factor_list()
-    unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
-    out = []
-    for fac, mult in factors:
-        g = _multipoly_from_sympy(fac, [var])
-        lc = g.leading_coefficient(LEX)
-        unit *= lc ** mult
-        out.append((g.scale(1 / lc), int(mult)))
-    out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
-    return unit, out
-
-
 _RATIONALS = st.fractions(-5, 5, max_denominator=6)
 
 
@@ -1125,6 +1109,122 @@ def test_low_degree_factorisation_matches_sympy(coeffs):
     assert factor_univariate(f, "t") == _sympy_factor_univariate(f, "t")
     if len(coeffs) > 1:
         assert factor_univariate(f) == _sympy_factor_univariate(f, "t")
+
+
+@st.composite
+def _factored(draw):
+    """Coefficients, low first, of a product of degree 3 to 9: a rational
+    nonzero lead times random linear (possibly t itself), quadratic and
+    cubic factors with rational coefficients and multiplicities 1 to 3."""
+    f = univariate_poly([draw(_RATIONALS.filter(bool))], "t")
+    degree = draw(st.integers(3, 9))
+    while f.total_degree() < degree:
+        left = degree - max(f.total_degree(), 0)
+        d = draw(st.integers(1, min(3, left)))
+        mult = draw(st.integers(1, min(3, left // d)))
+        if d == 1 and draw(st.booleans()):
+            factor = [0, 1]
+        else:
+            factor = [draw(_RATIONALS) for _ in range(d)] + [draw(_RATIONALS.filter(bool))]
+        f = f * univariate_poly(factor, "t") ** mult
+    return univariate_coeffs(f, "t")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factored())
+def test_factorisation_matches_sympy(coeffs):
+    f = univariate_poly(coeffs, "t")
+    assert factor_univariate(f) == _sympy_factor_univariate(f, "t")
+
+
+@pytest.mark.parametrize(
+    "text,sympy_degrees",
+    [
+        # constant term past the divisor limit: the whole polynomial
+        ("(x - 1)*(x^2 + 2000003)", [3]),
+        # no rational root, degree 4: the remainder goes to sympy
+        ("(x^2 + 1)^2", [4]),
+        # no rational root, degree 3: irreducible without sympy
+        ("x^3 - 2", []),
+        # three rational roots peeled, an irreducible cubic left
+        ("(2*x - 1)*(x + 3)*x*(x^3 + x + 1)", []),
+    ],
+)
+def test_factorisation_pinned_cases(monkeypatch, text, sympy_degrees):
+    f = P(text)
+    seen = []
+
+    def recording(g, var):
+        seen.append(g.total_degree())
+        return _sympy_factor_univariate(g, var)
+
+    monkeypatch.setattr(poly, "_sympy_factor_univariate", recording)
+    assert factor_univariate(f) == _sympy_factor_univariate(f, "x")
+    assert seen == sympy_degrees
+
+
+def _sympy_principal(f):
+    """decide_irreducibility's answer on the principal ideal (f), f neither
+    constant nor linear, with f always factored by sympy."""
+    _, factors = _sympy_from_multipoly(f, sorted(f.used_variables())).factor_list()
+    count = sum(1 for g, _ in factors if g.total_degree() > 0)
+    if count == 1:
+        return IrreducibilityResult("irreducible", "principal-factorisation")
+    return IrreducibilityResult(
+        "reducible", "principal-factorisation", f"{count} distinct irreducible factors"
+    )
+
+
+_XY_TERMS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_XY_TERMS, min_size=1, max_size=2))
+def test_principal_irreducibility_matches_sympy(factors):
+    f = P("1", ("x", "y"))
+    for terms in factors:
+        f = f * MultiPoly(("x", "y"), terms)
+    assume(f.total_degree() >= 2)
+    assert decide_irreducibility(Ideal(("x", "y"), [f])) == _sympy_principal(f)
+
+
+@pytest.mark.parametrize(
+    "text,variables,status,certified",
+    [
+        # a non-constant top coefficient in both variables
+        ("x*y - 1", ("x", "y"), "irreducible", False),
+        ("x*y^2 + y + x", ("x", "y"), "irreducible", False),
+        # square discriminants
+        ("y^2 - x^2", ("x", "y"), "reducible", False),
+        ("(y - x^2)*(y + 1)", ("x", "y"), "reducible", False),
+        # discriminants that are not squares: odd degree, and even degree
+        # with a square leading coefficient
+        ("y^2 - x^2*(x + 1)", ("x", "y"), "irreducible", True),
+        ("y^2 - x^4 - 1", ("x", "y"), "irreducible", True),
+        # degree 1 in y over a constant
+        ("y - x^2", ("x", "y"), "irreducible", True),
+        # one-variable principal ideals
+        ("x^2 - 2", ("x",), "irreducible", True),
+        ("x^2 - 2", ("x", "y"), "irreducible", True),
+        ("x^3 - x", ("x", "y"), "reducible", False),
+    ],
+)
+def test_principal_irreducibility_pinned_cases(monkeypatch, text, variables, status, certified):
+    f = P(text, variables)
+    expected = _sympy_principal(f)
+    converted = []
+
+    def recording(g, gens):
+        converted.append(g)
+        return _sympy_from_multipoly(g, gens)
+
+    monkeypatch.setattr(poly, "_sympy_from_multipoly", recording)
+    result = decide_irreducibility(Ideal(variables, [f]))
+    assert result == expected
+    assert result.status == status
+    assert converted == ([] if certified else [f.monic()])
 
 
 def test_solve_zero_dim_two_points():
