@@ -1,7 +1,8 @@
 """Exact computations with free-operator structures on rings and varieties.
 
 The package is organised bottom-up: ``poly`` (exact polynomials, Groebner
-bases, and the ideal toolkit), ``algebra`` (finite-dimensional Q-algebras
+bases, and the ideal toolkit, with ``zfactor`` factoring univariate
+polynomials over Z for it), ``algebra`` (finite-dimensional Q-algebras
 and their local decomposition, which also solves zero-dimensional systems
 through Q[x]/I), ``dring`` (operator structures on
 finitely presented rings), ``prolongation`` (the prolongation of a

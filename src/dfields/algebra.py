@@ -491,14 +491,16 @@ def _standard_monomials(ideal):
     return found
 
 
-def from_presentation(generators, relations):
+def from_presentation(generators, relations, budget=None):
     """Build the algebra Q[generators]/(relations).
 
     The quotient must be finite-dimensional; the basis is the set of
     standard monomials of a Groebner basis of the relations, and the
     multiplication table comes from normal-form reduction of products.
+    The Groebner basis and the reductions run under ``budget`` (a
+    :class:`GroebnerBudget`, the default one when None).
     """
-    return _quotient_algebra(Ideal(tuple(generators), relations))[0]
+    return _quotient_algebra(Ideal(tuple(generators), relations, budget))[0]
 
 
 def _quotient_algebra(ideal):

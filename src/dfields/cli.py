@@ -149,11 +149,12 @@ class Document:
 
 class _Cursor(_ExprParser):
     """The expression parser's cursor, with the statement-level reads and
-    the presented algebras built so far (by block name)."""
+    the presented algebras built so far (by block name), under ``budget``."""
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, budget=None):
         super().__init__(tokens)
         self.algebras = {}
+        self.budget = budget
 
     def expect(self, kind, what=None):
         tok = self.take()
@@ -418,7 +419,7 @@ def _parse_ucd(cursor, name, doc_blocks):
                 cursor.error("algebra and X must come before Y", key)
             y_vars = prolonged_variables(
                 base.variables if base else (), x_block.variables,
-                _algebra_dim(algebra, cursor.algebras),
+                _algebra_dim(algebra, cursor),
             )
             cursor.expect("=")
             y_generators = cursor.poly_tuple(y_vars)
@@ -525,14 +526,14 @@ def _resolve_ref(doc_blocks, tok, cls):
     return block
 
 
-def _algebra_dim(block, algebras):
-    """The dimension of an algebra block; a presented algebra is built once
-    and kept in ``algebras``."""
+def _algebra_dim(block, cursor):
+    """The dimension of an algebra block; a presented algebra is built once,
+    under the cursor's budget, and kept in ``cursor.algebras``."""
     if block.presentation is None:
         return len(block.basis)
-    if block.name not in algebras:
-        algebras[block.name] = from_presentation(*block.presentation)
-    return algebras[block.name].dim
+    if block.name not in cursor.algebras:
+        cursor.algebras[block.name] = from_presentation(*block.presentation, cursor.budget)
+    return cursor.algebras[block.name].dim
 
 
 _BLOCK_PARSERS = {
@@ -545,9 +546,11 @@ _BLOCK_PARSERS = {
 }
 
 
-def parse(text):
-    """Parse DSL text into a Document.  Errors carry line and column."""
-    cursor = _Cursor(tokenize(text))
+def parse(text, budget=None):
+    """Parse DSL text into a Document.  Errors carry line and column.  A
+    presented algebra that a ucd block needs while parsing is built under
+    ``budget``, as :class:`Resolver` builds the others."""
+    cursor = _Cursor(tokenize(text), budget)
     blocks = []
     while cursor.peek().kind != "EOF":
         kind = cursor.expect("NAME", "a block keyword")
@@ -683,7 +686,7 @@ class Resolver:
             block = self.doc.lookup(name)
             if block.presentation is not None:
                 variables, relations = block.presentation
-                self._algebras[name] = from_presentation(variables, relations)
+                self._algebras[name] = from_presentation(variables, relations, self.budget)
             else:
                 n = len(block.basis)
                 struct = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
@@ -995,7 +998,7 @@ def run_fixture_corpus(budget=None, order=GREVLEX):
     lines = []
     ok = True
     for fname in fixture_names():
-        doc = parse(fixture_text(fname))
+        doc = parse(fixture_text(fname), budget)
         for cls, commands in _FIXTURE_COMMANDS.items():
             if not doc.of_type(cls):
                 continue
@@ -1059,7 +1062,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        document = parse(text)
+        document = parse(text, budget)
         result = run(command, document, name=args.name, budget=budget, order=order)
     except (PolyParseError, UcdError, AlgebraError, DRingError, DVarietyError,
             ProlongationError, BudgetExceededError) as exc:

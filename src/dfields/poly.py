@@ -1265,20 +1265,26 @@ def univariate_poly(coeffs, var):
 # ---------------------------------------------------------------------------
 # factorisation over Q
 #
-# The low-degree cases are answered here, exactly: the rational root
-# theorem peels the linear factors of a univariate polynomial, a quadratic
-# splits exactly when its discriminant is a rational square, and a cubic
-# without a rational root is irreducible.  A plane curve of degree 1 in one
-# variable over a constant, or of degree 2 over a constant with a
-# discriminant that is not a square, is irreducible.  sympy gets what is
-# left: univariate remainders of degree 4 and up, univariate polynomials
-# whose end coefficients are too large to enumerate their divisors, the
-# plane curves that fail both certificates, and squarefree tests.  It is
-# imported on first use, so that importing the package does not load it.
+# A univariate polynomial is factored exactly.  On its primitive int form
+# the factor x^k and the rational roots are peeled first (the rational root
+# theorem), a quadratic splits exactly when its discriminant is a rational
+# square, and a cubic without a rational root is irreducible.  What is left
+# of degree 4 and up, and every polynomial of degree 3 and up whose end
+# coefficients are too large to enumerate their divisors, goes to
+# Zassenhaus's algorithm over Z in ``zfactor``, which also decides
+# one-variable squarefree tests.
+#
+# A plane curve of degree 1 in one variable over a constant, or of degree 2
+# over a constant with a discriminant that is not a square, is irreducible.
+# sympy gets only the plane curves in two variables that fail both
+# certificates, and squarefree tests in several variables.  sympy and
+# ``zfactor`` are imported on first use, so that importing the package
+# loads neither.
 
-# a univariate polynomial whose primitive int form has a constant or a
-# leading coefficient above this goes to sympy whole
-_DIVISOR_LIMIT = 10**6
+# the rational root search enumerates the divisors of the end coefficients
+# by trial division; above this, Zassenhaus finds the linear factors along
+# with the others
+_ROOT_SEARCH_LIMIT = 10**6
 
 
 def _sympy_from_multipoly(f, gens):
@@ -1293,34 +1299,18 @@ def _sympy_from_multipoly(f, gens):
     return sympy.Poly.from_dict(rep, *symbols, domain=sympy.QQ)
 
 
-def _multipoly_from_sympy(poly, gens):
-    import sympy
-
-    terms = {}
-    for exp, c in poly.terms():
-        q = sympy.Rational(c)
-        terms[tuple(int(e) for e in exp)] = Fraction(int(q.p), int(q.q))
-    return MultiPoly(tuple(gens), terms)
-
-
 def _sort_factors(factors):
     factors.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
     return factors
 
 
-def _sympy_factor_univariate(f, var):
-    """factor_univariate of a nonzero polynomial in ``var``, all by sympy."""
-    import sympy
-
-    const, factors = _sympy_from_multipoly(f, [var]).factor_list()
-    unit = Fraction(int(sympy.Rational(const).p), int(sympy.Rational(const).q))
-    out = []
-    for fac, mult in factors:
-        g = _multipoly_from_sympy(fac, [var])
-        lc = g.leading_coefficient(LEX)
-        unit *= lc ** mult
-        out.append((g.scale(Fraction(1) / lc), int(mult)))
-    return unit, _sort_factors(out)
+def _primitive_ints(coeffs):
+    """The primitive int list with the signs of the nonzero list of
+    Fractions ``coeffs`` and proportional to it."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
 
 
 def factor_univariate(f, var=None):
@@ -1331,9 +1321,10 @@ def factor_univariate(f, var=None):
     p/q (p dividing the constant coefficient, q the leading one) are peeled
     off with their multiplicities by exact deflation.  What remains has no
     rational root: a quadratic is irreducible unless its discriminant is a
-    rational square, a cubic is irreducible, and degree 4 and up goes to
-    sympy.  When the constant or leading coefficient is above an internal
-    limit, the whole polynomial goes to sympy."""
+    rational square, a cubic is irreducible, and degree 4 and up is
+    factored over Z by :func:`zfactor.factor`.  When the constant or leading
+    coefficient is above an internal limit, the root search is skipped and
+    everything of degree 3 and up goes to :func:`zfactor.factor`."""
     used = f.used_variables()
     if var is None:
         if len(used) != 1:
@@ -1344,15 +1335,11 @@ def factor_univariate(f, var=None):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     coeffs = univariate_coeffs(f, var)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = math.gcd(*ints)
-    zeros = next(i for i, c in enumerate(ints) if c)
-    ints = [c // content for c in ints[zeros:]]
-    if abs(ints[0]) > _DIVISOR_LIMIT or abs(ints[-1]) > _DIVISOR_LIMIT:
-        return _sympy_factor_univariate(f, var)
+    zeros = next(i for i, c in enumerate(coeffs) if c)
+    ints = _primitive_ints(coeffs[zeros:])
     out = [(univariate_poly([0, 1], var), zeros)] if zeros else []
-    for p, q in _root_candidates(ints) if len(ints) > 3 else ():
+    searched = len(ints) > 3 and max(abs(ints[0]), abs(ints[-1])) <= _ROOT_SEARCH_LIMIT
+    for p, q in _root_candidates(ints) if searched else ():
         mult = 0
         while (quotient := _deflate(ints, p, q)) is not None:
             ints, mult = quotient, mult + 1
@@ -1360,10 +1347,14 @@ def factor_univariate(f, var=None):
             out.append((univariate_poly([Fraction(-p, q), 1], var), mult))
             if len(ints) <= 3:
                 break
-    if len(ints) > 4:
-        out += _sympy_factor_univariate(univariate_poly(ints, var), var)[1]
-    elif len(ints) == 4:
+    if len(ints) == 4 and searched:
+        # a cubic without a rational root is irreducible
         out.append((univariate_poly([Fraction(c, ints[-1]) for c in ints], var), 1))
+    elif len(ints) > 3:
+        from . import zfactor
+
+        for g, mult in zfactor.factor(ints):
+            out.append((univariate_poly([Fraction(c, g[-1]) for c in g], var), mult))
     elif len(ints) > 1:
         out += _split_quadratic([Fraction(c, ints[-1]) for c in ints], var)
     return coeffs[-1], _sort_factors(out)
@@ -1485,6 +1476,11 @@ def is_squarefree(f):
     used = sorted(f.used_variables())
     if not used:
         return True
+    if len(used) == 1:
+        from . import zfactor
+
+        parts = zfactor.squarefree_parts(_primitive_ints(univariate_coeffs(f, used[0])))
+        return all(mult == 1 for _, mult in parts)
     _, factors = _sympy_from_multipoly(f, used).sqf_list()
     return all(mult == 1 for _, mult in factors)
 
@@ -1509,7 +1505,8 @@ def decide_irreducibility(ideal):
     Classification works on the reduced Groebner basis, so the answer does
     not depend on how the ideal was presented.  A principal ideal (f) is
     irreducible when f passes one of the certificates of
-    :func:`_irreducible_by_certificate`; otherwise sympy factors f and the
+    :func:`_irreducible_by_certificate`; otherwise f is factored, by
+    :func:`factor_univariate` in one variable and by sympy in two, and the
     distinct irreducible factors are counted.  A zero-dimensional V(I) is
     irreducible when Q[x]/I has one local component."""
     gens = list(ideal.groebner_basis())
@@ -1525,14 +1522,16 @@ def decide_irreducibility(ideal):
         f = gens[0]
         if _irreducible_by_certificate(f):
             return IrreducibilityResult("irreducible", "principal-factorisation")
-        _, factors = _sympy_from_multipoly(f, sorted(f.used_variables())).factor_list()
-        nontrivial = [fac for fac, _ in factors if fac.total_degree() > 0]
-        if len(nontrivial) == 1:
+        used = sorted(f.used_variables())
+        if len(used) == 1:
+            count = len(factor_univariate(f, used[0])[1])
+        else:
+            _, factors = _sympy_from_multipoly(f, used).factor_list()
+            count = sum(1 for fac, _ in factors if fac.total_degree() > 0)
+        if count == 1:
             return IrreducibilityResult("irreducible", "principal-factorisation")
         return IrreducibilityResult(
-            "reducible",
-            "principal-factorisation",
-            f"{len(nontrivial)} distinct irreducible factors",
+            "reducible", "principal-factorisation", f"{count} distinct irreducible factors"
         )
 
     if ideal.krull_dimension() == 0:

@@ -24,7 +24,7 @@ from dfields.cli import (
     run_fixture_corpus,
 )
 import dfields
-from dfields.poly import PolyParseError
+from dfields.poly import BudgetExceededError, GroebnerBudget, PolyParseError
 
 PARABOLA = """
 algebra dual = Q[e]/(e^2);
@@ -392,6 +392,29 @@ def test_main_budget_flag(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "budget exhausted" in err
+
+
+def test_main_budget_flag_reaches_presented_algebras(tmp_path, capsys):
+    # e^60 is past the default degree cap of 40, within a cap of 400
+    path = tmp_path / "deep.dr"
+    path.write_text("algebra A = Q[e]/(e^60);\n")
+    assert main(["algebra", "decompose", str(path)]) == 1
+    assert "degree 60 exceeds cap 40" in capsys.readouterr().err
+    assert main(["--budget", "400", "algebra", "decompose", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "1 local component(s)" in out and "dim 60" in out
+
+
+def test_parse_builds_presented_algebras_under_the_budget():
+    # a ucd block needs the algebra's dimension while it is parsed
+    text = (
+        "algebra A = Q[e]/(e^45);\n"
+        "variety X { vars = [x]; ideal = (x); }\n"
+        "ucd inst { algebra = A; X = X; Y = (x_0); }\n"
+    )
+    with pytest.raises(BudgetExceededError, match="degree 45 exceeds cap 40"):
+        parse(text)
+    assert parse(text, GroebnerBudget(max_degree=400)).algebras["A"].dim == 45
 
 
 def test_ucd_base_over_another_algebra_is_an_input_error(tmp_path, capsys):

@@ -41,19 +41,23 @@ ucd inst {
   assert_irreducible = [X, Y];
 }
 algebra A = Q[x]/((x - 1)*(x - 2)*(x - 3));
+algebra B = Q[y]/((y^2 - 2)*(y^3 - 3));
+algebra C = Q[y]/(y^4 - 9);
 """
 
 
 def test_low_degree_factorisation_does_not_load_sympy():
     # the elliptic curve is irreducible by its discriminant, and the
-    # decomposition factors a cubic with three rational roots: both are
-    # answered without sympy
+    # decompositions factor a cubic with three rational roots and, by
+    # Zassenhaus, minimal polynomials of degree 5 and 4 without one: all
+    # are answered without sympy
     _run_fresh(
         "import sys\n"
         "from dfields import cli\n"
         f"doc = cli.parse({_LOW_DEGREE_DOCUMENT!r})\n"
         "assert cli.run('ucd check', doc).payload['results'][0]['verdict'] == 'verified'\n"
-        "components = cli.run('algebra decompose', doc, 'A').payload['results'][0]['components']\n"
-        "assert len(components) == 3\n"
+        "for name, count in (('A', 3), ('B', 2), ('C', 2)):\n"
+        "    result = cli.run('algebra decompose', doc, name).payload['results'][0]\n"
+        "    assert len(result['components']) == count, (name, result)\n"
         "assert 'sympy' not in sys.modules, sorted(sys.modules)\n"
     )

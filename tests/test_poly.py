@@ -34,8 +34,9 @@ from dfields.poly import (
     univariate_coeffs,
     univariate_poly,
     IrreducibilityResult,
-    _sympy_factor_univariate,
+    _sort_factors,
     _sympy_from_multipoly,
+    is_squarefree,
 )
 from dfields import cli, poly
 from dfields.algebra import solve_zero_dim
@@ -331,9 +332,10 @@ class _ReferenceCursor(_ReferenceParser, cli._Cursor):
     """``cli._Cursor`` with the reference parser under its statement reads:
     an expression lives on the union of its nodes' variables."""
 
-    def __init__(self, tokens):
+    def __init__(self, tokens, budget=None):
         _ReferenceParser.__init__(self, tokens, 0)
         self.algebras = {}
+        self.budget = budget
 
     def expr(self, variables):
         self.variables = tuple(variables)
@@ -1077,6 +1079,31 @@ def test_factor_tracks_units_and_multiplicity():
     assert unit == 4
 
 
+def _sympy_factor_univariate(f, var):
+    """The oracle: factor_univariate's answer on a nonzero polynomial in
+    ``var``, all by sympy."""
+    import sympy
+
+    const, factors = _sympy_from_multipoly(f, [var]).factor_list()
+    const = sympy.Rational(const)
+    unit = Fraction(int(const.p), int(const.q))
+    out = []
+    for fac, mult in factors:
+        terms = {}
+        for exp, c in fac.terms():
+            q = sympy.Rational(c)
+            terms[tuple(int(e) for e in exp)] = Fraction(int(q.p), int(q.q))
+        g = MultiPoly((var,), terms)
+        lc = g.leading_coefficient(LEX)
+        unit *= lc**mult
+        out.append((g.scale(Fraction(1) / lc), int(mult)))
+    return unit, _sort_factors(out)
+
+
+def _no_sympy(*args):
+    raise AssertionError("sympy was called")
+
+
 _RATIONALS = st.fractions(-5, 5, max_denominator=6)
 
 
@@ -1137,30 +1164,82 @@ def test_factorisation_matches_sympy(coeffs):
     assert factor_univariate(f) == _sympy_factor_univariate(f, "t")
 
 
+@st.composite
+def _zassenhaus_inputs(draw):
+    """Coefficients, low first, of an int product of degree 4 to 16: random
+    factors of degree 1 to 4 with multiplicities 1 to 3, about half of them
+    with a constant term past 10^6, some with a lead past 10^6."""
+    small, big = st.integers(-9, 9), st.integers(10**6, 10**7) | st.integers(-(10**7), -(10**6))
+    f = univariate_poly([draw(st.sampled_from((1, -1, 2, -3)))], "t")
+    degree = draw(st.integers(4, 16))
+    while f.total_degree() < degree:
+        left = degree - max(f.total_degree(), 0)
+        d = draw(st.integers(1, min(4, left)))
+        mult = draw(st.integers(1, min(3, left // d)))
+        factor = [draw(big if draw(st.booleans()) else small)]
+        factor += [draw(small) for _ in range(d - 1)]
+        factor.append(draw(big if draw(st.integers(0, 5)) == 0 else st.integers(1, 4)))
+        f = f * univariate_poly(factor, "t") ** mult
+    return univariate_coeffs(f, "t")
+
+
+@settings(max_examples=120, deadline=None)
+@given(_zassenhaus_inputs())
+@example([Fraction(c) for c in (1, 0, 0, 0, 1)])  # x^4 + 1 splits mod every prime
+@example([Fraction(c) for c in (-1,) + (0,) * 11 + (1,)])  # x^12 - 1
+def test_zassenhaus_matches_sympy(coeffs):
+    f = univariate_poly(coeffs, "t")
+    expected = _sympy_factor_univariate(f, "t")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_sympy_from_multipoly", _no_sympy)
+        assert factor_univariate(f) == expected
+        assert is_squarefree(f) == all(mult == 1 for _, mult in expected[1])
+
+
+# the eight degree 4 and 5 remainders that one algebra_ladder pass factors,
+# x^5 - 2*x^3 - 3*x^2 + 6 twice: quadratics times quadratics or cubics
+_LADDER_REMAINDERS = [
+    ("x^4 - 9", [2, 2]),
+    ("x^5 - 2*x^3 - 3*x^2 + 6", [2, 3]),
+    ("x^4 - 2*x^2 - 3", [2, 2]),
+    ("x^5 - 5*x^3 - 5*x^2 + 25", [2, 3]),
+    ("x^4 - 9*x^2 + 18", [2, 2]),
+    ("x^5 + 2*x^3 - 7*x^2 - 14", [2, 3]),
+    ("x^4 - 2*x^2 - 15", [2, 2]),
+]
+
+
 @pytest.mark.parametrize(
     "text,sympy_degrees",
     [
-        # constant term past the divisor limit: the whole polynomial
-        ("(x - 1)*(x^2 + 2000003)", [3]),
-        # no rational root, degree 4: the remainder goes to sympy
-        ("(x^2 + 1)^2", [4]),
-        # no rational root, degree 3: irreducible without sympy
-        ("x^3 - 2", []),
+        # constant term past the root search limit: Zassenhaus finds the
+        # linear factor too
+        ("(x - 1)*(x^2 + 2000003)", [1, 2]),
+        # no rational root, degree 4: Yun's decomposition finds the square
+        ("(x^2 + 1)^2", [2]),
+        # no rational root, degree 3: irreducible
+        ("x^3 - 2", [3]),
         # three rational roots peeled, an irreducible cubic left
-        ("(2*x - 1)*(x + 3)*x*(x^3 + x + 1)", []),
-    ],
+        ("(2*x - 1)*(x + 3)*x*(x^3 + x + 1)", [1, 1, 1, 3]),
+        # irreducible, but splits mod every prime: recombination rules out
+        # every subset
+        ("x^4 + 1", [4]),
+        # the Swinnerton-Dyer polynomial of 2, 3 and 5: irreducible, with
+        # linear or quadratic factors mod every prime
+        ("x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576", [8]),
+        # cyclotomic factors of degree 1, 2 and 4
+        ("x^12 - 1", [1, 1, 2, 2, 2, 4]),
+    ]
+    + _LADDER_REMAINDERS,
 )
 def test_factorisation_pinned_cases(monkeypatch, text, sympy_degrees):
+    # the oracle's factors have the pinned degrees, and factor_univariate
+    # finds them without a sympy call
     f = P(text)
-    seen = []
-
-    def recording(g, var):
-        seen.append(g.total_degree())
-        return _sympy_factor_univariate(g, var)
-
-    monkeypatch.setattr(poly, "_sympy_factor_univariate", recording)
-    assert factor_univariate(f) == _sympy_factor_univariate(f, "x")
-    assert seen == sympy_degrees
+    expected = _sympy_factor_univariate(f, "x")
+    assert [g.total_degree() for g, _ in expected[1]] == sympy_degrees
+    monkeypatch.setattr(poly, "_sympy_from_multipoly", _no_sympy)
+    assert factor_univariate(f) == expected
 
 
 def _sympy_principal(f):
@@ -1208,6 +1287,7 @@ def test_principal_irreducibility_matches_sympy(factors):
         # one-variable principal ideals
         ("x^2 - 2", ("x",), "irreducible", True),
         ("x^2 - 2", ("x", "y"), "irreducible", True),
+        # not certified, but in one variable: factored without sympy
         ("x^3 - x", ("x", "y"), "reducible", False),
     ],
 )
@@ -1224,7 +1304,10 @@ def test_principal_irreducibility_pinned_cases(monkeypatch, text, variables, sta
     result = decide_irreducibility(Ideal(variables, [f]))
     assert result == expected
     assert result.status == status
-    assert converted == ([] if certified else [f.monic()])
+    # sympy factors only plane curves in two variables that no certificate
+    # decides
+    two_variables = len(f.used_variables()) == 2
+    assert converted == ([f.monic()] if two_variables and not certified else [])
 
 
 def test_solve_zero_dim_two_points():
