@@ -18,7 +18,8 @@ comment.  Blocks must be defined before they are referenced.
                     vars = [x]; ideal = (x - a); s x = (x, 0); }
 
 Commands: ``algebra check|decompose``, ``dring verify``, ``prolong``,
-``dvariety check|sharp|descend``, ``ucd check|search``, ``fixtures``.
+``dvariety check|sharp|descend``, ``ucd check|search``; ``--fixtures``
+runs the shipped fixture corpus.
 Exit codes: 0 verified/found, 1 input error, 2 refuted, 3 undetermined.
 """
 
@@ -1039,13 +1040,12 @@ def main(argv=None):
             p.add_argument("action", choices=choices)
         p.add_argument("file")
         p.add_argument("name", nargs="?", default=None)
-    sub.add_parser("fixtures")
 
     args = parser.parse_args(argv)
     budget = GroebnerBudget(max_degree=args.budget) if args.budget else None
     order = LEX if args.order == "lex" else GREVLEX
 
-    if args.fixtures or args.group == "fixtures":
+    if args.fixtures:
         ok, lines = run_fixture_corpus(budget, order)
         print("\n".join(lines))
         return 0 if ok else 1

@@ -64,6 +64,12 @@ class DRingError(Exception):
 class SectionPropertyError(DRingError):
     """The coordinate-0 component of an image is not the variable itself."""
 
+    def __init__(self, variable):
+        self.variable = variable
+        super().__init__(
+            f"component 0 of the image of {variable!r} is not {variable!r} modulo the ideal"
+        )
+
 
 class WellDefinednessError(DRingError):
     """An image of a defining relation does not vanish on the variety."""
@@ -393,9 +399,7 @@ def make_doperator(algebra, ideal, images):
             images[v].comps[0] - MultiPoly.variable(v, ideal.variables)
         )
         if not defect.is_zero():
-            raise SectionPropertyError(
-                f"component 0 of the image of {v!r} is not {v!r} modulo the ideal"
-            )
+            raise SectionPropertyError(v)
     for g in ideal.generators:
         if g.is_zero():
             continue
@@ -563,12 +567,8 @@ def localize_dstructure(op, q):
             raise DRingError("nilpotent part of the localised image did not terminate")
         inverse = inverse + tensor_mul(series, e_tensor.scale(sigma_inv), new_ideal)
 
-    inverse = inverse.reduce(new_ideal)
-    check = tensor_mul(dq, inverse, new_ideal)
-    unit = TensorElement.one(op.algebra, new_vars).reduce(new_ideal)
-    if not all(a == b for a, b in zip(check.comps, unit.comps)):
-        raise DRingError("computed image of the inverse does not invert the image")
-
     new_images = {v: t.on_variables(new_vars) for v, t in op.images.items()}
     new_images[w] = inverse
+    # the image of q*w - 1 vanishes exactly when the image of w inverts
+    # the image of q, so make_doperator checks the inverse
     return make_doperator(op.algebra, new_ideal, new_images)

@@ -1,5 +1,7 @@
 """D-varieties: a variety together with a section of the projection from
-its prolongation, i.e. an operator structure on its coordinate ring.
+its prolongation, i.e. an operator structure on its coordinate ring.  The
+two are one piece of data, verified once by
+:func:`dfields.dring.make_doperator`; a :class:`DVariety` keeps the operator.
 
 Includes the sharp-point machinery (points where the canonical operator
 image agrees with the section), restriction to basic opens, the
@@ -19,7 +21,9 @@ from .algebra import solve_zero_dim
 from .dring import (
     DOperator,
     DRingError,
+    SectionPropertyError,
     TensorElement,
+    WellDefinednessError,
     is_d_ideal,
     localize_dstructure,
     make_doperator,
@@ -35,7 +39,7 @@ from .poly import (
     linear_combination,
     univariate_coeffs,
 )
-from .prolongation import BaseDStructure, prolong, pullback_defect
+from .prolongation import BaseDStructure
 
 
 class DVarietyError(Exception):
@@ -43,17 +47,15 @@ class DVarietyError(Exception):
 
 
 class DVariety:
-    """A variety with a verified section into its prolongation.
+    """A variety with a verified section into its prolongation, kept as the
+    equivalent operator on the coordinate ring: ``section`` is the
+    operator's map from each coordinate to its image."""
 
-    ``section`` maps each coordinate to its image components; the
-    equivalent operator on the coordinate ring is kept alongside.
-    """
-
-    def __init__(self, algebra, ideal, section, operator):
-        self.algebra = algebra
-        self.ideal = ideal
-        self.section = section
+    def __init__(self, operator):
         self.operator = operator
+        self.algebra = operator.algebra
+        self.ideal = operator.ideal
+        self.section = operator.images
 
     @property
     def variables(self):
@@ -86,41 +88,26 @@ def zero_section(algebra, ideal):
 
 
 def make_dvariety(algebra, ideal, section):
-    """Build a D-variety after verifying the section property and that the
-    section lands in the prolongation; cross-validated by constructing the
-    corresponding ring operator, which runs its own checks."""
+    """Build a D-variety from the section's images of the coordinates.  The
+    section lands in the prolongation exactly when the operator with those
+    images is well defined, so :func:`dfields.dring.make_doperator` checks
+    it, together with the section property."""
     images = {}
     for v in ideal.variables:
         if v not in section:
             raise DVarietyError(f"section missing coordinate {v!r}")
-        comps = tuple(as_poly(c, ideal.variables) for c in section[v])
-        if len(comps) != algebra.dim:
+        images[v] = tuple(section[v])
+        if len(images[v]) != algebra.dim:
             raise DVarietyError(f"section of {v!r} needs {algebra.dim} components")
-        images[v] = comps
-
-    # route 1: section lands in the prolongation of the variety
-    prolonged = prolong(BaseDStructure.trivial(algebra), ideal)
-    defect = pullback_defect(prolonged, images, ideal)
-    if defect is not None:
-        f, j, value = defect
-        raise DVarietyError(
-            f"section does not land in the prolongation: component {j} "
-            f"of {format_poly(f)} pulls back to {format_poly(value)}"
-        )
-
-    # route 2: the corresponding ring operator verifies independently
     try:
-        operator = make_doperator(algebra, ideal, images)
-    except DRingError as exc:
+        return DVariety(make_doperator(algebra, ideal, images))
+    except WellDefinednessError as exc:
+        raise DVarietyError(
+            f"section does not land in the prolongation: component {exc.component} "
+            f"of {format_poly(exc.generator)} pulls back to {format_poly(exc.value)}"
+        ) from exc
+    except SectionPropertyError as exc:
         raise DVarietyError(f"section is not an operator structure: {exc}") from exc
-
-    tensors = {v: TensorElement(algebra, images[v]) for v in ideal.variables}
-    return DVariety(algebra, ideal, tensors, operator)
-
-
-def dvariety_from_operator(op):
-    """View an operator on a coordinate ring as a D-variety."""
-    return DVariety(op.algebra, op.ideal, dict(op.images), op)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +215,7 @@ def open_dsubvariety(dv, q):
     localized = localize_dstructure(dv.operator, q)
     if localized is dv.operator:
         return dv
-    return dvariety_from_operator(localized)
+    return DVariety(localized)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dring import PowerTable, TensorElement, make_doperator, push_through
+from .dring import (
+    PowerTable,
+    SectionPropertyError,
+    TensorElement,
+    WellDefinednessError,
+    make_doperator,
+    push_through,
+)
 from .poly import Ideal, MultiPoly, as_poly, format_poly, linear_combination
 
 
@@ -112,12 +119,10 @@ class ProlongedVariety:
         }
 
 
-def prolong(base, ideal, xvars=None):
-    """The prolongation of V(ideal) along the base operator structure.
-
-    ``ideal`` lives in Q[params + xvars]; the result lives in
-    Q[params + x_0-block + ... + x_l-block].
-    """
+def _geometric_variables(base, ideal, xvars):
+    """The coordinates of V(ideal): ``xvars`` when given, else every ideal
+    variable that is not a parameter of ``base``.  Each ideal variable must
+    be a parameter or a coordinate, and not both."""
     if xvars is None:
         xvars = tuple(v for v in ideal.variables if v not in set(base.params))
     else:
@@ -130,7 +135,16 @@ def prolong(base, ideal, xvars=None):
             f"ideal variable {sorted(stray)[0]!r} is neither geometric nor a "
             f"declared parameter"
         )
+    return xvars
 
+
+def prolong(base, ideal, xvars=None):
+    """The prolongation of V(ideal) along the base operator structure.
+
+    ``ideal`` lives in Q[params + xvars]; the result lives in
+    Q[params + x_0-block + ... + x_l-block].
+    """
+    xvars = _geometric_variables(base, ideal, xvars)
     algebra = base.algebra
     new_vars = prolonged_variables(base.params, xvars, algebra.dim)
     if len(set(new_vars)) != len(new_vars) or set(new_vars) & set(xvars):
@@ -269,60 +283,37 @@ def nabla_e(base, point, xvars):
     return tuple(out)
 
 
-def pullback_defect(prolonged, blocks, ideal):
-    """Pull every generator component of the prolongation back along the
-    point whose coordinates at levels 0..l are ``blocks[x]``; return the
-    first one outside ``ideal`` as (generator, level, normal form), or
-    None when the point lies on the prolongation modulo ``ideal``."""
-    substitution = {
-        f"{x}_{level}": blocks[x][level]
-        for x in prolonged.xvars
-        for level in range(prolonged.base.algebra.dim)
-    }
-    for f, comps in prolonged.per_generator:
-        for j, comp in enumerate(comps):
-            value = ideal.normal_form(comp.substitute(substitution))
-            if not value.is_zero():
-                return f, j, value
-    return None
-
-
 def extend_by_point(base, ideal, point_images, xvars=None):
     """Extend the base structure to Q[x]/ideal by prescribing the image of
     the generic point: ``point_images`` lists, block-major, the coordinates
     of a point of the prolongation whose level-0 block is x itself.
 
-    Verifies membership in the prolonged ideal; on success returns the
-    verified operator with those images.
+    The point lies on the prolongation exactly when the operator with
+    those images is well defined, which :func:`dfields.dring.make_doperator`
+    checks along with the level-0 block; returns that operator.
     """
-    prolonged = prolong(base, ideal, xvars)
-    xvars = prolonged.xvars
+    xvars = _geometric_variables(base, ideal, xvars)
     dim = base.algebra.dim
     entries = [as_poly(entry, ideal.variables) for entry in point_images]
     if len(entries) != len(xvars) * dim:
         raise ProlongationError(
             f"expected {len(xvars) * dim} coordinates, got {len(entries)}"
         )
-
-    blocks = {
+    images = {
         x: [entries[level * len(xvars) + pos] for level in range(dim)]
         for pos, x in enumerate(xvars)
     }
-    for x in xvars:
-        defect = ideal.normal_form(blocks[x][0] - MultiPoly.variable(x, ideal.variables))
-        if not defect.is_zero():
-            raise ProlongationError(
-                f"level-0 coordinate of {x!r} must be {x!r} itself modulo the ideal"
-            )
-    defect = pullback_defect(prolonged, blocks, ideal)
-    if defect is not None:
-        f, j, value = defect
-        raise ProlongationError(
-            f"not a point of the prolongation: component {j} of "
-            f"{format_poly(f)} evaluates to {format_poly(value)}"
-        )
-
-    images = {x: TensorElement(base.algebra, block) for x, block in blocks.items()}
     for p, t in base.operator.images.items():
         images[p] = t.on_variables(ideal.variables)
-    return make_doperator(base.algebra, ideal, images)
+    try:
+        return make_doperator(base.algebra, ideal, images)
+    except SectionPropertyError as exc:
+        x = exc.variable
+        raise ProlongationError(
+            f"level-0 coordinate of {x!r} must be {x!r} itself modulo the ideal"
+        ) from exc
+    except WellDefinednessError as exc:
+        raise ProlongationError(
+            f"not a point of the prolongation: component {exc.component} of "
+            f"{format_poly(exc.generator)} evaluates to {format_poly(exc.value)}"
+        ) from exc

@@ -67,7 +67,6 @@ from .poly import (
     format_poly,
     is_squarefree,
     jacobian_at,
-    jacobian_rank_at,
 )
 from .prolongation import (
     BaseDStructure,
@@ -398,8 +397,9 @@ def _complete_intersection(ideal, point, codim):
     )
 
 
-def _smoothness_entry(inst, decide=None):
-    """Jacobian rank at the witness against the codimension of Y.
+def _smoothness_entry(inst, at, decide=None):
+    """Jacobian rank at the witness (``at``, from :func:`_at_witness`)
+    against the codimension of Y.
 
     Rank = codimension shows a smooth witness only when every component of
     Y through it has the dimension of Y; that is known when codimension-many
@@ -408,12 +408,13 @@ def _smoothness_entry(inst, decide=None):
     through the witness and be singular there."""
     if inst.witness is None:
         return HypothesisEntry("smooth_witness", "undetermined", "no witness supplied")
-    try:
-        rank = jacobian_rank_at(
-            inst.y_ideal.generators, inst.y_ideal.variables, inst.witness
-        )
-    except NotOnVarietyError as exc:
-        return HypothesisEntry("smooth_witness", "refuted", f"witness not on Y: {exc}")
+    if at is None:
+        # the witness is off Y: name the generator it fails
+        try:
+            jacobian_at(inst.y_ideal.generators, inst.y_ideal.variables, inst.witness)
+        except NotOnVarietyError as exc:
+            return HypothesisEntry("smooth_witness", "refuted", f"witness not on Y: {exc}")
+    rank = at.rank
     try:
         dim = inst.y_ideal.krull_dimension()
     except EmptyVarietyError:
@@ -519,7 +520,7 @@ def check_instance(inst):
     entries.extend(
         _dominance_entries(inst, containment.status == "verified", at, decide)
     )
-    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, decide))
+    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, at, decide))
     entries.append(_irreducibility_entry(inst, "X", decide))
     entries.append(
         _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y", decide)

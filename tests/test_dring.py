@@ -103,8 +103,10 @@ def test_endomorphism_needs_no_relations(qxq):
 
 
 def test_section_property_enforced(dual):
-    with pytest.raises(SectionPropertyError):
+    with pytest.raises(SectionPropertyError) as err:
         make_doperator(dual, Ideal(("x",), []), {"x": ("x + 1", "1")})
+    assert err.value.variable == "x"
+    assert str(err.value) == "component 0 of the image of 'x' is not 'x' modulo the ideal"
 
 
 def test_unadapted_algebra_rejected(gauss):
@@ -289,6 +291,16 @@ def test_localized_image_multiplies_back_to_one(dual, trunc3, rng):
             product = tensor_mul(dq, dw, loc.ideal)
             unit = TensorElement.one(algebra, loc.variables).reduce(loc.ideal)
             assert all(a == b for a, b in zip(product.comps, unit.comps))
+
+
+def test_wrong_inverse_image_fails_on_the_inverse_relation(dual):
+    # the check of a localised structure: an image of w that does not
+    # invert the image of x maps x*w - 1 outside the ideal
+    op = make_doperator(dual, Ideal(("x",), []), {"x": ("x", "1")})
+    loc = localize_dstructure(op, "x")
+    with pytest.raises(WellDefinednessError) as err:
+        make_doperator(dual, loc.ideal, {"x": ("x", "1"), "w": ("w", "w^2")})
+    assert (format_poly(err.value.generator), err.value.component) == ("x*w - 1", 1)
 
 
 def test_localize_shift_orbit_not_finitely_presented(qxq):

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfields.cli import main
 from dfields.dring import DRingError, make_doperator
 from dfields.dvariety import (
     DVarietyError,
@@ -16,7 +19,8 @@ from dfields.dvariety import (
     weil_descent,
     zero_section,
 )
-from dfields.poly import Ideal, format_poly, parse_polynomial
+from dfields.poly import Ideal, MultiPoly, format_poly, parse_polynomial
+from dfields.prolongation import BaseDStructure, extend_by_point, prolong
 
 
 def P(text, variables=None):
@@ -45,6 +49,101 @@ def test_parabola_section_valid(dual, parabola_ideal):
 def test_parabola_section_rejected(dual, parabola_ideal):
     with pytest.raises(DVarietyError, match="prolongation"):
         make_dvariety(dual, parabola_ideal, {"x": ("x", "1"), "y": ("y", "1")})
+
+
+def test_level_zero_fault_is_named_as_one(dual, parabola_ideal):
+    with pytest.raises(DVarietyError) as err:
+        make_dvariety(dual, parabola_ideal, {"x": ("x + 1", "1"), "y": ("y", "2*x")})
+    assert str(err.value) == (
+        "section is not an operator structure: component 0 of the image of 'x' "
+        "is not 'x' modulo the ideal"
+    )
+
+
+def test_coordinate_named_like_a_prolonged_coordinate(dual, tmp_path, capsys):
+    # x_0 is a coordinate of V, not the level-0 copy of x
+    ideal = Ideal(("x", "x_0"), ["x_0 - x^2"])
+    images = {"x": ["x", "1"], "x_0": ["x_0", "2*x"]}
+    dv = make_dvariety(dual, ideal, images)
+    assert dv.operator.to_dict()["images"] == images
+    op = extend_by_point(BaseDStructure.trivial(dual), ideal, ("x", "x_0", "1", "2*x"))
+    assert op.to_dict()["images"] == images
+    path = tmp_path / "graph.dr"
+    path.write_text(
+        "algebra dual = Q[e]/(e^2);\n"
+        "variety V { vars = [x, x_0]; ideal = (x_0 - x^2); }\n"
+        "dvariety dv { algebra = dual; variety = V; s x = (x, 1); s x_0 = (x_0, 2*x); }\n"
+    )
+    assert main(["dvariety", "check", str(path)]) == 0
+    assert capsys.readouterr().out == "dvariety dv: valid section into the prolongation\n"
+
+
+def _pullback_defect(algebra, ideal, section):
+    """Reference for make_dvariety: pull each component of the prolonged
+    generators back along the section, and return the first one outside
+    the ideal as (generator, level, normal form), or None."""
+    prolonged = prolong(BaseDStructure.trivial(algebra), ideal)
+    substitution = {
+        f"{x}_{level}": section[x][level]
+        for x in prolonged.xvars
+        for level in range(algebra.dim)
+    }
+    for f, comps in prolonged.per_generator:
+        for j, comp in enumerate(comps):
+            value = ideal.normal_form(comp.substitute(substitution))
+            if not value.is_zero():
+                return f, j, value
+    return None
+
+
+def _polys(variables, max_degree):
+    """Nonzero polynomials of up to three terms."""
+    exponents = st.tuples(*[st.integers(0, max_degree)] * len(variables))
+    coefficients = st.integers(-3, 3).filter(bool)
+    terms = st.dictionaries(exponents, coefficients, min_size=1, max_size=3)
+    return terms.map(lambda t: MultiPoly(variables, t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_make_dvariety_agrees_with_the_pullback_reference(dual, q3, trunc3, data):
+    algebra = data.draw(st.sampled_from((dual, q3, trunc3)), label="algebra")
+    xy = ("x", "y")
+    if data.draw(st.booleans(), label="graph"):
+        # V: y = g(x), and the section that the free operator with a random
+        # image of x induces on it
+        g = data.draw(_polys(("x",), 3), label="g")
+        ideal = Ideal(xy, [P("y", xy) - g.on_variables(xy)])
+        levels = data.draw(st.lists(_polys(xy, 2), min_size=algebra.dim - 1,
+                                    max_size=algebra.dim - 1), label="image of x")
+        free = make_doperator(
+            algebra, Ideal(xy, []), {"x": ["x", *levels], "y": ["y"] + ["0"] * len(levels)}
+        )
+        section = {"x": free.images["x"].comps, "y": (P("y", xy),) + free.apply(g).comps[1:]}
+    else:
+        gens = data.draw(st.lists(_polys(xy, 2), min_size=1, max_size=2), label="generators")
+        ideal = Ideal(xy, gens)
+        section = zero_section(algebra, ideal)
+    if data.draw(st.booleans(), label="perturb"):
+        v = data.draw(st.sampled_from(xy))
+        level = data.draw(st.integers(1, algebra.dim - 1), label="level")
+        delta = data.draw(_polys(xy, 2), label="delta")
+        comps = list(section[v])
+        comps[level] = comps[level] + delta
+        section[v] = tuple(comps)
+
+    defect = _pullback_defect(algebra, ideal, section)
+    if defect is None:
+        dv = make_dvariety(algebra, ideal, section)
+        assert all(dv.section[v].comps == tuple(section[v]) for v in xy)
+        return
+    f, j, value = defect
+    with pytest.raises(DVarietyError) as err:
+        make_dvariety(algebra, ideal, section)
+    assert str(err.value) == (
+        f"section does not land in the prolongation: component {j} "
+        f"of {format_poly(f)} pulls back to {format_poly(value)}"
+    )
 
 
 def test_zero_section_always_valid(dual, q3, trunc3):

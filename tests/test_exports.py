@@ -28,6 +28,13 @@ def test_importing_the_package_does_not_load_sympy():
     _run_fresh("import sys, dfields; assert 'sympy' not in sys.modules, sorted(sys.modules)")
 
 
+def test_importing_the_package_does_not_load_zfactor():
+    # the Zassenhaus factoriser is imported on first use, to keep start-up short
+    _run_fresh(
+        "import sys, dfields; assert 'dfields.zfactor' not in sys.modules, sorted(sys.modules)"
+    )
+
+
 _LOW_DEGREE_DOCUMENT = """
 algebra D = Q[e]/(e^3);
 variety X { vars = [x, y]; ideal = (y^2 - x^3 - x); }

@@ -70,7 +70,7 @@ def test_certificates_agree_with_the_groebner_path(algebra_name, curve, request)
         fallback.extend(
             _dominance_entry(inst, i) for i in range(len(algebra.components))
         )
-        fallback.append(_smoothness_entry(inst))
+        fallback.append(_smoothness_entry(inst, _at_witness(inst)))
         fallback.append(_irreducibility_entry(inst, "X"))
         fallback.append(_irreducibility_entry(inst, "Y"))
         fallback.append(_open_set_entry(inst))
@@ -114,7 +114,7 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
                 _containment_entry(inst),
                 _dominance_entry(inst, 0),
                 _dominance_entry(inst, 1),
-                _smoothness_entry(inst),
+                _smoothness_entry(inst, at),
                 _irreducibility_entry(inst, "X"),
                 _irreducibility_entry(inst, "Y"),
                 _open_set_entry(inst),
@@ -170,12 +170,33 @@ def test_rank_equal_to_codimension_verifies_an_equidimensional_y():
         (["x_0 - y_0", "y_0 - z_0", "x_0 - z_0", "(x_0 - y_0)^2"], (1, 1, 1)),
     )
     for gens, witness in cases:
-        entry = _smoothness_entry(_node_instance(gens, witness))
+        inst = _node_instance(gens, witness)
+        entry = _smoothness_entry(inst, _at_witness(inst))
         assert (entry.status, entry.detail) == ("verified", "Jacobian rank 2 = codimension")
     # Y decided irreducible: every component through the witness is Y
     node = _node_instance(
         ["z_0*(x_0 - 5)", "z_0*(y_0^2 - (z_0 - 1)^2*z_0)"], (5, 0, 1)
     )
-    assert _smoothness_entry(node).status == "undetermined"
+    at = _at_witness(node)
+    assert _smoothness_entry(node, at).status == "undetermined"
     irreducible = lambda ideal: IrreducibilityResult("irreducible", "given")  # noqa: E731
-    assert _smoothness_entry(node, irreducible).status == "verified"
+    assert _smoothness_entry(node, at, irreducible).status == "verified"
+
+
+def test_smoothness_fallback_reads_the_rank_at_the_witness(dual):
+    # a repeated and a zero generator: the certificate fails, and the rank
+    # over Y's nonzero generators is the rank over all of them
+    base = BaseDStructure.trivial(dual)
+    x_ideal = Ideal(("x", "y"), ["y^2 - x^3 - x"])
+    prolonged = prolong(base, x_ideal)
+    gens = list(prolonged.prolonged_ideal.generators)
+    zero = parse_polynomial("0", prolonged.variables)
+    y = Ideal(prolonged.variables, gens + [gens[0], zero])
+    entries = []
+    for witness in ((0, 0, 0, 0), (1, 0, 0, 0)):
+        inst = ucd_instance(base, x_ideal, y, witness=witness)
+        entries.append(check_instance(inst).entry("smooth_witness"))
+    assert [(e.status, e.detail) for e in entries] == [
+        ("verified", "Jacobian rank 2 = codimension"),
+        ("refuted", "witness not on Y: point does not satisfy generator -x_0^3 + y_0^2 - x_0"),
+    ]
