@@ -1,7 +1,9 @@
 """Input language, command dispatch, and reporting.
 
 The text format is block-based; statements end with ';' and '#' starts a
-comment.  Blocks must be defined before they are referenced.
+comment.  Blocks must be defined before they are referenced.  The items of a
+block come in any order, each after the items it needs; the names in a list
+are distinct.
 
     algebra dual = Q[e]/(e^2);
     algebra qq { basis = [u, v]; mul u*u = u; mul u*v = 0; mul v*v = v;
@@ -185,34 +187,62 @@ class _Cursor(_ExprParser):
         self.expect(")")
         return tuple(items)
 
-    def image(self, key, var, items, variables):
-        """Reads ``= (..)`` after the item ``key var`` and appends (var,
-        components) to ``items``; a second item for one variable is an
-        error."""
-        if any(v == var.text for v, _ in items):
-            self.error(f"duplicate item '{key.text} {var.text}'", var)
-        self.expect("=")
-        items.append((var.text, self.poly_tuple(variables)))
-
-    def item_key(self, what, seen, repeatable=()):
-        """Reads the key of a block item; a second occurrence in the block
-        (``seen`` holds the keys read so far) of a key not in
-        ``repeatable`` is an error."""
-        key = self.expect("NAME", what)
-        if key.text not in repeatable:
+    def items(self, what, keys, repeatable=()):
+        """Reads a block body ``{ item; .. }``: yields the key token of each
+        item and reads the ';' once the caller has read the rest of it.  A
+        key that is not a name is an error reported as ``expected <what>``
+        (say 'a dring item'); so is a key outside ``keys``, and a second
+        occurrence of a key not in ``repeatable``."""
+        self.expect("{")
+        seen = set()
+        while self.peek().kind != "}":
+            key = self.expect("NAME", what)
             if key.text in seen:
                 self.error(f"duplicate item {key.text!r}", key)
-            seen.add(key.text)
-        return key
+            if key.text not in keys:
+                self.error(f"unknown {what.split(' ', 1)[1]} {key.text!r}", key)
+            if key.text not in repeatable:
+                seen.add(key.text)
+            yield key
+            self.expect(";")
+        self.take()
+
+    def ref(self, doc_blocks, cls):
+        """Reads ``= NAME``: the earlier block it names, which must be a
+        ``cls``."""
+        self.expect("=")
+        tok = self.expect("NAME")
+        block = _lookup(doc_blocks, tok.text)
+        if block is None:
+            self.error(f"unresolved reference {tok.text!r}", tok)
+        if not isinstance(block, cls):
+            self.error(f"{tok.text!r} is a {type(block).__name__}, not a {cls.__name__}", tok)
+        return block
+
+    def image(self, key, images, allowed, variables, what):
+        """Reads ``var = (..)`` after the item's ``key`` and appends (var,
+        components) to ``images``; a var outside ``allowed`` "is not
+        <what>", and a second image of one var is an error."""
+        var = self.expect("NAME")
+        if var.text not in allowed:
+            self.error(f"{var.text!r} is not {what}", var)
+        if any(v == var.text for v, _ in images):
+            self.error(f"duplicate item '{key.text} {var.text}'", var)
+        self.expect("=")
+        images.append((var.text, self.poly_tuple(variables)))
 
     def name_list(self):
+        """``[a, b, ..]``: distinct names."""
         self.expect("[")
         names = []
         if self.peek().kind == "NAME":
             names.append(self.take().text)
             while self.peek().kind == ",":
                 self.take()
-                names.append(self.expect("NAME").text)
+                tok = self.expect("NAME")
+                if tok.text in names:
+                    self.error(f"duplicate name {tok.text!r}", tok)
+                names.append(tok.text)
         self.expect("]")
         return tuple(names)
 
@@ -244,19 +274,20 @@ def _check_coords(poly, basis, tok):
     return tuple(coords)
 
 
-def _parse_algebra(cursor, name):
+# Each block parser reads the block after its name token ``name`` and
+# reports a block-level fault (a missing item) at that token.
+
+
+def _parse_algebra(cursor, name, doc_blocks):
     if cursor.peek().kind == "=":
         cursor.take()
         variables, relations = _presentation(cursor)
         cursor.expect(";")
-        return AlgebraBlock(name, (variables, relations))
-    cursor.expect("{")
+        return AlgebraBlock(name.text, (variables, relations))
     basis = None
     table = {}  # (i, j) with i <= j -> (coords, the product as written)
     unit = None
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("an algebra item", seen, ("mul",))
+    for key in cursor.items("an algebra item", ("basis", "mul", "unit"), ("mul",)):
         if key.text == "basis":
             cursor.expect("=")
             basis = cursor.name_list()
@@ -284,30 +315,22 @@ def _parse_algebra(cursor, name):
                 cursor.error("basis must be declared before the unit", key)
             cursor.expect("=")
             unit = _check_coords(cursor.expr(basis), basis, key)
-        else:
-            cursor.error(f"unknown algebra item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
     if basis is None or unit is None:
-        cursor.error(f"algebra {name!r} needs a basis and a unit")
+        cursor.error(f"algebra {name.text!r} needs a basis and a unit", name)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             if (i, j) not in table:
                 cursor.error(
-                    f"algebra {name!r} is missing the product "
-                    f"{basis[i]}*{basis[j]}"
+                    f"algebra {name.text!r} is missing the product {basis[i]}*{basis[j]}", name
                 )
     entries = tuple((pair, coords) for pair, (coords, _) in sorted(table.items()))
-    return AlgebraBlock(name, None, basis, entries, unit)
+    return AlgebraBlock(name.text, None, basis, entries, unit)
 
 
-def _parse_variety(cursor, name):
-    cursor.expect("{")
+def _parse_variety(cursor, name, doc_blocks):
     variables = None
     generators = ()
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("a variety item", seen)
+    for key in cursor.items("a variety item", ("vars", "ideal")):
         if key.text == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
@@ -316,79 +339,54 @@ def _parse_variety(cursor, name):
                 cursor.error("vars must be declared before the ideal", key)
             cursor.expect("=")
             generators = cursor.poly_tuple(variables)
-        else:
-            cursor.error(f"unknown variety item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
     if variables is None:
-        cursor.error(f"variety {name!r} needs vars")
+        cursor.error(f"variety {name.text!r} needs vars", name)
     generators = tuple(g for g in generators if not g.is_zero())
-    return VarietyBlock(name, variables, generators)
+    return VarietyBlock(name.text, variables, generators)
 
 
 def _parse_dring(cursor, name, doc_blocks):
-    cursor.expect("{")
     algebra = None
     variables = None
     relations = ()
     images = []
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("a dring item", seen, ("d",))
+    for key in cursor.items("a dring item", ("algebra", "ring", "d"), ("d",)):
         if key.text == "algebra":
-            cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
+            algebra = cursor.ref(doc_blocks, AlgebraBlock).name
         elif key.text == "ring":
             cursor.expect("=")
             variables, relations = _presentation(cursor)
         elif key.text == "d":
             if variables is None:
                 cursor.error("ring must be declared before operator images", key)
-            var = cursor.expect("NAME")
-            if var.text not in variables:
-                cursor.error(f"{var.text!r} is not a ring variable", var)
-            cursor.image(key, var, images, variables)
-        else:
-            cursor.error(f"unknown dring item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
+            cursor.image(key, images, variables, variables, "a ring variable")
     if algebra is None or variables is None:
-        cursor.error(f"dring {name!r} needs an algebra and a ring")
-    return DringBlock(name, algebra, variables, relations, tuple(images))
+        cursor.error(f"dring {name.text!r} needs an algebra and a ring", name)
+    return DringBlock(name.text, algebra, variables, relations, tuple(images))
 
 
 def _parse_dvariety(cursor, name, doc_blocks):
-    cursor.expect("{")
     algebra = None
     variety = None
     section = []
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("a dvariety item", seen, ("s",))
+    for key in cursor.items("a dvariety item", ("algebra", "variety", "s"), ("s",)):
         if key.text == "algebra":
-            cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
+            algebra = cursor.ref(doc_blocks, AlgebraBlock).name
         elif key.text == "variety":
-            cursor.expect("=")
-            variety = _resolve_ref(doc_blocks, cursor.expect("NAME"), VarietyBlock)
+            variety = cursor.ref(doc_blocks, VarietyBlock)
         elif key.text == "s":
             if variety is None:
                 cursor.error("variety must be declared before the section", key)
-            var = cursor.expect("NAME")
-            if var.text not in variety.variables:
-                cursor.error(f"{var.text!r} is not a coordinate", var)
-            cursor.image(key, var, section, variety.variables)
-        else:
-            cursor.error(f"unknown dvariety item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
+            cursor.image(key, section, variety.variables, variety.variables, "a coordinate")
     if algebra is None or variety is None:
-        cursor.error(f"dvariety {name!r} needs an algebra and a variety")
-    return DVarietyBlock(name, algebra, variety.name, tuple(section))
+        cursor.error(f"dvariety {name.text!r} needs an algebra and a variety", name)
+    return DVarietyBlock(name.text, algebra, variety.name, tuple(section))
+
+
+_UCD_KEYS = ("algebra", "base", "X", "Y", "witness", "h", "assert_irreducible", "d")
 
 
 def _parse_ucd(cursor, name, doc_blocks):
-    cursor.expect("{")
     algebra = None
     base = None
     x_block = None
@@ -398,23 +396,15 @@ def _parse_ucd(cursor, name, doc_blocks):
     assertions = ()
     d_images = []
     y_vars = None
-
-    def need_y_vars(tok):
-        if y_vars is None:
-            cursor.error("algebra and X must be declared before this item", tok)
-
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("a ucd item", seen, ("d",))
+    for key in cursor.items("a ucd item", _UCD_KEYS, ("d",)):
+        if key.text in ("witness", "h") and y_vars is None:
+            cursor.error("algebra and X must be declared before this item", key)
         if key.text == "algebra":
-            cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock)
+            algebra = cursor.ref(doc_blocks, AlgebraBlock)
         elif key.text == "base":
-            cursor.expect("=")
-            base = _resolve_ref(doc_blocks, cursor.expect("NAME"), DringBlock)
+            base = cursor.ref(doc_blocks, DringBlock)
         elif key.text == "X":
-            cursor.expect("=")
-            x_block = _resolve_ref(doc_blocks, cursor.expect("NAME"), VarietyBlock)
+            x_block = cursor.ref(doc_blocks, VarietyBlock)
         elif key.text == "Y":
             if algebra is None or x_block is None:
                 cursor.error("algebra and X must come before Y", key)
@@ -425,57 +415,44 @@ def _parse_ucd(cursor, name, doc_blocks):
             cursor.expect("=")
             y_generators = cursor.poly_tuple(y_vars)
         elif key.text == "witness":
-            need_y_vars(key)
             cursor.expect("=")
-            coords = cursor.poly_tuple(())
-            witness = tuple(c.constant_value() for c in coords)
+            witness = tuple(c.constant_value() for c in cursor.poly_tuple(()))
         elif key.text == "h":
-            need_y_vars(key)
             cursor.expect("=")
             h = cursor.expr(y_vars)
         elif key.text == "assert_irreducible":
             cursor.expect("=")
             assertions = cursor.name_list()
-            for a in assertions:
-                if a not in ("X", "Y"):
-                    cursor.error("assert_irreducible entries must be X or Y", key)
+            if not set(assertions) <= {"X", "Y"}:
+                cursor.error("assert_irreducible entries must be X or Y", key)
         elif key.text == "d":
             if x_block is None:
                 cursor.error("X must be declared before candidate images", key)
-            var = cursor.expect("NAME")
-            if var.text not in x_block.variables:
-                cursor.error(f"{var.text!r} is not an X coordinate", var)
-            cursor.image(key, var, d_images, x_block.variables)
-        else:
-            cursor.error(f"unknown ucd item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
+            cursor.image(key, d_images, x_block.variables, x_block.variables, "an X coordinate")
     if algebra is None or x_block is None or y_generators is None:
-        cursor.error(f"ucd {name!r} needs an algebra, X, and Y")
+        cursor.error(f"ucd {name.text!r} needs an algebra, X, and Y", name)
     return UcdBlock(
-        name, algebra.name, base.name if base else None, x_block.name, y_generators,
-        witness, h, tuple(assertions), tuple(d_images),
+        name.text, algebra.name, base.name if base else None, x_block.name, y_generators,
+        witness, h, assertions, tuple(d_images),
     )
 
 
+_DESCEND_KEYS = ("algebra", "minpoly", "d", "vars", "ideal", "s")
+
+
 def _parse_descend(cursor, name, doc_blocks):
-    cursor.expect("{")
     algebra = None
     alpha = None
     minpoly = None
-    alpha_image = []  # the one item 'd alpha', as (alpha, components)
+    alpha_images = None
     variables = None
     generators = ()
     section = []
-    seen = set()
-    while cursor.peek().kind != "}":
-        key = cursor.item_key("a descend item", seen, ("d", "s"))
+    for key in cursor.items("a descend item", _DESCEND_KEYS, ("d", "s")):
         if key.text == "algebra":
-            cursor.expect("=")
-            algebra = _resolve_ref(doc_blocks, cursor.expect("NAME"), AlgebraBlock).name
+            algebra = cursor.ref(doc_blocks, AlgebraBlock).name
         elif key.text == "minpoly":
-            alpha_tok = cursor.expect("NAME")
-            alpha = alpha_tok.text
+            alpha = cursor.expect("NAME").text
             cursor.expect("=")
             minpoly = cursor.expr((alpha,))
         elif key.text == "d":
@@ -484,7 +461,10 @@ def _parse_descend(cursor, name, doc_blocks):
             var = cursor.expect("NAME")
             if var.text != alpha:
                 cursor.error(f"descend blocks only give an image for {alpha!r}", var)
-            cursor.image(key, var, alpha_image, (alpha,))
+            if alpha_images is not None:
+                cursor.error(f"duplicate item 'd {alpha}'", var)
+            cursor.expect("=")
+            alpha_images = cursor.poly_tuple((alpha,))
         elif key.text == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
@@ -496,35 +476,16 @@ def _parse_descend(cursor, name, doc_blocks):
         elif key.text == "s":
             if variables is None or alpha is None:
                 cursor.error("vars and minpoly must come before the section", key)
-            var = cursor.expect("NAME")
-            if var.text not in variables:
-                cursor.error(f"{var.text!r} is not a coordinate", var)
-            cursor.image(key, var, section, (alpha,) + variables)
-        else:
-            cursor.error(f"unknown descend item {key.text!r}", key)
-        cursor.expect(";")
-    cursor.expect("}")
-    if algebra is None or minpoly is None or not alpha_image or variables is None:
-        cursor.error(f"descend {name!r} needs algebra, minpoly, d {alpha or 'alpha'}, vars")
+            cursor.image(key, section, variables, (alpha,) + variables, "a coordinate")
+    if algebra is None or minpoly is None or alpha_images is None or variables is None:
+        cursor.error(
+            f"descend {name.text!r} needs algebra, minpoly, d {alpha or 'alpha'}, vars", name
+        )
     generators = tuple(g for g in generators if not g.is_zero())
     return DescendBlock(
-        name, algebra, alpha, minpoly, alpha_image[0][1], variables, generators,
+        name.text, algebra, alpha, minpoly, alpha_images, variables, generators,
         tuple(section),
     )
-
-
-def _resolve_ref(doc_blocks, tok, cls):
-    """The earlier block a reference names, which must be a ``cls``."""
-    block = _lookup(doc_blocks, tok.text)
-    if block is None:
-        raise PolyParseError(f"unresolved reference {tok.text!r}", tok.line, tok.column)
-    if not isinstance(block, cls):
-        raise PolyParseError(
-            f"{tok.text!r} is a {type(block).__name__}, not a {cls.__name__}",
-            tok.line,
-            tok.column,
-        )
-    return block
 
 
 def _algebra_dim(block, cursor):
@@ -538,8 +499,8 @@ def _algebra_dim(block, cursor):
 
 
 _BLOCK_PARSERS = {
-    "algebra": lambda c, n, blocks: _parse_algebra(c, n),
-    "variety": lambda c, n, blocks: _parse_variety(c, n),
+    "algebra": _parse_algebra,
+    "variety": _parse_variety,
     "dring": _parse_dring,
     "dvariety": _parse_dvariety,
     "ucd": _parse_ucd,
@@ -557,10 +518,10 @@ def parse(text, budget=None):
         kind = cursor.expect("NAME", "a block keyword")
         if kind.text not in _BLOCK_PARSERS:
             cursor.error(f"unknown block keyword {kind.text!r}", kind)
-        name_tok = cursor.expect("NAME", "a block name")
-        if _lookup(blocks, name_tok.text) is not None:
-            cursor.error(f"duplicate block name {name_tok.text!r}", name_tok)
-        blocks.append(_BLOCK_PARSERS[kind.text](cursor, name_tok.text, blocks))
+        name = cursor.expect("NAME", "a block name")
+        if _lookup(blocks, name.text) is not None:
+            cursor.error(f"duplicate block name {name.text!r}", name)
+        blocks.append(_BLOCK_PARSERS[kind.text](cursor, name, blocks))
     return Document(tuple(blocks), cursor.algebras)
 
 
@@ -568,83 +529,84 @@ def parse(text, budget=None):
 # canonical printing
 
 
-def _print_presentation(variables, relations, order):
-    inner = ", ".join(variables)
-    if relations:
-        rels = ", ".join(format_poly(r, order) for r in relations)
-        return f"Q[{inner}]/({rels})"
-    return f"Q[{inner}]"
-
-
 def _print_tuple(polys, order):
     return "(" + ", ".join(format_poly(p, order) for p in polys) + ")"
+
+
+def _print_names(names):
+    return f"[{', '.join(names)}]"
+
+
+def _print_presentation(variables, relations, order):
+    text = "Q" + _print_names(variables)
+    return f"{text}/{_print_tuple(relations, order)}" if relations else text
+
+
+def _print_block(keyword, name, items):
+    """A block in brace form: one line ``key = value;`` for each (key,
+    value) pair in ``items`` whose value is not empty."""
+    lines = [f"{keyword} {name} {{"]
+    lines += [f"  {key} = {value};" for key, value in items if value]
+    return "\n".join(lines + ["}"])
+
+
+def _print_images(key, images, order):
+    return [(f"{key} {var}", _print_tuple(comps, order)) for var, comps in images]
 
 
 def print_document(doc, order=GREVLEX):
     """Canonical text for a document; parse(print_document(d)) == d."""
     out = []
     for b in doc.blocks:
-        if isinstance(b, AlgebraBlock):
-            if b.presentation is not None:
-                variables, relations = b.presentation
-                out.append(f"algebra {b.name} = {_print_presentation(variables, relations, order)};")
-            else:
-                lines = [f"algebra {b.name} {{"]
-                lines.append(f"  basis = [{', '.join(b.basis)}];")
-                for (i, j), coords in b.table:
-                    combo = _linear_text(coords, b.basis)
-                    lines.append(f"  mul {b.basis[i]}*{b.basis[j]} = {combo};")
-                lines.append(f"  unit = {_linear_text(b.unit, b.basis)};")
-                lines.append("}")
-                out.append("\n".join(lines))
+        if isinstance(b, AlgebraBlock) and b.presentation is not None:
+            text = _print_presentation(*b.presentation, order)
+            out.append(f"algebra {b.name} = {text};")
+        elif isinstance(b, AlgebraBlock):
+            out.append(_print_block("algebra", b.name, [
+                ("basis", _print_names(b.basis)),
+                *((f"mul {b.basis[i]}*{b.basis[j]}", _linear_text(coords, b.basis))
+                  for (i, j), coords in b.table),
+                ("unit", _linear_text(b.unit, b.basis)),
+            ]))
         elif isinstance(b, VarietyBlock):
-            lines = [f"variety {b.name} {{", f"  vars = [{', '.join(b.variables)}];"]
-            if b.generators:
-                lines.append(f"  ideal = {_print_tuple(b.generators, order)};")
-            lines.append("}")
-            out.append("\n".join(lines))
+            out.append(_print_block("variety", b.name, [
+                ("vars", _print_names(b.variables)),
+                ("ideal", b.generators and _print_tuple(b.generators, order)),
+            ]))
         elif isinstance(b, DringBlock):
-            lines = [f"dring {b.name} {{", f"  algebra = {b.algebra};"]
-            lines.append(f"  ring = {_print_presentation(b.variables, b.relations, order)};")
-            for var, comps in b.images:
-                lines.append(f"  d {var} = {_print_tuple(comps, order)};")
-            lines.append("}")
-            out.append("\n".join(lines))
+            out.append(_print_block("dring", b.name, [
+                ("algebra", b.algebra),
+                ("ring", _print_presentation(b.variables, b.relations, order)),
+                *_print_images("d", b.images, order),
+            ]))
         elif isinstance(b, DVarietyBlock):
-            lines = [f"dvariety {b.name} {{", f"  algebra = {b.algebra};",
-                     f"  variety = {b.variety};"]
-            for var, comps in b.section:
-                lines.append(f"  s {var} = {_print_tuple(comps, order)};")
-            lines.append("}")
-            out.append("\n".join(lines))
+            out.append(_print_block("dvariety", b.name, [
+                ("algebra", b.algebra),
+                ("variety", b.variety),
+                *_print_images("s", b.section, order),
+            ]))
         elif isinstance(b, UcdBlock):
-            lines = [f"ucd {b.name} {{", f"  algebra = {b.algebra};"]
-            if b.base:
-                lines.append(f"  base = {b.base};")
-            lines.append(f"  X = {b.x_ref};")
-            lines.append(f"  Y = {_print_tuple(b.y_generators, order)};")
-            if b.witness is not None:
-                coords = ", ".join(str(c) for c in b.witness)
-                lines.append(f"  witness = ({coords});")
-            if b.h is not None:
-                lines.append(f"  h = {format_poly(b.h, order)};")
-            if b.assert_irreducible:
-                lines.append(f"  assert_irreducible = [{', '.join(b.assert_irreducible)}];")
-            for var, comps in b.d_images:
-                lines.append(f"  d {var} = {_print_tuple(comps, order)};")
-            lines.append("}")
-            out.append("\n".join(lines))
+            witness = b.witness and "(" + ", ".join(str(c) for c in b.witness) + ")"
+            out.append(_print_block("ucd", b.name, [
+                ("algebra", b.algebra),
+                ("base", b.base),
+                ("X", b.x_ref),
+                ("Y", _print_tuple(b.y_generators, order)),
+                ("witness", witness),
+                ("h", b.h is not None and format_poly(b.h, order)),
+                ("assert_irreducible",
+                 b.assert_irreducible and _print_names(b.assert_irreducible)),
+                *_print_images("d", b.d_images, order),
+            ]))
         elif isinstance(b, DescendBlock):
-            lines = [f"descend {b.name} {{", f"  algebra = {b.algebra};"]
-            lines.append(f"  minpoly {b.alpha} = {format_poly(b.minpoly, order)};")
-            lines.append(f"  d {b.alpha} = {_print_tuple(b.alpha_images, order)};")
-            lines.append(f"  vars = [{', '.join(b.variables)}];")
-            if b.generators:
-                lines.append(f"  ideal = {_print_tuple(b.generators, order)};")
-            for var, comps in b.section:
-                lines.append(f"  s {var} = {_print_tuple(comps, order)};")
-            lines.append("}")
-            out.append("\n".join(lines))
+            out.append(_print_block("descend", b.name, [
+                ("algebra", b.algebra),
+                (f"minpoly {b.alpha}", format_poly(b.minpoly, order)),
+                (f"d {b.alpha}", _print_tuple(b.alpha_images, order)),
+                ("vars", _print_names(b.variables)),
+                ("ideal", b.generators and _print_tuple(b.generators, order)),
+                *_print_images("s", b.section, order),
+            ]))
     return "\n\n".join(out) + "\n"
 
 

@@ -18,6 +18,7 @@ from .dring import (
     SectionPropertyError,
     TensorElement,
     WellDefinednessError,
+    associated_hom,
     make_doperator,
     push_through,
 )
@@ -50,20 +51,6 @@ class BaseDStructure:
         """Image of an element of Q[params]."""
         return self.operator.apply(f)
 
-    def sigma_param_images(self, i):
-        """sigma_i of every parameter, for components with residue field Q."""
-        comp = self.algebra.components[i]
-        if comp.residue_dim != 1:
-            raise ProlongationError(
-                f"component {i} has residue degree {comp.residue_dim}; its "
-                f"associated homomorphism is not an endomorphism"
-            )
-        row = comp.residue_matrix[0]
-        return {
-            p: linear_combination(row, self.operator.images[p].comps, self.params)
-            for p in self.params
-        }
-
     def __repr__(self):
         return f"BaseDStructure(dim(D)={self.algebra.dim}, params={list(self.params)})"
 
@@ -73,7 +60,7 @@ def sigma_twist(base, i, poly):
     with no parameters this is the identity."""
     if not base.params:
         return poly
-    return poly.substitute(base.sigma_param_images(i))
+    return poly.substitute(associated_hom(base.operator, i).endo_images())
 
 
 def prolonged_names(xvars, level):

@@ -199,6 +199,157 @@ def test_repeated_single_item_is_a_parse_error(item, text):
     assert (err.value.line, err.value.column) == (1, column)
 
 
+_DUAL = "algebra dual = Q[e]/(e^2);\n"
+_LINE = "variety l { vars = [x]; }\n"
+_NEXT = "\n\nvariety next { vars = [y]; }"  # a block after the faulty one
+
+# (document, message, line, column) of one parse error each
+_PARSE_ERRORS = {
+    # an item that needs another comes after it
+    "mul-before-basis": (
+        "algebra a { mul u*u = u; }",
+        "basis must be declared before mul entries", 1, 13),
+    "unit-before-basis": (
+        "algebra a { unit = u; }", "basis must be declared before the unit", 1, 13),
+    "ideal-before-vars": (
+        "variety v { ideal = (x); }", "vars must be declared before the ideal", 1, 13),
+    "d-before-ring": (
+        _DUAL + "dring r { algebra = dual; d x = (x, 1); }",
+        "ring must be declared before operator images", 2, 27),
+    "s-before-variety": (
+        _DUAL + "dvariety f { algebra = dual; s x = (x, 1); }",
+        "variety must be declared before the section", 2, 30),
+    "Y-before-X": (
+        _DUAL + _LINE + "ucd f { algebra = dual; Y = (x_1); }",
+        "algebra and X must come before Y", 3, 25),
+    "Y-before-algebra": (
+        _DUAL + _LINE + "ucd f { X = l; Y = (x_1); }", "algebra and X must come before Y", 3, 16),
+    "witness-before-Y": (
+        _DUAL + _LINE + "ucd f { algebra = dual; witness = (0, 0); }",
+        "algebra and X must be declared before this item", 3, 25),
+    "h-before-Y": (
+        _DUAL + _LINE + "ucd f { algebra = dual; h = x_0; }",
+        "algebra and X must be declared before this item", 3, 25),
+    "ucd-d-before-X": (
+        _DUAL + _LINE + "ucd f { algebra = dual; d x = (x, 1); }",
+        "X must be declared before candidate images", 3, 25),
+    "descend-d-before-minpoly": (
+        _DUAL + "descend f { algebra = dual; d a = (a, 0); }",
+        "minpoly must come before the image of alpha", 2, 29),
+    "descend-ideal-before-vars": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; ideal = (a); }",
+        "vars and minpoly must come before the ideal", 2, 50),
+    "descend-s-before-vars": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; s x = (x, 0); }",
+        "vars and minpoly must come before the section", 2, 50),
+    # images of names that are not coordinates
+    "dring-d-z": (
+        _DUAL + "dring r { algebra = dual; ring = Q[x]; d z = (z, 1); }",
+        "'z' is not a ring variable", 2, 42),
+    "dvariety-s-z": (
+        _DUAL + _LINE + "dvariety f { algebra = dual; variety = l; s z = (z, 1); }",
+        "'z' is not a coordinate", 3, 45),
+    "ucd-d-z": (
+        _DUAL + _LINE + "ucd f { algebra = dual; X = l; Y = (x_1); d z = (z, 1); }",
+        "'z' is not an X coordinate", 3, 45),
+    "descend-s-z": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; vars = [x]; s z = (z, 0); }",
+        "'z' is not a coordinate", 2, 64),
+    "descend-d-b": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; d b = (b, 0); }",
+        "descend blocks only give an image for 'a'", 2, 52),
+    # unknown items and keys that are not names
+    "algebra-foo": (
+        "algebra a { basis = [u]; foo = 1; }", "unknown algebra item 'foo'", 1, 26),
+    "variety-foo": (
+        "variety v { vars = [x]; foo = 1; }", "unknown variety item 'foo'", 1, 25),
+    "dring-foo": (
+        _DUAL + "dring r { algebra = dual; foo = 1; }", "unknown dring item 'foo'", 2, 27),
+    "dvariety-foo": (
+        _DUAL + "dvariety f { foo = 1; }", "unknown dvariety item 'foo'", 2, 14),
+    "ucd-foo": (_DUAL + "ucd f { foo = 1; }", "unknown ucd item 'foo'", 2, 9),
+    "descend-foo": (_DUAL + "descend f { foo = 1; }", "unknown descend item 'foo'", 2, 13),
+    "algebra-key": (
+        "algebra a { 1 = 2; }", "expected 'an algebra item', found '1'", 1, 13),
+    "variety-key": (
+        "variety v { 1 = 2; }", "expected 'a variety item', found '1'", 1, 13),
+    "dring-key": ("dring r { ( }", "expected 'a dring item', found '('", 1, 11),
+    "dvariety-key": ("dvariety f { ; }", "expected 'a dvariety item', found ';'", 1, 14),
+    "ucd-key": ("ucd f { 2; }", "expected 'a ucd item', found '2'", 1, 9),
+    "descend-key": ("descend f { = }", "expected 'a descend item', found '='", 1, 13),
+    "unclosed-block": (
+        "variety v { vars = [x]; ", "expected 'a variety item', found 'end of input'", 1, 25),
+    "missing-semicolon": (
+        "variety v { vars = [x]; ideal = (x) }", "expected ';', found '}'", 1, 37),
+    # item payloads
+    "assert-irreducible-Z": (
+        _DUAL + _LINE
+        + "ucd f { algebra = dual; X = l; Y = (x_1); assert_irreducible = [X, Z]; }",
+        "assert_irreducible entries must be X or Y", 3, 43),
+    "algebra-over-R": ("algebra a = R[e]/(e^2);", "presentations start with 'Q'", 1, 13),
+    "ring-over-P": (
+        _DUAL + "dring r { algebra = dual; ring = P[x]; }",
+        "presentations start with 'Q'", 2, 34),
+    "unknown-basis-name": (
+        "algebra a { basis = [u]; mul u*w = u; }", "unknown basis name 'w'", 1, 32),
+    "reference-to-wrong-kind": (
+        _DUAL + "dvariety f { algebra = dual; variety = dual; }",
+        "'dual' is a AlgebraBlock, not a VarietyBlock", 2, 40),
+    "reference-not-a-name": (
+        _DUAL + "dvariety f { algebra = dual; variety = 3; }",
+        "expected 'NAME', found '3'", 2, 40),
+    # block-level errors point at the block's name
+    "algebra-needs": (
+        "algebra a { basis = [u]; mul u*u = u; }" + _NEXT,
+        "algebra 'a' needs a basis and a unit", 1, 9),
+    "algebra-missing-product": (
+        "algebra a { basis = [u, v]; mul u*u = u; unit = u; }" + _NEXT,
+        "algebra 'a' is missing the product u*v", 1, 9),
+    "variety-needs": ("variety v { }" + _NEXT, "variety 'v' needs vars", 1, 9),
+    "dring-needs": (
+        _DUAL + "dring r { algebra = dual; }" + _NEXT,
+        "dring 'r' needs an algebra and a ring", 2, 7),
+    "dvariety-needs": (
+        _DUAL + _LINE + "dvariety f { algebra = dual; }" + _NEXT,
+        "dvariety 'f' needs an algebra and a variety", 3, 10),
+    "ucd-needs": (
+        _DUAL + _LINE + "ucd f { algebra = dual; X = l; }" + _NEXT,
+        "ucd 'f' needs an algebra, X, and Y", 3, 5),
+    "descend-needs": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; vars = [x]; }" + _NEXT,
+        "descend 'f' needs algebra, minpoly, d a, vars", 2, 9),
+    "descend-needs-at-end": (
+        _DUAL + "descend f { algebra = dual; vars = [x]; }",
+        "descend 'f' needs algebra, minpoly, d alpha, vars", 2, 9),
+    # names in a list are distinct
+    "vars-x-x": ("variety v { vars = [x, x]; }", "duplicate name 'x'", 1, 24),
+    "basis-u-u": (
+        "algebra a { basis = [u, u]; mul u*u = u; unit = u; }", "duplicate name 'u'", 1, 25),
+    "ring-x-x": (
+        _DUAL + "dring r { algebra = dual; ring = Q[x, x]; }", "duplicate name 'x'", 2, 39),
+    "presentation-e-e": ("algebra a = Q[e, e]/(e^2);", "duplicate name 'e'", 1, 18),
+    "assert-irreducible-X-X": (
+        _DUAL + _LINE
+        + "ucd f { algebra = dual; X = l; Y = (x_1); assert_irreducible = [X, X]; }",
+        "duplicate name 'X'", 3, 68),
+    "descend-vars-x-y-x": (
+        _DUAL + "descend f { algebra = dual; minpoly a = a^2 + 1; d a = (a, 0); "
+        "vars = [x, y, x]; }",
+        "duplicate name 'x'", 2, 78),
+}
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    list(_PARSE_ERRORS.values()),
+    ids=list(_PARSE_ERRORS),
+)
+def test_parse_error_text_and_position(text, message, line, column):
+    with pytest.raises(PolyParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+
+
 def test_presented_algebra_is_built_once_per_document(monkeypatch):
     import dfields.cli
 
@@ -227,6 +378,64 @@ def test_parse_print_round_trip_on_inline_documents():
     for text in (PARABOLA, UCD_PAIR):
         doc = parse(text)
         assert parse(print_document(doc)) == doc
+
+
+EVERY_ITEM = """
+algebra dual = Q[e]/(e^2);
+dring par { algebra = dual; ring = Q[t]; d t = (t, 1); }
+variety plane { vars = [x, y]; }
+ucd full {
+  X = plane; algebra = dual; base = par; d y = (y, x);
+  Y = (x_1 - t*x_0, y_1); assert_irreducible = [Y, X];
+  h = x_0 + t^2*y_0; witness = (0, 1, 2, 3/2, 4); d x = (x, 1/2);
+}
+descend two { vars = [x, y]; algebra = dual; minpoly b = b^2 - 2; s y = (y, b);
+  d b = (b, 0); ideal = (x - b*y, 0); s x = (x, x); }
+"""
+
+EVERY_ITEM_PRINTED = """\
+algebra dual = Q[e]/(e^2);
+
+dring par {
+  algebra = dual;
+  ring = Q[t];
+  d t = (t, 1);
+}
+
+variety plane {
+  vars = [x, y];
+}
+
+ucd full {
+  algebra = dual;
+  base = par;
+  X = plane;
+  Y = (-t*x_0 + x_1, y_1);
+  witness = (0, 1, 2, 3/2, 4);
+  h = t^2*y_0 + x_0;
+  assert_irreducible = [Y, X];
+  d y = (y, x);
+  d x = (x, 1/2);
+}
+
+descend two {
+  algebra = dual;
+  minpoly b = b^2 - 2;
+  d b = (b, 0);
+  vars = [x, y];
+  ideal = (-b*y + x);
+  s y = (y, b);
+  s x = (x, x);
+}
+"""
+
+
+def test_print_document_puts_items_in_canonical_order():
+    # items in any order print in one order; images keep theirs, zero
+    # generators are dropped
+    doc = parse(EVERY_ITEM)
+    assert print_document(doc) == EVERY_ITEM_PRINTED
+    assert parse(EVERY_ITEM_PRINTED) == doc
 
 
 def test_algebra_serialises_back_into_the_language(dual_x_q):

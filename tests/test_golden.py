@@ -1,8 +1,9 @@
 """The CLI output on the shipped fixtures, pinned byte for byte.
 
-The files under ``tests/golden/`` hold what ``dfields --fixtures`` prints
-and what ``dfields --json <command> <fixture>`` prints for every fixture
-and every command the fixture corpus runs on it.  Regenerate them with
+The files under ``tests/golden/`` hold what ``dfields --fixtures`` prints,
+what ``dfields --json <command> <fixture>`` prints for every fixture and
+every command the fixture corpus runs on it, and (``printed.txt``) the
+canonical text of every fixture in both monomial orders.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change
 of output.
 """
@@ -14,7 +15,15 @@ from pathlib import Path
 
 import pytest
 
-from dfields.cli import _FIXTURE_COMMANDS, fixture_names, fixture_text, main, parse
+from dfields.cli import (
+    _FIXTURE_COMMANDS,
+    fixture_names,
+    fixture_text,
+    main,
+    parse,
+    print_document,
+)
+from dfields.poly import GREVLEX, LEX
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -40,6 +49,16 @@ def cli_stdout(argv):
     return out.getvalue()
 
 
+def printed_fixtures():
+    """``print_document`` of every fixture in grevlex and in lex, each under
+    a comment line naming the fixture and the order."""
+    return "\n".join(
+        f"# {fname} ({label})\n" + print_document(parse(fixture_text(fname)), order)
+        for fname in fixture_names()
+        for label, order in (("grevlex", GREVLEX), ("lex", LEX))
+    )
+
+
 @pytest.mark.parametrize(
     "name, argv", [pytest.param(name, argv, id=name) for name, argv in golden_cases()]
 )
@@ -47,7 +66,12 @@ def test_cli_output_matches_golden(name, argv):
     assert cli_stdout(argv) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+def test_printed_fixtures_match_golden():
+    assert printed_fixtures() == (GOLDEN / "printed.txt").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in golden_cases():
         (GOLDEN / name).write_text(cli_stdout(argv), encoding="utf-8")
+    (GOLDEN / "printed.txt").write_text(printed_fixtures(), encoding="utf-8")
