@@ -22,7 +22,12 @@ It is also the package's one zero-dimensional engine: for a
 zero-dimensional ideal I, Q[x]/I is such an algebra, its local factors
 are the Q-irreducible components of V(I), and the factors of residue
 degree 1 are its rational points (:func:`solve_zero_dim`;
-``poly.decide_irreducibility`` counts the factors).
+``poly.decide_irreducibility`` counts the factors).  :func:`rational_points`
+is the one point search on a variety: all rational points of a finite one,
+a grid sample of a positive-dimensional one.  :meth:`LocalComponent.residue`
+is the one place where a residue row is combined with coordinates; the
+projections of a prolongation, the associated homomorphisms, localisation
+and :func:`solve_zero_dim` all go through it.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from .poly import (
     _exp_divides,
     factor_univariate,
     format_poly,
+    linear_combination,
     univariate_coeffs,
     univariate_poly,
 )
@@ -367,6 +373,12 @@ class LocalComponent:
     residue_poly: MultiPoly
     residue_dim: int
     residue_matrix: tuple  # rows: coordinates in Q[x]/(P), columns: algebra basis
+
+    def residue(self, comps, variables):
+        """The residue projection of sum_j comps[j] e_j for polynomials
+        comps[j] on ``variables``: one polynomial per power-basis slot of
+        Q[x]/(P).  Every residue row is combined here."""
+        return tuple(linear_combination(row, comps, variables) for row in self.residue_matrix)
 
 
 @dataclass(frozen=True)
@@ -857,23 +869,24 @@ def check_assumption_res_field_k(algebra):
     )
 
 
-def residue_projection(algebra, i):
-    """Matrix of the residue projection of component i, rows indexed by the
-    power basis of Q[x]/(P_i), columns by the algebra basis."""
+def _component(algebra, i):
     comps = algebra.components
     if not 0 <= i < len(comps):
         raise AlgebraError(f"component index {i} out of range")
-    return comps[i].residue_matrix
+    return comps[i]
+
+
+def residue_projection(algebra, i):
+    """Matrix of the residue projection of component i, rows indexed by the
+    power basis of Q[x]/(P_i), columns by the algebra basis."""
+    return _component(algebra, i).residue_matrix
 
 
 def apply_residue_projection(algebra, i, coords):
     """Image of an element under the residue projection, as coefficients in
     the power basis of Q[x]/(P_i)."""
-    matrix = residue_projection(algebra, i)
-    return tuple(
-        sum((row[j] * Fraction(coords[j]) for j in range(algebra.dim)), Fraction(0))
-        for row in matrix
-    )
+    constants = [MultiPoly.constant(c) for c in coords]
+    return tuple(p.constant_value() for p in _component(algebra, i).residue(constants, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -912,3 +925,40 @@ def solve_zero_dim(ideal):
     return SolveResult(
         tuple(sorted(points)), any(c.residue_dim > 1 for c in algebra.components)
     )
+
+
+# Small rationals tried, coordinate by coordinate, on a positive-dimensional
+# variety; no more than _GRID_LIMIT points of the grid are tried.
+_GRID_VALUES = tuple(
+    Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2), 4, -4)
+)
+_GRID_LIMIT = 60000
+
+
+def rational_points(ideal, limit):
+    """Rational points of V(I), as (dimension, points, has_nonrational).
+
+    The dimension is None when V(I) is empty.  A finite V(I) gives all its
+    rational points (:func:`solve_zero_dim`); otherwise the points are the
+    first ``limit`` found on a grid of small rationals, none when the grid
+    is too large, and ``has_nonrational`` is False.  This is the one point
+    search behind the sharp points of a D-variety and the search of an
+    axiom instance.
+    """
+    if ideal.is_trivial():
+        return None, (), False
+    dim = ideal.krull_dimension()
+    if dim == 0:
+        solved = solve_zero_dim(ideal)
+        return 0, solved.points, solved.has_nonrational
+    n = len(ideal.variables)
+    if len(_GRID_VALUES) ** n > _GRID_LIMIT:
+        return dim, (), False
+    found = []
+    for combo in itertools.product(_GRID_VALUES, repeat=n):
+        coords = dict(zip(ideal.variables, combo))
+        if all(g.evaluate(coords) == 0 for g in ideal.generators):
+            found.append(combo)
+            if len(found) >= limit:
+                break
+    return dim, tuple(found), False

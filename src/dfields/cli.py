@@ -402,6 +402,8 @@ def _parse_ucd(cursor, name, doc_blocks):
         if key.text == "algebra":
             algebra = cursor.ref(doc_blocks, AlgebraBlock)
         elif key.text == "base":
+            if y_vars is not None:
+                cursor.error("base must come before Y", key)
             base = cursor.ref(doc_blocks, DringBlock)
         elif key.text == "X":
             x_block = cursor.ref(doc_blocks, VarietyBlock)

@@ -52,7 +52,6 @@ from .poly import (
     as_poly,
     format_poly,
     groebner_basis_of,
-    linear_combination,
     normal_form,
 )
 
@@ -447,10 +446,7 @@ def associated_hom(op, i):
         raise DRingError(f"component index {i} out of range")
     comp = comps[i]
     images = {
-        v: tuple(
-            op.ideal.normal_form(linear_combination(row, t.comps, op.variables))
-            for row in comp.residue_matrix
-        )
+        v: tuple(op.ideal.normal_form(p) for p in comp.residue(t.comps, op.variables))
         for v, t in op.images.items()
     }
     return AssociatedHom(i, comp.residue_poly, images)
@@ -536,9 +532,7 @@ def localize_dstructure(op, q):
 
     inverse = TensorElement(op.algebra, [MultiPoly.zero(new_vars)] * op.algebra.dim)
     for idx, comp in enumerate(comps):
-        sigma_q = new_ideal.normal_form(
-            linear_combination(comp.residue_matrix[0], dq.comps, new_vars)
-        )
+        sigma_q = new_ideal.normal_form(comp.residue(dq.comps, new_vars)[0])
         if idx == op.algebra.pi_index:
             sigma_inv = wvar
         else:

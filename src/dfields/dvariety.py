@@ -4,20 +4,20 @@ two are one piece of data, verified once by
 :func:`dfields.dring.make_doperator`; a :class:`DVariety` keeps the operator.
 
 Includes the sharp-point machinery (points where the canonical operator
-image agrees with the section), restriction to basic opens, the
-minimal-prime closure check on supplied decompositions, and descent of a
-D-variety along a finite extension Q(alpha)/Q with a verified operator
-structure on Q(alpha).
+image agrees with the section, found by ``algebra.rational_points``, the
+point search that the axiom-instance search shares), restriction to basic
+opens, the minimal-prime closure check on supplied decompositions, and
+descent of a D-variety along a finite extension Q(alpha)/Q with a verified
+operator structure on Q(alpha).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import solve_zero_dim
+from .algebra import rational_points
 from .dring import (
     DOperator,
     DRingError,
@@ -154,25 +154,6 @@ def is_sharp_point(dv, point, base=None):
     return True
 
 
-_SAMPLE_VALUES = tuple(
-    Fraction(v) for v in (0, 1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2), 4, -4)
-)
-
-
-def _sample_points(ideal, limit=5, max_combinations=60000):
-    n = len(ideal.variables)
-    if len(_SAMPLE_VALUES) ** n > max_combinations:
-        return ()
-    found = []
-    for combo in itertools.product(_SAMPLE_VALUES, repeat=n):
-        coords = dict(zip(ideal.variables, combo))
-        if all(g.evaluate(coords) == 0 for g in ideal.generators):
-            found.append(combo)
-            if len(found) >= limit:
-                break
-    return tuple(found)
-
-
 @dataclass(frozen=True)
 class SharpPointsResult:
     """Rational sharp points when the locus is finite; otherwise the locus
@@ -200,13 +181,10 @@ def rational_sharp_points(dv):
     Over Q an empty answer does not refute anything: the rational points
     of a positive-dimensional locus may simply be scarce."""
     locus = sharp_locus(dv).ideal
-    if locus.is_trivial():
-        return SharpPointsResult(locus, None, (), False)
-    dim = locus.krull_dimension()
-    if dim == 0:
-        solved = solve_zero_dim(locus)
-        return SharpPointsResult(locus, 0, solved.points, solved.has_nonrational)
-    return SharpPointsResult(locus, dim, None, False, samples=_sample_points(locus))
+    dim, points, has_nonrational = rational_points(locus, limit=5)
+    if dim:
+        return SharpPointsResult(locus, dim, None, False, samples=points)
+    return SharpPointsResult(locus, dim, points, has_nonrational)
 
 
 def open_dsubvariety(dv, q):

@@ -18,11 +18,10 @@ from .dring import (
     SectionPropertyError,
     TensorElement,
     WellDefinednessError,
-    associated_hom,
     make_doperator,
     push_through,
 )
-from .poly import Ideal, MultiPoly, as_poly, format_poly, linear_combination
+from .poly import Ideal, MultiPoly, as_poly, format_poly
 
 
 class ProlongationError(Exception):
@@ -55,16 +54,18 @@ class BaseDStructure:
         return f"BaseDStructure(dim(D)={self.algebra.dim}, params={list(self.params)})"
 
 
-def sigma_twist(base, i, poly):
-    """Apply sigma_i to the coefficients of a polynomial over Q[params];
-    with no parameters this is the identity."""
-    if not base.params:
-        return poly
-    return poly.substitute(associated_hom(base.operator, i).endo_images())
-
-
 def prolonged_names(xvars, level):
     return tuple(f"{x}_{level}" for x in xvars)
+
+
+def _coordinate_blocks(xvars, dim, variables):
+    """Each coordinate x with its prolonged coordinates x_0, ..., x_l, as
+    variables of a polynomial ring on ``variables``."""
+    levels = [prolonged_names(xvars, level) for level in range(dim)]
+    return {
+        x: [MultiPoly.variable(names[k], variables) for names in levels]
+        for k, x in enumerate(xvars)
+    }
 
 
 def prolonged_variables(params, xvars, dim):
@@ -134,14 +135,13 @@ def prolong(base, ideal, xvars=None):
     xvars = _geometric_variables(base, ideal, xvars)
     algebra = base.algebra
     new_vars = prolonged_variables(base.params, xvars, algebra.dim)
-    if len(set(new_vars)) != len(new_vars) or set(new_vars) & set(xvars):
+    if len(set(new_vars)) != len(new_vars):
         raise ProlongationError(
             "prolonged coordinate names collide with existing variables; "
             "rename the originals"
         )
     images = {p: t.on_variables(new_vars) for p, t in base.operator.images.items()}
-    for x in xvars:
-        block = [MultiPoly.variable(f"{x}_{level}", new_vars) for level in range(algebra.dim)]
+    for x, block in _coordinate_blocks(xvars, algebra.dim, new_vars).items():
         images[x] = TensorElement(algebra, block)
     expansions = push_through(PowerTable(algebra, images, new_vars), ideal.generators)
     per_generator = tuple((f, t.comps) for f, t in zip(ideal.generators, expansions))
@@ -213,16 +213,8 @@ def pi_hat(prolonged, i):
     if not 0 <= i < len(comps):
         raise ProlongationError(f"component index {i} out of range")
     comp = comps[i]
-    images = {}
-    for x in prolonged.xvars:
-        block = [
-            MultiPoly.variable(f"{x}_{level}", prolonged.variables)
-            for level in range(algebra.dim)
-        ]
-        images[x] = tuple(
-            linear_combination(row, block, prolonged.variables)
-            for row in comp.residue_matrix
-        )
+    blocks = _coordinate_blocks(prolonged.xvars, algebra.dim, prolonged.variables)
+    images = {x: comp.residue(block, prolonged.variables) for x, block in blocks.items()}
     return PiHatMap(i, comp.residue_dim, prolonged.xvars, images)
 
 
@@ -261,9 +253,8 @@ def nabla_e(base, point, xvars):
         comp = algebra.components[i]
         if comp.residue_dim != 1:
             raise ProlongationError("associated maps are not all endomorphisms")
-        row = comp.residue_matrix[0]
         for val in values:
-            combined = linear_combination(row, base.apply(val).comps, base.params)
+            combined = comp.residue(base.apply(val).comps, base.params)[0]
             out.append(
                 combined.constant_value() if combined.is_constant() else combined
             )

@@ -43,9 +43,12 @@ squarefree principal reduced basis).  Otherwise the hypothesis is
 undetermined.
 
 The search procedure looks for rational points a of X whose canonical
-prolongation point lands in U.  Over Q the conclusion of the axiom can
-genuinely fail (Q is not large); emptiness of the search is reported,
-never treated as a refutation.
+prolongation point lands in U, on the locus of X where that point lies on
+Y; ``algebra.rational_points`` finds them, as it finds the sharp points of
+a D-variety.  The projections pi_i come from ``prolongation.pi_hat``, which
+combines residue rows through ``LocalComponent.residue``.  Over Q the
+conclusion of the axiom can genuinely fail (Q is not large); emptiness of
+the search is reported, never treated as a refutation.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import solve_zero_dim
+from .algebra import rational_points
+from .dring import associated_hom
+from .dvariety import zero_section
 from .poly import (
     EmptyVarietyError,
     Ideal,
@@ -68,14 +73,7 @@ from .poly import (
     is_squarefree,
     jacobian_at,
 )
-from .prolongation import (
-    BaseDStructure,
-    ProlongedVariety,
-    pi_hat,
-    prolong,
-    sigma_twist,
-)
-from .dvariety import _sample_points
+from .prolongation import BaseDStructure, ProlongedVariety, pi_hat, prolong
 
 
 class UcdError(Exception):
@@ -245,12 +243,11 @@ def _twisted(inst, i):
     """X^sigma_i: X with sigma_i applied to its parameter coefficients."""
     if not inst.base.params:
         return inst.x_ideal
+    sigma = associated_hom(inst.base.operator, i).endo_images()
+    variables = inst.x_ideal.variables
     return Ideal(
-        inst.x_ideal.variables,
-        [
-            sigma_twist(inst.base, i, g).on_variables(inst.x_ideal.variables)
-            for g in inst.x_ideal.generators
-        ],
+        variables,
+        [g.substitute(sigma).on_variables(variables) for g in inst.x_ideal.generators],
         inst.x_ideal.budget,
     )
 
@@ -579,72 +576,47 @@ def find_nabla_point(inst, candidate=None):
     if inst.base.params:
         raise UcdError("point search is implemented for parameter-free instances")
 
-    consistent = None
-    if candidate is not None:
+    def through(images):
+        """Y's generators with each block coordinate x_level replaced by
+        images[x][level], a polynomial on the coordinates of X."""
         subs = {
-            name: candidate.images[x].comps[level]
+            name: images[x][level]
             for level in range(algebra.dim)
             for x, name in zip(inst.xvars, inst.prolonged.block(level))
         }
-        consistent = all(
-            inst.x_ideal.contains(g.substitute(subs).on_variables(inst.x_ideal.variables))
-            for g in inst.y_ideal.generators
-        )
+        return [g.substitute(subs).on_variables(inst.xvars) for g in inst.y_ideal.generators]
 
-    subs = {
-        name: MultiPoly.variable(x, inst.xvars).scale(algebra.unit[level])
-        for level in range(algebra.dim)
-        for x, name in zip(inst.xvars, inst.prolonged.block(level))
-    }
-    locus_gens = list(inst.x_ideal.generators)
-    locus_gens.extend(
-        g.substitute(subs).on_variables(inst.xvars) for g in inst.y_ideal.generators
-    )
+    consistent = None
+    if candidate is not None:
+        images = {x: t.comps for x, t in candidate.images.items()}
+        consistent = all(inst.x_ideal.contains(g) for g in through(images))
+
+    section = zero_section(algebra, inst.x_ideal)
+    locus_gens = list(inst.x_ideal.generators) + through(section)
     locus = Ideal(inst.xvars, [g for g in locus_gens if not g.is_zero()], inst.x_ideal.budget)
-
-    def nabla_of(a):
-        out = []
-        for level in range(algebra.dim):
-            for c in a:
-                out.append(algebra.unit[level] * Fraction(c))
-        return tuple(out)
-
-    def in_open_set(nb):
-        if inst.h is None:
-            return True
-        coords = dict(zip(inst.y_ideal.variables, nb))
-        return inst.h.evaluate(coords) != 0
-
-    if locus.is_trivial():
-        return NablaSearchResult(
-            locus, None, (), note="locus is empty", candidate_consistent=consistent
+    dim, points, has_nonrational = rational_points(locus, limit=8)
+    hits = []
+    for a in points:
+        at = dict(zip(inst.xvars, a))
+        nb = tuple(
+            section[x][level].evaluate(at) for level in range(algebra.dim) for x in inst.xvars
         )
-    dim = locus.krull_dimension()
-    if dim == 0:
-        solved = solve_zero_dim(locus)
-        hits = []
-        for a in solved.points:
-            nb = nabla_of(a)
-            coords = dict(zip(inst.y_ideal.variables, nb))
-            assert all(g.evaluate(coords) == 0 for g in inst.y_ideal.generators)
-            if in_open_set(nb):
-                hits.append((a, nb))
-        note = "" if hits else "no rational point in U found"
-        if solved.has_nonrational and not hits:
-            note += "; non-rational locus points exist" if note else "non-rational locus points exist"
-        return NablaSearchResult(
-            locus, 0, tuple(hits), note=note, candidate_consistent=consistent
-        )
-    samples = []
-    for a in _sample_points(locus, limit=8):
-        nb = nabla_of(a)
-        if in_open_set(nb):
-            samples.append((a, nb))
-    note = "positive-dimensional locus"
-    if not samples:
-        note += "; no sample point found"
+        if inst.h is None or inst.h.evaluate(dict(zip(inst.y_ideal.variables, nb))) != 0:
+            hits.append((a, nb))
+    if dim is None:
+        note = "locus is empty"
+    elif dim:
+        note = "positive-dimensional locus" + ("" if hits else "; no sample point found")
+    elif hits:
+        note = ""
+    else:
+        note = "no rational point in U found"
+        if has_nonrational:
+            note += "; non-rational locus points exist"
+    hits = tuple(hits)
     return NablaSearchResult(
-        locus, dim, (), tuple(samples), note=note, candidate_consistent=consistent
+        locus, dim, () if dim else hits, hits if dim else (), note=note,
+        candidate_consistent=consistent,
     )
 
 

@@ -201,6 +201,7 @@ def test_repeated_single_item_is_a_parse_error(item, text):
 
 _DUAL = "algebra dual = Q[e]/(e^2);\n"
 _LINE = "variety l { vars = [x]; }\n"
+_BASE = "dring b { algebra = dual; ring = Q[t]; d t = (t, 1); }\n"
 _NEXT = "\n\nvariety next { vars = [y]; }"  # a block after the faulty one
 
 # (document, message, line, column) of one parse error each
@@ -230,6 +231,13 @@ _PARSE_ERRORS = {
     "h-before-Y": (
         _DUAL + _LINE + "ucd f { algebra = dual; h = x_0; }",
         "algebra and X must be declared before this item", 3, 25),
+    "base-after-Y": (
+        _DUAL + _LINE + _BASE + "ucd f { algebra = dual; X = l; Y = (x_1 - x_0); base = b; }",
+        "base must come before Y", 4, 49),
+    "base-after-witness": (
+        _DUAL + _LINE + _BASE
+        + "ucd f { algebra = dual; X = l; Y = (x_1 - x_0); witness = (0, 0); base = b; }",
+        "base must come before Y", 4, 67),
     "ucd-d-before-X": (
         _DUAL + _LINE + "ucd f { algebra = dual; d x = (x, 1); }",
         "X must be declared before candidate images", 3, 25),

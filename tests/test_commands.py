@@ -9,6 +9,7 @@ next to one that finishes.
 """
 
 import json
+import re
 
 import pytest
 
@@ -240,3 +241,34 @@ def test_block_selection_errors(command, keyword, tmp_path, capsys):
     assert main([*command.split(), str(path), "nope"]) == 1
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: no {keyword} block named 'nope'\n")
+
+
+# a plane curve on the coordinates x and {b}, and its prolongation Y over
+# Q[e]/(e^2 - {c}*e), written in the prolonged names {b}_0, {b}_1 of {b}
+RENAMED = """
+algebra A = Q[e]/(e^2 - {c}*e);
+dring curve {{ algebra = A; ring = Q[x, {b}]/({b} - x^2); d x = (x, 0); d {b} = ({b}, 0); }}
+variety X {{ vars = [x, {b}]; ideal = ({b} - x^2); }}
+ucd plain {{ algebra = A; X = X; Y = ({b}_0 - x_0^2, {b}_1 - 2*x_0*x_1 - {c}*x_1^2); }}
+ucd seen {{
+  algebra = A; X = X; Y = ({b}_0 - x_0^2, {b}_1 - 2*x_0*x_1 - {c}*x_1^2);
+  witness = (1, 1, 0, 0); h = x_0;
+}}
+"""
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_coordinate_named_like_a_prolonged_name(c):
+    # the coordinate x_0 next to x gives the prolonged names x_0, x_0_0,
+    # x_1, x_0_1; every command answers as on the coordinate w, renamed
+    def answers(b):
+        doc = parse(RENAMED.format(c=c, b=b))
+        results = [run(command, doc) for command in ("prolong", "ucd check", "ucd search")]
+        return [(r.exit_code, r.text(), json.dumps(r.payload)) for r in results]
+
+    def rename(text):  # the name w, alone or before a level, becomes x_0
+        return re.sub(r"(?<!\w)w(?=_\d|(?!\w))", "x_0", text)
+
+    renamed = [(code, rename(text), rename(payload)) for code, text, payload in answers("w")]
+    assert answers("x_0") == renamed
+    assert renamed[0][1].startswith("prolongation of curve in Q[x_0, x_0_0, x_1, x_0_1]:")

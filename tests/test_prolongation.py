@@ -70,8 +70,14 @@ def test_prolong_is_additive_in_generators(dual, rng):
 
 
 def test_name_collision_rejected(dual):
+    # the level-0 name of x is the parameter x_0
+    base = BaseDStructure(dual, ("x_0",), {"x_0": ("x_0", "1")})
     with pytest.raises(ProlongationError, match="collide"):
-        prolong(BaseDStructure.trivial(dual), Ideal(("x", "x_0"), []))
+        prolong(base, Ideal(("x_0", "x"), []))
+    # a coordinate x_0 next to x is no collision: the prolonged names are
+    # x_0, x_0_0, x_1, x_0_1
+    prolonged = prolong(BaseDStructure.trivial(dual), Ideal(("x", "x_0"), []))
+    assert prolonged.variables == ("x_0", "x_0_0", "x_1", "x_0_1")
 
 
 def test_level_zero_component_recovers_the_generator(dual, q3, trunc3, rng):

@@ -300,9 +300,12 @@ def test_candidate_graph_consistency_flag(trivial_dual, line):
 
 
 def test_search_agrees_with_sharp_points_on_graph_instances(dual, trivial_dual):
-    # when Y is the graph of a section, the search is the sharp-point set
-    cases = ["x", "2*x + 3", "x^2 - 1"]
+    # when Y is the graph of a section, the search is the sharp-point set:
+    # an empty locus, finite ones and a positive-dimensional one (where the
+    # search samples eight points and the sharp points five)
+    cases = ["1", "x", "2*x + 3", "x^2 - 1", "0"]
     line = Ideal(("x",), [])
+    dims = []
     for flow in cases:
         section = {"x": (P("x", ("x",)), P(flow, ("x",)))}
         dv = make_dvariety(dual, line, section)
@@ -312,7 +315,16 @@ def test_search_agrees_with_sharp_points_on_graph_instances(dual, trivial_dual):
         inst = ucd_instance(trivial_dual, line, Ideal(("x_0", "x_1"), [graph_gen]))
         search = find_nabla_point(inst)
         sharp = rational_sharp_points(dv)
-        assert tuple(a for a, _ in search.points) == sharp.points
+        assert search.dimension == sharp.dimension
+        if sharp.is_empty or sharp.zero_dimensional:
+            assert tuple(a for a, _ in search.points) == sharp.points
+            assert search.samples == ()
+        else:
+            assert search.points == ()
+            assert len(search.samples) == 8 and len(sharp.samples) == 5
+            assert tuple(a for a, _ in search.samples[:5]) == sharp.samples
+        dims.append(sharp.dimension)
+    assert dims == [None, 0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
