@@ -940,10 +940,10 @@ def rational_points(ideal, limit):
 
     The dimension is None when V(I) is empty.  A finite V(I) gives all its
     rational points (:func:`solve_zero_dim`); otherwise the points are the
-    first ``limit`` found on a grid of small rationals, none when the grid
-    is too large, and ``has_nonrational`` is False.  This is the one point
-    search behind the sharp points of a D-variety and the search of an
-    axiom instance.
+    first ``limit`` found among the first ``_GRID_LIMIT`` points of a grid
+    of small rationals, and ``has_nonrational`` is False.  This is the one
+    point search behind the sharp points of a D-variety and the search of
+    an axiom instance.
     """
     if ideal.is_trivial():
         return None, (), False
@@ -951,11 +951,9 @@ def rational_points(ideal, limit):
     if dim == 0:
         solved = solve_zero_dim(ideal)
         return 0, solved.points, solved.has_nonrational
-    n = len(ideal.variables)
-    if len(_GRID_VALUES) ** n > _GRID_LIMIT:
-        return dim, (), False
     found = []
-    for combo in itertools.product(_GRID_VALUES, repeat=n):
+    grid = itertools.product(_GRID_VALUES, repeat=len(ideal.variables))
+    for combo in itertools.islice(grid, _GRID_LIMIT):
         coords = dict(zip(ideal.variables, combo))
         if all(g.evaluate(coords) == 0 for g in ideal.generators):
             found.append(combo)

@@ -17,9 +17,13 @@ too, next to their largest exponent per variable (its int form).  The one
 product loop, ``poly._add_products``, multiplies two int forms into one
 int term dict per component on packed exponents: each exponent tuple
 becomes one int with a slot per variable wide enough for the sum of the
-two operands' largest exponents, so the loop adds ints, and each output
-term is unpacked, and made a Fraction over the product of the
-denominators, once.
+two operands' largest exponents, so the loop adds ints.  Each output
+component is unpacked once and reduced mod the ideal on ints
+(``poly._int_normal_form``), and the content it shares with the
+denominator is divided out: a product is again an int form, in lowest
+terms.  Powers, products, images and the product-rule check stay on int
+forms; only the elements :func:`push_through` and :func:`tensor_mul`
+return are made Fractions, once.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
 the ideal, their powers and 1_D, each with its int form, filled on demand.
@@ -42,11 +46,14 @@ from typing import NamedTuple
 
 from .algebra import FiniteDimAlgebra
 from .poly import (
+    GREVLEX,
     Ideal,
     MonomialOrder,
     MultiPoly,
     _add_products,
     _common_int_terms,
+    _fraction_terms,
+    _int_normal_form,
     _Packing,
     _top_exponents,
     as_poly,
@@ -173,38 +180,43 @@ def _int_form(comps, variables):
     return _IntForm(den, comps, top)
 
 
-def _components(variables, packing, sums, den, ideal):
-    """The polynomials of packed int term dicts over ``den``, reduced mod
-    ``ideal`` when given."""
-    comps = [MultiPoly._trusted(variables, packing.fractions(t, den)) for t in sums]
-    if ideal is not None:
-        comps = [ideal.normal_form(p) for p in comps]
-    return comps
+def _reduced(packing, sums, den, ideal):
+    """The int form, in lowest terms, of packed int term dicts over ``den``,
+    each reduced mod ``ideal`` (on the packing's variables) when given."""
+    comps = [packing.unpack(t) for t in sums]
+    basis = () if ideal is None else ideal.groebner_basis()
+    if basis:
+        reduced = [_int_normal_form(t, basis, GREVLEX, ideal.budget) for t in comps]
+        m = math.lcm(*[s for _, s in reduced])
+        comps = [t if s == m else {e: v * (m // s) for e, v in t.items()} for t, s in reduced]
+        den *= m
+    g = math.gcd(den, *[v for t in comps for v in t.values()])
+    top = _top_exponents([e for t in comps for e in t], len(packing.slots))
+    comps = [[(e, v // g) for e, v in t.items()] if g > 1 else list(t.items()) for t in comps]
+    return _IntForm(den // g, comps, top)
 
 
-def _int_product(algebra, variables, a, b, ideal):
-    """The components on ``variables`` of the product of two int forms,
-    reduced mod ``ideal`` when given."""
-    ds, table = algebra.int_constants
-    packing = _Packing(map(add, a.top, b.top))
-    sums = [{} for _ in range(algebra.dim)]
-    _add_products(sums, table, packing.pack(a.comps), packing.pack(b.comps), 1)
-    return _components(variables, packing, sums, a.den * b.den * ds, ideal)
+def _tensor(table, form):
+    """The TensorElement on ``table.variables`` of an int form: one
+    Fraction per term."""
+    comps = [_fraction_terms(dict(t), form.den) for t in form.comps]
+    return TensorElement(table.algebra, [MultiPoly._trusted(table.variables, t) for t in comps])
 
 
 def tensor_mul(a, b, ideal=None):
-    """Product in R tensor D; components reduced mod ``ideal`` when given."""
-    variables = a.comps[0].variables
-    for p in a.comps + b.comps:
-        if p.variables != variables:
-            variables += tuple(v for v in p.variables if v not in variables)
+    """Product in R tensor D; components reduced mod ``ideal``, and on its
+    variables, when given."""
+    variables = ideal.variables if ideal is not None else tuple(
+        dict.fromkeys(v for p in a.comps + b.comps for v in p.variables)
+    )
+    table = PowerTable(a.algebra, {}, variables, ideal)
     a_ints, b_ints = _int_form(a.comps, variables), _int_form(b.comps, variables)
-    return TensorElement(a.algebra, _int_product(a.algebra, variables, a_ints, b_ints, ideal))
+    return _tensor(table, table.product(a_ints, b_ints))
 
 
 class PowerTable:
     """The variable images of an operator, reduced mod ``ideal`` when given,
-    their powers and the unit 1_D, each kept with its int form.
+    their powers and the unit 1_D, each kept as an int form.
 
     The table is filled on demand: an image is reduced when a term first
     needs it, and x^(e+1) is built from x^e when a term first needs it.
@@ -241,8 +253,11 @@ class PowerTable:
 
     def product(self, a, b):
         """The int form of the product of two int forms, reduced."""
-        comps = _int_product(self.algebra, self.variables, a, b, self.ideal)
-        return _int_form(comps, self.variables)
+        ds, table = self.algebra.int_constants
+        packing = _Packing(map(add, a.top, b.top))
+        sums = [{} for _ in range(self.algebra.dim)]
+        _add_products(sums, table, packing.pack(a.comps), packing.pack(b.comps), 1)
+        return _reduced(packing, sums, a.den * b.den * ds, self.ideal)
 
 
 def push_through(table, polys):
@@ -252,11 +267,13 @@ def push_through(table, polys):
     :class:`PowerTable` ``table``; term products go through the structure
     constants of D.  The results live on ``table.variables`` and are
     reduced mod ``table.ideal`` when given.
-
-    The terms of a polynomial are summed on ints, on one packed exponent
-    layout, and each component is built, and reduced, once per polynomial
-    (see the module docstring).
     """
+    return [_tensor(table, form) for form in _images(table, polys)]
+
+
+def _images(table, polys):
+    """The int forms of :func:`push_through`'s images: the terms of each
+    polynomial summed on one packed layout and reduced once (see above)."""
     algebra = table.algebra
     ds, consts = algebra.int_constants
     out = []
@@ -293,8 +310,7 @@ def push_through(table, polys):
             for target, comp in zip(sums, right):
                 for e, x in comp:
                     target[e] = target.get(e, 0) + factor * x
-        comps = _components(table.variables, packing, sums, den, table.ideal)
-        out.append(TensorElement(algebra, comps))
+        out.append(_reduced(packing, sums, den, table.ideal))
     return out
 
 
@@ -414,9 +430,10 @@ def product_rule_check(op, f, g):
     images of f and g?  Always true for a valid operator; exposed as a test
     oracle."""
     f, g = op._ring_element(f), op._ring_element(g)
-    lhs, image_f, image_g = push_through(op.powers, [f * g, f, g])
-    rhs = tensor_mul(image_f, image_g, op.ideal)
-    return all(a == b for a, b in zip(lhs.comps, rhs.comps))
+    lhs, image_f, image_g = _images(op.powers, [f * g, f, g])
+    rhs = op.powers.product(image_f, image_g)
+    # both forms are in lowest terms, so equal elements have equal forms
+    return lhs.den == rhs.den and list(map(dict, lhs.comps)) == list(map(dict, rhs.comps))
 
 
 @dataclass(frozen=True)

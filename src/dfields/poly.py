@@ -27,7 +27,9 @@ arithmetic:
   multiplied and summed, and each output term becomes one Fraction over
   the product of the two denominators; a one-term factor just scales the
   other's terms.  The tensor products of ``dring`` run through the same
-  helpers and the same loop, :func:`_add_products`.
+  helpers and the same loop, :func:`_add_products`, and stay on ints
+  through their reduction (:func:`_int_normal_form`): only the elements
+  ``dring`` returns are made Fractions.
 
 The product loop adds packed exponents (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -36,8 +38,7 @@ where b is the sum of the two operands' largest exponents in variable i
 (:func:`_top_exponents`).  No entry of a product exponent exceeds that sum,
 so adding two packed ints never carries from one slot into the next: the
 packing is exact at any degree and has no fixed width.  The inner loop
-adds and multiplies ints only, and each output term is unpacked once, when
-it becomes a Fraction.
+adds and multiplies ints only, and each output term is unpacked once.
 
 :func:`_pseudo_remainder` is the one division routine, and it runs on ints.
 It divides with a heap of negated keys over the working terms (Monagan and
@@ -47,8 +48,9 @@ multiplies the working terms and the remainder by lc(g) / gcd(c, lc(g)),
 and it returns the product of these scalings.  Each scaling is a nonzero
 constant, so the popped leads and the budget errors are those of the
 division over Q.  :func:`normal_form` scales f to ints once, divides by the
-int form each basis polynomial keeps, and divides the remainder once by the
-scale product.  :func:`groebner_basis_of` keeps each basis entry as coprime
+int form each basis polynomial keeps (:func:`_int_normal_form`, which
+``dring`` calls on ints), and divides the remainder once by the scale
+product.  :func:`groebner_basis_of` keeps each basis entry as coprime
 ints with a positive leading coefficient, forms S-pairs on ints, and makes
 each nonzero remainder primitive; the reduced basis becomes monic
 Fractions once, at the end, each keeping its ints as its int form.
@@ -541,19 +543,11 @@ class _Packing:
         shifts = self.shifts
         return [[(sum(map(lshift, e, shifts)), c) for e, c in comp] for comp in comps]
 
-    def fractions(self, terms, den):
-        """The Fraction term dict of a packed int term dict over ``den``,
+    def unpack(self, terms):
+        """The int term dict on exponent tuples of a packed int term dict,
         zero terms dropped: each surviving term unpacked once."""
         slots = self.slots
-        if den == 1:
-            return {
-                tuple([(k >> s) & m for s, m in slots]): Fraction(v)
-                for k, v in terms.items() if v
-            }
-        return {
-            tuple([(k >> s) & m for s, m in slots]): Fraction(v, den)
-            for k, v in terms.items() if v
-        }
+        return {tuple([(k >> s) & m for s, m in slots]): v for k, v in terms.items() if v}
 
 
 def _add_products(sums, table, left, right, factor):
@@ -594,7 +588,7 @@ def _mul_terms(a, b):
     packing = _Packing(map(add, _top_exponents(a, 0), _top_exponents(b, 0)))
     product = {}
     _add_products([product], _SCALAR_TABLE, packing.pack(a_ints), packing.pack(b_ints), 1)
-    return packing.fractions(product, da * db)
+    return _fraction_terms(packing.unpack(product), da * db)
 
 
 def _pow_terms(terms, n, zero):
@@ -800,15 +794,21 @@ def parse_polynomial(text, variables=None):
     return MultiPoly._trusted(variables, terms)
 
 
+# polynomials are immutable, so a parsed text can be handed out again
+_parse_cached = functools.lru_cache(maxsize=256)(parse_polynomial)
+
+
 def as_poly(value, variables=None):
     """Polynomial input as a MultiPoly: text is parsed (on ``variables``
     when given, so an unknown name is a PolyParseError), a rational becomes
     a constant, and a MultiPoly is put on ``variables`` when given (a
-    ValueError when it uses a variable outside them)."""
+    ValueError when it uses a variable outside them).  The last 256
+    (text, variables) pairs parsed are kept, so a repeated text is parsed
+    once."""
     if isinstance(value, MultiPoly):
         return value if variables is None else value.on_variables(variables)
     if isinstance(value, str):
-        return parse_polynomial(value, variables)
+        return _parse_cached(value, None if variables is None else tuple(variables))
     return MultiPoly.constant(value, () if variables is None else variables)
 
 
@@ -883,15 +883,26 @@ def normal_form(f, basis, order=GREVLEX, budget=None):
     An f within the degree budget with no divisible term is returned as is.
     """
     budget = budget or DEFAULT_BUDGET
-    leads = [g.leading_exponent(order) for g in basis]
-    if f.total_degree() <= budget.max_degree and not any(
-        _exp_divides(glm, exp) for exp in f.terms for glm in leads
-    ):
-        return f
     den, (terms,) = _common_int_terms([f.terms])
-    ints = [(g._int_terms(), glm) for g, glm in zip(basis, leads)]
-    remainder, scale = _pseudo_remainder(terms, ints, order, budget)
+    terms = dict(terms)
+    remainder, scale = _int_normal_form(terms, basis, order, budget)
+    if remainder is terms:
+        return f
     return MultiPoly._trusted(f.variables, _fraction_terms(remainder, den * scale))
+
+
+def _int_normal_form(terms, basis, order, budget):
+    """The remainder r of an int term dict on full division by the
+    polynomials ``basis``, as in :func:`normal_form`, and the scale s with
+    r / s the remainder over Q.  A dict within the degree budget with no
+    divisible term is returned as it is, with s = 1."""
+    leads = [g.leading_exponent(order) for g in basis]
+    if not any(_exp_divides(glm, exp) for exp in terms for glm in leads) and (
+        max(map(sum, terms), default=0) <= budget.max_degree
+    ):
+        return terms, 1
+    ints = [(g._int_terms(), glm) for g, glm in zip(basis, leads)]
+    return _pseudo_remainder(terms, ints, order, budget)
 
 
 def _gm_update(G, pairs, h, order):

@@ -6,6 +6,8 @@
 Fractions instead).  The references below multiply Fraction by Fraction,
 term by term, reducing every power and every product mod the ideal; the
 results must agree term for term and keep Fraction coefficients.
+``dring.product_rule_check`` compares int forms; its verdict must be the
+one the references give.
 
 The one int product loop, ``poly._add_products``, adds exponents packed
 into ints.  ``_reference_products`` is the loop on exponent tuples that it
@@ -25,8 +27,22 @@ from dfields.algebra import (
     rational_field_algebra,
 )
 from dfields.cli import Resolver, parse
-from dfields.dring import PowerTable, TensorElement, push_through, tensor_mul
-from dfields.poly import Ideal, MultiPoly, _common_int_terms, _fraction_terms, _mul_terms
+from dfields.dring import (
+    DOperator,
+    PowerTable,
+    TensorElement,
+    product_rule_check,
+    push_through,
+    tensor_mul,
+)
+from dfields.poly import (
+    Ideal,
+    MultiPoly,
+    _common_int_terms,
+    _fraction_terms,
+    _mul_terms,
+    as_poly,
+)
 
 from test_algebra import _products_in_a_random_basis
 
@@ -99,6 +115,16 @@ def _reference_push_through(algebra, polys, images, variables, ideal=None):
             total = total + term
         out.append(total)
     return out
+
+
+def _reference_product_rule(op, f, g):
+    """product_rule_check on Fractions: the image of f*g against the product
+    of the images of f and g."""
+    f, g = as_poly(f, op.variables), as_poly(g, op.variables)
+    lhs, image_f, image_g = _reference_push_through(
+        op.algebra, [f * g, f, g], op.images, op.variables, op.ideal
+    )
+    return lhs == _reference_tensor_mul(image_f, image_g, op.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -304,3 +330,65 @@ def test_packed_tensor_mul_matches_tuple_loop(algebra, data):
     result = tensor_mul(a, b)
     for r, e in zip(result.comps, _reference_tensor_ints(a, b)):
         _assert_same(r, e)
+
+
+# ---------------------------------------------------------------------------
+# the product-rule check on int forms
+
+
+def _noncommutative(algebra):
+    """The algebra's basis and unit with e_i * e_j halved for the first pair
+    i < j with a nonzero product, and e_j * e_i kept."""
+    a = [[list(row) for row in plane] for plane in algebra.struct_consts]
+    n = algebra.dim
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if any(a[i][j]))
+    a[i][j] = [c / 2 for c in a[i][j]]
+    return FiniteDimAlgebra(a, algebra.unit, algebra.basis_names)
+
+
+TRUNC4 = STREAM_ALGEBRAS[3]
+# e * e^2 = 1/2 e^3 but e^2 * e = e^3
+SKEW_TRUNC4 = _noncommutative(TRUNC4)
+SKEW_DUAL_X_Q = _noncommutative(STREAM_ALGEBRAS[5])
+CIRCLE = Ideal(VARS, ["x^2 + y^2 - 1"])
+
+
+def _operator(algebra, ideal, images):
+    """A DOperator built without the checks of make_doperator."""
+    images = {v: [as_poly(c, VARS) for c in comps] for v, comps in images.items()}
+    return DOperator(algebra, ideal, {v: TensorElement(algebra, c) for v, c in images.items()})
+
+
+def test_product_rule_check_can_fail_with_denominators():
+    # any images extend to a homomorphism of Q[x, y] when D is commutative
+    # and associative, so only the skewed multiplication breaks the rule
+    images = {"x": ("x", "1/2*y", "1/3", "0"), "y": ("y", "-1/2*x", "0", "1/5*x*y")}
+    skew = _operator(SKEW_TRUNC4, CIRCLE, images)
+    valid = _operator(TRUNC4, CIRCLE, images)
+    for f, g in [("x", "x^2"), ("1/2*x*y", "3/4*x + 2/7*y^2")]:
+        assert product_rule_check(skew, f, g) is False
+        assert _reference_product_rule(skew, f, g) is False
+        assert product_rule_check(valid, f, g) is True
+        assert _reference_product_rule(valid, f, g) is True
+
+
+_SMALL_POLYS = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFFS, max_size=3
+).map(lambda t: MultiPoly(VARS, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([TRUNC4, SKEW_TRUNC4, STREAM_ALGEBRAS[4], SKEW_DUAL_X_Q]),
+    st.sampled_from([Ideal(VARS, []), CIRCLE]),
+    st.lists(_SMALL_POLYS, min_size=8, max_size=8),
+    _SMALL_POLYS,
+    _SMALL_POLYS,
+)
+def test_product_rule_check_matches_fraction_reference(algebra, ideal, comps, f, g):
+    dim = algebra.dim
+    op = _operator(algebra, ideal, {"x": comps[:dim], "y": comps[4 : 4 + dim]})
+    verdict = product_rule_check(op, f, g)
+    assert verdict is _reference_product_rule(op, f, g)
+    if algebra in (TRUNC4, STREAM_ALGEBRAS[4]):
+        assert verdict is True

@@ -37,9 +37,12 @@ from dfields.poly import (
     _sort_factors,
     _sympy_from_multipoly,
     is_squarefree,
+    _parse_cached,
+    as_poly,
 )
 from dfields import cli, poly
 from dfields.algebra import solve_zero_dim
+from dfields.dring import DRingError, make_doperator
 
 from conftest import random_poly
 
@@ -524,6 +527,43 @@ def test_document_error_positions_are_pinned(text, message, line, column):
     with pytest.raises(PolyParseError) as err:
         cli.parse(text)
     _assert_error(err.value, message, line, column)
+
+
+# ---------------------------------------------------------------------------
+# the parse cache of as_poly
+
+
+def test_parse_cache_is_bounded():
+    assert 0 < _parse_cached.cache_info().maxsize <= 256
+
+
+def test_cached_text_lives_on_each_variable_tuple():
+    first = as_poly("x*y - 1/2", ("x", "y"))
+    second = as_poly("x*y - 1/2", ("y", "x", "z"))
+    assert first.variables == ("x", "y") and second.variables == ("y", "x", "z")
+    assert first == second
+    assert as_poly("x*y - 1/2", ["x", "y"]) == first
+    assert as_poly("x*y - 1/2", ["x", "y"]).variables == ("x", "y")
+    assert as_poly("x*y - 1/2").variables == ("x", "y")
+
+
+@pytest.mark.parametrize("text, variables, message, line, column", _MALFORMED)
+def test_repeated_malformed_text_raises_the_same_error(text, variables, message, line, column):
+    for declared in (variables, list(variables or ("x", "y")), variables):
+        with pytest.raises(PolyParseError) as err:
+            as_poly(text, declared)
+        _assert_error(err.value, message, line, column)
+
+
+def test_repeated_stray_name_keeps_the_operator_error(dual):
+    op = make_doperator(dual, Ideal(("x",), []), {"x": ("x", "1")})
+    for _ in range(2):
+        with pytest.raises(PolyParseError) as err:
+            op.apply("x + z")
+        _assert_error(err.value, "unknown variable 'z'", 1, 5)
+        with pytest.raises(DRingError) as err:
+            op.apply(as_poly("x + z"))
+        assert str(err.value) == "unknown variable 'z'"
 
 
 # ---------------------------------------------------------------------------

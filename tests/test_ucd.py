@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfields.dvariety import make_dvariety, rational_sharp_points
+from dfields.dvariety import make_dvariety, rational_sharp_points, zero_section
 from dfields.poly import Ideal, parse_polynomial
 from dfields.prolongation import BaseDStructure, extend_by_point
 from dfields.ucd import (
@@ -325,6 +325,21 @@ def test_search_agrees_with_sharp_points_on_graph_instances(dual, trivial_dual):
             assert tuple(a for a, _ in search.samples[:5]) == sharp.samples
         dims.append(sharp.dimension)
     assert dims == [None, 0, 0, 0, 1]
+
+
+def test_search_samples_a_locus_on_five_coordinates(dual, trivial_dual):
+    # 11^5 grid points exceed the grid cap: the first ones are still tried
+    coords = ("a", "b", "c", "d", "f")
+    x = Ideal(coords, ["a - b"])
+    y = Ideal(tuple(f"{v}_{k}" for k in (0, 1) for v in coords), ["a_0 - b_0", "a_1 - b_1"])
+    search = find_nabla_point(ucd_instance(trivial_dual, x, y))
+    assert search.dimension == 4 and search.found
+    assert search.samples[0] == ((0,) * 5, (0,) * 10)
+    sharp = rational_sharp_points(make_dvariety(dual, x, zero_section(dual, x)))
+    assert sharp.dimension == 4
+    assert len(sharp.samples) == 5 and sharp.samples[0] == (0,) * 5
+    for point in sharp.samples:
+        assert point[0] == point[1]
 
 
 # ---------------------------------------------------------------------------
