@@ -427,8 +427,11 @@ def make_doperator(algebra, ideal, images):
 
 def product_rule_check(op, f, g):
     """Does the image of f*g equal the structure-constant combination of the
-    images of f and g?  Always true for a valid operator; exposed as a test
-    oracle."""
+    images of f and g?  Over a commutative, associative D with its unit
+    this holds for any images, since the images come from a ring
+    homomorphism followed by a normal form: it checks the product and
+    reduction code, not the operator.  The operator's check is the
+    relation check of :func:`make_doperator`."""
     f, g = op._ring_element(f), op._ring_element(g)
     lhs, image_f, image_g = _images(op.powers, [f * g, f, g])
     rhs = op.powers.product(image_f, image_g)

@@ -67,9 +67,9 @@ document parser of ``cli`` reads its expressions through the same parser.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -1156,21 +1156,47 @@ class Ideal:
         kept = [g for g in basis if g.used_variables() <= set(keep)]
         return Ideal(tuple(keep), [g.on_variables(tuple(keep)) for g in kept], self.budget)
 
-    def krull_dimension(self):
-        """Dimension of V(I): the largest variable set independent modulo
-        the leading-term ideal."""
-        basis = self.groebner_basis()
+    def independent_set(self):
+        """A largest set of variables on which no leading monomial of the
+        reduced basis lies; its size is the dimension of V(I)."""
         if self.is_trivial():
             raise EmptyVarietyError("empty variety")
-        lms = [g.leading_exponent(GREVLEX) for g in basis]
-        n = len(self.variables)
-        supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in lms]
-        for size in range(n, -1, -1):
-            for subset in itertools.combinations(range(n), size):
-                chosen = frozenset(subset)
-                if all(not s <= chosen for s in supports):
-                    return size
-        return 0
+        leads = [g.leading_exponent(GREVLEX) for g in self.groebner_basis()]
+        supports = [sum(1 << i for i, e in enumerate(lead) if e) for lead in leads]
+        mask = _independent_set(len(self.variables), supports)
+        return tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
+
+    def krull_dimension(self):
+        """Dimension of V(I), the size of :meth:`independent_set`."""
+        return len(self.independent_set())
+
+    @functools.cached_property
+    def graph(self):
+        """{v: p} with I generated by the v - p and no p using a v, so V(I)
+        is affine space on the other variables; None if not found.  Under a
+        block order that puts first the variables some reduced grevlex basis
+        element holds only in one term c*v, every reduced basis element must
+        lead with one variable; reducedness keeps those out of the tails."""
+        basis, lone = self.groebner_basis(), set()
+        if not basis:
+            return {}
+        for g in basis:
+            held = collections.Counter(i for e in g.terms for i, k in enumerate(e) if k)
+            lone.update(e.index(1) for e in g.terms if sum(e) == 1 and held[e.index(1)] == 1)
+        # each codimension needs a leading variable: too few candidates, no search
+        if not lone or len(lone) < len(self.variables) - self.krull_dimension():
+            return None
+        first = tuple(v for i, v in enumerate(self.variables) if i in lone)
+        ring = first + tuple(v for v in self.variables if v not in first)
+        order = MonomialOrder("block", block=len(first))
+        graph = {}
+        for g in groebner_basis_of(self.generators, ring, order, self.budget):
+            lead = g.leading_exponent(order)
+            if sum(lead) != 1:
+                return None
+            v = ring[lead.index(1)]
+            graph[v] = (MultiPoly.variable(v, ring) - g).on_variables(self.variables)
+        return graph
 
     def equals(self, other):
         """Ideal equality by mutual membership of generators."""
@@ -1179,6 +1205,22 @@ class Ideal:
         return all(self.contains(g.on_variables(self.variables)) for g in other.generators) and all(
             other.contains(g.on_variables(other.variables)) for g in self.generators
         )
+
+
+def _independent_set(n, supports, mask=0, start=0, best=0):
+    """The bit mask of a largest subset of range(n) that contains none of
+    the masks ``supports``, by depth-first search: indices join in
+    increasing order, and a branch that cannot outgrow the largest set
+    found is dropped (Kredel and Weispfenning, "Computing dimension and
+    independent sets for polynomial ideals", JSC 6, 1988)."""
+    best = max(best, mask, key=int.bit_count)
+    for v in range(start, n):
+        if mask.bit_count() + n - v <= best.bit_count():
+            break
+        wider = mask | 1 << v
+        if all(s & wider != s for s in supports):
+            best = _independent_set(n, supports, wider, v + 1, best)
+    return best
 
 
 # spec-level operation names -------------------------------------------------
@@ -1208,30 +1250,43 @@ def krull_dimension(ideal):
 # points, Jacobians, smoothness
 
 
-def _point_map(variables, point):
+def _int_gradients(polys, variables, point):
+    """(value, row, den) per polynomial f, ints from one pass over its terms,
+    each of degree k weighted by d^(deg f - k), d the point's denominator:
+    row / den is grad f(point), and value is f(point) times a positive int."""
     if isinstance(point, dict):
-        return {v: _as_fraction(point[v]) for v in variables}
-    point = tuple(point)
+        point = [point[v] for v in variables]
+    point = [_as_fraction(c) for c in point]
     if len(point) != len(variables):
         raise ValueError("point length does not match variable count")
-    return {v: _as_fraction(c) for v, c in zip(variables, point)}
+    d = math.lcm(*(c.denominator for c in point))
+    a = [c.numerator * (d // c.denominator) for c in point]
+    out = []
+    for f in polys:
+        den, (terms,) = _common_int_terms([f.on_variables(variables).terms])
+        top = max((sum(e) for e, _ in terms), default=0)
+        value, row = 0, [0] * len(variables)
+        for exp, c in terms:
+            c *= d ** (top - sum(exp))
+            support = [(i, k) for i, k in enumerate(exp) if k]
+            value += c * math.prod(a[i] ** k for i, k in support)
+            for i, k in support:
+                row[i] += c * k * math.prod(a[j] ** (m - (j == i)) for j, m in support)
+        out.append((value, row, den * d ** max(top - 1, 0)))
+    return out
 
 
 def jacobian_at(generators, variables, point):
     """The Jacobian matrix of ``generators`` (one row each) at a point of
     their common zero set; raises NotOnVarietyError otherwise."""
-    variables = tuple(variables)
-    coords = _point_map(variables, point)
-    gens = [g.on_variables(variables) for g in generators]
-    for g in gens:
-        if g.evaluate(coords) != 0:
+    rows = []
+    for g, (value, row, den) in zip(generators, _int_gradients(generators, variables, point)):
+        if value:
             raise NotOnVarietyError(
-                f"point does not satisfy generator {format_poly(g)}"
+                f"point does not satisfy generator {format_poly(g.on_variables(tuple(variables)))}"
             )
-    return [
-        [g.partial_derivative(v).evaluate(coords) for v in variables]
-        for g in gens
-    ]
+        rows.append(linalg.fractions_of(row, den))
+    return rows
 
 
 def jacobian_rank_at(generators, variables, point):
@@ -1509,8 +1564,9 @@ class IrreducibilityResult:
 
 def decide_irreducibility(ideal):
     """Is V(ideal) irreducible over Q?  Supported cases per the module
-    contract: the zero ideal, linear ideals, zero-dimensional ideals, and
-    principal ideals in at most two variables.  Everything else is
+    contract: the zero ideal, linear ideals, zero-dimensional ideals,
+    principal ideals in at most two variables, and, tried last, graphs of
+    polynomial maps (:attr:`Ideal.graph`).  Everything else is
     ``undetermined``.
 
     Classification works on the reduced Groebner basis, so the answer does
@@ -1556,4 +1612,6 @@ def decide_irreducibility(ideal):
             "reducible", "zero-dimensional", f"{len(components)} components"
         )
 
+    if ideal.graph is not None:
+        return IrreducibilityResult("irreducible", "graph", "graph of a polynomial map")
     return IrreducibilityResult("undetermined", "unsupported-case")

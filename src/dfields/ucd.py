@@ -7,9 +7,9 @@ dominance of every projection pi_i: Y -> X^sigma_i, smoothness of the
 witness, irreducibility of X and Y where the polynomial toolkit can decide
 it (user assertions cover the rest), and nonemptiness of U.
 
-Each hypothesis first tries a certificate: an exact proof from linear
-algebra at the witness that needs no Groebner basis of Y.  Let f_1..f_m be
-the nonzero generators of Y in n variables and J their Jacobian at p.
+Each hypothesis first tries a certificate: an exact proof, mostly by int
+linear algebra at the witness, that needs no Groebner basis of Y.  Let
+f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
 
 - smooth_witness: p is on Y and rank J = m.  By the Jacobian criterion
   (Eisenbud, Commutative Algebra, Thm 16.19) p is then a smooth point of
@@ -24,13 +24,18 @@ the nonzero generators of Y in n variables and J their Jacobian at p.
   generic rank of pi_i on Y_0, which in characteristic 0 is the dimension
   of the image closure (generic smoothness, Hartshorne III.10.7); so the
   closure is all of the irreducible X^sigma_i.
-- Y_irreducible: with that smooth witness, m >= 2 and n - m >= 1, Y has a
-  component of codimension at least 2 and positive dimension, so its
-  reduced basis is not the zero ideal, trivial, principal or
-  zero-dimensional.  If some f_j is nonzero at p + k for a basis vector k
-  of ker J, it is not linear either (a linear V(I) through p contains
-  p + ker J).  That is the case ``decide_irreducibility`` leaves
-  undetermined, so its answer is given without computing it.
+- Y_irreducible, first: over a parameter-free base whose X is the graph
+  of a polynomial map (``Ideal.graph``), tau X is one too, with the
+  prolongation of X's graph basis as its graph basis (Moosa and Scanlon,
+  "Jet and prolongation spaces", 2010).  Containment and every f_j
+  reducing to zero modulo that basis give V(Y) = V(tau X), affine space.
+- Y_irreducible, then: with a smooth witness, m >= 2 and n - m >= 1, Y has
+  a component of codimension at least 2 and positive dimension, so its
+  reduced basis is not zero, trivial, principal or zero-dimensional; if
+  some f_j is nonzero at p + k for a k in ker J, it is not linear either
+  (a linear V(I) through p contains p + ker J).  Y is then undetermined
+  without computing anything: weaker than the Groebner path, which may
+  still find Y a graph, but never contrary to it.
 
 Where no certificate applies, the hypothesis is answered from Groebner
 bases of Y as before: ideal membership, elimination ideals, the Krull
@@ -65,13 +70,16 @@ from .poly import (
     EmptyVarietyError,
     Ideal,
     IrreducibilityResult,
+    MonomialOrder,
     MultiPoly,
     NotOnVarietyError,
+    _int_gradients,
     as_poly,
     decide_irreducibility,
     format_poly,
     is_squarefree,
     jacobian_at,
+    normal_form,
 )
 from .prolongation import BaseDStructure, ProlongedVariety, pi_hat, prolong
 
@@ -168,40 +176,39 @@ class _AtWitness:
     """The Jacobian J of Y's nonzero generators at a witness on Y."""
 
     rank: int
-    kernel: list  # a basis of ker J
+    kernel: list  # a basis of ker J, int vectors
     smooth: bool  # rank J is the number of generators
 
 
 def _at_witness(inst):
-    """Jacobian data at the witness; None without a witness on Y."""
+    """Jacobian data at the witness, on ints; None without a witness on Y."""
     if inst.witness is None:
         return None
     gens = _nonzero_generators(inst.y_ideal)
-    variables = inst.y_ideal.variables
-    try:
-        rows = jacobian_at(gens, variables, inst.witness)
-    except NotOnVarietyError:
+    n = len(inst.y_ideal.variables)
+    grads = _int_gradients(gens, inst.y_ideal.variables, inst.witness)
+    if any(value for value, _, _ in grads):
         return None
-    kernel = linalg.nullspace(rows) if rows else linalg.identity(len(variables))
-    rank = len(variables) - len(kernel)
-    return _AtWitness(rank, kernel, rank == len(gens))
+    kernel = [v for _, v in linalg._kernel([row for _, row, _ in grads] or [[0] * n])]
+    return _AtWitness(n - len(kernel), kernel, n - len(kernel) == len(gens))
 
 
 def _outside_span(inst):
     """The prolonged components, as (generator, level, component), that are
     not Q-linear combinations of Y's generators: one row reduction of the
-    generators' coefficient rows, then each component reduced by its
+    generators' int coefficient rows, then each component reduced by its
     pivot rows."""
     gens = inst.y_ideal.generators
     column = {e: k for k, e in enumerate(dict.fromkeys(e for g in gens for e in g.terms))}
 
     def row(p):
-        out = [Fraction(0)] * len(column)
-        for e, c in p.terms.items():
+        out = [0] * len(column)
+        for e, c in p._int_terms().items():
             out[column[e]] = c
         return out
 
-    reduced, pivots = linalg.rref([row(g) for g in gens])
+    reduced = [row(g) for g in gens]
+    pivots = linalg.int_rref(reduced)
     outside = []
     for f, comps in inst.prolonged.per_generator:
         for j, comp in enumerate(comps):
@@ -210,9 +217,9 @@ def _outside_span(inst):
                 continue
             v = row(comp)
             for r, col in zip(reduced, pivots):
-                c = v[col]
+                p, c = r[col], v[col]
                 if c:
-                    v = [a - c * b for a, b in zip(v, r)]
+                    v = linalg.primitive([p * a - c * b for a, b in zip(v, r)])
             if any(v):
                 outside.append((f, j, comp))
     return outside
@@ -263,12 +270,11 @@ def _dominance_certified(inst, i, at, decide):
     projection = pi_hat(inst.prolonged, i)
     coords = [MultiPoly.variable(p, variables) for p in inst.base.params]
     coords.extend(projection.images[x][0] for x in inst.xvars)
-    point = dict(zip(variables, inst.witness))
-    image = []
-    for c in coords:
-        grad = [c.partial_derivative(v).evaluate(point) for v in variables]
-        image.append([sum(g * k for g, k in zip(grad, vec)) for vec in at.kernel])
-    return linalg.rank(image) == twisted.krull_dimension()
+    image = [
+        [sum(g * k for g, k in zip(row, vec) if g) for vec in at.kernel]
+        for _, row, _ in _int_gradients(coords, variables, inst.witness)
+    ]
+    return len(linalg.int_rref(image, full=False)) == twisted.krull_dimension()
 
 
 def _dominance_entry(inst, i):
@@ -467,9 +473,32 @@ def _irreducibility_entry(inst, which, decide=None):
     return _irreducibility_verdict(inst, which, (decide or decide_irreducibility)(ideal))
 
 
+def _graph_certificate(inst, contained):
+    """The Y entry by a graph (module docstring), or None.  The prolonged
+    graph basis has the coprime leading monomials v_j, so it is a Groebner
+    basis, and division by it substitutes for each v_j."""
+    graph = None if inst.base.params or not contained else inst.x_ideal.graph
+    if not graph:
+        return None
+    xvars, dim = inst.x_ideal.variables, inst.base.algebra.dim
+    basis = [MultiPoly.variable(v, xvars) - p for v, p in graph.items()]
+    known = dict(inst.prolonged.per_generator)  # X's generators are often its graph basis
+    if not all(f in known for f in basis):
+        known = dict(prolong(inst.base, Ideal(xvars, basis)).per_generator)
+    first = tuple(inst.prolonged.block(j)[inst.xvars.index(v)] for v in graph for j in range(dim))
+    ring = first + tuple(v for v in inst.y_ideal.variables if v not in first)
+    order = MonomialOrder("block", block=len(first))
+    tau = [c.on_variables(ring) for f in basis for c in known[f]]
+    gens = [g.on_variables(ring) for g in inst.y_ideal.generators]
+    if all(normal_form(g, tau, order).is_zero() for g in gens):
+        return HypothesisEntry("Y_irreducible", "verified", "graph")
+    return None
+
+
 def _irreducibility_certificate(inst, at):
     """The Y entry without a basis of Y, when the smooth witness shows that
-    Y is outside every case decide_irreducibility supports; None otherwise."""
+    Y is outside every case decide_irreducibility supports but the graph;
+    None otherwise."""
     variables = inst.y_ideal.variables
     gens = _nonzero_generators(inst.y_ideal)
     m = len(gens)
@@ -513,14 +542,15 @@ def check_instance(inst):
     at = _at_witness(inst)
     decide = functools.cache(decide_irreducibility)
     containment = _containment_entry(inst, _outside_span(inst))
+    contained = containment.status == "verified"
     entries = [containment]
-    entries.extend(
-        _dominance_entries(inst, containment.status == "verified", at, decide)
-    )
+    entries.extend(_dominance_entries(inst, contained, at, decide))
     entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, at, decide))
     entries.append(_irreducibility_entry(inst, "X", decide))
     entries.append(
-        _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y", decide)
+        _graph_certificate(inst, contained)
+        or _irreducibility_certificate(inst, at)
+        or _irreducibility_entry(inst, "Y", decide)
     )
     entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst))
     return HypothesisReport(tuple(entries))

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, Groebner machinery, and the ideal toolkit."""
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from dfields.poly import (
     groebner_basis_of,
     ideal_membership,
     is_smooth_point,
+    jacobian_at,
     jacobian_rank_at,
     krull_dimension,
     normal_form,
@@ -41,8 +43,9 @@ from dfields.poly import (
     as_poly,
 )
 from dfields import cli, poly
-from dfields.algebra import solve_zero_dim
+from dfields.algebra import from_presentation, solve_zero_dim
 from dfields.dring import DRingError, make_doperator
+from dfields.prolongation import BaseDStructure, prolong
 
 from conftest import random_poly
 
@@ -664,6 +667,43 @@ def test_krull_dimension_examples():
         krull_dimension(Ideal(("x",), ["1"]))
 
 
+def _exhaustive_dimension(n, supports):
+    """The subset walk the pruned search replaced: every subset of each size,
+    the largest size first, until one contains no support."""
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if all(not s <= frozenset(subset) for s in supports):
+                return size
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any), max_size=10
+        )
+    )
+)
+def test_pruned_independent_set_matches_the_exhaustive_walk(leading_monomials):
+    n = len(leading_monomials[0]) if leading_monomials else 3
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in leading_monomials]
+    mask = poly._independent_set(n, [sum(1 << i for i in s) for s in supports])
+    chosen = {i for i in range(n) if mask >> i & 1}
+    assert not any(s <= chosen for s in supports)
+    assert len(chosen) == _exhaustive_dimension(n, supports)
+
+
+def test_independent_set_names_a_largest_independent_set():
+    # the grevlex leading monomials x^2, x*y, y^2 of the twisted cubic leave z
+    cubic = Ideal(("x", "y", "z"), ["y - x^2", "z - x^3"])
+    assert cubic.independent_set() == ("z",)
+    assert Ideal(("x", "y", "z"), []).independent_set() == ("x", "y", "z")
+    assert Ideal(("x", "y"), ["x", "y"]).independent_set() == ()
+    with pytest.raises(EmptyVarietyError):
+        Ideal(("x",), ["1"]).independent_set()
+
+
 def test_budget_exceeded_is_explicit():
     tiny = GroebnerBudget(max_degree=2, max_basis=2000)
     ideal = Ideal(("x", "y"), ["y^2 - x^3"], budget=tiny)
@@ -1048,6 +1088,39 @@ def test_cuspidal_cubic():
     assert not is_smooth_point(ideal, (0, 0))
     assert jacobian_rank_at(ideal.generators, ideal.variables, (1, 1)) == 1
     assert is_smooth_point(ideal, (1, 1))
+
+
+_RATIONAL_COORDS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3),
+            st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+            max_size=5,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.tuples(*[_RATIONAL_COORDS] * 3),
+)
+def test_int_gradients_match_the_fraction_derivatives(term_dicts, point):
+    variables = ("x", "y", "z")
+    polys = [MultiPoly(variables, terms) for terms in term_dicts]
+    at = dict(zip(variables, point))
+    for f, (value, row, den) in zip(polys, poly._int_gradients(polys, variables, point)):
+        assert den > 0 and (value == 0) == (f.evaluate(at) == 0)
+        assert value * f.evaluate(at) >= 0
+        assert [Fraction(c, den) for c in row] == [
+            f.partial_derivative(v).evaluate(at) for v in variables
+        ]
+    # jacobian_at is exact on the polynomials' common zeros
+    shifted = [f - f.evaluate(at) for f in polys]
+    assert jacobian_at(shifted, variables, at) == [
+        [f.partial_derivative(v).evaluate(at) for v in variables] for f in shifted
+    ]
 
 
 def test_jacobian_requires_point_on_variety():
@@ -1498,6 +1571,34 @@ def test_zero_dim_irreducibility_counts_factors(factors, mults, shift):
         assert result.status == "irreducible"
     else:
         assert (result.status, result.detail) == ("reducible", f"{len(factors)} components")
+
+
+def test_graph_case_does_not_depend_on_the_presentation():
+    # the twisted cubic as a graph over x, as the reduced grevlex basis, and
+    # with redundant generators
+    presentations = [
+        ["y - x^2", "z - x^3"],
+        ["y - x^2", "z - x*y"],
+        ["x^2 - y", "x*y - z", "y^2 - x*z"],
+        ["y - x^2", "z - x^3", "(y - x^2)*(z + 1)", "x*(z - x*y)", "2*z - 2*x^3"],
+    ]
+    for gens in presentations:
+        ideal = Ideal(("x", "y", "z"), gens)
+        result = decide_irreducibility(ideal)
+        assert (result.status, result.method) == ("irreducible", "graph"), gens
+        assert ideal.graph == {"y": P("x^2", ideal.variables), "z": P("x^3", ideal.variables)}
+    # the prolongation of the elliptic curve over Q[e]/(e^3) is no graph,
+    # and trying costs no budget error
+    base = BaseDStructure.trivial(from_presentation(["e"], ["e^3"]))
+    tau = prolong(base, Ideal(("x", "y"), ["y^2 - x^3 - x"])).prolonged_ideal
+    result = decide_irreducibility(tau)
+    assert (result.status, result.method) == ("undetermined", "unsupported-case")
+    assert tau.graph is None
+    # x and z each occur alone in z - x, but V is the two lines y = 0 and
+    # y = x on the plane z = x: the block basis leads with y^2, so no graph
+    lines = Ideal(("x", "y", "z"), ["z - x", "y^2 - x*y"])
+    assert lines.graph is None
+    assert decide_irreducibility(lines).status == "undetermined"
 
 
 def test_irreducibility_undetermined_outside_supported_cases():

@@ -201,7 +201,8 @@ def test_squared_generator_does_not_refute_smoothness(trivial_dual, line):
 
 def test_dominance_is_not_refuted_by_a_non_radical_x(trivial_dual):
     # the elimination ideal holds y - x^2, which is not in ((y - x^2)^2)
-    # but vanishes on the same variety
+    # but vanishes on the same variety; Y is the graph of
+    # (x_0, x_1) -> (x_0^2, 2 x_0 x_1), so it is decided irreducible
     x = Ideal(("x", "y"), ["(y - x^2)^2"])
     y = Ideal(("x_0", "y_0", "x_1", "y_1"), ["y_0 - x_0^2", "y_1 - 2*x_0*x_1"])
     report = check_instance(ucd_instance(trivial_dual, x, y))
@@ -211,9 +212,22 @@ def test_dominance_is_not_refuted_by_a_non_radical_x(trivial_dual):
         ("dominance_pi_0", "verified", ""),
         ("smooth_witness", "undetermined", "no witness supplied"),
         ("X_irreducible", "verified", "principal-factorisation"),
-        ("Y_irreducible", "undetermined", "unsupported-case"),
+        ("Y_irreducible", "verified", "graph"),
         ("U_nonempty", "verified", "U = Y"),
     ]
+
+
+def test_graph_certificate_needs_every_generator_of_y_on_tau_x(trivial_dual):
+    # X is the parabola, a graph, and Y lies in tau X; a generator outside
+    # the span of tau X's but in its ideal keeps the graph verdict, and
+    # x_1 (x_1 - 1), which cuts tau X into two pieces, loses it
+    x = Ideal(("x", "y"), ["y - x^2"])
+    tau = ["y_0 - x_0^2", "y_1 - 2*x_0*x_1"]
+    for extra, status in (("x_0*y_1 - 2*x_0^2*x_1", "verified"), ("x_1^2 - x_1", "undetermined")):
+        y = Ideal(("x_0", "y_0", "x_1", "y_1"), tau + [extra])
+        report = check_instance(ucd_instance(trivial_dual, x, y))
+        assert report.entry("Y_subset_of_tauX").status == "verified"
+        assert report.entry("Y_irreducible").status == status, extra
 
 
 def test_h_in_the_radical_of_y_empties_u(trivial_dual, line):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from dfields.algebra import rational_field_algebra
+from dfields import poly
 from dfields.cli import parse, run
 from dfields.poly import Ideal, IrreducibilityResult, parse_polynomial
 from dfields.prolongation import BaseDStructure, prolong
@@ -89,13 +90,41 @@ def test_intact_prolongations_are_verified_by_certificates(algebra_name, curve, 
     assert _outside_span(inst) == []
     assert _open_set_certificate(inst, at) is not None
     assert _irreducibility_certificate(inst, at) is not None
-    # the twisted cubic is not a case decide_irreducibility supports, so its
-    # projections keep their elimination ideals
+    # every X here is decided irreducible, the twisted cubic as a graph, so
+    # no projection needs its elimination ideal
     dominance = [
         _dominance_certified(inst, i, at, decide_irreducibility)
         for i in range(len(algebra.components))
     ]
-    assert all(dominance) == (curve != "twisted_cubic")
+    assert all(dominance)
+
+
+@pytest.mark.parametrize("algebra_name", ("trunc3", "dual_x_q"))
+def test_intact_twisted_cubic_is_verified_without_elimination(algebra_name, request, monkeypatch):
+    # X is a graph, so every hypothesis has its certificate: no elimination
+    # ideal, and no Groebner basis on the variables of Y
+    algebra = request.getfixturevalue(algebra_name)
+    (_, inst), = [(l, i) for l, i in _instances(algebra, "twisted_cubic") if l == "intact/on"]
+
+    def no_elimination(self, keep_vars):
+        raise AssertionError("elimination ideal computed")
+
+    rings = []
+    groebner = poly.groebner_basis_of
+
+    def recorded(generators, variables, *args):
+        rings.append(tuple(variables))
+        return groebner(generators, variables, *args)
+
+    monkeypatch.setattr(Ideal, "elimination_ideal", no_elimination)
+    monkeypatch.setattr(poly, "groebner_basis_of", recorded)
+    report = check_instance(inst)
+    statuses = {e.name: (e.status, e.detail) for e in report.entries}
+    assert report.verdict == "verified"
+    assert statuses["X_irreducible"] == statuses["Y_irreducible"] == ("verified", "graph")
+    dominance = [e.status for e in report.entries if e.name.startswith("dominance")]
+    assert dominance == ["verified"] * len(algebra.components)
+    assert rings and all(len(r) == len(CURVES["twisted_cubic"][0]) for r in rings)
 
 
 def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
