@@ -620,6 +620,20 @@ def _linear_text(coords, basis):
     return format_poly(poly)
 
 
+def algebra_to_block(name, algebra):
+    """Serialise a built algebra back into a table-form document block."""
+    n = algebra.dim
+    basis = tuple(
+        b if b.isidentifier() else f"b{i}" for i, b in enumerate(algebra.basis_names)
+    )
+    table = tuple(
+        ((i, j), tuple(algebra.struct_consts[i][j]))
+        for i in range(n)
+        for j in range(i, n)
+    )
+    return AlgebraBlock(name, None, basis, table, tuple(algebra.unit))
+
+
 # ---------------------------------------------------------------------------
 # resolution: blocks to live objects
 

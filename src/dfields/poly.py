@@ -1177,10 +1177,8 @@ class Ideal:
         block order that puts first the variables some reduced grevlex basis
         element holds only in one term c*v, every reduced basis element must
         lead with one variable; reducedness keeps those out of the tails."""
-        basis, lone = self.groebner_basis(), set()
-        if not basis:
-            return {}
-        for g in basis:
+        lone = set()
+        for g in self.groebner_basis():
             held = collections.Counter(i for e in g.terms for i, k in enumerate(e) if k)
             lone.update(e.index(1) for e in g.terms if sum(e) == 1 and held[e.index(1)] == 1)
         # each codimension needs a leading variable: too few candidates, no search
@@ -1189,8 +1187,12 @@ class Ideal:
         first = tuple(v for i, v in enumerate(self.variables) if i in lone)
         ring = first + tuple(v for v in self.variables if v not in first)
         order = MonomialOrder("block", block=len(first))
+        try:
+            basis = groebner_basis_of(self.generators, ring, order, self.budget)
+        except BudgetExceededError:  # a block basis past the cap: no graph found
+            return None
         graph = {}
-        for g in groebner_basis_of(self.generators, ring, order, self.budget):
+        for g in basis:
             lead = g.leading_exponent(order)
             if sum(lead) != 1:
                 return None
@@ -1208,11 +1210,9 @@ class Ideal:
 
 
 def _independent_set(n, supports, mask=0, start=0, best=0):
-    """The bit mask of a largest subset of range(n) that contains none of
-    the masks ``supports``, by depth-first search: indices join in
-    increasing order, and a branch that cannot outgrow the largest set
-    found is dropped (Kredel and Weispfenning, "Computing dimension and
-    independent sets for polynomial ideals", JSC 6, 1988)."""
+    """The bit mask of a largest subset of range(n) containing none of the
+    masks ``supports``, by depth-first search that drops a branch unable to
+    outgrow the best found (Kredel and Weispfenning, JSC 6, 1988)."""
     best = max(best, mask, key=int.bit_count)
     for v in range(start, n):
         if mask.bit_count() + n - v <= best.bit_count():

@@ -243,6 +243,24 @@ def alpha_hat(prolonged):
     return AlphaHatMap(factors)
 
 
+def nabla_e(base, point, xvars):
+    """The endomorphism-side prolongation point (a, sigma_1(a), ...) of a
+    rational or parametric point, computed from the base structure."""
+    algebra = base.algebra
+    values = [as_poly(val) for val in point]
+    out = []
+    for i in range(len(algebra.components)):
+        comp = algebra.components[i]
+        if comp.residue_dim != 1:
+            raise ProlongationError("associated maps are not all endomorphisms")
+        for val in values:
+            combined = comp.residue(base.apply(val).comps, base.params)[0]
+            out.append(
+                combined.constant_value() if combined.is_constant() else combined
+            )
+    return tuple(out)
+
+
 def extend_by_point(base, ideal, point_images, xvars=None):
     """Extend the base structure to Q[x]/ideal by prescribing the image of
     the generic point: ``point_images`` lists, block-major, the coordinates

@@ -25,17 +25,16 @@ f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
   of the image closure (generic smoothness, Hartshorne III.10.7); so the
   closure is all of the irreducible X^sigma_i.
 - Y_irreducible, first: over a parameter-free base whose X is the graph
-  of a polynomial map (``Ideal.graph``), tau X is one too, with the
-  prolongation of X's graph basis as its graph basis (Moosa and Scanlon,
-  "Jet and prolongation spaces", 2010).  Containment and every f_j
-  reducing to zero modulo that basis give V(Y) = V(tau X), affine space.
+  of a polynomial map (``Ideal.graph``), tau X is one too (Moosa and
+  Scanlon, "Jet and prolongation spaces", 2010); containment and every f_j
+  in the ideal of tau X's graph basis give V(Y) = V(tau X), affine space.
 - Y_irreducible, then: with a smooth witness, m >= 2 and n - m >= 1, Y has
   a component of codimension at least 2 and positive dimension, so its
   reduced basis is not zero, trivial, principal or zero-dimensional; if
   some f_j is nonzero at p + k for a k in ker J, it is not linear either
   (a linear V(I) through p contains p + ker J).  Y is then undetermined
-  without computing anything: weaker than the Groebner path, which may
-  still find Y a graph, but never contrary to it.
+  without a basis: weaker than the Groebner path, which may still find Y
+  a graph, but never contrary to it.
 
 Where no certificate applies, the hypothesis is answered from Groebner
 bases of Y as before: ideal membership, elimination ideals, the Krull
@@ -189,7 +188,7 @@ def _at_witness(inst):
     grads = _int_gradients(gens, inst.y_ideal.variables, inst.witness)
     if any(value for value, _, _ in grads):
         return None
-    kernel = [v for _, v in linalg._kernel([row for _, row, _ in grads] or [[0] * n])]
+    kernel = linalg.int_nullspace([row for _, row, _ in grads] or [[0] * n])
     return _AtWitness(n - len(kernel), kernel, n - len(kernel) == len(gens))
 
 
@@ -480,17 +479,13 @@ def _graph_certificate(inst, contained):
     graph = None if inst.base.params or not contained else inst.x_ideal.graph
     if not graph:
         return None
-    xvars, dim = inst.x_ideal.variables, inst.base.algebra.dim
-    basis = [MultiPoly.variable(v, xvars) - p for v, p in graph.items()]
-    known = dict(inst.prolonged.per_generator)  # X's generators are often its graph basis
-    if not all(f in known for f in basis):
-        known = dict(prolong(inst.base, Ideal(xvars, basis)).per_generator)
-    first = tuple(inst.prolonged.block(j)[inst.xvars.index(v)] for v in graph for j in range(dim))
+    xvars = inst.x_ideal.variables
+    tau = prolong(inst.base, Ideal(xvars, [MultiPoly.variable(v, xvars) - p for v, p in graph.items()]))
+    first = tuple(tau.block(j)[tau.xvars.index(v)] for v in graph for j in range(inst.base.algebra.dim))
     ring = first + tuple(v for v in inst.y_ideal.variables if v not in first)
     order = MonomialOrder("block", block=len(first))
-    tau = [c.on_variables(ring) for f in basis for c in known[f]]
-    gens = [g.on_variables(ring) for g in inst.y_ideal.generators]
-    if all(normal_form(g, tau, order).is_zero() for g in gens):
+    basis = [c.on_variables(ring) for _, comps in tau.per_generator for c in comps]
+    if all(normal_form(g.on_variables(ring), basis, order).is_zero() for g in inst.y_ideal.generators):
         return HypothesisEntry("Y_irreducible", "verified", "graph")
     return None
 

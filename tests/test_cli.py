@@ -14,6 +14,7 @@ from dfields.cli import (
     Document,
     DringBlock,
     UcdBlock,
+    algebra_to_block,
     fixture_names,
     fixture_text,
     main,
@@ -445,20 +446,8 @@ def test_print_document_puts_items_in_canonical_order():
     assert parse(EVERY_ITEM_PRINTED) == doc
 
 
-def _algebra_to_block(name, algebra):
-    """A built algebra as a table-form document block."""
-    n = algebra.dim
-    basis = tuple(
-        b if b.isidentifier() else f"b{i}" for i, b in enumerate(algebra.basis_names)
-    )
-    table = tuple(
-        ((i, j), tuple(algebra.struct_consts[i][j])) for i in range(n) for j in range(i, n)
-    )
-    return AlgebraBlock(name, None, basis, table, tuple(algebra.unit))
-
-
 def test_algebra_serialises_back_into_the_language(dual_x_q):
-    block = _algebra_to_block("mix", dual_x_q)
+    block = algebra_to_block("mix", dual_x_q)
     doc = Document((block,))
     reparsed = parse(print_document(doc))
     assert reparsed == doc

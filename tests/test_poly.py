@@ -1601,6 +1601,19 @@ def test_graph_case_does_not_depend_on_the_presentation():
     assert decide_irreducibility(lines).status == "undetermined"
 
 
+def test_graph_case_past_the_budget_is_undetermined():
+    # the rational normal quartic by its 2x2 minors: the grevlex basis fits
+    # degree 3, the block basis needs w - x^4, so the graph search gives up
+    # and decide_irreducibility answers as it would without the graph case
+    gens = ["x^2 - y", "x*y - z", "y^2 - x*z", "x*z - w", "y*z - x*w", "z^2 - y*w"]
+    ideal = Ideal(("x", "y", "z", "w"), gens, GroebnerBudget(max_degree=3))
+    result = decide_irreducibility(ideal)
+    assert (result.status, result.method) == ("undetermined", "unsupported-case")
+    assert ideal.graph is None
+    roomy = Ideal(("x", "y", "z", "w"), gens, GroebnerBudget(max_degree=4))
+    assert decide_irreducibility(roomy).method == "graph"
+
+
 def test_irreducibility_undetermined_outside_supported_cases():
     # two non-linear generators in three variables, positive-dimensional
     ideal = Ideal(("x", "y", "z"), ["x^2 + y^2 + z^2 - 1", "x*y - z^2"])

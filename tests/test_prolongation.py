@@ -12,6 +12,7 @@ from dfields.prolongation import (
     alpha_hat,
     extend_by_point,
     nabla,
+    nabla_e,
     pi_hat,
     prolong,
 )
@@ -286,18 +287,6 @@ def test_pi_zero_after_nabla_is_identity(dual, parabola_ideal):
     assert pi_hat(prolonged, 0).apply_point(prolonged.variables, image) == point
 
 
-def _nabla_e(base, point):
-    """The endomorphism-side prolongation point (a, sigma_1(a), ...) of a
-    rational point, computed from the base structure."""
-    out = []
-    for comp in base.algebra.components:
-        assert comp.residue_dim == 1
-        for val in point:
-            combined = comp.residue(base.apply(MultiPoly.constant(val)).comps, base.params)[0]
-            out.append(combined.constant_value())
-    return tuple(out)
-
-
 def test_alpha_hat_commutes_with_nabla(qxq, dual_x_q, parabola_ideal):
     for algebra in (qxq, dual_x_q):
         base = BaseDStructure.trivial(algebra)
@@ -313,7 +302,7 @@ def test_alpha_hat_commutes_with_nabla(qxq, dual_x_q, parabola_ideal):
             lhs = comparison.apply_point(
                 prolonged.variables, nabla(op, point)
             )
-            rhs = _nabla_e(base, point)
+            rhs = nabla_e(base, point, parabola_ideal.variables)
             assert lhs == rhs
 
 
