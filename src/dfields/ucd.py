@@ -7,7 +7,7 @@ dominance of every projection pi_i: Y -> X^sigma_i, smoothness of the
 witness, irreducibility of X and Y where the polynomial toolkit can decide
 it (user assertions cover the rest), and nonemptiness of U.
 
-Each hypothesis first tries a certificate: an exact proof, mostly by int
+Each hypothesis first tries a certificate: an exact answer, mostly by int
 linear algebra at the witness, that needs no Groebner basis of Y.  Let
 f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
 
@@ -24,10 +24,20 @@ f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
   generic rank of pi_i on Y_0, which in characteristic 0 is the dimension
   of the image closure (generic smoothness, Hartshorne III.10.7); so the
   closure is all of the irreducible X^sigma_i.
-- Y_irreducible, first: over a parameter-free base whose X is the graph
-  of a polynomial map (``Ideal.graph``), tau X is one too (Moosa and
-  Scanlon, "Jet and prolongation spaces", 2010); containment and every f_j
-  in the ideal of tau X's graph basis give V(Y) = V(tau X), affine space.
+- Over a graph: over a parameter-free base whose X is the graph of a
+  polynomial map v = p(u) (``Ideal.graph``), tau X is the graph of one
+  over its free coordinates u (Moosa and Scanlon, "Jet and prolongation
+  spaces", 2010).  With containment, Y's generators leave remainders r in
+  Q[u] modulo tau X's graph basis, so V(Y) is the graph of a polynomial
+  map over V(r), and isomorphic to V(r).  Hence:
+  - Y_irreducible is verified when r is empty or V(r) is decided
+    irreducible;
+  - U_nonempty without h is refuted iff 1 is in (r): V(Y) is empty iff
+    V(r) is;
+  - dominance_pi_i, with pi_i the projection onto block j, holds iff (r)
+    meets Q[u_j] in 0: v_j = p(u_j) on tau X, and that elimination ideal
+    cuts out the closure of the image of V(r) in the u_j (closure theorem;
+    Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3).
 - Y_irreducible, then: with a smooth witness, m >= 2 and n - m >= 1, Y has
   a component of codimension at least 2 and positive dimension, so its
   reduced basis is not zero, trivial, principal or zero-dimensional; if
@@ -276,16 +286,38 @@ def _dominance_certified(inst, i, at, decide):
     return len(linalg.int_rref(image, full=False)) == twisted.krull_dimension()
 
 
+def _indicator(inst, i):
+    """The coordinate j whose unit vector is component i's residue row, so
+    that pi_i is the projection onto block j; None if there is none."""
+    row = inst.base.algebra.components[i].residue_matrix[0]
+    nonzero = [j for j, c in enumerate(row) if c]
+    return nonzero[0] if len(nonzero) == 1 and row[nonzero[0]] == 1 else None
+
+
+def _graph_dominance(inst, i, reduced):
+    """pi_i over a graph X (module docstring), by (r) meeting Q[u_j] in 0;
+    None without a reduction or an indicator j."""
+    j = _indicator(inst, i)
+    if reduced is None or j is None:
+        return None
+    level = set(inst.prolonged.block(j))
+    kept = reduced.generators and reduced.elimination_ideal(
+        [u for u in reduced.variables if u in level]
+    ).generators
+    if not kept:
+        return HypothesisEntry(f"dominance_pi_{i}", "verified")
+    return HypothesisEntry(
+        f"dominance_pi_{i}",
+        "refuted",
+        f"projection {i} is not dominant: elimination ideal contains {format_poly(kept[0])}",
+    )
+
+
 def _dominance_entry(inst, i):
     """Dominance of pi_i by the elimination ideal of its graph."""
     projection = pi_hat(inst.prolonged, i)
     twisted = _twisted(inst, i)
-    row = inst.base.algebra.components[i].residue_matrix[0]
-    indicator = None
-    ones = [j for j, c in enumerate(row) if c == 1]
-    if len(ones) == 1 and all(c == 0 for j, c in enumerate(row) if j != ones[0]):
-        indicator = ones[0]
-
+    indicator = _indicator(inst, i)
     if indicator is not None:
         zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
     else:
@@ -342,7 +374,7 @@ def _first_outside_radical(ideal, polys):
     )
 
 
-def _dominance_entries(inst, contained, at, decide):
+def _dominance_entries(inst, contained, at, decide, reduced):
     comps = inst.base.algebra.components
     if any(c.residue_dim != 1 for c in comps):
         return [
@@ -355,7 +387,7 @@ def _dominance_entries(inst, contained, at, decide):
     return [
         HypothesisEntry(f"dominance_pi_{i}", "verified")
         if contained and _dominance_certified(inst, i, at, decide)
-        else _dominance_entry(inst, i)
+        else _graph_dominance(inst, i, reduced) or _dominance_entry(inst, i)
         for i in range(len(comps))
     ]
 
@@ -472,22 +504,24 @@ def _irreducibility_entry(inst, which, decide=None):
     return _irreducibility_verdict(inst, which, (decide or decide_irreducibility)(ideal))
 
 
-def _graph_certificate(inst, contained):
-    """The Y entry by a graph (module docstring), or None.  The prolonged
-    graph basis has the coprime leading monomials v_j, so it is a Groebner
-    basis, and division by it substitutes for each v_j."""
+def _graph_reduction(inst, contained):
+    """Y over a graph X (module docstring): the ideal (r) in tau X's free
+    coordinates u of the remainders of Y's generators on division by tau
+    X's prolonged graph basis, or None.  That basis has the coprime leading
+    monomials v_j, so it is a Groebner basis, and division by it
+    substitutes for each v_j."""
     graph = None if inst.base.params or not contained else inst.x_ideal.graph
     if not graph:
         return None
     xvars = inst.x_ideal.variables
     tau = prolong(inst.base, Ideal(xvars, [MultiPoly.variable(v, xvars) - p for v, p in graph.items()]))
     first = tuple(tau.block(j)[tau.xvars.index(v)] for v in graph for j in range(inst.base.algebra.dim))
-    ring = first + tuple(v for v in inst.y_ideal.variables if v not in first)
+    free = tuple(v for v in inst.y_ideal.variables if v not in first)
+    ring = first + free
     order = MonomialOrder("block", block=len(first))
     basis = [c.on_variables(ring) for _, comps in tau.per_generator for c in comps]
-    if all(normal_form(g.on_variables(ring), basis, order).is_zero() for g in inst.y_ideal.generators):
-        return HypothesisEntry("Y_irreducible", "verified", "graph")
-    return None
+    rests = [normal_form(g.on_variables(ring), basis, order) for g in inst.y_ideal.generators]
+    return Ideal(free, [r.on_variables(free) for r in rests if not r.is_zero()], inst.y_ideal.budget)
 
 
 def _irreducibility_certificate(inst, at):
@@ -518,10 +552,12 @@ def _open_set_certificate(inst, at):
     return None
 
 
-def _open_set_entry(inst):
-    """Emptiness of U from I(Y): 1 in I(Y), or h in its radical."""
+def _open_set_entry(inst, reduced=None):
+    """Emptiness of U from I(Y): 1 in I(Y), or h in its radical.  Without
+    h, over a graph X, 1 in the reduction (r) instead: V(Y) is isomorphic
+    to V(r)."""
     if inst.h is None:
-        if inst.y_ideal.is_trivial():
+        if (inst.y_ideal if reduced is None else reduced).is_trivial():
             return HypothesisEntry("U_nonempty", "refuted", "Y itself is empty")
         return HypothesisEntry("U_nonempty", "verified", "U = Y")
     if inst.y_ideal.contains(inst.h) or inst.y_ideal.radical_contains(inst.h):
@@ -533,21 +569,25 @@ def _open_set_entry(inst):
 
 def check_instance(inst):
     """Run every hypothesis check and collect the verdict: a certificate at
-    the witness where one applies, Groebner bases of Y where none does."""
+    the witness or over a graph X where one applies, Groebner bases of Y
+    where none does."""
     at = _at_witness(inst)
     decide = functools.cache(decide_irreducibility)
     containment = _containment_entry(inst, _outside_span(inst))
     contained = containment.status == "verified"
+    reduced = _graph_reduction(inst, contained)
     entries = [containment]
-    entries.extend(_dominance_entries(inst, contained, at, decide))
+    entries.extend(_dominance_entries(inst, contained, at, decide, reduced))
     entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, at, decide))
     entries.append(_irreducibility_entry(inst, "X", decide))
-    entries.append(
-        _graph_certificate(inst, contained)
-        or _irreducibility_certificate(inst, at)
-        or _irreducibility_entry(inst, "Y", decide)
+    on_graph = reduced is not None and (
+        not reduced.generators or decide(reduced).status == "irreducible"
     )
-    entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst))
+    entries.append(
+        HypothesisEntry("Y_irreducible", "verified", "graph") if on_graph
+        else _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y", decide)
+    )
+    entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst, reduced))
     return HypothesisReport(tuple(entries))
 
 

@@ -230,6 +230,17 @@ def test_graph_certificate_needs_every_generator_of_y_on_tau_x(trivial_dual):
         assert report.entry("Y_irreducible").status == status, extra
 
 
+def test_graph_reduction_needs_y_inside_tau_x(trivial_dual):
+    # Y = V((y_0 - x_0^2)(y_0 + x_0^2)) is not inside tau X of the parabola;
+    # its generator reduces to 0 modulo tau X's graph basis, which must not
+    # make Y the graph over all of tau X's free coordinates
+    x = Ideal(("x", "y"), ["y - x^2"])
+    y = Ideal(("x_0", "y_0", "x_1", "y_1"), ["y_0^2 - x_0^4"])
+    report = check_instance(ucd_instance(trivial_dual, x, y))
+    assert report.entry("Y_subset_of_tauX").status == "refuted"
+    assert report.entry("Y_irreducible").status == "refuted"
+
+
 def test_h_in_the_radical_of_y_empties_u(trivial_dual, line):
     y = Ideal(("x_0", "x_1"), ["x_0^2", "x_1"])
     inst = ucd_instance(trivial_dual, line, y, witness=(0, 0), h="x_0")

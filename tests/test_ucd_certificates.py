@@ -1,17 +1,19 @@
 """Certificates at the witness against the Groebner-basis path.
 
 ``check_instance`` answers a hypothesis by a certificate at the witness
-where one applies and by Groebner bases of Y otherwise.  On prolongations
-of four curves over local and split algebras, intact and with the broken
-extra generator x_0, and with the witness on and off Y, every status must
-be the one the Groebner-basis helpers give when called directly.
+or over a graph X where one applies and by Groebner bases of Y otherwise.
+On prolongations of four curves over local and split algebras, intact and
+with the broken extra generator x_0, and with the witness on and off Y,
+every status must be the one the Groebner-basis helpers give when called
+directly.  With the other broken extra generators, a certificate may also
+verify what the helpers leave undetermined.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dfields.algebra import rational_field_algebra
+from dfields.algebra import from_presentation, rational_field_algebra
 from dfields import poly
 from dfields.cli import parse, run
 from dfields.poly import Ideal, IrreducibilityResult, parse_polynomial
@@ -39,11 +41,15 @@ CURVES = {
     "parabola": (("x", "y"), ["y - x^2"], (2, 4)),
     "twisted_cubic": (("x", "y", "z"), ["y - x^2", "z - x^3"], (-1, 1, -1)),
 }
-ALGEBRAS = ("dual", "trunc3", "qxq", "dual_x_q")
+ALGEBRAS = ("dual", "trunc3", "qxq", "dual_x_q", "q3")
+# extra generators of broken twins of Y: over a graph X, V(r) is a
+# hyperplane, a hyperplane, two hyperplanes, irreducible over Q only, empty
+BROKEN = ("x_0", "x_1 - 1", "x_0*x_1", "x_0^2 + 1", "1")
 
 
-def _instances(algebra, curve):
-    """(label, instance) for intact and broken Y, witness on and off."""
+def _instances(algebra, curve, broken=BROKEN[:1]):
+    """(label, instance) for intact Y and Y plus each of ``broken``,
+    witness on and off."""
     xvars, xgens, point = CURVES[curve]
     base = BaseDStructure.trivial(algebra)
     x_ideal = Ideal(xvars, xgens)
@@ -51,14 +57,27 @@ def _instances(algebra, curve):
     yvars = prolonged.variables
     on = tuple(Fraction(c) * u for u in algebra.unit for c in point)
     off = (on[0] + 1,) + on[1:]
-    for broken in (False, True):
+    for extra in (None,) + tuple(broken):
         gens = list(prolonged.prolonged_ideal.generators)
-        if broken:
-            gens.append(parse_polynomial(yvars[0], yvars))
+        if extra is not None:
+            gens.append(parse_polynomial(extra, yvars))
         y = Ideal(yvars, gens)
         for label, witness in (("on", on), ("off", off)):
-            name = f"{'broken' if broken else 'intact'}/{label}"
+            name = f"{'intact' if extra is None else 'broken ' + extra}/{label}"
             yield name, ucd_instance(base, x_ideal, y, witness=witness)
+
+
+def _groebner_path(inst):
+    """The entries of the Groebner-basis helpers, called directly."""
+    entries = [_containment_entry(inst)]
+    entries.extend(
+        _dominance_entry(inst, i) for i in range(len(inst.base.algebra.components))
+    )
+    entries.append(_smoothness_entry(inst, _at_witness(inst)))
+    entries.append(_irreducibility_entry(inst, "X"))
+    entries.append(_irreducibility_entry(inst, "Y"))
+    entries.append(_open_set_entry(inst))
+    return entries
 
 
 @pytest.mark.parametrize("curve", CURVES)
@@ -78,6 +97,23 @@ def test_certificates_agree_with_the_groebner_path(algebra_name, curve, request)
         assert [(e.name, e.status) for e in report.entries] == [
             (e.name, e.status) for e in fallback
         ], label
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_certificates_never_contradict_the_groebner_path(algebra_name, curve, request):
+    # where the helpers decide, the statuses agree; where they do not, a
+    # certificate may only verify
+    algebra = request.getfixturevalue(algebra_name)
+    for label, inst in _instances(algebra, curve, BROKEN[1:]):
+        report = check_instance(inst)
+        fallback = _groebner_path(inst)
+        assert [e.name for e in report.entries] == [e.name for e in fallback]
+        for got, helper in zip(report.entries, fallback):
+            allowed = {helper.status}
+            if helper.status in ("undetermined", "asserted"):
+                allowed.add("verified")
+            assert got.status in allowed, (label, got, helper)
 
 
 @pytest.mark.parametrize("curve", CURVES)
@@ -125,6 +161,43 @@ def test_intact_twisted_cubic_is_verified_without_elimination(algebra_name, requ
     dominance = [e.status for e in report.entries if e.name.startswith("dominance")]
     assert dominance == ["verified"] * len(algebra.components)
     assert rings and all(len(r) == len(CURVES["twisted_cubic"][0]) for r in rings)
+
+
+def test_broken_twisted_cubic_is_refuted_in_the_free_coordinates(monkeypatch):
+    # Y = tau X plus x_0 over Q[e]/(e^8): the reduction modulo tau X's graph
+    # basis is (x_0) on the 8 free coordinates x_j, so no Groebner basis and
+    # no elimination ideal is computed on the 24 variables of Y
+    algebra = from_presentation(["e"], ["e^8"])
+    xvars, xgens, point = CURVES["twisted_cubic"]
+    base = BaseDStructure.trivial(algebra)
+    x_ideal = Ideal(xvars, xgens)
+    prolonged = prolong(base, x_ideal)
+    yvars = prolonged.variables
+    y = Ideal(yvars, list(prolonged.prolonged_ideal.generators) + [parse_polynomial("x_0", yvars)])
+    witness = tuple(Fraction(c) * u for u in algebra.unit for c in point)
+    inst = ucd_instance(base, x_ideal, y, witness=witness)
+
+    rings = []
+    groebner, eliminate = poly.groebner_basis_of, Ideal.elimination_ideal
+
+    def recorded_groebner(generators, variables, *args):
+        rings.append(tuple(variables))
+        return groebner(generators, variables, *args)
+
+    def recorded_elimination(self, keep_vars):
+        rings.append(self.variables)
+        return eliminate(self, keep_vars)
+
+    monkeypatch.setattr(poly, "groebner_basis_of", recorded_groebner)
+    monkeypatch.setattr(Ideal, "elimination_ideal", recorded_elimination)
+    report = check_instance(inst)
+    statuses = {e.name: (e.status, e.detail) for e in report.entries}
+    assert report.verdict == "refuted"
+    assert statuses["dominance_pi_0"] == (
+        "refuted", "projection 0 is not dominant: elimination ideal contains x_0"
+    )
+    assert statuses["Y_irreducible"] == ("verified", "graph")
+    assert rings and all(set(r) != set(yvars) for r in rings)
 
 
 def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
