@@ -957,9 +957,11 @@ _FIXTURE_COMMANDS = {
 }
 
 
-def run_fixture_corpus(budget=None, order=GREVLEX):
+def run_fixture_corpus(budget=None, order=GREVLEX, payloads=None):
     """Parse and exercise every shipped fixture file; input errors are
-    failures, refuted/undetermined verdicts are reported outcomes."""
+    failures, refuted/undetermined verdicts are reported outcomes.  Each
+    command's JSON payload (or error) goes to ``payloads[fixture][command]``."""
+    payloads = {} if payloads is None else payloads
     lines = []
     ok = True
     for fname in fixture_names():
@@ -972,9 +974,11 @@ def run_fixture_corpus(budget=None, order=GREVLEX):
                     result = run(command, doc, budget=budget, order=order)
                 except Exception as exc:  # noqa: BLE001 - report and flag
                     lines.append(f"{fname} :: {command}: ERROR {exc}")
+                    payloads.setdefault(fname, {})[command] = {"error": str(exc)}
                     ok = False
                     continue
                 lines.append(f"{fname} :: {command}: exit {result.exit_code}")
+                payloads.setdefault(fname, {})[command] = result.payload
                 lines.extend("  " + l for l in result.lines)
                 lines.extend(f"{fname} :: {command}: ERROR {e}" for e in result.errors)
                 ok = ok and not result.errors
@@ -1010,8 +1014,9 @@ def main(argv=None):
     order = LEX if args.order == "lex" else GREVLEX
 
     if args.fixtures:
-        ok, lines = run_fixture_corpus(budget, order)
-        print("\n".join(lines))
+        payloads = {}
+        ok, lines = run_fixture_corpus(budget, order, payloads)
+        print(json.dumps(payloads, indent=2, sort_keys=True) if args.json else "\n".join(lines))
         return 0 if ok else 1
 
     if args.group is None:

@@ -13,17 +13,15 @@ it from a map of variable images.
 Products in R (x) D run on ints.  The structure constants of D are kept
 as ints over one common denominator (``FiniteDimAlgebra.int_constants``),
 and an operand's components are kept as ints over one common denominator
-too, next to their largest exponent per variable (its int form).  The one
-product loop, ``poly._add_products``, multiplies two int forms into one
-int term dict per component on packed exponents: each exponent tuple
-becomes one int with a slot per variable wide enough for the sum of the
-two operands' largest exponents, so the loop adds ints.  Each output
-component is unpacked once and reduced mod the ideal on ints
-(``poly._int_normal_form``), and the content it shares with the
-denominator is divided out: a product is again an int form, in lowest
-terms.  Powers, products, images and the product-rule check stay on int
-forms; only the elements :func:`push_through` and :func:`tensor_mul`
-return are made Fractions, once.
+too, on packed exponents, next to a bound on their exponents per variable
+(its int form).  A packed exponent is one int with a slot per variable,
+so the one product loop, ``poly._add_products``, multiplies two int forms
+into one int term dict per component by adding ints.  Each output
+component is reduced mod the ideal on ints (``poly._int_normal_form``),
+and the content it shares with the denominator is divided out: a product
+is again an int form, in lowest terms.  Only the elements
+:func:`push_through` and :func:`tensor_mul` return are unpacked and made
+Fractions, once.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
 the ideal, their powers and 1_D, each with its int form, filled on demand.
@@ -34,6 +32,14 @@ the two cached int forms) into one packed int term dict per component and
 reduces each component once, at the end: normal forms are linear and
 NF(NF(a) NF(b)) = NF(ab), so this is the normal form of the term-by-term
 sum, and ``DOperator.apply`` does not reduce again.
+
+A table keeps every int form on its one packing, so products and images
+add stored packed ints; only a reduction by a nonempty ideal basis
+unpacks, and packs the remainder back.  When a product or a push needs a
+wider slot, the table widens its packing, two bits past the need, and
+re-packs its cached forms.  It also keeps the image of the polynomial it
+pushed last, keyed by (and holding) the object: the product-rule check
+after ``apply(f)``, and repeated ``component(f, i)``, do not push f again.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le
 from typing import NamedTuple
 
 from .algebra import FiniteDimAlgebra
@@ -166,40 +172,19 @@ class TensorElement:
 
 class _IntForm(NamedTuple):
     """Tensor components as ints over one denominator: ``comps[k]`` lists
-    the (exponent, den * coefficient) pairs of component k, and ``top`` is
-    the entrywise largest exponent over all components."""
+    the (exponent packed on ``packing``, den * coefficient) pairs of
+    component k, and ``top`` bounds the exponents of all components."""
 
     den: int
     comps: list
     top: list
-
-
-def _int_form(comps, variables):
-    den, comps = _common_int_terms([p.on_variables(variables).terms for p in comps])
-    top = _top_exponents([e for comp in comps for e, _ in comp], len(variables))
-    return _IntForm(den, comps, top)
-
-
-def _reduced(packing, sums, den, ideal):
-    """The int form, in lowest terms, of packed int term dicts over ``den``,
-    each reduced mod ``ideal`` (on the packing's variables) when given."""
-    comps = [packing.unpack(t) for t in sums]
-    basis = () if ideal is None else ideal.groebner_basis()
-    if basis:
-        reduced = [_int_normal_form(t, basis, GREVLEX, ideal.budget) for t in comps]
-        m = math.lcm(*[s for _, s in reduced])
-        comps = [t if s == m else {e: v * (m // s) for e, v in t.items()} for t, s in reduced]
-        den *= m
-    g = math.gcd(den, *[v for t in comps for v in t.values()])
-    top = _top_exponents([e for t in comps for e in t], len(packing.slots))
-    comps = [[(e, v // g) for e, v in t.items()] if g > 1 else list(t.items()) for t in comps]
-    return _IntForm(den // g, comps, top)
+    packing: _Packing
 
 
 def _tensor(table, form):
     """The TensorElement on ``table.variables`` of an int form: one
     Fraction per term."""
-    comps = [_fraction_terms(dict(t), form.den) for t in form.comps]
+    comps = [_fraction_terms(form.packing.unpack(dict(t)), form.den) for t in form.comps]
     return TensorElement(table.algebra, [MultiPoly._trusted(table.variables, t) for t in comps])
 
 
@@ -210,8 +195,7 @@ def tensor_mul(a, b, ideal=None):
         dict.fromkeys(v for p in a.comps + b.comps for v in p.variables)
     )
     table = PowerTable(a.algebra, {}, variables, ideal)
-    a_ints, b_ints = _int_form(a.comps, variables), _int_form(b.comps, variables)
-    return _tensor(table, table.product(a_ints, b_ints))
+    return _tensor(table, table.product(table._form(a.comps), table._form(b.comps)))
 
 
 class PowerTable:
@@ -229,24 +213,63 @@ class PowerTable:
         self.images = images
         self.variables = tuple(variables)
         self.ideal = ideal
+        self._packing = _Packing([0] * len(self.variables))
         self._powers = {}
-        self._one = None
+        units = [{0: b} if b else {} for b in algebra.unit]  # zero exponents pack to 0
+        self._one = _IntForm(*_common_int_terms(units), [0] * len(self.variables), self._packing)
+        self._last = None  # (polynomial, int form of its image)
 
-    def one(self):
-        """The int form of 1_D."""
-        if self._one is None:
-            one = TensorElement.one(self.algebra, self.variables)
-            self._one = _int_form(one.comps, self.variables)
-        return self._one
+    def _room(self, bounds):
+        """Widen the packing, two bits past ``bounds``, when an entry of
+        ``bounds`` overflows its slot, and re-pack the cached forms."""
+        caps = [m for _, m in self._packing.slots]  # the largest entry of each slot
+        if all(map(le, bounds, caps)):
+            return
+        self._packing = _Packing([max(4 * b + 3, c) for b, c in zip(bounds, caps)])
+        for cache in self._powers.values():
+            cache[1:] = map(self._on, cache[1:])
+        self._one = self._on(self._one)
+        self._last = self._last and (self._last[0], self._on(self._last[1]))
+
+    def _on(self, form):
+        """``form`` on the table's packing."""
+        if form.packing is self._packing:
+            return form
+        comps = self._packing.pack([form.packing.unpack(dict(t)).items() for t in form.comps])
+        return form._replace(comps=comps, packing=self._packing)
+
+    def _form(self, comps):
+        """The int form of ring elements, reduced."""
+        den, comps = _common_int_terms([p.on_variables(self.variables).terms for p in comps])
+        top = _top_exponents([e for comp in comps for e, _ in comp], len(self.variables))
+        self._room(top)
+        return self._reduced([dict(c) for c in self._packing.pack(comps)], den, top)
+
+    def _reduced(self, sums, den, top):
+        """The int form, in lowest terms, of packed int term dicts over
+        ``den`` with exponents bounded by ``top``, each reduced (unpacked,
+        and packed back) mod the ideal when it has a basis."""
+        basis = () if self.ideal is None else self.ideal.groebner_basis()
+        if basis:
+            budget, unpack = self.ideal.budget, self._packing.unpack
+            rems = [_int_normal_form(unpack(t), basis, GREVLEX, budget) for t in sums]
+            m = math.lcm(*[s for _, s in rems])
+            den *= m
+            top = _top_exponents([e for t, _ in rems for e in t], len(self.variables))
+            self._room(top)
+            sums = self._packing.pack([[(e, v * (m // s)) for e, v in t.items()] for t, s in rems])
+        else:
+            sums = [[(e, v) for e, v in t.items() if v] for t in sums]
+        g = math.gcd(den, *[v for comp in sums for _, v in comp])
+        if g > 1:
+            sums = [[(e, v // g) for e, v in comp] for comp in sums]
+        return _IntForm(den // g, sums, top, self._packing)
 
     def power(self, v, e):
         """The int form of the image of v^e, for e >= 1."""
         cache = self._powers.get(v)
         if cache is None:
-            image = self.images[v]
-            if self.ideal is not None:
-                image = image.reduce(self.ideal)
-            cache = self._powers[v] = [None, _int_form(image.comps, self.variables)]
+            cache = self._powers[v] = [None, self._form(self.images[v].comps)]
         while len(cache) <= e:
             cache.append(self.product(cache[-1], cache[1]))
         return cache[e]
@@ -254,10 +277,11 @@ class PowerTable:
     def product(self, a, b):
         """The int form of the product of two int forms, reduced."""
         ds, table = self.algebra.int_constants
-        packing = _Packing(map(add, a.top, b.top))
+        top = list(map(add, a.top, b.top))
+        self._room(top)
         sums = [{} for _ in range(self.algebra.dim)]
-        _add_products(sums, table, packing.pack(a.comps), packing.pack(b.comps), 1)
-        return _reduced(packing, sums, a.den * b.den * ds, self.ideal)
+        _add_products(sums, table, self._on(a).comps, self._on(b).comps, 1)
+        return self._reduced(sums, a.den * b.den * ds, top)
 
 
 def push_through(table, polys):
@@ -273,44 +297,46 @@ def push_through(table, polys):
 
 def _images(table, polys):
     """The int forms of :func:`push_through`'s images: the terms of each
-    polynomial summed on one packed layout and reduced once (see above)."""
+    polynomial summed on the table's packing and reduced once (see above).
+    The polynomial the table pushed last is read back, not pushed again."""
     algebra = table.algebra
     ds, consts = algebra.int_constants
     out = []
     for f in polys:
+        if table._last is not None and table._last[0] is f:
+            out.append(table._last[1])
+            continue
         # each term as (c, int form of P_1 ... P_(r-1) or None, of P_r)
         parts = []
         for exp, c in f.terms.items():
             factors = [table.power(v, e) for v, e in zip(f.variables, exp) if e]
             if not factors:
-                parts.append((c, None, table.one()))
+                parts.append((c, None, table._one))
                 continue
             left = factors[0] if len(factors) > 1 else None
             for t in factors[1:-1]:
                 left = table.product(left, t)
             parts.append((c, left, factors[-1]))
-        # the denominator of each term, and their lcm
-        dens = [
-            c.denominator * right.den * (1 if left is None else left.den * ds)
-            for c, left, right in parts
-        ]
-        den = math.lcm(*dens)
-        bounds = [0] * len(table.variables)
-        for _, left, right in parts:
+        # each term's denominator and exponent bound
+        dens, bounds = [], [0] * len(table.variables)
+        for c, left, right in parts:
+            dens.append(c.denominator * right.den * (1 if left is None else left.den * ds))
             top = right.top if left is None else map(add, left.top, right.top)
             bounds = list(map(max, bounds, top))
-        packing = _Packing(bounds)
+        den = math.lcm(*dens)
+        table._room(bounds)
         sums = [{} for _ in range(algebra.dim)]
         for (c, left, right), d in zip(parts, dens):
             factor = c.numerator * (den // d)
-            right = packing.pack(right.comps)
+            right = table._on(right).comps
             if left is not None:
-                _add_products(sums, consts, packing.pack(left.comps), right, factor)
+                _add_products(sums, consts, table._on(left).comps, right, factor)
                 continue
             for target, comp in zip(sums, right):
                 for e, x in comp:
                     target[e] = target.get(e, 0) + factor * x
-        out.append(_reduced(packing, sums, den, table.ideal))
+        table._last = (f, table._reduced(sums, den, bounds))
+        out.append(table._last[1])
     return out
 
 
@@ -410,10 +436,8 @@ def make_doperator(algebra, ideal, images):
     images = _coerce_images(algebra, ideal, images)
     op = DOperator(algebra, ideal, images)
     for v in ideal.variables:
-        defect = ideal.normal_form(
-            images[v].comps[0] - MultiPoly.variable(v, ideal.variables)
-        )
-        if not defect.is_zero():
+        comp, x = images[v].comps[0], MultiPoly.variable(v, ideal.variables)
+        if comp != x and not ideal.normal_form(comp - x).is_zero():
             raise SectionPropertyError(v)
     for g in ideal.generators:
         if g.is_zero():
@@ -433,8 +457,9 @@ def product_rule_check(op, f, g):
     reduction code, not the operator.  The operator's check is the
     relation check of :func:`make_doperator`."""
     f, g = op._ring_element(f), op._ring_element(g)
-    lhs, image_f, image_g = _images(op.powers, [f * g, f, g])
+    image_f, image_g, lhs = _images(op.powers, [f, g, f * g])
     rhs = op.powers.product(image_f, image_g)
+    lhs = op.powers._on(lhs)
     # both forms are in lowest terms, so equal elements have equal forms
     return lhs.den == rhs.den and list(map(dict, lhs.comps)) == list(map(dict, rhs.comps))
 

@@ -521,10 +521,10 @@ def _top_exponents(exps, n):
 
 class _Packing:
     """A layout that packs an exponent vector into one int: entry i takes
-    its own slot of bounds[i].bit_length() bits.  The packed sum of two
-    vectors is the packing of their sum as long as every entry of the sum
-    stays within its bound, so a product loop sized from its operands'
-    largest exponents adds ints and never overflows a slot."""
+    its own slot of bounds[i].bit_length() bits.  Packed vectors add as
+    long as every entry of the sum stays within its slot: a product sized
+    from its operands' largest exponents never overflows, and each
+    ``dring.PowerTable`` keeps one, widened when a bound outgrows a slot."""
 
     __slots__ = ("shifts", "slots")
 

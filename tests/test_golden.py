@@ -3,13 +3,16 @@
 The files under ``tests/golden/`` hold what ``dfields --fixtures`` prints,
 what ``dfields --json <command> <fixture>`` prints for every fixture and
 every command the fixture corpus runs on it, and (``printed.txt``) the
-canonical text of every fixture in both monomial orders.  Regenerate them with
+canonical text of every fixture in both monomial orders.  ``dfields
+--fixtures --json`` prints the same payloads as one object, read back
+against the per-command files.  Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` only for an intended change
 of output.
 """
 
 import contextlib
 import io
+import json
 from importlib import resources
 from pathlib import Path
 
@@ -43,10 +46,15 @@ def golden_cases():
 
 
 def cli_stdout(argv):
+    return cli_run(argv)[1]
+
+
+def cli_run(argv):
+    """The exit code and standard output of ``main(argv)``."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        main(argv)
-    return out.getvalue()
+        code = main(argv)
+    return code, out.getvalue()
 
 
 def printed_fixtures():
@@ -64,6 +72,19 @@ def printed_fixtures():
 )
 def test_cli_output_matches_golden(name, argv):
     assert cli_stdout(argv) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_fixture_corpus_json_matches_golden():
+    code, text = cli_run(["--fixtures", "--json"])
+    payloads = json.loads(text)
+    assert code == cli_run(["--fixtures"])[0] == 0
+    seen = set()
+    for fixture, commands in payloads.items():
+        for command, payload in commands.items():
+            name = f"{fixture.removesuffix('.dr')}.{command.replace(' ', '_')}.json"
+            assert payload == json.loads((GOLDEN / name).read_text(encoding="utf-8")), name
+            seen.add(name)
+    assert seen == {name for name, _ in golden_cases() if name.endswith(".json")}
 
 
 def test_printed_fixtures_match_golden():

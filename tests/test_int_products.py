@@ -36,6 +36,7 @@ from dfields.dring import (
     tensor_mul,
 )
 from dfields.poly import (
+    GroebnerBudget,
     Ideal,
     MultiPoly,
     _common_int_terms,
@@ -392,3 +393,75 @@ def test_product_rule_check_matches_fraction_reference(algebra, ideal, comps, f,
     assert verdict is _reference_product_rule(op, f, g)
     if algebra in (TRUNC4, STREAM_ALGEBRAS[4]):
         assert verdict is True
+
+
+# ---------------------------------------------------------------------------
+# one packing per table: widening and the reused image
+
+# a circle whose basis computations allow the degree-70 images below
+WIDE_CIRCLE = Ideal(VARS, ["x^2 + y^2 - 1"], GroebnerBudget(max_degree=100))
+# single terms of degree at most one keep the references small
+_MONOMIALS = st.sampled_from(["0", "1", "-1/2", "x", "2*y", "-1/3*x", "y"])
+# a push and a product rule of _SMALL_POLYS need exponents up to 8, and a
+# table widens to hold 4 * 8 + 3 < 64, so these exponents widen it again
+_FAR = st.one_of(
+    st.tuples(st.integers(64, 66), st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(64, 66)),
+)
+_HIGH_POLYS = st.dictionaries(_FAR, _COEFFS, min_size=1, max_size=2).map(
+    lambda t: MultiPoly(VARS, t)
+)
+_LOW_POLYS = _SMALL_POLYS.filter(lambda p: not p.is_zero())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([TRUNC4, STREAM_ALGEBRAS[0], STREAM_ALGEBRAS[4]]),
+    st.sampled_from([Ideal(VARS, []), WIDE_CIRCLE]),
+    st.lists(_MONOMIALS, min_size=6, max_size=6),
+    _LOW_POLYS,
+    _HIGH_POLYS,
+    _LOW_POLYS,
+)
+def test_a_widened_table_matches_fraction_reference(algebra, ideal, comps, low, high, g):
+    # a low push, one past the table's first width, then the low one again
+    dim = algebra.dim
+    images = {"x": ["x", *comps[: dim - 1]], "y": ["y", *comps[3 : 2 + dim]]}
+    op = _operator(algebra, ideal, images)
+    packings = []
+    for f in (low, high, low):
+        expected = _reference_push_through(algebra, [f], op.images, VARS, op.ideal)[0]
+        assert op.apply(f) == expected
+        assert product_rule_check(op, f, g) is True
+        assert op.apply(f) == expected
+        packings.append(op.powers._packing)
+        # widening re-packs every cached power onto the new packing
+        cached = [form for cache in op.powers._powers.values() for form in cache[1:]]
+        assert all(form.packing is packings[-1] for form in cached)
+    assert packings[1] is not packings[0]
+
+
+def test_product_rule_check_reuses_the_image_of_apply():
+    # a repeated text is one object, so its image is read back too
+    assert as_poly("x^9 - y", VARS) is as_poly("x^9 - y", VARS)
+    images = {"x": ("x", "1/2*y", "1/3", "0"), "y": ("y", "-1/2*x", "0", "1/5*x*y")}
+    for algebra in (SKEW_TRUNC4, TRUNC4):
+        for f, g in [("x", "x^2"), ("1/2*x*y", "3/4*x + 2/7*y^2"), ("x^9 - y", "y^3")]:
+            op = _operator(algebra, CIRCLE, images)
+            f = as_poly(f, VARS)
+            image = op.apply(f)
+            verdict = product_rule_check(op, f, g)
+            assert verdict is product_rule_check(_operator(algebra, CIRCLE, images), f, g)
+            assert verdict is _reference_product_rule(op, f, g)
+            # the last push is read back, not pushed again
+            assert op.component(f, 1) == image.comps[1]
+            last = op.powers._last
+            assert op.component(f, 2) == image.comps[2] and op.powers._last is last
+            # an equal copy of f gets the same image
+            copy = MultiPoly(VARS, dict(f.terms))
+            assert copy is not f and op.apply(copy) == image
+            # another polynomial does not get the image of the last one
+            other = _operator(algebra, CIRCLE, images)
+            other.apply(f)
+            assert other.apply(as_poly(g, VARS)) == op.apply(as_poly(g, VARS))
+            assert other.apply(as_poly(g, VARS)) != image
