@@ -174,11 +174,6 @@ class FiniteDimAlgebra:
     def element(self, coords):
         return AlgebraElement(self, coords)
 
-    def basis_element(self, i):
-        coords = [Fraction(0)] * self.dim
-        coords[i] = Fraction(1)
-        return AlgebraElement(self, coords)
-
     def one(self):
         return AlgebraElement(self, self.unit)
 
@@ -208,18 +203,6 @@ class FiniteDimAlgebra:
         v, dv = linalg.int_row(v)
         return linalg.fractions_of(self._mul_ints(u, v), du * dv * self._den)
 
-    def multiplication_matrix(self, coords):
-        """Matrix of multiplication by the given element."""
-        n = self.dim
-        nums, den = linalg.int_row(coords)
-        m = [[0] * n for _ in range(n)]
-        for i, x in enumerate(nums):
-            if x:
-                for j, row in enumerate(self._rows[i]):
-                    for k, c in row:
-                        m[k][j] += c * x
-        return [linalg.fractions_of(row, den * self._den) for row in m]
-
     # -- axioms -------------------------------------------------------------
 
     def is_pi_adapted(self):
@@ -246,9 +229,6 @@ class FiniteDimAlgebra:
     def pi_index(self):
         # the decomposition puts the distinguished component first
         return 0 if _is_distinguished(self.components[0]) else None
-
-    def is_local(self):
-        return len(self.components) == 1
 
     # -- serialisation ---------------------------------------------------------
 
@@ -343,17 +323,6 @@ class AlgebraElement:
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)
-
-    def is_idempotent(self):
-        return (self * self).coords == self.coords
-
-    def is_nilpotent(self):
-        power = self
-        for _ in range(self.algebra.dim):
-            if power.is_zero():
-                return True
-            power = power * self
-        return power.is_zero()
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.algebra is not self.algebra:

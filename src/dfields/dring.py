@@ -59,6 +59,7 @@ from .poly import (
     _add_products,
     _common_int_terms,
     _fraction_terms,
+    _fresh_name,
     _int_normal_form,
     _Packing,
     _top_exponents,
@@ -510,15 +511,6 @@ def is_d_ideal(op, J):
         if not all(J.contains(c.on_variables(J.variables)) for c in image.comps):
             return False
     return True
-
-
-def _fresh_name(base, taken):
-    name = base
-    counter = 2
-    while name in taken:
-        name = f"{base}{counter}"
-        counter += 1
-    return name
 
 
 def invert_modulo(ideal, s):

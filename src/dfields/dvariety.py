@@ -39,7 +39,6 @@ from .poly import (
     linear_combination,
     univariate_coeffs,
 )
-from .prolongation import BaseDStructure
 
 
 class DVarietyError(Exception):
@@ -136,24 +135,6 @@ def sharp_locus(dv):
     return SharpLocus(Ideal(dv.variables, gens, dv.ideal.budget), dv)
 
 
-def is_sharp_point(dv, point, base=None):
-    """Pointwise check of the sharp condition; coordinates may be rational
-    constants or polynomials in the base parameters."""
-    if base is None:
-        base = BaseDStructure.trivial(dv.algebra)
-    values = {v: as_poly(val) for v, val in zip(dv.variables, point)}
-    for g in dv.ideal.generators:
-        if not g.substitute(values).is_zero():
-            return False
-    for v in dv.variables:
-        nabla_val = base.apply(values[v])
-        for i in range(dv.algebra.dim):
-            expected = dv.section[v].comps[i].substitute(values)
-            if not (nabla_val.comps[i] - expected).is_zero():
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class SharpPointsResult:
     """Rational sharp points when the locus is finite; otherwise the locus
@@ -215,10 +196,6 @@ class PrimeCheckEntry:
 class DIdealFixtureReport:
     entries: tuple
 
-    @property
-    def all_passed(self):
-        return all(e.passed for e in self.entries)
-
 
 def dideal_fixture_check(op, J, primes):
     """Check a supplied minimal-prime decomposition of a radical D-ideal:
@@ -249,9 +226,7 @@ class WeilDescentResult:
     """A descended D-variety plus the point correspondence.
 
     ``forward_table`` writes each original coordinate as a polynomial in
-    the descended coordinates and alpha; ``backward_table`` names, for
-    every descended coordinate, which alpha-power coefficient of which
-    original coordinate it carries.
+    the descended coordinates and alpha.
     """
 
     algebra: object
@@ -263,7 +238,6 @@ class WeilDescentResult:
     ext_operator: DOperator
     descended: DVariety
     forward_table: dict
-    backward_table: dict
 
     @property
     def degree(self):
@@ -368,10 +342,9 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
         }
         descended = make_dvariety(algebra, plain, plain_section)
         forward = {v: MultiPoly.variable(v, xvars) for v in xvars}
-        backward = {v: (v, 0) for v in xvars}
         return WeilDescentResult(
             algebra, alpha, minpoly, xvars, original_ideal, section_comps,
-            ext_op, descended, forward, backward,
+            ext_op, descended, forward,
         )
 
     dvars = tuple(f"{x}_{p}" for x in xvars for p in range(r))
@@ -382,7 +355,6 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
 
     phi = {}
     forward = {}
-    backward = {}
     for x in xvars:
         expansion = MultiPoly.zero(full_vars)
         for p in range(r):
@@ -390,7 +362,6 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
                 alpha, full_vars
             ) ** p
             expansion = expansion + term
-            backward[f"{x}_{p}"] = (x, p)
         phi[x] = expansion
         forward[x] = expansion
     alpha_idx = 0
@@ -454,5 +425,5 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
     descended = make_dvariety(algebra, Ideal(dvars, descended_gens, budget), descended_section)
     return WeilDescentResult(
         algebra, alpha, minpoly, xvars, original_ideal, section_comps,
-        ext_op, descended, forward, backward,
+        ext_op, descended, forward,
     )

@@ -10,18 +10,17 @@ then the smallest int multiple of the rational row it stands for, so its
 entries are no larger than in Bareiss's fraction-free elimination, where
 they are minors of the input (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
-``algebra`` keeps its vectors on ints and calls the int routines directly.
+``algebra`` and ``ucd`` keep their vectors on ints and call the int
+routines directly.  The Fraction routines serve ``weil_descent``'s
+``inverse`` and the Jacobian ``rank``; ``rref``, ``nullspace``, ``mat_mul``
+and ``mat_vec`` have no caller in the package and stay as the traced
+benchmark API.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def identity(n):
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def int_row(row):

@@ -848,13 +848,14 @@ def format_poly(p, order=GREVLEX):
 
 @dataclass(frozen=True)
 class GroebnerBudget:
-    """Resource caps for basis computations; exceeding them raises."""
+    """The degree cap for basis computations; exceeding it raises."""
 
     max_degree: int = 40
-    max_basis: int = 2000
 
 
 DEFAULT_BUDGET = GroebnerBudget()
+# the cap on the size of a basis under construction, under every budget
+MAX_BASIS = 2000
 
 
 def _exp_divides(a, b):
@@ -1057,10 +1058,8 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
                 f"budget exhausted: degree {degree} exceeds cap {budget.max_degree}"
             )
         G, pairs = _gm_update(G, pairs, (reduced, lead), order)
-        if len(G) > budget.max_basis:
-            raise BudgetExceededError(
-                f"budget exhausted: basis size exceeds cap {budget.max_basis}"
-            )
+        if len(G) > MAX_BASIS:
+            raise BudgetExceededError(f"budget exhausted: basis size exceeds cap {MAX_BASIS}")
 
     # minimalise and interreduce in one pass, smallest lead first: each kept
     # element's tail is reduced by the kept elements before it (only a
@@ -1081,6 +1080,16 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     return tuple(basis)
 
 
+def _fresh_name(base, taken):
+    """``base``, or ``base`` with the first counter from 2 up that is not taken."""
+    name = base
+    counter = 2
+    while name in taken:
+        name = f"{base}{counter}"
+        counter += 1
+    return name
+
+
 class Ideal:
     """An ideal of Q[variables] with cached reduced Groebner bases.
 
@@ -1099,11 +1108,11 @@ class Ideal:
         gens = ", ".join(format_poly(g) for g in self.generators)
         return f"Ideal([{', '.join(self.variables)}], <{gens}>)"
 
-    def groebner_basis(self, order=GREVLEX, budget=None):
+    def groebner_basis(self, order=GREVLEX):
         key = (order.kind, order.block)
         if key not in self._bases:
             self._bases[key] = groebner_basis_of(
-                self.generators, self.variables, order, budget or self.budget
+                self.generators, self.variables, order, self.budget
             )
         return self._bases[key]
 
@@ -1127,9 +1136,7 @@ class Ideal:
         f = as_poly(f, self.variables)
         if f.is_zero():
             return True
-        aux = "t_rad"
-        while aux in self.variables:
-            aux = aux + "_"
+        aux = _fresh_name("t_rad", self.variables)
         new_vars = self.variables + (aux,)
         t = MultiPoly.variable(aux, new_vars)
         gens = [g.on_variables(new_vars) for g in self.generators]
@@ -1176,15 +1183,34 @@ class Ideal:
         is affine space on the other variables; None if not found.  Under a
         block order that puts first the variables some reduced grevlex basis
         element holds only in one term c*v, every reduced basis element must
-        lead with one variable; reducedness keeps those out of the tails."""
-        lone = set()
+        lead with one variable; reducedness keeps those out of the tails.
+        When the block of all candidates fails and holds more variables than
+        the codimension, one more block takes one candidate per element."""
+        candidates = []
         for g in self.groebner_basis():
             held = collections.Counter(i for e in g.terms for i, k in enumerate(e) if k)
-            lone.update(e.index(1) for e in g.terms if sum(e) == 1 and held[e.index(1)] == 1)
+            candidates.append(
+                sorted(e.index(1) for e in g.terms if sum(e) == 1 and held[e.index(1)] == 1)
+            )
+        lone = set().union(*candidates)
+        codim = len(self.variables) - self.krull_dimension()
         # each codimension needs a leading variable: too few candidates, no search
-        if not lone or len(lone) < len(self.variables) - self.krull_dimension():
+        if not lone or len(lone) < codim:
             return None
-        first = tuple(v for i, v in enumerate(self.variables) if i in lone)
+        graph = self._block_graph(lone)
+        if graph is None and len(lone) > codim:
+            # the elements with the fewest candidates choose first
+            chosen = set()
+            for indices in sorted(candidates, key=len):
+                chosen.update([i for i in indices if i not in chosen][:1])
+            graph = self._block_graph(chosen)
+        return graph
+
+    def _block_graph(self, first):
+        """The graph read off the basis under a block order that puts the
+        variables with indices in ``first`` first; None if one of its
+        elements does not lead with a single variable."""
+        first = tuple(v for i, v in enumerate(self.variables) if i in first)
         ring = first + tuple(v for v in self.variables if v not in first)
         order = MonomialOrder("block", block=len(first))
         try:
@@ -1226,8 +1252,8 @@ def _independent_set(n, supports, mask=0, start=0, best=0):
 # spec-level operation names -------------------------------------------------
 
 
-def groebner_basis(ideal, order=GREVLEX, budget=None):
-    return ideal.groebner_basis(order, budget)
+def groebner_basis(ideal, order=GREVLEX):
+    return ideal.groebner_basis(order)
 
 
 def ideal_membership(f, ideal):

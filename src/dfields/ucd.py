@@ -82,6 +82,7 @@ from .poly import (
     MonomialOrder,
     MultiPoly,
     NotOnVarietyError,
+    _fresh_name,
     _int_gradients,
     as_poly,
     decide_irreducibility,
@@ -321,7 +322,11 @@ def _dominance_entry(inst, i):
     if indicator is not None:
         zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
     else:
-        zname = {x: f"{x}_sigma{i}" for x in inst.xvars}
+        zname = {}
+        taken = set(inst.y_ideal.variables) | set(inst.x_ideal.variables)
+        for x in inst.xvars:
+            zname[x] = _fresh_name(f"{x}_sigma{i}", taken)
+            taken.add(zname[x])
     graph_vars = inst.y_ideal.variables + tuple(
         zname[x] for x in inst.xvars if zname[x] not in inst.y_ideal.variables
     )
@@ -704,15 +709,6 @@ class DifferenceLargeReport:
     @property
     def points_checked(self):
         return len({e.point for e in self.entries})
-
-    @property
-    def points_passed(self):
-        failing = {e.point for e in self.entries if not e.passed}
-        return self.points_checked - len(failing)
-
-    @property
-    def all_passed(self):
-        return all(e.passed for e in self.entries)
 
 
 def check_difference_large_instance(inst, sigma_maps, points):

@@ -179,20 +179,24 @@ def test_sparse_check_matches_dense_reference(algebra, table_edits, unit_edits):
 # multiplication
 
 
+def _basis_element(algebra, i):
+    return algebra.element([int(k == i) for k in range(algebra.dim)])
+
+
 def test_dual_numbers_square_of_nilpotent(dual):
-    eps = dual.basis_element(1)
+    eps = _basis_element(dual, 1)
     assert (eps * eps).is_zero()
 
 
 def test_unit_is_neutral(dual, q3, trunc3):
     for algebra in (dual, q3, trunc3):
         for i in range(algebra.dim):
-            v = algebra.basis_element(i)
+            v = _basis_element(algebra, i)
             assert mul(algebra, algebra.one(), v) == v
 
 
 def test_orthogonal_idempotents_in_product(qxq):
-    assert (qxq.basis_element(0) * qxq.basis_element(1)).is_zero()
+    assert (_basis_element(qxq, 0) * _basis_element(qxq, 1)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,7 @@ def test_presentation_truncated():
 def test_presentation_gaussian():
     a = from_presentation(["y"], ["y^2 + 1"])
     assert a.dim == 2
-    y = a.basis_element(1)
+    y = _basis_element(a, 1)
     assert (y * y).coords == (-1, 0)
 
 
@@ -323,7 +327,7 @@ def test_idempotent_partition_of_unity(dual, twonil, q3, dual_x_q, trunc3):
         comps = local_decompose(algebra)
         total = algebra.zero()
         for c in comps:
-            assert c.idempotent.is_idempotent()
+            assert c.idempotent * c.idempotent == c.idempotent
             total = total + c.idempotent
         assert total == algebra.one()
         for i, a in enumerate(comps):
@@ -331,7 +335,7 @@ def test_idempotent_partition_of_unity(dual, twonil, q3, dual_x_q, trunc3):
                 if i != j:
                     assert (a.idempotent * b.idempotent).is_zero()
         for i in range(algebra.dim):
-            v = algebra.basis_element(i)
+            v = _basis_element(algebra, i)
             recombined = algebra.zero()
             for c in comps:
                 recombined = recombined + c.idempotent * v
@@ -342,7 +346,7 @@ def test_max_ideal_elements_are_nilpotent(dual, twonil, dual_x_q, trunc3):
     for algebra in (dual, twonil, dual_x_q, trunc3):
         for comp in local_decompose(algebra):
             for el in comp.max_ideal_basis:
-                assert el.is_nilpotent()
+                assert (el ** algebra.dim).is_zero()
 
 
 def test_component_dimensions_sum(dual, twonil, q3, dual_x_q, trunc3, gauss):
@@ -374,8 +378,8 @@ def test_residue_projection_is_multiplicative(dual, q3, dual_x_q, trunc3, gauss)
 
             for i in range(algebra.dim):
                 for j in range(algebra.dim):
-                    u = algebra.basis_element(i)
-                    v = algebra.basis_element(j)
+                    u = _basis_element(algebra, i)
+                    v = _basis_element(algebra, j)
                     lhs = apply_residue_projection(algebra, idx, (u * v).coords)
                     rhs = res_mul(
                         apply_residue_projection(algebra, idx, u.coords),
@@ -644,7 +648,7 @@ def _euclid_decompose(algebra):
                 break
             e = [3 * x - 2 * y for x, y in zip(e2, algebra.mul_coords(e2, e))]
         assert algebra.mul_coords(e, e) == e
-        mult_e = algebra.multiplication_matrix(e)
+        mult_e = _ref_multiplication_matrix(algebra, e)
         ideal_rows = [linalg.mat_vec(mult_e, v) for v in nil_basis]
         reduced, pivots = linalg.rref(ideal_rows) if ideal_rows else ([], [])
         r = p.total_degree()

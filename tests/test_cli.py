@@ -14,7 +14,6 @@ from dfields.cli import (
     Document,
     DringBlock,
     UcdBlock,
-    algebra_to_block,
     fixture_names,
     fixture_text,
     main,
@@ -447,7 +446,12 @@ def test_print_document_puts_items_in_canonical_order():
 
 
 def test_algebra_serialises_back_into_the_language(dual_x_q):
-    block = algebra_to_block("mix", dual_x_q)
+    n = dual_x_q.dim
+    basis = tuple(b if b.isidentifier() else f"b{i}" for i, b in enumerate(dual_x_q.basis_names))
+    table = tuple(
+        ((i, j), tuple(dual_x_q.struct_consts[i][j])) for i in range(n) for j in range(i, n)
+    )
+    block = AlgebraBlock("mix", None, basis, table, tuple(dual_x_q.unit))
     doc = Document((block,))
     reparsed = parse(print_document(doc))
     assert reparsed == doc

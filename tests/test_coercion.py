@@ -19,7 +19,7 @@ from dfields.dring import (
     make_doperator,
     product_rule_check,
 )
-from dfields.dvariety import is_sharp_point, make_dvariety, open_dsubvariety, weil_descent
+from dfields.dvariety import make_dvariety, open_dsubvariety, weil_descent
 from dfields.poly import Ideal, MultiPoly, PolyParseError, as_poly, parse_polynomial
 from dfields.prolongation import BaseDStructure, extend_by_point
 from dfields.ucd import check_difference_large_instance, check_instance, ucd_instance
@@ -75,7 +75,6 @@ ENTRY_POINTS = {
 
 # entry points that take polynomials or rationals but never parsed text
 POLY_ONLY = {
-    "is_sharp_point": lambda v: is_sharp_point(_dvariety(), (v,)),
     "WeilDescentResult.to_descended": lambda v: _descent().to_descended({"x": v}),
     "WeilDescentResult.is_sharp_over_extension": lambda v: _descent().is_sharp_over_extension(
         {"x": v}
@@ -86,7 +85,6 @@ STRAY_ERRORS = {
     "DOperator.apply": DRingError,
     "product_rule_check f": DRingError,
     "product_rule_check g": DRingError,
-    "is_sharp_point": DRingError,
 }
 
 
@@ -112,9 +110,6 @@ def test_numeric_text_is_a_constant():
     assert TensorElement(DUAL, ["1/2", 0]).comps == (MultiPoly.constant(Fraction(1, 2)), 0)
     assert TensorElement(DUAL, [1, 0]).scale("3").comps[0] == 3
     assert MultiPoly.variable("x").substitute({"x": "1/2"}) == Fraction(1, 2)
-    dv = make_dvariety(DUAL, Ideal(X, []), {"x": ("x", "x - 1")})
-    assert is_sharp_point(dv, ("1",))
-    assert not is_sharp_point(dv, ("2",))
 
 
 @pytest.mark.parametrize(

@@ -68,3 +68,16 @@ def test_low_degree_factorisation_does_not_load_sympy():
         "    assert len(result['components']) == count, (name, result)\n"
         "assert 'sympy' not in sys.modules, sorted(sys.modules)\n"
     )
+
+
+def test_fixture_corpus_runs_without_sympy():
+    # with sympy unimportable, every fixture command still answers, and none
+    # of them needs the factoriser
+    _run_fresh(
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "from dfields import cli\n"
+        "ok, lines = cli.run_fixture_corpus()\n"
+        "assert ok, lines\n"
+        "assert 'dfields.zfactor' not in sys.modules, sorted(sys.modules)\n"
+    )

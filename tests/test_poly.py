@@ -705,10 +705,19 @@ def test_independent_set_names_a_largest_independent_set():
 
 
 def test_budget_exceeded_is_explicit():
-    tiny = GroebnerBudget(max_degree=2, max_basis=2000)
+    tiny = GroebnerBudget(max_degree=2)
     ideal = Ideal(("x", "y"), ["y^2 - x^3"], budget=tiny)
     with pytest.raises(BudgetExceededError):
         ideal.groebner_basis()
+
+
+def test_basis_size_cap_is_explicit(monkeypatch):
+    assert poly.MAX_BASIS == 2000
+    monkeypatch.setattr(poly, "MAX_BASIS", 2)
+    ideal = Ideal(("x", "y", "z"), ["x - 1", "y - 2", "z - 3"])
+    with pytest.raises(BudgetExceededError) as err:
+        ideal.groebner_basis()
+    assert str(err.value) == "budget exhausted: basis size exceeds cap 2"
 
 
 # ---------------------------------------------------------------------------
@@ -982,9 +991,9 @@ def _reference_groebner_basis(generators, variables, order, budget):
         G, pairs = _reference_gm_update(
             G, pairs, (reduced, reduced.leading_exponent(order)), order
         )
-        if len(G) > budget.max_basis:
+        if len(G) > poly.MAX_BASIS:
             raise BudgetExceededError(
-                f"budget exhausted: basis size exceeds cap {budget.max_basis}"
+                f"budget exhausted: basis size exceeds cap {poly.MAX_BASIS}"
             )
     minimal = []
     for g, lm in sorted(G, key=lambda entry: order.key(entry[1])):
@@ -1599,6 +1608,20 @@ def test_graph_case_does_not_depend_on_the_presentation():
     lines = Ideal(("x", "y", "z"), ["z - x", "y^2 - x*y"])
     assert lines.graph is None
     assert decide_irreducibility(lines).status == "undetermined"
+
+
+def test_graph_case_when_every_variable_is_a_candidate():
+    # every variable occurs alone in one term of a reduced basis element, so
+    # the block of all candidates is the whole ring and leads with y_1^2;
+    # one candidate per element finds the graph over y_1
+    ideal = Ideal(("x_0", "x_1", "y_0", "y_1"), ["y_0 - x_0^2", "y_1 - 2*x_0*x_1", "x_1 - 1"])
+    result = decide_irreducibility(ideal)
+    assert (result.status, result.method) == ("irreducible", "graph")
+    assert ideal.graph == {
+        "x_0": P("1/2*y_1", ideal.variables),
+        "x_1": P("1", ideal.variables),
+        "y_0": P("1/4*y_1^2", ideal.variables),
+    }
 
 
 def test_graph_case_past_the_budget_is_undetermined():
