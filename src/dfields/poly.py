@@ -1206,11 +1206,11 @@ class Ideal:
             graph = self._block_graph(chosen)
         return graph
 
-    def _block_graph(self, first):
+    def _block_graph(self, indices):
         """The graph read off the basis under a block order that puts the
-        variables with indices in ``first`` first; None if one of its
-        elements does not lead with a single variable."""
-        first = tuple(v for i, v in enumerate(self.variables) if i in first)
+        variables with ``indices`` first; None if one of its elements does
+        not lead with a single variable."""
+        first = tuple(v for i, v in enumerate(self.variables) if i in indices)
         ring = first + tuple(v for v in self.variables if v not in first)
         order = MonomialOrder("block", block=len(first))
         try:
