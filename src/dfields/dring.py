@@ -10,36 +10,33 @@ image of a ring element under an operator, and the expansion of a
 generator under the generic point of a prolongation, are both computed by
 it from a map of variable images.
 
-Products in R (x) D run on ints.  The structure constants of D are kept
-as ints over one common denominator (``FiniteDimAlgebra.int_constants``),
-and an operand's components are kept as ints over one common denominator
-too, on packed exponents, next to a bound on their exponents per variable
-(its int form).  A packed exponent is one int with a slot per variable,
-so the one product loop, ``poly._add_products``, multiplies two int forms
-into one int term dict per component by adding ints.  Each output
-component is reduced mod the ideal on ints (``poly._int_normal_form``),
-and the content it shares with the denominator is divided out: a product
-is again an int form, in lowest terms.  Only the elements
-:func:`push_through` and :func:`tensor_mul` return are unpacked and made
-Fractions, once.
+Products in R (x) D run on ints.  The structure constants of D are ints
+over one denominator (``FiniteDimAlgebra.int_constants``), and so is an
+operand (its int form): an int term dict per component on packed
+exponents (one int with a slot per variable), and a bound on the
+exponents.  The product loop, ``poly._add_products``, adds ints; large
+dense operands take one big-int multiply per pair of components instead
+(Kronecker substitution: Kronecker 1882; Harvey, JSC 44, 2009).  Each
+output component is reduced mod the ideal and its content shared with the
+denominator divided out, so a product is an int form in lowest terms; only
+what :func:`push_through` and :func:`tensor_mul` return is made Fractions.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
-the ideal, their powers and 1_D, each with its int form, filled on demand.
-A :class:`DOperator` owns one table, so every ``apply`` on it builds each
-power once.  :func:`push_through` adds every term c * P_1 * ... * P_r of a
-polynomial (P_i the table's reduced powers; a two-factor term multiplies
-the two cached int forms) into one packed int term dict per component and
-reduces each component once, at the end: normal forms are linear and
-NF(NF(a) NF(b)) = NF(ab), so this is the normal form of the term-by-term
-sum, and ``DOperator.apply`` does not reduce again.
-
-A table keeps every int form on its one packing, so products and images
-add stored packed ints; only a reduction by a nonempty ideal basis
-unpacks, and packs the remainder back.  When a product or a push needs a
-wider slot, the table widens its packing, two bits past the need, and
-re-packs its cached forms.  It also keeps the image of the polynomial it
-pushed last, keyed by (and holding) the object: the product-rule check
-after ``apply(f)``, and repeated ``component(f, i)``, do not push f again.
+the ideal, their powers and 1_D, filled on demand, so every ``apply`` on a
+:class:`DOperator` builds each power once.  :func:`push_through` adds
+every term c * P_1 * ... * P_r of a polynomial into one packed dict per
+component and reduces each component once, at the end: normal forms are
+linear and NF(NF(a) NF(b)) = NF(ab), so this is the normal form of the
+sum, and ``DOperator.apply`` does not reduce again.  The reduction adds
+the normal forms of the monomials, term by term (normal forms mod a
+Groebner basis are unique and linear), from a map of packed monomials
+filled by one division the first time a monomial appears.  A table keeps
+every int form on one packing; when a product, a push or a remainder
+needs a wider slot it widens the packing, two bits past the need,
+re-packs its cached forms and clears the map.  It keeps the image of the
+polynomial it pushed last, keyed by (and holding) the object: the
+product-rule check after ``apply(f)``, and repeated ``component(f, i)``,
+do not push f again.
 """
 
 from __future__ import annotations
@@ -53,6 +50,7 @@ from typing import NamedTuple
 from .algebra import FiniteDimAlgebra
 from .poly import (
     GREVLEX,
+    BudgetExceededError,
     Ideal,
     MonomialOrder,
     MultiPoly,
@@ -172,9 +170,9 @@ class TensorElement:
 
 
 class _IntForm(NamedTuple):
-    """Tensor components as ints over one denominator: ``comps[k]`` lists
-    the (exponent packed on ``packing``, den * coefficient) pairs of
-    component k, and ``top`` bounds the exponents of all components."""
+    """Tensor components as ints over one denominator: ``comps[k]`` maps
+    each exponent of component k, packed on ``packing``, to den times its
+    coefficient, and ``top`` bounds the exponents of all components."""
 
     den: int
     comps: list
@@ -185,7 +183,7 @@ class _IntForm(NamedTuple):
 def _tensor(table, form):
     """The TensorElement on ``table.variables`` of an int form: one
     Fraction per term."""
-    comps = [_fraction_terms(form.packing.unpack(dict(t)), form.den) for t in form.comps]
+    comps = [_fraction_terms(form.packing.unpack(t), form.den) for t in form.comps]
     return TensorElement(table.algebra, [MultiPoly._trusted(table.variables, t) for t in comps])
 
 
@@ -201,12 +199,12 @@ def tensor_mul(a, b, ideal=None):
 
 class PowerTable:
     """The variable images of an operator, reduced mod ``ideal`` when given,
-    their powers and the unit 1_D, each kept as an int form.
-
-    The table is filled on demand: an image is reduced when a term first
-    needs it, and x^(e+1) is built from x^e when a term first needs it.
-    Every :func:`push_through` on the table reads and extends the same
-    entries.
+    their powers and the unit 1_D, each an int form, filled on demand (an
+    image when a term first needs it, x^(e+1) from x^e when a term first
+    needs it) and read and extended by every :func:`push_through` on the
+    table; so is the normal-form map ``_nf``: packed monomial -> (packed
+    int remainder r, scale s, bound on the exponents of r), with normal
+    form r / s, and ``_nf_scale`` is a multiple of every s.
     """
 
     def __init__(self, algebra, images, variables, ideal=None):
@@ -219,6 +217,8 @@ class PowerTable:
         units = [{0: b} if b else {} for b in algebra.unit]  # zero exponents pack to 0
         self._one = _IntForm(*_common_int_terms(units), [0] * len(self.variables), self._packing)
         self._last = None  # (polynomial, int form of its image)
+        self._basis = () if ideal is None else ideal.groebner_basis()
+        self._nf, self._nf_scale = {}, 1
 
     def _room(self, bounds):
         """Widen the packing, two bits past ``bounds``, when an entry of
@@ -227,6 +227,7 @@ class PowerTable:
         if all(map(le, bounds, caps)):
             return
         self._packing = _Packing([max(4 * b + 3, c) for b, c in zip(bounds, caps)])
+        self._nf.clear()
         for cache in self._powers.values():
             cache[1:] = map(self._on, cache[1:])
         self._one = self._on(self._one)
@@ -236,35 +237,62 @@ class PowerTable:
         """``form`` on the table's packing."""
         if form.packing is self._packing:
             return form
-        comps = self._packing.pack([form.packing.unpack(dict(t)).items() for t in form.comps])
+        comps = self._packing.pack([form.packing.unpack(t) for t in form.comps])
         return form._replace(comps=comps, packing=self._packing)
 
     def _form(self, comps):
         """The int form of ring elements, reduced."""
         den, comps = _common_int_terms([p.on_variables(self.variables).terms for p in comps])
-        top = _top_exponents([e for comp in comps for e, _ in comp], len(self.variables))
+        top = _top_exponents([e for comp in comps for e in comp], len(self.variables))
         self._room(top)
-        return self._reduced([dict(c) for c in self._packing.pack(comps)], den, top)
+        return self._reduced(self._packing.pack(comps), den, top)
 
     def _reduced(self, sums, den, top):
-        """The int form, in lowest terms, of packed int term dicts over
-        ``den`` with exponents bounded by ``top``, each reduced (unpacked,
-        and packed back) mod the ideal when it has a basis."""
-        basis = () if self.ideal is None else self.ideal.groebner_basis()
-        if basis:
-            budget, unpack = self.ideal.budget, self._packing.unpack
-            rems = [_int_normal_form(unpack(t), basis, GREVLEX, budget) for t in sums]
-            m = math.lcm(*[s for _, s in rems])
-            den *= m
-            top = _top_exponents([e for t, _ in rems for e in t], len(self.variables))
-            self._room(top)
-            sums = self._packing.pack([[(e, v * (m // s)) for e, v in t.items()] for t, s in rems])
+        """The int form, in lowest terms, of packed int term dicts over ``den``
+        bounded by ``top``, each reduced mod the ideal when it has a basis."""
+        if self._basis:
+            sums, den, top = self._normal_forms(sums, den)
         else:
-            sums = [[(e, v) for e, v in t.items() if v] for t in sums]
-        g = math.gcd(den, *[v for comp in sums for _, v in comp])
+            sums = [{e: v for e, v in t.items() if v} if 0 in t.values() else t for t in sums]
+        g = math.gcd(den, *[v for t in sums for v in t.values()]) if den > 1 else 1
         if g > 1:
-            sums = [[(e, v // g) for e, v in comp] for comp in sums]
+            sums = [{e: v // g for e, v in t.items()} for t in sums]
         return _IntForm(den // g, sums, top, self._packing)
+
+    def _normal_forms(self, sums, den):
+        """``sums`` reduced through the map over den * L (a term v*m adds
+        v*(L/s)*r, L the map's scale), den * L and a bound on the exponents.
+        A remainder too wide for the packing widens it and clears the map."""
+        nf, packing, budget, n = self._nf, self._packing, self.ideal.budget, len(self.variables)
+        used = {e for t in sums for e, v in t.items() if v}
+        rems = []
+        for e in used - nf.keys():  # one division per monomial new to the map
+            try:
+                r, s = _int_normal_form(packing.unpack({e: 1}), self._basis, GREVLEX, budget)
+                rems.append((e, r, s))
+            except BudgetExceededError:  # name the first component over the cap
+                for t in sums:
+                    _int_normal_form(packing.unpack(t), self._basis, GREVLEX, budget)
+                raise
+        self._room(_top_exponents([x for _, r, _ in rems for x in r], n))
+        if self._packing is not packing:
+            sums = self._packing.pack(list(map(packing.unpack, sums)))
+            return self._normal_forms(sums, den)
+        for e, r, s in rems:
+            nf[e] = (packing.pack([r])[0], s, _top_exponents(r, n))
+        scale = self._nf_scale = math.lcm(self._nf_scale, *[s for _, _, s in rems])
+        comps = []
+        for t in sums:
+            out = {}
+            get = out.get
+            for e, v in t.items():
+                if v:
+                    r, s, _ = nf[e]
+                    v *= scale // s
+                    for k, c in r.items():
+                        out[k] = get(k, 0) + v * c
+            comps.append({k: c for k, c in out.items() if c} if 0 in out.values() else out)
+        return comps, den * scale, _top_exponents([nf[e][2] for e in used], n)
 
     def power(self, v, e):
         """The int form of the image of v^e, for e >= 1."""
@@ -280,9 +308,56 @@ class PowerTable:
         ds, table = self.algebra.int_constants
         top = list(map(add, a.top, b.top))
         self._room(top)
-        sums = [{} for _ in range(self.algebra.dim)]
-        _add_products(sums, table, self._on(a).comps, self._on(b).comps, 1)
+        sums = _products(table, self._on(a).comps, self._on(b).comps, top, self._packing)
         return self._reduced(sums, a.den * b.den * ds, top)
+
+
+# Kronecker substitution from this many products, _DENSE_RATIO per index
+_DENSE_WORK, _DENSE_RATIO = 4096, 16
+
+
+def _products(table, left, right, top, packing):
+    """The sums of s * (left[i] * right[j]) into each k over the int structure
+    constants (i, j, k, s), by the loop below the size and density above, else
+    by Kronecker substitution: an exponent below ``top`` + 1 is a mixed-radix
+    index, a component one int with a signed limb per index, each (i, j) one
+    big-int multiply, and each sum is read from its bytes, limb by limb."""
+    work = sum(len(left[i]) * len(right[j]) for i, j, _, _ in table)
+    if work < _DENSE_WORK or _DENSE_RATIO * math.prod(t + 1 for t in top) > work:
+        sums = [{} for _ in left]
+        _add_products(sums, table, left, right, 1)
+        return sums
+    radix = [t + 1 for t in top]
+    size = math.prod(radix)
+    table = [(i, j, k, s) for i, j, k, s in table if left[i] and right[j]]
+    bound = sum(  # on the coefficients of a sum
+        abs(s) * max(map(abs, left[i].values())) * max(map(abs, right[j].values()))
+        * min(len(left[i]), len(right[j])) for i, j, _, s in table)
+    width = 1 + bound.bit_length() // 8  # bytes per limb, the top bit spare
+    slots = [(shift, mask, math.prod(radix[:v])) for v, (shift, mask) in enumerate(packing.slots)]
+
+    def big(comp):
+        limbs = [bytearray(size * width), bytearray(size * width)]  # + and - parts
+        for key, c in comp.items():
+            at = width * sum([((key >> shift) & mask) * w for shift, mask, w in slots])
+            limbs[c < 0][at:at + width] = abs(c).to_bytes(width, "little")
+        return int.from_bytes(limbs[0], "little") - int.from_bytes(limbs[1], "little")
+
+    lefts = {i: big(left[i]) for i in {i for i, _, _, _ in table}}
+    rights = {j: big(right[j]) for j in {j for _, j, _, _ in table}}
+    products = {(i, j): lefts[i] * rights[j] for i, j in {(i, j) for i, j, _, _ in table}}
+    totals = [sum(s * products[i, j] for i, j, k, s in table if k == n) for n in range(len(left))]
+    keys = [0]  # the packed exponent at each index
+    for (shift, _), r in reversed(list(zip(packing.slots, radix))):
+        keys = [key + (e << shift) for key in keys for e in range(r)]
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")  # half per limb
+
+    def limbs(total):  # half plus the signed limb, at each index
+        data = (total + offset).to_bytes(size * width, "little")
+        return [int.from_bytes(data[p : p + width], "little") for p in range(0, len(data), width)]
+
+    return [{key: v - half for key, v in zip(keys, limbs(t)) if v != half} for t in totals]
 
 
 def push_through(table, polys):
@@ -334,7 +409,7 @@ def _images(table, polys):
                 _add_products(sums, consts, table._on(left).comps, right, factor)
                 continue
             for target, comp in zip(sums, right):
-                for e, x in comp:
+                for e, x in comp.items():
                     target[e] = target.get(e, 0) + factor * x
         table._last = (f, table._reduced(sums, den, bounds))
         out.append(table._last[1])
@@ -462,7 +537,7 @@ def product_rule_check(op, f, g):
     rhs = op.powers.product(image_f, image_g)
     lhs = op.powers._on(lhs)
     # both forms are in lowest terms, so equal elements have equal forms
-    return lhs.den == rhs.den and list(map(dict, lhs.comps)) == list(map(dict, rhs.comps))
+    return lhs.den == rhs.den and lhs.comps == rhs.comps
 
 
 @dataclass(frozen=True)
@@ -471,7 +546,6 @@ class AssociatedHom:
     local component: variable images in R[x]/(P_i), given as coefficient
     tuples in the power basis.  An endomorphism when P_i is linear."""
 
-    component_index: int
     residue_poly: MultiPoly
     images: dict
 
@@ -495,7 +569,7 @@ def associated_hom(op, i):
         v: tuple(op.ideal.normal_form(p) for p in comp.residue(t.comps, op.variables))
         for v, t in op.images.items()
     }
-    return AssociatedHom(i, comp.residue_poly, images)
+    return AssociatedHom(comp.residue_poly, images)
 
 
 def is_d_ideal(op, J):

@@ -183,7 +183,6 @@ def open_dsubvariety(dv, q):
 
 @dataclass(frozen=True)
 class PrimeCheckEntry:
-    prime: Ideal
     contains_ideal: bool
     closed_under_operator: bool
 
@@ -213,7 +212,7 @@ def dideal_fixture_check(op, J, primes):
             prime = Ideal(op.variables, list(prime))
         contains = all(prime.contains(g.on_variables(prime.variables)) for g in J.generators)
         closed = is_d_ideal(op, prime) if contains else False
-        entries.append(PrimeCheckEntry(prime, contains, closed))
+        entries.append(PrimeCheckEntry(contains, closed))
     return DIdealFixtureReport(tuple(entries))
 
 

@@ -488,13 +488,12 @@ def _merge_terms(terms, other, negate):
 
 def _common_int_terms(term_dicts):
     """The lcm d of the denominators of the coefficients of the term dicts,
-    and each dict's terms as a list of (exponent, d * coefficient) pairs of
-    ints."""
+    and each dict times d, as an int term dict."""
     den = math.lcm(*[c.denominator for terms in term_dicts for c in terms.values()])
     if den == 1:
-        return 1, [[(e, c.numerator) for e, c in terms.items()] for terms in term_dicts]
+        return 1, [{e: c.numerator for e, c in terms.items()} for terms in term_dicts]
     return den, [
-        [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+        {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
         for terms in term_dicts
     ]
 
@@ -521,9 +520,9 @@ def _top_exponents(exps, n):
 
 class _Packing:
     """A layout that packs an exponent vector into one int: entry i takes
-    its own slot of bounds[i].bit_length() bits.  Packed vectors add as
-    long as every entry of the sum stays within its slot: a product sized
-    from its operands' largest exponents never overflows, and each
+    its own slot of bounds[i].bit_length() bits, and a term dict is packed
+    key by key.  Packed vectors add while each entry stays in its slot, as
+    in a product sized from its operands' largest exponents; each
     ``dring.PowerTable`` keeps one, widened when a bound outgrows a slot."""
 
     __slots__ = ("shifts", "slots")
@@ -539,9 +538,9 @@ class _Packing:
         self.slots = slots
 
     def pack(self, comps):
-        """Lists of (exponent, coefficient) pairs with packed exponents."""
+        """Term dicts on exponent tuples as term dicts on packed exponents."""
         shifts = self.shifts
-        return [[(sum(map(lshift, e, shifts)), c) for e, c in comp] for comp in comps]
+        return [{sum(map(lshift, e, shifts)): c for e, c in comp.items()} for comp in comps]
 
     def unpack(self, terms):
         """The int term dict on exponent tuples of a packed int term dict,
@@ -552,18 +551,18 @@ class _Packing:
 
 def _add_products(sums, table, left, right, factor):
     """sums[k] += factor * s * (left[i] * right[j]) over the int structure
-    constants (i, j, k, s): the one product loop.  Components are lists of
-    (packed exponent, int) pairs on one :class:`_Packing`, and accumulators
-    int term dicts on packed exponents."""
+    constants (i, j, k, s), components and sums int term dicts on the packed
+    exponents of one :class:`_Packing`: the product loop, which ``dring``
+    leaves to Kronecker substitution on large dense operands."""
     for i, j, k, s in table:
         li = left[i]
-        rj = right[j]
+        rj = right[j].items()
         if not li or not rj:
             continue
         target = sums[k]
         get = target.get
         fs = factor * s
-        for e1, c1 in li:
+        for e1, c1 in li.items():
             cc1 = fs * c1
             for e2, c2 in rj:
                 e = e1 + e2
@@ -885,7 +884,6 @@ def normal_form(f, basis, order=GREVLEX, budget=None):
     """
     budget = budget or DEFAULT_BUDGET
     den, (terms,) = _common_int_terms([f.terms])
-    terms = dict(terms)
     remainder, scale = _int_normal_form(terms, basis, order, budget)
     if remainder is terms:
         return f
@@ -1290,9 +1288,9 @@ def _int_gradients(polys, variables, point):
     out = []
     for f in polys:
         den, (terms,) = _common_int_terms([f.on_variables(variables).terms])
-        top = max((sum(e) for e, _ in terms), default=0)
+        top = max(map(sum, terms), default=0)
         value, row = 0, [0] * len(variables)
-        for exp, c in terms:
+        for exp, c in terms.items():
             c *= d ** (top - sum(exp))
             support = [(i, k) for i, k in enumerate(exp) if k]
             value += c * math.prod(a[i] ** k for i, k in support)

@@ -182,7 +182,6 @@ class PiHatMap:
     genuine morphism onto an affine variety; otherwise the coordinates land
     in Q[x]/(P_i) and are reported per power-basis slot."""
 
-    component_index: int
     residue_dim: int
     xvars: tuple
     images: dict  # xvar -> tuple of MultiPoly on the prolonged variables
@@ -215,7 +214,7 @@ def pi_hat(prolonged, i):
     comp = comps[i]
     blocks = _coordinate_blocks(prolonged.xvars, algebra.dim, prolonged.variables)
     images = {x: comp.residue(block, prolonged.variables) for x, block in blocks.items()}
-    return PiHatMap(i, comp.residue_dim, prolonged.xvars, images)
+    return PiHatMap(comp.residue_dim, prolonged.xvars, images)
 
 
 @dataclass(frozen=True)

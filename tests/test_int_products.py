@@ -12,11 +12,17 @@ one the references give.
 The one int product loop, ``poly._add_products``, adds exponents packed
 into ints.  ``_reference_products`` is the loop on exponent tuples that it
 replaced; the kernels must agree with it at any number of variables and
-any degree."""
+any degree, and so must the Kronecker substitution that takes over from
+the loop on large dense operands in ``dring``."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 from operator import add
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +32,7 @@ from dfields.algebra import (
     product_algebra,
     rational_field_algebra,
 )
+from dfields import dring
 from dfields.cli import Resolver, parse
 from dfields.dring import (
     DOperator,
@@ -36,6 +43,7 @@ from dfields.dring import (
     tensor_mul,
 )
 from dfields.poly import (
+    BudgetExceededError,
     GroebnerBudget,
     Ideal,
     MultiPoly,
@@ -236,8 +244,8 @@ def _reference_products(sums, table, left, right, factor):
     constants (i, j, k, s), adding exponent tuples."""
     for i, j, k, s in table:
         target = sums[k]
-        for e1, c1 in left[i]:
-            for e2, c2 in right[j]:
+        for e1, c1 in left[i].items():
+            for e2, c2 in right[j].items():
                 exp = tuple(map(add, e1, e2))
                 target[exp] = target.get(exp, 0) + factor * s * c1 * c2
 
@@ -465,3 +473,146 @@ def test_product_rule_check_reuses_the_image_of_apply():
             other.apply(f)
             assert other.apply(as_poly(g, VARS)) == op.apply(as_poly(g, VARS))
             assert other.apply(as_poly(g, VARS)) != image
+
+
+# ---------------------------------------------------------------------------
+# the normal-form map: a table reduces each monomial once per packing
+
+# x^3 -> 1/6 y divides with the scale 6, and no exponent outgrows 2
+SCALED = Ideal(VARS, ["x^3 - 1/6*y", "y^2 - 2"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([*ALGEBRAS, SKEW_TRUNC4]),
+    st.sampled_from([CIRCLE, SCALED, WIDE_CIRCLE]),
+    st.lists(_MONOMIALS, min_size=6, max_size=6),
+    st.lists(_LOW_POLYS, min_size=1, max_size=2),
+    _LOW_POLYS,
+)
+def test_the_normal_form_map_matches_fraction_reference(algebra, ideal, comps, lows, g):
+    # low pushes, one past the width of the y slot, then the low ones again
+    # on the same table: later pushes read the map filled by earlier ones
+    dim = algebra.dim
+    images = {"x": ["x", *comps[: dim - 1]], "y": ["y", *comps[3 : 2 + dim]]}
+    op = _operator(algebra, ideal, images)
+    for f in lows:
+        assert op.apply(f) == _reference_push_through(algebra, [f], op.images, VARS, ideal)[0]
+    packing = op.powers._packing
+    far = MultiPoly(VARS, {(0, packing.slots[1][1] + 1): F(1, 3), (1, 1): F(-2)})
+    for f in [far, *lows]:
+        expected = _reference_push_through(algebra, [f], op.images, VARS, ideal)[0]
+        assert push_through(op.powers, [f])[0] == expected
+        assert product_rule_check(op, f, g) is _reference_product_rule(op, f, g)
+        assert op.apply(f) == expected
+    if ideal is not SCALED:
+        assert op.powers._packing is not packing
+
+
+def test_a_remainder_that_outgrows_its_slot_widens_the_table():
+    # x^8 packs in the x slot, but its normal form y^8 does not fit the
+    # y slot the images of degree one leave
+    ideal = Ideal(VARS, ["x^8 - 1/2*y^8"])
+    dual = STREAM_ALGEBRAS[0]
+    op = _operator(dual, ideal, {"x": ["x", "x"], "y": ["y", "-1/3*y"]})
+    for f in ("x", "x^8", "x^9 + x*y", "x^8"):
+        f = as_poly(f, VARS)
+        assert op.apply(f) == _reference_push_through(dual, [f], op.images, VARS, ideal)[0]
+        if f.total_degree() == 1:
+            assert op.powers._packing.slots[1][1] < 8
+    assert op.powers._packing.slots[1][1] >= 9
+
+
+# (algebra, images of x and y, pushed polynomial, cap, degree named); in
+# each the components go over the cap at different degrees
+_OVER_BUDGET = [
+    (0, ("x", "y"), ("y", "x^2*y"), "x^3*y^3", 4, 5),
+    (0, ("x", "y"), ("y", "x^2*y"), "x^3*y^3 + x^2", 5, 6),
+    (0, ("x", "y"), ("y", "x^2*y"), "x^3*y^3", 6, 8),
+    (0, ("x", "x*y^3"), ("y", "x*y^2"), "x^2*y^4 + y^2", 6, 9),
+    (0, ("x", "x"), ("y", "2*y^2 - x"), "x^3*y + y^2", 3, 4),
+    (0, ("x", "y^3"), ("y", "1"), "x^3*y^4 + y^4", 5, 7),
+    (2, ("x", "y^4", "y^4"), ("y", "2*y^2 - x", "x*y"), "x^2 + y^4", 4, 5),
+]
+
+
+@pytest.mark.parametrize("algebra, x, y, f, cap, degree", _OVER_BUDGET)
+def test_a_push_over_the_budget_names_the_first_component_over_the_cap(
+    algebra, x, y, f, cap, degree
+):
+    # as a division of each component in turn: the degree is the top
+    # degree of the first component over the cap, not of the first
+    # monomial over it
+    algebra = STREAM_ALGEBRAS[algebra]
+    ideal = Ideal(VARS, ["x^2 + y^2 - 1"], GroebnerBudget(max_degree=cap))
+    x, y = ([as_poly(c, VARS) for c in t] for t in (x, y))
+    images = {"x": TensorElement(algebra, x), "y": TensorElement(algebra, y)}
+    with pytest.raises(BudgetExceededError) as raised:
+        push_through(PowerTable(algebra, images, VARS, ideal), [as_poly(f, VARS)])
+    assert str(raised.value) == f"budget exhausted: degree {degree} exceeds cap {cap}"
+
+
+# ---------------------------------------------------------------------------
+# Kronecker substitution against the tuple-exponent loop
+
+
+def _forced_dense():
+    """The dense path for every product, however small or sparse."""
+    return mock.patch.multiple(dring, _DENSE_WORK=0, _DENSE_RATIO=0)
+
+
+@st.composite
+def _product_operands(draw, count):
+    """``count`` int term dicts on one layout of 1-4 variables: dense ones,
+    with every exponent of total degree at most d, about where the loop
+    gives way to the dense path, or a few terms of exponents up to 40;
+    coefficients of up to 90 bits, of either sign."""
+    n = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    bits = draw(st.sampled_from([1, 8, 90]))
+
+    def coeff():
+        return rng.choice((-1, 1)) * rng.randint(1, 2**bits)
+
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(((12, 30, 60), (4, 7, 10), (3, 5, 7), (2, 4))[n - 1]))
+        exps = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) <= d]
+        return [{e: coeff() for e in exps if rng.random() < 0.9} for _ in range(count)]
+    exps = st.tuples(*[st.integers(0, 40)] * n)
+    return [{e: coeff() for e in draw(st.lists(exps, max_size=6))} for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STREAM_ALGEBRAS + ALGEBRAS), st.data())
+def test_dense_products_match_tuple_loop(algebra, data):
+    dicts = data.draw(_product_operands(2 * algebra.dim))
+    n = len(next((e for t in dicts for e in t), (0,)))
+    variables = tuple(f"x{i}" for i in range(n))
+    polys = [MultiPoly(variables, t) for t in dicts]
+    a = TensorElement(algebra, polys[: algebra.dim])
+    b = TensorElement(algebra, polys[algebra.dim :])
+    expected = _reference_tensor_ints(a, b)
+    for r, e in zip(tensor_mul(a, b).comps, expected):
+        _assert_same(r, e)
+    tops = [max((e[v] for t in dicts for e in t), default=0) for v in range(n)]
+    if math.prod(2 * t + 1 for t in tops) <= 10**5:
+        with _forced_dense():
+            for r, e in zip(tensor_mul(a, b).comps, expected):
+                _assert_same(r, e)
+
+
+def test_the_dense_path_takes_large_dense_products_only():
+    # the degree-9 bivariate images multiply by Kronecker substitution,
+    # the degree-2 ones and the sparse high-degree ones in the loop
+    trunc3 = STREAM_ALGEBRAS[2]
+    table = PowerTable(trunc3, {}, VARS)
+    cases = [("(x - 2*y + 3)^9", True), ("(x + y)^2 + 1", False), ("x^40*y^3 - 7*y^41 + x", False)]
+    for text, dense in cases:
+        f = as_poly(text, VARS)
+        a = TensorElement(trunc3, [f, f * 3, -f])
+        form = table._form(a.comps)
+        with mock.patch.object(dring, "_add_products", wraps=dring._add_products) as loop:
+            result = dring._tensor(table, table.product(form, form))
+        assert loop.called is not dense
+        for r, e in zip(result.comps, _reference_tensor_ints(a, a)):
+            _assert_same(r, e)
