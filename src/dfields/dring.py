@@ -10,33 +10,28 @@ image of a ring element under an operator, and the expansion of a
 generator under the generic point of a prolongation, are both computed by
 it from a map of variable images.
 
-Products in R (x) D run on ints.  The structure constants of D are ints
-over one denominator (``FiniteDimAlgebra.int_constants``), and so is an
-operand (its int form): an int term dict per component on packed
-exponents (one int with a slot per variable), and a bound on the
-exponents.  The product loop, ``poly._add_products``, adds ints; large
-dense operands take one big-int multiply per pair of components instead
-(Kronecker substitution: Kronecker 1882; Harvey, JSC 44, 2009).  Each
-output component is reduced mod the ideal and its content shared with the
-denominator divided out, so a product is an int form in lowest terms; only
-what :func:`push_through` and :func:`tensor_mul` return is made Fractions.
+Products in R (x) D run on ints: the structure constants of D
+(``FiniteDimAlgebra.int_constants``) and each operand (its int form: an int
+term dict per component on packed exponents, one int with a slot per
+variable, and a bound on the exponents) are ints over one denominator.
+``poly._add_products`` multiplies by adding ints; large dense operands take
+Kronecker substitution (Kronecker 1882; Harvey, JSC 44, 2009).  Each output
+component is reduced mod the ideal and its content shared with the
+denominator divided out; only what :func:`push_through` and
+:func:`tensor_mul` return is made Fractions.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
 the ideal, their powers and 1_D, filled on demand, so every ``apply`` on a
 :class:`DOperator` builds each power once.  :func:`push_through` adds
 every term c * P_1 * ... * P_r of a polynomial into one packed dict per
-component and reduces each component once, at the end: normal forms are
-linear and NF(NF(a) NF(b)) = NF(ab), so this is the normal form of the
-sum, and ``DOperator.apply`` does not reduce again.  The reduction adds
-the normal forms of the monomials, term by term (normal forms mod a
-Groebner basis are unique and linear), from a map of packed monomials
-filled by one division the first time a monomial appears.  A table keeps
-every int form on one packing; when a product, a push or a remainder
-needs a wider slot it widens the packing, two bits past the need,
-re-packs its cached forms and clears the map.  It keeps the image of the
-polynomial it pushed last, keyed by (and holding) the object: the
-product-rule check after ``apply(f)``, and repeated ``component(f, i)``,
-do not push f again.
+component and reduces each component once, at the end (normal forms are
+linear and NF(NF(a) NF(b)) = NF(ab)), adding the normal forms of its
+monomials from a map filled by one division the first time a monomial
+appears.  A table keeps every int form on one packing, widened two bits
+past the need (cached forms re-packed, the map cleared) when a product, a
+push or a remainder outgrows a slot.  It keeps the image of the polynomial
+it pushed last, keyed by (and holding) the object, so the product-rule
+check after ``apply(f)`` does not push f again.
 """
 
 from __future__ import annotations
@@ -199,12 +194,10 @@ def tensor_mul(a, b, ideal=None):
 
 class PowerTable:
     """The variable images of an operator, reduced mod ``ideal`` when given,
-    their powers and the unit 1_D, each an int form, filled on demand (an
-    image when a term first needs it, x^(e+1) from x^e when a term first
-    needs it) and read and extended by every :func:`push_through` on the
-    table; so is the normal-form map ``_nf``: packed monomial -> (packed
-    int remainder r, scale s, bound on the exponents of r), with normal
-    form r / s, and ``_nf_scale`` is a multiple of every s.
+    their powers and the unit 1_D, each an int form, filled on demand and
+    shared by every :func:`push_through` on the table; so is ``_nf``, which
+    maps a packed monomial to (packed int remainder r, scale s, bound on the
+    exponents of r), its normal form being r / s.
     """
 
     def __init__(self, algebra, images, variables, ideal=None):
@@ -218,7 +211,7 @@ class PowerTable:
         self._one = _IntForm(*_common_int_terms(units), [0] * len(self.variables), self._packing)
         self._last = None  # (polynomial, int form of its image)
         self._basis = () if ideal is None else ideal.groebner_basis()
-        self._nf, self._nf_scale = {}, 1
+        self._nf = {}
 
     def _room(self, bounds):
         """Widen the packing, two bits past ``bounds``, when an entry of
@@ -227,7 +220,7 @@ class PowerTable:
         if all(map(le, bounds, caps)):
             return
         self._packing = _Packing([max(4 * b + 3, c) for b, c in zip(bounds, caps)])
-        self._nf.clear()
+        self._nf = {}
         for cache in self._powers.values():
             cache[1:] = map(self._on, cache[1:])
         self._one = self._on(self._one)
@@ -261,26 +254,23 @@ class PowerTable:
 
     def _normal_forms(self, sums, den):
         """``sums`` reduced through the map over den * L (a term v*m adds
-        v*(L/s)*r, L the map's scale), den * L and a bound on the exponents.
-        A remainder too wide for the packing widens it and clears the map."""
+        v*(L/s)*r, L the lcm of its monomials' scales s), den * L and a bound
+        on the exponents; a remainder too wide for a slot widens the packing."""
         nf, packing, budget, n = self._nf, self._packing, self.ideal.budget, len(self.variables)
         used = {e for t in sums for e, v in t.items() if v}
-        rems = []
         for e in used - nf.keys():  # one division per monomial new to the map
             try:
                 r, s = _int_normal_form(packing.unpack({e: 1}), self._basis, GREVLEX, budget)
-                rems.append((e, r, s))
             except BudgetExceededError:  # name the first component over the cap
                 for t in sums:
                     _int_normal_form(packing.unpack(t), self._basis, GREVLEX, budget)
                 raise
-        self._room(_top_exponents([x for _, r, _ in rems for x in r], n))
-        if self._packing is not packing:
-            sums = self._packing.pack(list(map(packing.unpack, sums)))
-            return self._normal_forms(sums, den)
-        for e, r, s in rems:
-            nf[e] = (packing.pack([r])[0], s, _top_exponents(r, n))
-        scale = self._nf_scale = math.lcm(self._nf_scale, *[s for _, _, s in rems])
+            top = _top_exponents(r, n)
+            self._room(top)
+            if self._packing is not packing:  # the map was cleared: start again
+                return self._normal_forms(self._packing.pack(list(map(packing.unpack, sums))), den)
+            nf[e] = (packing.pack([r])[0], s, top)
+        scale = math.lcm(*[nf[e][1] for e in used])
         comps = []
         for t in sums:
             out = {}
@@ -312,28 +302,38 @@ class PowerTable:
         return self._reduced(sums, a.den * b.den * ds, top)
 
 
-# Kronecker substitution from this many products, _DENSE_RATIO per index
-_DENSE_WORK, _DENSE_RATIO = 4096, 16
+# Kronecker substitution costs about _DENSE_RATIO loop products per index,
+# and (size * width) ** log2(3) / _DENSE_MULTIPLY for its Karatsuba multiply,
+# per table entry: a fit to the times of both paths on 231 operand shapes
+_DENSE_WORK, _DENSE_RATIO, _DENSE_MULTIPLY = 1024, 2, 2000
 
 
 def _products(table, left, right, top, packing):
     """The sums of s * (left[i] * right[j]) into each k over the int structure
-    constants (i, j, k, s), by the loop below the size and density above, else
-    by Kronecker substitution: an exponent below ``top`` + 1 is a mixed-radix
-    index, a component one int with a signed limb per index, each (i, j) one
-    big-int multiply, and each sum is read from its bytes, limb by limb."""
+    constants (i, j, k, s), by the loop or, where the cost above is lower, by
+    :func:`_kronecker` with exponents below ``top`` + 1."""
     work = sum(len(left[i]) * len(right[j]) for i, j, _, _ in table)
-    if work < _DENSE_WORK or _DENSE_RATIO * math.prod(t + 1 for t in top) > work:
-        sums = [{} for _ in left]
-        _add_products(sums, table, left, right, 1)
-        return sums
-    radix = [t + 1 for t in top]
-    size = math.prod(radix)
-    table = [(i, j, k, s) for i, j, k, s in table if left[i] and right[j]]
-    bound = sum(  # on the coefficients of a sum
-        abs(s) * max(map(abs, left[i].values())) * max(map(abs, right[j].values()))
-        * min(len(left[i]), len(right[j])) for i, j, _, s in table)
-    width = 1 + bound.bit_length() // 8  # bytes per limb, the top bit spare
+    if work >= _DENSE_WORK:
+        radix = [t + 1 for t in top]
+        size = math.prod(radix)
+        table = [(i, j, k, s) for i, j, k, s in table if left[i] and right[j]]
+        bound = sum(  # on the coefficients of a sum
+            abs(s) * max(map(abs, left[i].values())) * max(map(abs, right[j].values()))
+            * min(len(left[i]), len(right[j])) for i, j, _, s in table)
+        width = 1 + bound.bit_length() // 8  # bytes per limb, the top bit spare
+        multiply = (size * width) ** math.log2(3) / _DENSE_MULTIPLY
+        if work >= len(table) * (_DENSE_RATIO * size + multiply):
+            return _kronecker(table, left, right, radix, size, width, packing)
+    sums = [{} for _ in left]
+    _add_products(sums, table, left, right, 1)
+    return sums
+
+
+def _kronecker(table, left, right, radix, size, width, packing):
+    """:func:`_products` by Kronecker substitution: an exponent is a
+    mixed-radix index, a component one int with a signed ``width``-byte limb
+    per index, each (i, j) one big-int multiply, and each sum is read from its
+    bytes, limb by limb."""
     slots = [(shift, mask, math.prod(radix[:v])) for v, (shift, mask) in enumerate(packing.slots)]
 
     def big(comp):
@@ -345,7 +345,7 @@ def _products(table, left, right, top, packing):
 
     lefts = {i: big(left[i]) for i in {i for i, _, _, _ in table}}
     rights = {j: big(right[j]) for j in {j for _, j, _, _ in table}}
-    products = {(i, j): lefts[i] * rights[j] for i, j in {(i, j) for i, j, _, _ in table}}
+    products = {(i, j): lefts[i] * rights[j] for i, j, _, _ in table}
     totals = [sum(s * products[i, j] for i, j, k, s in table if k == n) for n in range(len(left))]
     keys = [0]  # the packed exponent at each index
     for (shift, _), r in reversed(list(zip(packing.slots, radix))):

@@ -558,7 +558,7 @@ def test_a_push_over_the_budget_names_the_first_component_over_the_cap(
 
 def _forced_dense():
     """The dense path for every product, however small or sparse."""
-    return mock.patch.multiple(dring, _DENSE_WORK=0, _DENSE_RATIO=0)
+    return mock.patch.multiple(dring, _DENSE_WORK=0, _DENSE_RATIO=0, _DENSE_MULTIPLY=math.inf)
 
 
 @st.composite
@@ -602,13 +602,17 @@ def test_dense_products_match_tuple_loop(algebra, data):
 
 
 def test_the_dense_path_takes_large_dense_products_only():
-    # the degree-9 bivariate images multiply by Kronecker substitution,
-    # the degree-2 ones and the sparse high-degree ones in the loop
+    # the degree-9 bivariate images multiply by Kronecker substitution; the
+    # degree-2 ones, the sparse high-degree ones and the dense trivariate
+    # ones with 200-bit coefficients (whose big-int multiply costs more than
+    # the loop, although the loop makes 19 products per index) in the loop
     trunc3 = STREAM_ALGEBRAS[2]
-    table = PowerTable(trunc3, {}, VARS)
-    cases = [("(x - 2*y + 3)^9", True), ("(x + y)^2 + 1", False), ("x^40*y^3 - 7*y^41 + x", False)]
-    for text, dense in cases:
-        f = as_poly(text, VARS)
+    wide = (("x", "y", "z"), f"{2**200 + 1}*(x - 2*y + 3*z + 5)^6", False)
+    cases = [(VARS, "(x - 2*y + 3)^9", True), (VARS, "(x + y)^2 + 1", False)]
+    cases += [(VARS, "x^40*y^3 - 7*y^41 + x", False), wide]
+    for variables, text, dense in cases:
+        table = PowerTable(trunc3, {}, variables)
+        f = as_poly(text, variables)
         a = TensorElement(trunc3, [f, f * 3, -f])
         form = table._form(a.comps)
         with mock.patch.object(dring, "_add_products", wraps=dring._add_products) as loop:
