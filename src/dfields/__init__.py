@@ -1,14 +1,15 @@
 """Exact computations with free-operator structures on rings and varieties.
 
-The package is organised bottom-up: ``poly`` (exact polynomials, Groebner
-bases, and the ideal toolkit, with ``zfactor`` factoring univariate
-polynomials over Z for it), ``algebra`` (finite-dimensional Q-algebras
-and their local decomposition, which also solves zero-dimensional systems
-through Q[x]/I), ``dring`` (operator structures on
-finitely presented rings), ``prolongation`` (the prolongation of a
-variety and its projections), ``dvariety`` (sections, sharp points, and
-descent along finite extensions), ``ucd`` (instance checking for the
-geometric axiom scheme), and ``cli`` (the input language and commands).
+The package is organised bottom-up: ``packed`` (the int product of
+polynomials and of tensors), ``poly`` (exact polynomials, Groebner bases,
+and the ideal toolkit, with ``zfactor`` factoring univariate polynomials
+over Z for it), ``algebra`` (finite-dimensional Q-algebras and their local
+decomposition, which also solves zero-dimensional systems through Q[x]/I),
+``dring`` (operator structures on finitely presented rings),
+``prolongation`` (the prolongation of a variety and its projections),
+``dvariety`` (sections, sharp points, and descent along finite extensions),
+``ucd`` (instance checking for the geometric axiom scheme), and ``cli``
+(the input language and commands).
 """
 
 from .algebra import (

@@ -10,15 +10,11 @@ image of a ring element under an operator, and the expansion of a
 generator under the generic point of a prolongation, are both computed by
 it from a map of variable images.
 
-Products in R (x) D run on ints: the structure constants of D
-(``FiniteDimAlgebra.int_constants``) and each operand (its int form: an int
-term dict per component on packed exponents, one int with a slot per
-variable, and a bound on the exponents) are ints over one denominator.
-``poly._add_products`` multiplies by adding ints; large dense operands take
-Kronecker substitution (Kronecker 1882; Harvey, JSC 44, 2009).  Each output
-component is reduced mod the ideal and its content shared with the
-denominator divided out; only what :func:`push_through` and
-:func:`tensor_mul` return is made Fractions.
+Products in R (x) D run on ints, by ``packed.add_products``, over the int
+structure constants of D and int forms: an int term dict per component, on
+packed exponents, over one denominator.  Each output component is reduced
+mod the ideal and its content shared with the denominator divided out; only
+what :func:`push_through` and :func:`tensor_mul` return is made Fractions.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
 the ideal, their powers and 1_D, filled on demand, so every ``apply`` on a
@@ -49,18 +45,14 @@ from .poly import (
     Ideal,
     MonomialOrder,
     MultiPoly,
-    _add_products,
-    _common_int_terms,
-    _fraction_terms,
     _fresh_name,
     _int_normal_form,
-    _Packing,
-    _top_exponents,
     as_poly,
     format_poly,
     groebner_basis_of,
     normal_form,
 )
+from .packed import _common_int_terms, _fraction_terms, _Packing, _top_exponents, add_products
 
 
 class DRingError(Exception):
@@ -298,66 +290,9 @@ class PowerTable:
         ds, table = self.algebra.int_constants
         top = list(map(add, a.top, b.top))
         self._room(top)
-        sums = _products(table, self._on(a).comps, self._on(b).comps, top, self._packing)
+        sums = [{} for _ in range(self.algebra.dim)]
+        add_products(sums, table, self._on(a).comps, self._on(b).comps, 1, top, self._packing)
         return self._reduced(sums, a.den * b.den * ds, top)
-
-
-# Kronecker substitution costs about _DENSE_RATIO loop products per index,
-# and (size * width) ** log2(3) / _DENSE_MULTIPLY for its Karatsuba multiply,
-# per table entry: a fit to the times of both paths on 231 operand shapes
-_DENSE_WORK, _DENSE_RATIO, _DENSE_MULTIPLY = 1024, 2, 2000
-
-
-def _products(table, left, right, top, packing):
-    """The sums of s * (left[i] * right[j]) into each k over the int structure
-    constants (i, j, k, s), by the loop or, where the cost above is lower, by
-    :func:`_kronecker` with exponents below ``top`` + 1."""
-    work = sum(len(left[i]) * len(right[j]) for i, j, _, _ in table)
-    if work >= _DENSE_WORK:
-        radix = [t + 1 for t in top]
-        size = math.prod(radix)
-        table = [(i, j, k, s) for i, j, k, s in table if left[i] and right[j]]
-        bound = sum(  # on the coefficients of a sum
-            abs(s) * max(map(abs, left[i].values())) * max(map(abs, right[j].values()))
-            * min(len(left[i]), len(right[j])) for i, j, _, s in table)
-        width = 1 + bound.bit_length() // 8  # bytes per limb, the top bit spare
-        multiply = (size * width) ** math.log2(3) / _DENSE_MULTIPLY
-        if work >= len(table) * (_DENSE_RATIO * size + multiply):
-            return _kronecker(table, left, right, radix, size, width, packing)
-    sums = [{} for _ in left]
-    _add_products(sums, table, left, right, 1)
-    return sums
-
-
-def _kronecker(table, left, right, radix, size, width, packing):
-    """:func:`_products` by Kronecker substitution: an exponent is a
-    mixed-radix index, a component one int with a signed ``width``-byte limb
-    per index, each (i, j) one big-int multiply, and each sum is read from its
-    bytes, limb by limb."""
-    slots = [(shift, mask, math.prod(radix[:v])) for v, (shift, mask) in enumerate(packing.slots)]
-
-    def big(comp):
-        limbs = [bytearray(size * width), bytearray(size * width)]  # + and - parts
-        for key, c in comp.items():
-            at = width * sum([((key >> shift) & mask) * w for shift, mask, w in slots])
-            limbs[c < 0][at:at + width] = abs(c).to_bytes(width, "little")
-        return int.from_bytes(limbs[0], "little") - int.from_bytes(limbs[1], "little")
-
-    lefts = {i: big(left[i]) for i in {i for i, _, _, _ in table}}
-    rights = {j: big(right[j]) for j in {j for _, j, _, _ in table}}
-    products = {(i, j): lefts[i] * rights[j] for i, j, _, _ in table}
-    totals = [sum(s * products[i, j] for i, j, k, s in table if k == n) for n in range(len(left))]
-    keys = [0]  # the packed exponent at each index
-    for (shift, _), r in reversed(list(zip(packing.slots, radix))):
-        keys = [key + (e << shift) for key in keys for e in range(r)]
-    half = 1 << (8 * width - 1)
-    offset = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")  # half per limb
-
-    def limbs(total):  # half plus the signed limb, at each index
-        data = (total + offset).to_bytes(size * width, "little")
-        return [int.from_bytes(data[p : p + width], "little") for p in range(0, len(data), width)]
-
-    return [{key: v - half for key, v in zip(keys, limbs(t)) if v != half} for t in totals]
 
 
 def push_through(table, polys):
@@ -394,19 +329,20 @@ def _images(table, polys):
                 left = table.product(left, t)
             parts.append((c, left, factors[-1]))
         # each term's denominator and exponent bound
-        dens, bounds = [], [0] * len(table.variables)
+        dens, tops = [], []
         for c, left, right in parts:
             dens.append(c.denominator * right.den * (1 if left is None else left.den * ds))
-            top = right.top if left is None else map(add, left.top, right.top)
-            bounds = list(map(max, bounds, top))
+            tops.append(right.top if left is None else list(map(add, left.top, right.top)))
         den = math.lcm(*dens)
+        bounds = _top_exponents(tops, len(table.variables))
         table._room(bounds)
         sums = [{} for _ in range(algebra.dim)]
-        for (c, left, right), d in zip(parts, dens):
+        for (c, left, right), d, top in zip(parts, dens, tops):
             factor = c.numerator * (den // d)
             right = table._on(right).comps
             if left is not None:
-                _add_products(sums, consts, table._on(left).comps, right, factor)
+                left = table._on(left).comps
+                add_products(sums, consts, left, right, factor, top, table._packing)
                 continue
             for target, comp in zip(sums, right):
                 for e, x in comp.items():

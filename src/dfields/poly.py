@@ -22,23 +22,10 @@ arithmetic:
 - results that are clean by construction (sums, products, scalings,
   remainders) are built by ``MultiPoly._trusted`` without re-validating;
   ``MultiPoly(...)`` validates outside input in full;
-- a product multiplies ints: each operand's terms are scaled by the lcm
-  of its denominators (:func:`_common_int_terms`), the numerators are
-  multiplied and summed, and each output term becomes one Fraction over
-  the product of the two denominators; a one-term factor just scales the
-  other's terms.  The tensor products of ``dring`` run through the same
-  helpers and the same loop, :func:`_add_products`, and stay on ints
-  through their reduction (:func:`_int_normal_form`): only the elements
-  ``dring`` returns are made Fractions.
-
-The product loop adds packed exponents (Monagan and Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007).  A :class:`_Packing` gives variable i a slot of b.bit_length() bits,
-where b is the sum of the two operands' largest exponents in variable i
-(:func:`_top_exponents`).  No entry of a product exponent exceeds that sum,
-so adding two packed ints never carries from one slot into the next: the
-packing is exact at any degree and has no fixed width.  The inner loop
-adds and multiplies ints only, and each output term is unpacked once.
+- a product of two polynomials with several terms each runs on ints
+  through ``packed.add_products``, the one product routine, which the
+  tensor products of ``dring`` share; a one-term factor just scales the
+  other's terms.
 
 :func:`_pseudo_remainder` is the one division routine, and it runs on ints.
 It divides with a heap of negated keys over the working terms (Monagan and
@@ -74,10 +61,18 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le, lshift, mul, neg, sub
+from operator import add, le, mul, neg, sub
 from typing import NamedTuple
 
 from . import linalg
+from .packed import (
+    _SCALAR_TABLE,
+    _common_int_terms,
+    _fraction_terms,
+    _Packing,
+    _top_exponents,
+    add_products,
+)
 
 
 class PolyError(Exception):
@@ -486,107 +481,27 @@ def _merge_terms(terms, other, negate):
     return out
 
 
-def _common_int_terms(term_dicts):
-    """The lcm d of the denominators of the coefficients of the term dicts,
-    and each dict times d, as an int term dict."""
-    den = math.lcm(*[c.denominator for terms in term_dicts for c in terms.values()])
-    if den == 1:
-        return 1, [{e: c.numerator for e, c in terms.items()} for terms in term_dicts]
-    return den, [
-        {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-        for terms in term_dicts
-    ]
-
-
-def _fraction_terms(terms, den):
-    """The Fraction terms of an int term dict over the denominator ``den``,
-    with zero terms dropped: one Fraction per surviving term."""
-    if den == 1:
-        return {e: Fraction(v) for e, v in terms.items() if v}
-    return {e: Fraction(v, den) for e, v in terms.items() if v}
-
-
 _ONE = Fraction(1)
-# the structure constants of Q over itself, for _add_products
-_SCALAR_TABLE = ((0, 0, 0, 1),)
-
-
-def _top_exponents(exps, n):
-    """The entrywise maximum of exponent vectors of length n; zeros when
-    there are none."""
-    columns = list(zip(*exps))
-    return [max(col) for col in columns] if columns else [0] * n
-
-
-class _Packing:
-    """A layout that packs an exponent vector into one int: entry i takes
-    its own slot of bounds[i].bit_length() bits, and a term dict is packed
-    key by key.  Packed vectors add while each entry stays in its slot, as
-    in a product sized from its operands' largest exponents; each
-    ``dring.PowerTable`` keeps one, widened when a bound outgrows a slot."""
-
-    __slots__ = ("shifts", "slots")
-
-    def __init__(self, bounds):
-        slots = []
-        shift = 0
-        for bound in bounds:
-            width = bound.bit_length()
-            slots.append((shift, (1 << width) - 1))
-            shift += width
-        self.shifts = [s for s, _ in slots]
-        self.slots = slots
-
-    def pack(self, comps):
-        """Term dicts on exponent tuples as term dicts on packed exponents."""
-        shifts = self.shifts
-        return [{sum(map(lshift, e, shifts)): c for e, c in comp.items()} for comp in comps]
-
-    def unpack(self, terms):
-        """The int term dict on exponent tuples of a packed int term dict,
-        zero terms dropped: each surviving term unpacked once."""
-        slots = self.slots
-        return {tuple([(k >> s) & m for s, m in slots]): v for k, v in terms.items() if v}
-
-
-def _add_products(sums, table, left, right, factor):
-    """sums[k] += factor * s * (left[i] * right[j]) over the int structure
-    constants (i, j, k, s), components and sums int term dicts on the packed
-    exponents of one :class:`_Packing`: the product loop, which ``dring``
-    leaves to Kronecker substitution on large dense operands."""
-    for i, j, k, s in table:
-        li = left[i]
-        rj = right[j].items()
-        if not li or not rj:
-            continue
-        target = sums[k]
-        get = target.get
-        fs = factor * s
-        for e1, c1 in li.items():
-            cc1 = fs * c1
-            for e2, c2 in rj:
-                e = e1 + e2
-                target[e] = get(e, 0) + cc1 * c2
 
 
 def _mul_terms(a, b):
     """The term dict of the product of two term dicts on one variable tuple.
     A one-term factor scales the other's terms; otherwise the int numerators
     over the two common denominators are multiplied on packed exponents by
-    :func:`_add_products`, and one Fraction is built per output term."""
+    ``packed.add_products``, and one Fraction is built per output term."""
+    if len(b) == 1:
+        a, b = b, a
     if len(a) == 1:
         ((e1, c1),) = a.items()
         return {tuple(map(add, e1, e2)): c1 * c2 for e2, c2 in b.items()}
-    if len(b) == 1:
-        ((e2, c2),) = b.items()
-        return {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a.items()}
     if not a or not b:
         return {}
     da, a_ints = _common_int_terms([a])
     db, b_ints = _common_int_terms([b])
-    packing = _Packing(map(add, _top_exponents(a, 0), _top_exponents(b, 0)))
-    product = {}
-    _add_products([product], _SCALAR_TABLE, packing.pack(a_ints), packing.pack(b_ints), 1)
+    top = list(map(add, _top_exponents(a, 0), _top_exponents(b, 0)))
+    packing, product = _Packing(top), {}
+    left, right = packing.pack(a_ints), packing.pack(b_ints)
+    add_products([product], _SCALAR_TABLE, left, right, 1, top, packing)
     return _fraction_terms(packing.unpack(product), da * db)
 
 

@@ -9,11 +9,11 @@ results must agree term for term and keep Fraction coefficients.
 ``dring.product_rule_check`` compares int forms; its verdict must be the
 one the references give.
 
-The one int product loop, ``poly._add_products``, adds exponents packed
-into ints.  ``_reference_products`` is the loop on exponent tuples that it
-replaced; the kernels must agree with it at any number of variables and
-any degree, and so must the Kronecker substitution that takes over from
-the loop on large dense operands in ``dring``."""
+The one int product routine, ``packed.add_products``, adds exponents
+packed into ints.  ``_reference_products`` is the loop on exponent tuples
+that it replaced; the kernels must agree with it at any number of variables
+and any degree, and so must the Kronecker substitution that takes over from
+the loop on large dense operands, in polynomial and tensor products alike."""
 
 import itertools
 import math
@@ -32,7 +32,7 @@ from dfields.algebra import (
     product_algebra,
     rational_field_algebra,
 )
-from dfields import dring
+from dfields import dring, packed
 from dfields.cli import Resolver, parse
 from dfields.dring import (
     DOperator,
@@ -558,7 +558,48 @@ def test_a_push_over_the_budget_names_the_first_component_over_the_cap(
 
 def _forced_dense():
     """The dense path for every product, however small or sparse."""
-    return mock.patch.multiple(dring, _DENSE_WORK=0, _DENSE_RATIO=0, _DENSE_MULTIPLY=math.inf)
+    return mock.patch.multiple(packed, _DENSE_WORK=0, _DENSE_RATIO=0, _DENSE_MULTIPLY=math.inf)
+
+
+def _paths():
+    """Mocks wrapping the loop and the dense path of ``packed``, to see
+    which of them a product takes."""
+    loop = mock.patch.object(packed, "_add_products", wraps=packed._add_products)
+    return loop, mock.patch.object(packed, "_kronecker", wraps=packed._kronecker)
+
+
+@st.composite
+def _small_polys(draw, count):
+    """``count`` polynomials on one layout of 1-4 variables, with exponents
+    up to 6 and Fraction coefficients of either sign; one variable, when
+    drawn, is in no exponent, so its slot is 0 bits wide."""
+    n = draw(st.integers(1, 4))
+    unused = draw(st.sampled_from((None,) + tuple(range(n))))
+    exps = st.lists(st.integers(0, 6), min_size=n, max_size=n).map(
+        lambda e: tuple(0 if v == unused else x for v, x in enumerate(e))
+    )
+    variables = tuple(f"x{i}" for i in range(n))
+    sizes = [draw(st.integers(1, 8)) for _ in range(count)]
+    return [MultiPoly(variables, draw(st.dictionaries(exps, _COEFFS, max_size=m))) for m in sizes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_polys(2), st.integers(0, 3))
+def test_polynomial_products_match_fraction_reference_on_both_paths(pair, n):
+    a, b = pair
+    # exponents up to 3 keep the forced dense path's powers small
+    low = MultiPoly(a.variables, {e: c for e, c in a.terms.items() if max(e, default=0) <= 3})
+    power = MultiPoly.one(a.variables)
+    for _ in range(n):
+        power = _reference_mul(power, low)
+    _assert_same(a * b, _reference_mul(a, b))
+    _assert_same(low**n, power)
+    loop, dense = _paths()
+    with _forced_dense(), loop as looped, dense as kronecker:
+        _assert_same(a * b, _reference_mul(a, b))
+        assert kronecker.called is (len(a.terms) > 1 and len(b.terms) > 1)
+        _assert_same(low**n, power)
+    assert not looped.called
 
 
 @st.composite
@@ -615,8 +656,37 @@ def test_the_dense_path_takes_large_dense_products_only():
         f = as_poly(text, variables)
         a = TensorElement(trunc3, [f, f * 3, -f])
         form = table._form(a.comps)
-        with mock.patch.object(dring, "_add_products", wraps=dring._add_products) as loop:
+        with _paths()[0] as loop:
             result = dring._tensor(table, table.product(form, form))
         assert loop.called is not dense
         for r, e in zip(result.comps, _reference_tensor_ints(a, a)):
             _assert_same(r, e)
+    # polynomial products: the degree-32 product of the operator_stream
+    # benchmark is dense; a product of powers in six variables makes more
+    # loop products than the gate but spreads them over 6^6 indices
+    f, g = as_poly("(x + y + 1)^32", VARS), as_poly("(x - 2*y + 3)^32", VARS)
+    six = tuple(f"x{i}" for i in range(6))
+    h = as_poly("(x0 + x1 + x2 + x3 + x4 + x5 + 1)^3", six)
+    k = as_poly("(x0 - x1 + 2*x2 - x3 + x4 - 3*x5 + 1)^2", six)
+    assert len(h.terms) * len(k.terms) >= packed._DENSE_WORK
+    for a, b, dense in [(f, g, True), (h, k, False)]:
+        loop, kronecker = _paths()
+        with loop as looped, kronecker as kroneckered:
+            product = a * b
+        assert looped.called is not dense and kroneckered.called is dense
+        assert product.terms == _reference_mul_terms(a.terms, b.terms)
+    # a pushed term: over Q^3 the two factors of x^9 * y^9, the images of x^9
+    # and y^9, are dense; its coefficient scales what the dense path adds
+    q3 = STREAM_ALGEBRAS[4]
+    comps = {"x": ["x", "x + y + 1", "x - 2*y + 3"], "y": ["y", "2*x - y + 1", "x + y + 5"]}
+    images = {v: TensorElement(q3, [as_poly(c, VARS) for c in t]) for v, t in comps.items()}
+    table = PowerTable(q3, images, VARS)
+    table.power("x", 9), table.power("y", 9)
+    f = as_poly("-3/2*x^9*y^9 + 5*x", VARS)
+    loop, kronecker = _paths()
+    with loop as looped, kronecker as kroneckered:
+        (result,) = push_through(table, [f])
+    assert kroneckered.called and not looped.called
+    (expected,) = _reference_push_through(q3, [f], images, VARS)
+    for r, e in zip(result.comps, expected.comps):
+        _assert_same(r, e)
