@@ -53,7 +53,7 @@ from .poly import (
 )
 
 
-_ZERO = Fraction(0)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class AlgebraError(Exception):
@@ -134,6 +134,7 @@ class FiniteDimAlgebra:
         self._struct_consts = None
         self._components = None
         self._int_constants = None
+        self._report = None
 
     @property
     def struct_consts(self):
@@ -375,11 +376,17 @@ class AlgebraReport:
 
 def check_algebra(algebra):
     """Check commutativity, associativity, and the unit law exactly;
-    every violated identity is reported with witness indices.
+    every violated identity is reported with witness indices.  The report
+    is computed once per algebra and kept on it."""
+    if algebra._report is None:
+        algebra._report = _axiom_report(algebra)
+    return algebra._report
 
-    The sums run on the int rows of the nonzero structure constants only;
-    violations come out in the order of a plain loop over all index
-    tuples."""
+
+def _axiom_report(algebra):
+    """The report of :func:`check_algebra`.  The sums run on the int rows of
+    the nonzero structure constants only; violations come out in the order
+    of a plain loop over all index tuples."""
     n = algebra.dim
     rows = algebra._rows
     swapped = set()
@@ -477,7 +484,8 @@ def from_presentation(generators, relations, budget=None):
 
     The quotient must be finite-dimensional; the basis is the set of
     standard monomials of a Groebner basis of the relations, and the
-    multiplication table comes from normal-form reduction of products.
+    multiplication table comes from the multiplication matrices of the
+    generators, one normal form per border monomial.
     The Groebner basis and the reductions run under ``budget`` (a
     :class:`GroebnerBudget`, the default one when None).
     """
@@ -490,24 +498,21 @@ def _quotient_algebra(ideal):
 
     The basis is the set of standard monomials of the ideal's cached
     grevlex basis, 1 first, then by degree with earlier variables first.
-    Products are reduced under the ideal's budget one variable at a time:
-    with m_i = x_v * m_p for an earlier basis monomial m_p,
-    NF(m_i * m_j) = NF(x_v * NF(m_p * m_j)), so no product exceeds the
-    largest standard degree by more than one.
+    The table comes from the multiplication matrices of the variables
+    (Faugere, Gianni, Lazard and Mora, JSC 16, 1993): column k of M_v is
+    x_v * m_k, a unit vector when that product is a standard monomial and
+    otherwise a border monomial, which takes one normal form under the
+    ideal's budget.  With m_i = x_v * m_p for an earlier basis monomial
+    m_p, the product m_i * m_j is M_v applied to m_p * m_j, on ints.
     """
     variables = ideal.variables
     if ideal.is_trivial():
         raise AlgebraError("presentation collapses to the zero ring")
     lms = [g.leading_exponent(GREVLEX) for g in ideal.groebner_basis()]
     for idx, v in enumerate(variables):
-        has_pure_power = any(
-            lm[idx] > 0 and all(e == 0 for p, e in enumerate(lm) if p != idx)
-            for lm in lms
-        )
-        if not has_pure_power:
-            raise AlgebraError(
-                f"infinite-dimensional quotient: variable {v!r} is unbounded"
-            )
+        # a pure power of every variable leads some basis element
+        if not any(lm[idx] == sum(lm) > 0 for lm in lms):
+            raise AlgebraError(f"infinite-dimensional quotient: variable {v!r} is unbounded")
     monomials = _standard_monomials(ideal)
     monomials.sort(key=lambda m: (sum(m), tuple(-e for e in m)))
     index = {m: i for i, m in enumerate(monomials)}
@@ -521,29 +526,46 @@ def _quotient_algebra(ideal):
             vec[index[exp]] += c
         return vec
 
-    x = [MultiPoly.variable(v, variables) for v in variables]
-    # products[i][j - i] = NF(m_i * m_j) for j >= i
-    products = [[MultiPoly._trusted(variables, {m: Fraction(1)}) for m in monomials]]
-    for i in range(1, n):
-        m = monomials[i]
+    # the columns of M_v over ``step`` for each standard x_v, the only ones
+    # in an m_i; the border monomials are reduced lowest degree first, so
+    # that a degree cap fails at the lowest degree above it
+    shifted = {
+        v: [m[:v] + (m[v] + 1,) + m[v + 1:] for m in monomials]
+        for v in (m.index(1) for m in monomials if sum(m) == 1)
+    }
+    border = sorted(set().union(*shifted.values()) - index.keys(), key=GREVLEX.key)
+    reduced = [coords_of(ideal.normal_form(MultiPoly._trusted(variables, {e: _ONE}))) for e in border]
+    step = math.lcm(*(c.denominator for vec in reduced for c in vec))
+    column = {m: ((i, step),) for m, i in index.items()}
+    for e, vec in zip(border, reduced):
+        column[e] = [(k, int(c * step)) for k, c in enumerate(vec) if c]
+    columns = {v: [column[e] for e in row] for v, row in shifted.items()}
+    # products[i][j - i] = m_i * m_j for j >= i, as (k, int) pairs over
+    # step^deg(m_i)
+    products = [[((j, 1),) for j in range(n)]]
+    for i, m in enumerate(monomials[1:], 1):
         v = next(idx for idx, e in enumerate(m) if e)
         p = index[m[:v] + (m[v] - 1,) + m[v + 1:]]
-        products.append(
-            [ideal.normal_form(x[v] * products[p][j - p]) for j in range(i, n)]
-        )
-    # the int rows of the structure constants, straight from the normal forms
-    den = math.lcm(*(c.denominator for row in products for p in row for c in p.terms.values()))
+        row = []
+        for pairs in products[p][i - p:]:
+            out = {}
+            for t, c in pairs:
+                for k, d in columns[v][t]:
+                    out[k] = out.get(k, 0) + c * d
+            row.append(tuple(sorted((k, c) for k, c in out.items() if c)))
+        products.append(row)
+    # the lcm of the entries' reduced denominators, and the int rows over it
+    scales = [step ** sum(m) for m in monomials]
+    den = 1 if step == 1 else math.lcm(*(
+        d // math.gcd(d, *(c for _, c in r)) for d, row in zip(scales, products) for r in row
+    ))
     rows = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            terms = products[i][j - i].terms
-            if not terms.keys() <= index.keys():
-                raise AlgebraError("normal form left the standard-monomial span")
-            rows[i][j] = rows[j][i] = tuple(sorted(
-                (index[exp], c.numerator * (den // c.denominator)) for exp, c in terms.items()
-            ))
+    for i, (d, row) in enumerate(zip(scales, products)):
+        for j, pairs in enumerate(row, i):
+            scaled = pairs if d == den else tuple((k, c * den // d) for k, c in pairs)
+            rows[i][j] = rows[j][i] = scaled
     names = tuple(_monomial_name(variables, m) for m in monomials)
-    algebra = FiniteDimAlgebra._from_rows(den, rows, coords_of(products[0][0]), names)
+    algebra = FiniteDimAlgebra._from_rows(den, rows, [1] + [0] * (n - 1), names)
     algebra.presentation = (variables, ideal.generators)
     return algebra, coords_of
 

@@ -135,8 +135,9 @@ def _lookup(blocks, name):
 @dataclass(frozen=True)
 class Document:
     blocks: tuple
-    # presented algebras built while parsing, by block name; a Resolver
-    # starts from these instead of building them again
+    # resolved algebras by (block name, budget built under; None is the
+    # default GroebnerBudget()), filled while parsing and by every Resolver:
+    # all runs on one parsed document under one budget share them
     algebras: dict = field(default_factory=dict, compare=False, repr=False)
 
     def of_type(self, cls):
@@ -491,13 +492,9 @@ def _parse_descend(cursor, name, doc_blocks):
 
 
 def _algebra_dim(block, cursor):
-    """The dimension of an algebra block; a presented algebra is built once,
-    under the cursor's budget, and kept in ``cursor.algebras``."""
-    if block.presentation is None:
-        return len(block.basis)
-    if block.name not in cursor.algebras:
-        cursor.algebras[block.name] = from_presentation(*block.presentation, cursor.budget)
-    return cursor.algebras[block.name].dim
+    """The dimension of an algebra block, resolved under the cursor's budget
+    into ``cursor.algebras``, which become the document's algebras."""
+    return Resolver(Document((block,), cursor.algebras), cursor.budget).algebra(block.name).dim
 
 
 _BLOCK_PARSERS = {
@@ -511,9 +508,9 @@ _BLOCK_PARSERS = {
 
 
 def parse(text, budget=None):
-    """Parse DSL text into a Document.  Errors carry line and column.  A
-    presented algebra that a ucd block needs while parsing is built under
-    ``budget``, as :class:`Resolver` builds the others."""
+    """Parse DSL text into a Document.  Errors carry line and column.  An
+    algebra that a ucd block needs while parsing is resolved under
+    ``budget`` and kept in the document's algebras for the runs on it."""
     cursor = _Cursor(tokenize(text), budget)
     blocks = []
     while cursor.peek().kind != "EOF":
@@ -625,28 +622,28 @@ def _linear_text(coords, basis):
 
 
 class Resolver:
-    """Builds and caches live objects from document blocks."""
+    """Builds live objects from document blocks.  Algebras are kept in
+    ``doc.algebras`` by block name and budget, so every run on one parsed
+    document under one budget shares them; another budget builds its own."""
 
     def __init__(self, doc, budget=None):
         self.doc = doc
         self.budget = budget or GroebnerBudget()
-        self._algebras = dict(doc.algebras)
 
     def algebra(self, name):
-        if name not in self._algebras:
+        key = (name, self.budget)
+        if key not in self.doc.algebras:
             block = self.doc.lookup(name)
             if block.presentation is not None:
                 variables, relations = block.presentation
-                self._algebras[name] = from_presentation(variables, relations, self.budget)
+                self.doc.algebras[key] = from_presentation(variables, relations, self.budget)
             else:
                 n = len(block.basis)
-                struct = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+                struct = [[None] * n for _ in range(n)]
                 for (i, j), coords in block.table:
-                    for k, c in enumerate(coords):
-                        struct[i][j][k] = c
-                        struct[j][i][k] = c
-                self._algebras[name] = FiniteDimAlgebra(struct, block.unit, block.basis)
-        return self._algebras[name]
+                    struct[i][j] = struct[j][i] = coords
+                self.doc.algebras[key] = FiniteDimAlgebra(struct, block.unit, block.basis)
+        return self.doc.algebras[key]
 
     def ideal(self, variables, generators):
         return Ideal(variables, list(generators), self.budget)

@@ -1139,14 +1139,6 @@ class Ideal:
             graph[v] = (MultiPoly.variable(v, ring) - g).on_variables(self.variables)
         return graph
 
-    def equals(self, other):
-        """Ideal equality by mutual membership of generators."""
-        if set(self.variables) != set(other.variables):
-            return False
-        return all(self.contains(g.on_variables(self.variables)) for g in other.generators) and all(
-            other.contains(g.on_variables(other.variables)) for g in self.generators
-        )
-
 
 def _independent_set(n, supports, mask=0, start=0, best=0):
     """The bit mask of a largest subset of range(n) containing none of the

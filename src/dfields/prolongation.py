@@ -186,13 +186,6 @@ class PiHatMap:
     xvars: tuple
     images: dict  # xvar -> tuple of MultiPoly on the prolonged variables
 
-    def substitution(self):
-        if self.residue_dim != 1:
-            raise ProlongationError(
-                "projection with residue degree > 1 has no affine substitution"
-            )
-        return {v: imgs[0] for v, imgs in self.images.items()}
-
     def apply_point(self, prolonged_vars, point):
         coords = {v: val for v, val in zip(prolonged_vars, point)}
         out = []

@@ -706,10 +706,6 @@ class DifferencePointEntry:
 class DifferenceLargeReport:
     entries: tuple
 
-    @property
-    def points_checked(self):
-        return len({e.point for e in self.entries})
-
 
 def check_difference_large_instance(inst, sigma_maps, points):
     """Verify that supplied rational points of Y have the shape

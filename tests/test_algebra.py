@@ -1,6 +1,7 @@
 """Algebra axioms, presentations, and the local decomposition."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from dfields import linalg
 from dfields.algebra import (
     AlgebraError,
     FiniteDimAlgebra,
+    _quotient_algebra,
+    _standard_monomials,
     check_algebra,
     check_assumption_res_field_k,
     from_presentation,
@@ -23,6 +26,9 @@ from dfields.algebra import (
     apply_residue_projection,
 )
 from dfields.poly import (
+    BudgetExceededError,
+    GroebnerBudget,
+    Ideal,
     MultiPoly,
     factor_univariate,
     format_poly,
@@ -228,12 +234,31 @@ def test_presentation_infinite_dimensional_names_variable():
 
 
 def test_presentation_degree_budget_counts_reduced_products():
-    # the largest standard monomial is e^21; each product is reduced one
-    # variable at a time, so nothing reaches the default degree cap of 40
+    # the largest standard monomial is e^21; only the border monomial e^22
+    # is reduced, so nothing reaches the default degree cap of 40
     a = from_presentation(["e"], ["e^22"])
     assert a.dim == 22
     assert list(a.struct_consts[10][11]) == [F(0)] * 21 + [F(1)]
     assert list(a.struct_consts[11][11]) == [F(0)] * 22
+
+
+@pytest.mark.parametrize(
+    "variables, relations, cap, degree",
+    [
+        (("e", "f"), ["e^3", "f^2"], 3, 4),
+        (("x", "y"), ["x^3", "y^3"], 4, 5),
+        (("x", "y"), ["x^2 - 3/2", "y^2 - 2/3*x"], 2, 3),
+        (("x", "y", "z"), ["x^2 - y*z", "y^2 - 1/2", "z^3 - x"], 3, 4),
+        (("x", "y", "z"), ["x^2", "y^3", "z^2 - x*y"], 4, 5),
+    ],
+)
+def test_quotient_over_the_cap_fails_one_degree_above_it(variables, relations, cap, degree):
+    # every basis element is within the cap, the products of the quotient
+    # are not; the error names the lowest degree above the cap
+    budget = GroebnerBudget(max_degree=cap)
+    message = f"^budget exhausted: degree {degree} exceeds cap {cap}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        from_presentation(variables, relations, budget)
 
 
 def test_truncated_presentations_match_direct_table():
@@ -703,6 +728,74 @@ def test_crt_split_matches_euclid_reference(algebra):
         for c in comps
     } == _euclid_decompose(algebra)
     assert len(comps) == len(set(c.idempotent.coords for c in comps))
+
+
+def _reference_quotient(ideal):
+    """(den, rows, unit, basis names) of Q[x]/I with every product m_i * m_j
+    of standard monomials reduced by its own normal form, the rows built as
+    in the class docstring of FiniteDimAlgebra."""
+    monomials = sorted(
+        _standard_monomials(ideal), key=lambda m: (sum(m), tuple(-e for e in m))
+    )
+    index = {m: i for i, m in enumerate(monomials)}
+    n = len(monomials)
+    products = {}
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        exp = tuple(a + b for a, b in zip(monomials[i], monomials[j]))
+        product = MultiPoly._trusted(ideal.variables, {exp: F(1)})
+        products[i, j] = ideal.normal_form(product).terms
+    den = math.lcm(*(c.denominator for terms in products.values() for c in terms.values()))
+    rows = [[None] * n for _ in range(n)]
+    for (i, j), terms in products.items():
+        rows[i][j] = rows[j][i] = tuple(sorted(
+            (index[e], c.numerator * (den // c.denominator)) for e, c in terms.items()
+        ))
+    names = tuple("*".join(
+        v if e == 1 else f"{v}^{e}" for v, e in zip(ideal.variables, m) if e
+    ) or "1" for m in monomials)
+    return den, rows, (F(1),) + (F(0),) * (n - 1), names
+
+
+# nonzero rationals for the coefficients of non-monic relations
+_COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+_PRESENTATIONS = st.one_of(
+    # univariate products of irreducibles with multiplicities, as the split
+    # shapes of the benchmark's algebra ladder
+    _relation("y", 6).map(lambda f: (("y",), [f])),
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).map(
+        lambda ab: (("e", "f"), [f"e^{ab[0]}", f"f^{ab[1]}"])
+    ),
+    # mixed systems shaped like ((x^2-2)(x-1)^2, y(y^2-3)^2, (z^2-x)^2 z^2)
+    st.tuples(_relation("x", 2), _relation("y", 3), st.integers(0, 1)).map(
+        lambda fgk: (("x", "y", "z"), [fgk[0], fgk[1], f"(z^2 - x)*z^{fgk[2]}"])
+    ),
+    # non-monic relations with rational coefficients, whose border normal
+    # forms carry denominators
+    st.tuples(_COEFFS, _COEFFS, _COEFFS).map(
+        lambda c: (("y",), [f"{c[0]}*y^3 + {c[1]}*y + {c[2]}"])
+    ),
+    st.lists(_COEFFS, min_size=5, max_size=5).map(
+        lambda c: (("x", "y"), [f"{c[0]}*x^2 + {c[1]}*y + {c[2]}", f"{c[3]}*y^2 + {c[4]}*x*y"])
+    ),
+    st.lists(_COEFFS, min_size=6, max_size=6).map(
+        lambda c: (
+            ("x", "y", "z"),
+            [f"{c[0]}*x^2 + {c[1]}*y", f"{c[2]}*y^2 + {c[3]}*z", f"{c[4]}*z^2 + {c[5]}*x - 1/3"],
+        )
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_PRESENTATIONS)
+def test_quotient_matches_per_product_reference(presentation):
+    variables, relations = presentation
+    ideal = Ideal(variables, relations)
+    algebra, _ = _quotient_algebra(ideal)
+    assert (algebra._den, algebra._rows, algebra.unit, algebra.basis_names) == (
+        _reference_quotient(ideal)
+    )
 
 
 _FACTORS = (

@@ -377,6 +377,55 @@ def test_presented_algebra_is_built_once_per_document(monkeypatch):
     assert len(calls) == 2
 
 
+PRESENTED_AND_TABLE = """
+algebra pres = Q[x, y]/(x^2 - 1, y^2);
+algebra tab { basis = [u, v]; mul u*u = u; mul u*v = 0; mul v*v = v; unit = u + v; }
+"""
+
+
+def test_commands_on_one_document_build_and_check_each_algebra_once(monkeypatch):
+    import dfields.algebra
+
+    built, checked = [], []
+    quotient, axioms = dfields.algebra._quotient_algebra, dfields.algebra._axiom_report
+
+    def building(ideal):
+        built.append(ideal.generators)
+        return quotient(ideal)
+
+    def checking(algebra):
+        checked.append(algebra.basis_names)
+        return axioms(algebra)
+
+    monkeypatch.setattr(dfields.algebra, "_quotient_algebra", building)
+    monkeypatch.setattr(dfields.algebra, "_axiom_report", checking)
+    commands = ("algebra check", "algebra decompose")
+    doc = parse(PRESENTED_AND_TABLE)
+    shared = [run(command, doc) for command in commands]
+    assert len(built) == 1
+    assert sorted(checked) == [("1", "x", "y", "x*y"), ("u", "v")]
+    fresh = [run(command, parse(PRESENTED_AND_TABLE)) for command in commands]
+    assert [r.payload for r in shared] == [r.payload for r in fresh]
+    assert [(r.exit_code, r.lines) for r in shared] == [(r.exit_code, r.lines) for r in fresh]
+    assert len(built) == 3
+
+
+def test_algebra_reuse_is_keyed_by_budget():
+    capped = GroebnerBudget(max_degree=3)
+    error = "budget exhausted: degree 5 exceeds cap 3"
+    for budgets in ((None, capped), (capped, None)):
+        doc = parse("algebra A = Q[e]/(e^5);\n")
+        for budget in budgets:
+            result = run("algebra decompose", doc, budget=budget)
+            if budget is None:
+                assert result.exit_code == 0
+                assert result.lines[0].startswith("algebra A: 1 local component(s)")
+            else:
+                assert result.exit_code == 1
+                assert result.payload["results"] == [{"name": "A", "error": error}]
+                assert result.errors == [f"algebra A: {error}"]
+
+
 # ---------------------------------------------------------------------------
 # canonical printing
 
@@ -635,7 +684,8 @@ def test_parse_builds_presented_algebras_under_the_budget():
     )
     with pytest.raises(BudgetExceededError, match="degree 45 exceeds cap 40"):
         parse(text)
-    assert parse(text, GroebnerBudget(max_degree=400)).algebras["A"].dim == 45
+    budget = GroebnerBudget(max_degree=400)
+    assert parse(text, budget).algebras["A", budget].dim == 45
 
 
 def test_ucd_base_over_another_algebra_is_an_input_error(tmp_path, capsys):

@@ -649,7 +649,8 @@ def test_elimination_dominant_projection_gives_zero_ideal():
 def test_elimination_keep_everything_is_identity():
     ideal = Ideal(("x",), ["x - 1"])
     elim = elimination_ideal(ideal, ("x",))
-    assert elim.equals(ideal)
+    assert all(elim.contains(g) for g in ideal.generators)
+    assert all(ideal.contains(g) for g in elim.generators)
 
 
 def test_membership_examples():

@@ -65,7 +65,8 @@ def test_prolong_is_additive_in_generators(dual, rng):
         fa = prolong(base, Ideal(variables, [f])).prolonged_ideal
         ga = prolong(base, Ideal(variables, [g])).prolonged_ideal
         merged = Ideal(both.variables, list(fa.generators) + list(ga.generators))
-        assert both.equals(merged)
+        assert all(both.contains(g) for g in merged.generators)
+        assert all(merged.contains(g) for g in both.generators)
 
 
 def test_name_collision_rejected(dual):
@@ -266,7 +267,7 @@ def test_pi_hat_is_block_zero_for_local_algebras(dual, trunc3, parabola_ideal):
     for algebra in (dual, trunc3):
         prolonged = prolong(BaseDStructure.trivial(algebra), parabola_ideal)
         projection = pi_hat(prolonged, 0)
-        assert projection.substitution() == {
+        assert {v: images[0] for v, images in projection.images.items()} == {
             "x": P("x_0", prolonged.variables),
             "y": P("y_0", prolonged.variables),
         }
@@ -274,8 +275,8 @@ def test_pi_hat_is_block_zero_for_local_algebras(dual, trunc3, parabola_ideal):
 
 def test_pi_hat_blocks_for_product(qxq, parabola_ideal):
     prolonged = prolong(BaseDStructure.trivial(qxq), parabola_ideal)
-    assert pi_hat(prolonged, 0).substitution()["x"] == P("x_0", prolonged.variables)
-    assert pi_hat(prolonged, 1).substitution()["x"] == P("x_1", prolonged.variables)
+    assert pi_hat(prolonged, 0).images["x"][0] == P("x_0", prolonged.variables)
+    assert pi_hat(prolonged, 1).images["x"][0] == P("x_1", prolonged.variables)
 
 
 def test_pi_zero_after_nabla_is_identity(dual, parabola_ideal):
