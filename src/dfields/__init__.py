@@ -43,7 +43,6 @@ from .dring import (
 from .dvariety import (
     DVariety,
     DVarietyError,
-    SharpLocus,
     dideal_fixture_check,
     make_dvariety,
     open_dsubvariety,

@@ -307,6 +307,8 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
         result = self.algebra.one()
         for _ in range(n):
             result = result * self
@@ -475,7 +477,6 @@ def _standard_monomials(ideal):
             bumped = list(exp)
             bumped[i] += 1
             queue.append(tuple(bumped))
-    found.sort(key=GREVLEX.key)
     return found
 
 

@@ -993,6 +993,8 @@ def main(argv=None):
         p.add_argument("name", nargs="?", default=None)
 
     args = parser.parse_args(argv)
+    if args.budget is not None and args.budget < 1:
+        parser.error(f"argument --budget: must be at least 1, got {args.budget}")
     budget = GroebnerBudget(max_degree=args.budget) if args.budget else None
     order = LEX if args.order == "lex" else GREVLEX
 

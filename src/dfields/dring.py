@@ -383,10 +383,6 @@ class DOperator:
         f = self._ring_element(f)
         return push_through(self.powers, [f])[0]
 
-    def component(self, f, i):
-        """The e_i component of the image of f."""
-        return self.apply(f).comps[i]
-
     def to_dict(self):
         return {
             "variables": list(self.variables),

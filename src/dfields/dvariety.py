@@ -113,18 +113,10 @@ def make_dvariety(algebra, ideal, section):
 # sharp points
 
 
-@dataclass(frozen=True)
-class SharpLocus:
-    """The closed locus where the canonical image of a constant point
-    agrees with the section; always contains the defining ideal."""
-
-    ideal: Ideal
-    dvariety: DVariety
-
-
 def sharp_locus(dv):
-    """Ideal of the constant-coordinate sharp points: the variety plus
-    s_i(x) = b_i * x for every level i >= 1."""
+    """Ideal of the constant-coordinate sharp points, the closed locus where
+    the canonical image of a constant point agrees with the section: the
+    variety plus s_i(x) = b_i * x for every level i >= 1."""
     algebra = dv.algebra
     gens = list(dv.ideal.generators)
     for v in dv.variables:
@@ -132,7 +124,7 @@ def sharp_locus(dv):
         for i in range(1, algebra.dim):
             gens.append(dv.section[v].comps[i] - var.scale(algebra.unit[i]))
     gens = [g for g in gens if not g.is_zero()]
-    return SharpLocus(Ideal(dv.variables, gens, dv.ideal.budget), dv)
+    return Ideal(dv.variables, gens, dv.ideal.budget)
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ def rational_sharp_points(dv):
 
     Over Q an empty answer does not refute anything: the rational points
     of a positive-dimensional locus may simply be scarce."""
-    locus = sharp_locus(dv).ideal
+    locus = sharp_locus(dv)
     dim, points, has_nonrational = rational_points(locus, limit=5)
     if dim:
         return SharpPointsResult(locus, dim, None, False, samples=points)
@@ -186,19 +178,11 @@ class PrimeCheckEntry:
     contains_ideal: bool
     closed_under_operator: bool
 
-    @property
-    def passed(self):
-        return self.contains_ideal and self.closed_under_operator
-
-
-@dataclass(frozen=True)
-class DIdealFixtureReport:
-    entries: tuple
-
 
 def dideal_fixture_check(op, J, primes):
     """Check a supplied minimal-prime decomposition of a radical D-ideal:
-    each prime must contain the ideal and be closed under the operator.
+    each prime must contain the ideal and be closed under the operator, one
+    PrimeCheckEntry per prime, in a tuple.
 
     Primary decomposition is deliberately not computed here; the fixtures
     carry it.  Raises when J itself is not a D-ideal."""
@@ -213,7 +197,7 @@ def dideal_fixture_check(op, J, primes):
         contains = all(prime.contains(g.on_variables(prime.variables)) for g in J.generators)
         closed = is_d_ideal(op, prime) if contains else False
         entries.append(PrimeCheckEntry(contains, closed))
-    return DIdealFixtureReport(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +324,9 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
             for v, comps in section_comps.items()
         }
         descended = make_dvariety(algebra, plain, plain_section)
-        forward = {v: MultiPoly.variable(v, xvars) for v in xvars}
         return WeilDescentResult(
             algebra, alpha, minpoly, xvars, original_ideal, section_comps,
-            ext_op, descended, forward,
+            ext_op, descended, {v: MultiPoly.variable(v, xvars) for v in xvars},
         )
 
     dvars = tuple(f"{x}_{p}" for x in xvars for p in range(r))
@@ -353,7 +336,6 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
     reduce_ideal = Ideal(full_vars, [minpoly.on_variables(full_vars)], budget)
 
     phi = {}
-    forward = {}
     for x in xvars:
         expansion = MultiPoly.zero(full_vars)
         for p in range(r):
@@ -362,7 +344,6 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
             ) ** p
             expansion = expansion + term
         phi[x] = expansion
-        forward[x] = expansion
     alpha_idx = 0
 
     def alpha_coefficients(poly):
@@ -424,5 +405,5 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
     descended = make_dvariety(algebra, Ideal(dvars, descended_gens, budget), descended_section)
     return WeilDescentResult(
         algebra, alpha, minpoly, xvars, original_ideal, section_comps,
-        ext_op, descended, forward,
+        ext_op, descended, phi,
     )

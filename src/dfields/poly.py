@@ -726,10 +726,6 @@ def as_poly(value, variables=None):
     return MultiPoly.constant(value, () if variables is None else variables)
 
 
-def _format_coeff(c):
-    return str(c)
-
-
 def format_poly(p, order=GREVLEX):
     """Canonical text for a polynomial: terms sorted descending by order."""
     if not p.terms:
@@ -743,11 +739,11 @@ def format_poly(p, order=GREVLEX):
             if e
         )
         if not mono:
-            body = _format_coeff(abs(c))
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:
-            body = f"{_format_coeff(abs(c))}*{mono}"
+            body = f"{abs(c)!s}*{mono}"
         pieces.append(("-" if c < 0 else "+", body))
     sign, first = pieces[0]
     out = ("-" if sign == "-" else "") + first
@@ -1045,9 +1041,10 @@ class Ideal:
         return len(basis) == 1 and basis[0].is_constant()
 
     def radical_contains(self, f):
-        """Rabinowitsch test: f is in the radical iff 1 in I + <1 - t*f>."""
+        """Whether f vanishes on V(I): f in I (one normal form on the cached
+        basis), or else, by Rabinowitsch, 1 in I + <1 - t*f>."""
         f = as_poly(f, self.variables)
-        if f.is_zero():
+        if self.contains(f):
             return True
         aux = _fresh_name("t_rad", self.variables)
         new_vars = self.variables + (aux,)
@@ -1301,15 +1298,6 @@ def _sort_factors(factors):
     return factors
 
 
-def _primitive_ints(coeffs):
-    """The primitive int list with the signs of the nonzero list of
-    Fractions ``coeffs`` and proportional to it."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    content = math.gcd(*ints)
-    return [c // content for c in ints]
-
-
 def factor_univariate(f, var=None):
     """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)]),
     the factors sorted by degree, then by terms.
@@ -1333,7 +1321,7 @@ def factor_univariate(f, var=None):
         raise ValueError("cannot factor the zero polynomial")
     coeffs = univariate_coeffs(f, var)
     zeros = next(i for i, c in enumerate(coeffs) if c)
-    ints = _primitive_ints(coeffs[zeros:])
+    ints = linalg.primitive(linalg.int_row(coeffs[zeros:])[0])
     out = [(univariate_poly([0, 1], var), zeros)] if zeros else []
     searched = len(ints) > 3 and max(abs(ints[0]), abs(ints[-1])) <= _ROOT_SEARCH_LIMIT
     for p, q in _root_candidates(ints) if searched else ():
@@ -1476,8 +1464,8 @@ def is_squarefree(f):
     if len(used) == 1:
         from . import zfactor
 
-        parts = zfactor.squarefree_parts(_primitive_ints(univariate_coeffs(f, used[0])))
-        return all(mult == 1 for _, mult in parts)
+        ints = linalg.primitive(linalg.int_row(univariate_coeffs(f, used[0]))[0])
+        return all(mult == 1 for _, mult in zfactor.squarefree_parts(ints))
     _, factors = _sympy_from_multipoly(f, used).sqf_list()
     return all(mult == 1 for _, mult in factors)
 

@@ -246,7 +246,7 @@ def _containment_entry(inst, components=None):
             for j, comp in enumerate(comps)
         ]
     for f, j, comp in components:
-        if inst.y_ideal.contains(comp) or inst.y_ideal.radical_contains(comp):
+        if inst.y_ideal.radical_contains(comp):
             continue
         return HypothesisEntry(
             "Y_subset_of_tauX",
@@ -371,12 +371,9 @@ def _dominance_entry(inst, i):
 
 
 def _first_outside_radical(ideal, polys):
-    """The first of ``polys`` that does not vanish on V(ideal): outside the
-    ideal (the cheap test) and outside its radical; None if there is none."""
-    return next(
-        (g for g in polys if not ideal.contains(g) and not ideal.radical_contains(g)),
-        None,
-    )
+    """The first of ``polys`` that does not vanish on V(ideal); None if
+    there is none."""
+    return next((g for g in polys if not ideal.radical_contains(g)), None)
 
 
 def _dominance_entries(inst, contained, at, decide, reduced):
@@ -418,17 +415,18 @@ def _smoothness_certificate(at):
 def _complete_intersection(ideal, point, codim):
     """Whether codim polynomials generate the ideal: the first nonzero
     generators, then reduced basis elements, whose gradients at the point
-    on V(ideal) are independent, chosen greedily.  A polynomial that only
-    multiplies others has gradient zero there, so redundant generators of
-    that kind never change the choice."""
+    on V(ideal) are independent, chosen greedily on one int echelon.  A
+    polynomial that only multiplies others has gradient zero there, so
+    redundant generators of that kind never change the choice."""
     generators = _nonzero_generators(ideal)
     basis = ideal.groebner_basis()
-    chosen = []
-    for g in generators + list(basis):
-        if len(chosen) == codim:
-            break
-        if linalg.rank(jacobian_at(chosen + [g], ideal.variables, point)) > len(chosen):
+    candidates = generators + list(basis)
+    chosen, rows = [], []
+    for g, (_, row, _) in zip(candidates, _int_gradients(candidates, ideal.variables, point)):
+        echelon = rows + [row]
+        if len(chosen) < codim and len(linalg.int_rref(echelon, full=False)) > len(rows):
             chosen.append(g)
+            rows = echelon
     if len(chosen) < codim:
         return False
     return all(g in chosen for g in generators) or (
@@ -565,7 +563,7 @@ def _open_set_entry(inst, reduced=None):
         if (inst.y_ideal if reduced is None else reduced).is_trivial():
             return HypothesisEntry("U_nonempty", "refuted", "Y itself is empty")
         return HypothesisEntry("U_nonempty", "verified", "U = Y")
-    if inst.y_ideal.contains(inst.h) or inst.y_ideal.radical_contains(inst.h):
+    if inst.y_ideal.radical_contains(inst.h):
         return HypothesisEntry(
             "U_nonempty", "refuted", "h vanishes on all of Y, so U is empty"
         )
@@ -702,18 +700,14 @@ class DifferencePointEntry:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class DifferenceLargeReport:
-    entries: tuple
-
-
 def check_difference_large_instance(inst, sigma_maps, points):
     """Verify that supplied rational points of Y have the shape
-    (a, sigma_1(a), ..., sigma_t(a)) for the given endomorphism data.
+    (a, sigma_1(a), ..., sigma_t(a)) for the given endomorphism data; one
+    DifferencePointEntry per point and component, in a tuple.
 
     Density of such points is what the largeness notion asks for; it is
     not decidable here and is never claimed - this reports only the
-    per-point outcome and the count.
+    per-point outcome.
     """
     algebra = inst.base.algebra
     comps = algebra.components
@@ -748,4 +742,4 @@ def check_difference_large_instance(inst, sigma_maps, points):
                 f"projection {i} of the point is {[str(e) for e in expected]}"
             )
             entries.append(DifferencePointEntry(point, i, ok, detail))
-    return DifferenceLargeReport(tuple(entries))
+    return tuple(entries)

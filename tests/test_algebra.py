@@ -374,6 +374,16 @@ def test_max_ideal_elements_are_nilpotent(dual, twonil, dual_x_q, trunc3):
                 assert (el ** algebra.dim).is_zero()
 
 
+def test_power_of_an_algebra_element_needs_a_nonnegative_int():
+    # in Q[e]/(e^2 - 2) the inverse of e is e/2, not 1
+    algebra = from_presentation(["e"], ["e^2 - 2"])
+    e = algebra.element([Fraction(0), Fraction(1)])
+    assert e ** 0 == algebra.one() and e ** 3 == e.scale(2)
+    for n in (-1, 1.5):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            e ** n
+
+
 def test_component_dimensions_sum(dual, twonil, q3, dual_x_q, trunc3, gauss):
     for algebra in (dual, twonil, q3, dual_x_q, trunc3, gauss):
         comps = local_decompose(algebra)

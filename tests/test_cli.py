@@ -664,6 +664,16 @@ def test_main_budget_flag(tmp_path, capsys):
     assert "budget exhausted" in err
 
 
+def test_main_rejects_a_budget_below_one(capsys):
+    # 0 is no cap, so it must not fall back to the default cap of 40, and a
+    # negative cap would fail every block
+    for value in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["--budget", value, "--fixtures"])
+        assert exc.value.code == 2
+        assert "argument --budget: must be at least 1" in capsys.readouterr().err
+
+
 def test_main_budget_flag_reaches_presented_algebras(tmp_path, capsys):
     # e^60 is past the default degree cap of 40, within a cap of 400
     path = tmp_path / "deep.dr"

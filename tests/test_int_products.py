@@ -462,9 +462,9 @@ def test_product_rule_check_reuses_the_image_of_apply():
             assert verdict is product_rule_check(_operator(algebra, CIRCLE, images), f, g)
             assert verdict is _reference_product_rule(op, f, g)
             # the last push is read back, not pushed again
-            assert op.component(f, 1) == image.comps[1]
+            assert op.apply(f).comps[1] == image.comps[1]
             last = op.powers._last
-            assert op.component(f, 2) == image.comps[2] and op.powers._last is last
+            assert op.apply(f).comps[2] == image.comps[2] and op.powers._last is last
             # an equal copy of f gets the same image
             copy = MultiPoly(VARS, dict(f.terms))
             assert copy is not f and op.apply(copy) == image

@@ -660,6 +660,25 @@ def test_membership_examples():
     assert ideal_membership("y - x^2", Ideal(("x", "y", "z"), ["y - x^2", "y^2 - z"]))
 
 
+def test_radical_contains_tries_the_ideal_before_rabinowitsch(monkeypatch):
+    # f in I takes one normal form on I's basis: no basis is computed on the
+    # ring with the Rabinowitsch variable
+    ideal = Ideal(("x", "y"), ["x^2 - y", "y^3"])
+    ideal.groebner_basis()
+    rings, original = [], poly.groebner_basis_of
+
+    def counting(generators, variables, *args):
+        rings.append(len(variables))
+        return original(generators, variables, *args)
+
+    monkeypatch.setattr(poly, "groebner_basis_of", counting)
+    assert ideal.radical_contains("x^2 - y") and ideal.radical_contains("0")
+    assert rings == []
+    # x^6 is in I, x is not: only the radical holds x
+    assert ideal.radical_contains("x") and not ideal.contains("x")
+    assert rings == [3]
+
+
 def test_krull_dimension_examples():
     assert krull_dimension(Ideal(("x", "y", "z"), [])) == 3
     assert krull_dimension(Ideal(("x", "y"), ["y - x^2"])) == 1

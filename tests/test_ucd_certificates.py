@@ -9,17 +9,21 @@ directly.  With the other broken extra generators, a certificate may also
 verify what the helpers leave undetermined.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfields.algebra import from_presentation, rational_field_algebra
-from dfields import poly
+from dfields import linalg, poly
 from dfields.cli import parse, run
-from dfields.poly import Ideal, IrreducibilityResult, parse_polynomial
+from dfields.poly import Ideal, IrreducibilityResult, MultiPoly, jacobian_at, parse_polynomial
 from dfields.prolongation import BaseDStructure, prolong
 from dfields.ucd import (
     _at_witness,
+    _complete_intersection,
     _containment_entry,
     _dominance_certified,
     _dominance_entry,
@@ -283,6 +287,73 @@ def test_rank_equal_to_codimension_verifies_an_equidimensional_y():
     assert _smoothness_entry(node, at).status == "undetermined"
     irreducible = lambda ideal: IrreducibilityResult("irreducible", "given")  # noqa: E731
     assert _smoothness_entry(node, at, irreducible).status == "verified"
+
+
+def _reference_complete_intersection(ideal, point, codim):
+    """(chosen, answer) of _complete_intersection's greedy choice, with one
+    Fraction Jacobian of chosen + [g] and its rank per candidate g."""
+    generators = [g for g in ideal.generators if not g.is_zero()]
+    basis = ideal.groebner_basis()
+    chosen = []
+    for g in generators + list(basis):
+        if len(chosen) == codim:
+            break
+        if linalg.rank(jacobian_at(chosen + [g], ideal.variables, point)) > len(chosen):
+            chosen.append(g)
+    if len(chosen) < codim:
+        return chosen, False
+    return chosen, all(g in chosen for g in generators) or (
+        Ideal(ideal.variables, chosen, ideal.budget).groebner_basis() == basis
+    )
+
+
+_XYZ = ("x", "y", "z")
+# the exponents of the monomials of degree at most 2 in x, y, z
+_QUADRATIC = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    point=st.tuples(*[st.fractions(-2, 2, max_denominator=3)] * 3),
+    seeds=st.lists(
+        st.dictionaries(st.sampled_from(_QUADRATIC), st.integers(-3, 3), min_size=1, max_size=4),
+        min_size=1,
+        max_size=3,
+    ),
+    extras=st.lists(st.tuples(st.integers(0, 2), st.none() | st.integers(0, 2)), max_size=3),
+    codim=st.integers(0, 3),
+)
+def test_complete_intersection_matches_the_fraction_jacobian_route(point, seeds, extras, codim):
+    """Ideals that vanish at a rational point, with repeated, product and
+    zero generators: the polynomials chosen and the answer are those of one
+    Fraction Jacobian rank per candidate."""
+    at = dict(zip(_XYZ, point))
+    gens = []
+    for terms in seeds:
+        f = MultiPoly(_XYZ, {e: Fraction(c) for e, c in terms.items()})
+        gens.append(f - f.evaluate(at))
+    gens.extend(
+        gens[i % len(gens)] if j is None else gens[i % len(gens)] * gens[j % len(gens)]
+        for i, j in extras
+    )
+    ideal = Ideal(_XYZ, gens)
+    expected_chosen, expected = _reference_complete_intersection(ideal, point, codim)
+    # _complete_intersection row-reduces its echelon plus one candidate's row
+    # per candidate it examines; the candidates whose row raises the rank
+    # are the ones it chooses
+    grew, int_rref = [], linalg.int_rref
+
+    def recording(m, full=True):
+        pivots = int_rref(m, full)
+        grew.append(len(pivots) == len(m))
+        return pivots
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "int_rref", recording)
+        answer = _complete_intersection(ideal, point, codim)
+    candidates = [g for g in gens if not g.is_zero()] + list(ideal.groebner_basis())
+    assert [g for g, new in zip(candidates, grew) if new] == expected_chosen
+    assert answer is expected
 
 
 def test_smoothness_fallback_reads_the_rank_at_the_witness(dual):
