@@ -6,11 +6,19 @@ algebras from presentations Q[y1,..]/(relations), decomposes into local
 factors (trace-form nilradical, primitive-element splitting, idempotent
 lifting), and exposes the residue projections of the factors.  The axiom
 check and the trace form run over the nonzero structure constants only.
-The splitting is linear algebra: the elimination that finds the minimal
-polynomial m of the primitive element also gives every basis element's
-coordinates in its power basis, the residue map onto Q[x]/(p) for each
-factor p of m is the table of x^k mod p, and one inverse of the stacked
-tables (the Chinese-remainder isomorphism) gives every idempotent.
+The splitting runs in the smallest space that holds each answer.  A/N,
+for N the kernel of the trace form, multiplies by its own d-dimensional
+table.  Its primitive element u is the first candidate whose minimal
+polynomial m has degree d: the basis elements e_0, .., e_{n-1} of A, then
+seeded random elements of A, 100 with coefficients in [-5, 5] and 100 in
+[-d^2, d^2]; for d > 1 a multiple of 1 in A/N is skipped.  The elimination
+that finds m also gives the unit vectors of A/N in the power basis of u.
+m is factored on its int coefficients, the residue map onto Q[x]/(p) for
+each factor p is the table of x^k mod p, and one inverse of the stacked
+tables (Chinese remaindering) gives the idempotents of A/N.  Each lifts to
+A as a polynomial in itself, the last as 1 less the others, and the
+products e v (v in N), until dim e N of them are independent, give the
+maximal ideal e N.
 
 All of it runs on ints: the structure constants are int rows over one
 denominator (see :class:`FiniteDimAlgebra`), every vector of the
@@ -45,11 +53,9 @@ from .poly import (
     Ideal,
     MultiPoly,
     _exp_divides,
-    factor_univariate,
+    _factor_ints,
     format_poly,
     linear_combination,
-    univariate_coeffs,
-    univariate_poly,
 )
 
 
@@ -241,7 +247,7 @@ class FiniteDimAlgebra:
             for row in plane:
                 entries = ["0"] * n
                 for k, c in row:
-                    entries[k] = str(Fraction(c, den))
+                    entries[k] = str(c) if den == 1 else str(Fraction(c, den))
                 strings.append(entries)
             table.append(strings)
         data = {
@@ -284,7 +290,7 @@ class AlgebraElement:
     __slots__ = ("algebra", "coords")
 
     def __init__(self, algebra, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if type(c) is Fraction else Fraction(c) for c in coords)
         if len(coords) != algebra.dim:
             raise AlgebraError("coordinate length does not match algebra dimension")
         self.algebra = algebra
@@ -620,89 +626,110 @@ def _echelon_add(echelon, vec, width):
 
 
 class _Quotient:
-    """Coordinates for A/N given a basis of the ideal N, on exact vectors.
+    """A/N on ints, for N given by rows n_r with pivots p_r, each zero at
+    the pivots of the others.  The e_i off the pivots represent a basis of
+    A/N; x has the coordinates x - sum_r (x[p_r] / n_r[p_r]) n_r off the
+    pivots, ``columns[i]`` those of e_i times ``scale`` as (q, int) pairs.
+    A/N multiplies as an algebra: ``_rows`` over ``_den``."""
 
-    With N row-reduced to rows n_r with pivots p_r, the basis elements e_i
-    with i off the pivots represent a basis of A/N, and the coordinates of
-    x are the entries off the pivots of x - sum_r (x[p_r] / n_r[p_r]) n_r.
-    """
+    _mul_ints = FiniteDimAlgebra._mul_ints
+    _mul = FiniteDimAlgebra._mul
 
-    def __init__(self, algebra, nil_basis):
-        self.algebra = algebra
-        reduced = [list(v) for v in nil_basis]
-        pivots = linalg.int_rref(reduced)
-        pivot_set = set(pivots)
-        self.rep_indices = [i for i in range(algebra.dim) if i not in pivot_set]
-        self.dim = len(self.rep_indices)
-        self._den = den = math.lcm(*(row[p] for row, p in zip(reduced, pivots)))
-        # row q of the coordinate map, times den, as (index, entry) pairs
-        self._to_coords = [
-            [(i, den)]
-            + [(p, -row[i] * (den // row[p])) for row, p in zip(reduced, pivots) if row[i]]
-            for i in self.rep_indices
-        ]
+    def __init__(self, algebra, nil):
+        pivots = {p for p, _ in nil}
+        self.rep_indices = reps = [i for i in range(algebra.dim) if i not in pivots]
+        self.dim = d = len(reps)
+        self.scale = den = math.lcm(*(row[p] for p, row in nil))
+        self.columns = columns = [[] for _ in range(algebra.dim)]
+        for q, i in enumerate(reps):
+            columns[i].append((q, den))
+        for p, row in nil:
+            columns[p] += [(q, -row[i] * (den // row[p])) for q, i in enumerate(reps) if row[i]]
+        # with N = 0, A/N is A and keeps its rows
+        self._rows = [[None] * d for _ in range(d)] if nil else algebra._rows
+        for a, i in enumerate(reps if nil else ()):
+            for b in range(a, d):
+                out = [0] * d
+                for k, c in algebra._rows[i][reps[b]]:
+                    for q, x in columns[k]:
+                        out[q] += c * x
+                self._rows[a][b] = self._rows[b][a] = [(q, c) for q, c in enumerate(out) if c]
+        self._den = algebra._den * den
+        self.one = self.project(linalg.int_row(algebra.unit))
 
     def project(self, vec):
         nums, den = vec
-        return _exact(
-            [sum(c * nums[j] for j, c in row) for row in self._to_coords], den * self._den
-        )
-
-    def lift(self, qvec):
-        nums, den = qvec
-        coords = [0] * self.algebra.dim
-        for c, idx in zip(nums, self.rep_indices):
-            coords[idx] = c
-        return coords, den
-
-    def mul(self, u, v):
-        return self.project(self.algebra._mul(self.lift(u), self.lift(v)))
-
-    def one(self):
-        return self.project(linalg.int_row(self.algebra.unit))
+        out = [0] * self.dim
+        for j, x in enumerate(nums):
+            if x:
+                for q, c in self.columns[j]:
+                    out[q] += c * x
+        return _exact(out, den * self.scale)
 
 
-def _minimal_polynomial_in_quotient(quot, u):
-    """Monic minimal polynomial of u in A/N, low degree first: the first
-    linear dependence among 1, u, u^2, ..., found by eliminating rows
-    (u^k, e_k) that carry their combination of the powers along.
+def _minimal_polynomial(algebra, one, u):
+    """Monic minimal polynomial of the exact vector u in the algebra with
+    unit ``one``, low degree first, as an int multiple: the first linear
+    dependence among 1, u, u^2, ..., found by eliminating rows (u^k, e_k)
+    that carry their combination of the powers along.
 
     Also returns the powers 1, u, ... below the degree and the elimination
     rows; each row stands for (v, t) with v = sum_k t_k u^k."""
-    d = quot.dim
+    d = algebra.dim
     echelon = []
     powers = []
-    power = quot.one()
+    power = one
     for k in range(d + 1):
         nums, den = power
-        tag = [0] * (d + 1)
-        tag[k] = den
-        rest, rest_den = _echelon_add(echelon, (nums + tag, den), d)
+        rest, _ = _echelon_add(echelon, (nums + [0] * k + [den] + [0] * (d - k), den), d)
         if not any(rest[:d]):
-            return linalg.fractions_of(rest[d:d + k + 1], rest_den), powers, echelon
+            return rest[d:d + k + 1], powers, echelon
         powers.append(power)
-        power = quot.mul(power, u)
-    raise AlgebraError("minimal polynomial search exceeded quotient dimension")
+        power = algebra._mul(power, u)
+    raise AlgebraError("minimal polynomial search exceeded the dimension")
+
+
+def _primitive_element(quot, n):
+    """The minimal polynomial, powers and elimination rows (as
+    :func:`_minimal_polynomial` gives them) of the first primitive element
+    of A/N in the order of the module docstring.  A random element of the
+    second range fails with probability at most d(d-1)/(2d^2 + 1) < 1/2, by
+    Schwartz-Zippel on the discriminant."""
+    d, one = quot.dim, quot.one[0]
+    j = next(i for i, x in enumerate(one) if x)
+    rng = random.Random(20230517)
+    basis = (quot.project(([0] * i + [1], 1)) for i in range(n))
+    randoms = (
+        quot.project(([rng.randint(-r, r) for _ in range(n)], 1)) for r in [5] * 100 + [d * d] * 100
+    )
+    for u in itertools.chain(basis, randoms):
+        if d > 1 and all(a * one[j] == u[0][j] * b for a, b in zip(u[0], one)):
+            continue
+        minpoly, powers, echelon = _minimal_polynomial(quot, quot.one, u)
+        if len(minpoly) - 1 == d:
+            return minpoly, powers, echelon
+    raise AlgebraError(
+        "no primitive element found for the semisimple quotient after 200 random attempts"
+    )
 
 
 def _residue_table(p, d):
-    """The columns x^k mod p for k < d, as a matrix of exact rows over one
-    denominator: the residue map of Q[x]/(m) onto Q[x]/(p) on power bases,
-    for any multiple m of p of degree d."""
-    p_ints, p_den = linalg.int_row(univariate_coeffs(p, "x"))
-    r = len(p_ints) - 1
-    column, den = [1] + [0] * (r - 1), 1
+    """The columns x^k mod p for k < d, as int rows over one denominator:
+    the residue map of Q[x]/(m) onto Q[x]/(p) on power bases, for any
+    multiple m of p of degree d; p is a primitive int polynomial, low
+    degree first."""
+    if len(p) == 2:  # x^k mod (q x - r) is (r / q)^k
+        return [[(-p[0]) ** k * p[1] ** (d - 1 - k) for k in range(d)]], p[1] ** (d - 1)
+    column, den = [1] + [0] * (len(p) - 2), 1
     columns = []
     for _ in range(d):
         columns.append((column, den))
-        # x * column, less its top coefficient times the monic p
-        top = column[-1]
+        # x * column, less its top coefficient times p / lead(p)
         column, den = _exact(
-            [p_den * a - top * b for a, b in zip([0] + column[:-1], p_ints)], den * p_den
+            [p[-1] * a - column[-1] * b for a, b in zip([0] + column[:-1], p)], den * p[-1]
         )
     den = math.lcm(*(cd for _, cd in columns))
-    scaled = [[x * (den // cd) for x in c] for c, cd in columns]
-    return [(list(row), den) for row in zip(*scaled)]
+    return [list(row) for row in zip(*([x * (den // cd) for x in c] for c, cd in columns))], den
 
 
 def _combine(coeffs, vectors):
@@ -714,6 +741,25 @@ def _combine(coeffs, vectors):
             f = c * (den // (cd * vd))
             out = [a + f * b for a, b in zip(out, nums)]
     return _exact(out, den)
+
+
+def _lift_idempotent(algebra, e0):
+    """The idempotent of A over e0 != 0, 1, an exact vector idempotent in
+    A/N.  As e0^2 - e0 is nilpotent, e0 has the minimal polynomial
+    x^a (x - 1)^b, a, b >= 1, and the idempotent is h(e0) for the h of
+    degree below a + b that is 0 mod x^a and 1 mod (x - 1)^b:
+    h = x^a sum_{k<b} binom(a + k - 1, k) (1 - x)^k.  An idempotent e0
+    (a = b = 1) is its own lift."""
+    if algebra._mul(e0, e0) == e0:
+        return e0
+    mu, powers, _ = _minimal_polynomial(algebra, linalg.int_row(algebra.unit), e0)
+    a = next(i for i, c in enumerate(mu) if c)
+    b = len(mu) - 1 - a
+    h = [0] * a + [
+        (-1) ** j * sum(math.comb(a + k - 1, k) * math.comb(k, j) for k in range(j, b))
+        for j in range(b)
+    ]
+    return _combine([(c, 1) for c in h], powers)
 
 
 def _decompose(algebra):
@@ -729,97 +775,86 @@ def _decompose(algebra):
     # on the int rows, trace holds den * Tr(e_i) and the form is den^2 times
     rows = algebra._rows
     trace = [sum(c for j, row in enumerate(plane) for k, c in row if k == j) for plane in rows]
-    trace_form = [[sum(c * trace[k] for k, c in row) for row in plane] for plane in rows]
-    nil_basis = linalg.int_nullspace(trace_form)
-    quot = _Quotient(algebra, nil_basis)
-    projected = []
-    for i in range(n):
-        unit = [0] * n
-        unit[i] = 1
-        projected.append(quot.project((unit, 1)))
-
-    # primitive element for the semisimple quotient: every basis element,
-    # then up to 100 seeded random elements
-    rng = random.Random(20230517)
-    randoms = (quot.project(([rng.randint(-5, 5) for _ in range(n)], 1)) for _ in range(100))
+    trace_form = [[sum([c * trace[k] for k, c in row]) for row in plane] for plane in rows]
+    nil = [(p, linalg.primitive(v)) for p, v in linalg._kernel(trace_form)]
+    nil_basis = [v for _, v in nil]
+    quot = _Quotient(algebra, nil)
     d = quot.dim
-    for primitive in itertools.chain(projected, randoms):
-        minpoly, powers, echelon = _minimal_polynomial_in_quotient(quot, primitive)
-        if len(minpoly) - 1 == d:
-            break
-    else:
-        raise AlgebraError(
-            "no primitive element found for the semisimple quotient after 100 random attempts"
-        )
-
-    _, factors = factor_univariate(univariate_poly(minpoly, "x"), "x")
-    if any(mult_ != 1 for _, mult_ in factors):
+    minpoly, powers, echelon = _primitive_element(quot, n)
+    factors = _factor_ints(minpoly)
+    if any(mult != 1 for _, mult in factors):
         raise AlgebraError("semisimple quotient has a repeated factor; trace form is wrong")
 
-    # e_i as a polynomial in the primitive element: reducing (-q, 0)
-    # through the elimination rows leaves (0, t), q = sum_k t_k u^k
-    zeros = [0] * (d + 1)
-    in_power_basis = []
-    for nums, den in projected:
-        rest, rest_den = _echelon_add(echelon, ([-c for c in nums] + zeros, den), d)
-        in_power_basis.append((rest[d:2 * d], rest_den))
+    # the d unit vectors of A/N in the power basis of u, over one
+    # denominator: the elimination rows, fully reduced, are (c e_q, t) with
+    # c e_q = sum_k t_k u^k; e_i of A is sum_q columns[i] e_q / scale
+    reduced = [row for _, row in echelon]
+    in_power_basis = [None] * d
+    for row, q in zip(reduced, linalg.int_rref(reduced)):
+        in_power_basis[q] = row[d:2 * d], row[q]
+    t_den = math.lcm(*(den for _, den in in_power_basis))
+    in_power_basis = [[x * (t_den // den) for x in t] for t, den in in_power_basis]
     # Q[x]/(minpoly) is the product of the Q[x]/(p) (CRT); the preimage of
     # the unit of one factor is its idempotent
     tables = [_residue_table(p, d) for p, _ in factors]
-    crt_inv = linalg.int_inverse([row for table in tables for row in table])
-    if crt_inv is None:
-        raise AlgebraError("residue tables of the factors are not independent")
+    if len(tables) > 1:
+        crt_inv = linalg.int_inverse([(row, den) for table, den in tables for row in table])
+        if crt_inv is None:
+            raise AlgebraError("residue tables of the factors are not independent")
 
-    # CRT idempotents in the quotient, then unique lifts through the nilradical
+    # CRT idempotents in the quotient, then unique lifts through the
+    # nilradical; the last idempotent is 1 less the others (for a local
+    # algebra, 1)
     components = []
     offset = 0
-    for (p, _), table in zip(factors, tables):
-        ebar = _combine([(nums[offset], den) for nums, den in crt_inv], powers)
+    rest = linalg.int_row(algebra.unit)
+    for (p, _), (table, table_den) in zip(factors, tables):
+        if offset + len(table) == d:
+            e_nums, e_den = rest
+        else:
+            ebar, ebar_den = _combine([(nums[offset], den) for nums, den in crt_inv], powers)
+            e_nums = [0] * n
+            for q, i in enumerate(quot.rep_indices):
+                e_nums[i] = ebar[q]
+            e = (e_nums, ebar_den)
+            e_nums, e_den = e = _lift_idempotent(algebra, e) if nil_basis else e
+            rest = _combine([(1, 1), (-1, 1)], [rest, e])
         offset += len(table)
 
-        e = quot.lift(ebar)
-        for _ in range(algebra.dim + 2):
-            e2 = algebra._mul(e, e)
-            if e2 == e:
-                break
-            e = _combine([(3, 1), (-2, 1)], [e2, algebra._mul(e2, e)])
-        else:
-            raise AlgebraError("idempotent lifting did not converge")
-        e_nums, e_den = e
-
         # component data: multiplication by e projects onto the component,
-        # so its rank is its trace; e N is the maximal ideal
+        # so its rank is its trace; the maximal ideal e N, of dimension
+        # comp_dim - deg p, is spanned by the products e v (v in N), taken
+        # until that many are independent
         comp_dim, rem = divmod(sum(a * b for a, b in zip(e_nums, trace)), e_den * algebra._den)
         if rem:
             raise AlgebraError("idempotent has a non-integral trace")
-        ideal_rows = [algebra._mul_ints(e_nums, v) for v in nil_basis]
+        ideal_rows = []
+        for v in nil_basis:
+            if len(ideal_rows) == comp_dim - len(p) + 1:
+                break
+            _echelon_add(ideal_rows, (algebra._mul_ints(e_nums, v), 1), n)
+        if len(ideal_rows) != comp_dim - len(p) + 1:
+            raise AlgebraError("maximal ideal has the wrong dimension")
+        ideal_rows = [row for _, row in ideal_rows]
         pivots = linalg.int_rref(ideal_rows)
         max_ideal = tuple(
             AlgebraElement(algebra, linalg.fractions_of(row, row[c]))
             for row, c in zip(ideal_rows, pivots)
         )
 
-        residue_dim = p.total_degree()
+        # the residue rows on the units of A/N, then on the basis of A
+        on_units = [[sum(a * b for a, b in zip(row, t)) for t in in_power_basis] for row in table]
+        den = table_den * t_den * quot.scale
         matrix = tuple(
-            tuple(
-                Fraction(sum(a * b for a, b in zip(nums, t)), den * t_den)
-                for t, t_den in in_power_basis
-            )
-            for nums, den in table
+            tuple(linalg.fractions_of([sum(c * t[q] for q, c in col) for col in quot.columns], den))
+            for t in on_units
         )
-
-        residue_poly = p
-        if residue_dim == 1:
-            residue_poly = MultiPoly.variable("x")
+        residue_poly = MultiPoly.variable("x") if len(p) == 2 else MultiPoly._trusted(
+            ("x",), {(i,): Fraction(c, p[-1]) for i, c in enumerate(p) if c}
+        )
+        idempotent = AlgebraElement(algebra, linalg.fractions_of(e_nums, e_den))
         components.append(
-            LocalComponent(
-                idempotent=AlgebraElement(algebra, linalg.fractions_of(e_nums, e_den)),
-                dim=comp_dim,
-                max_ideal_basis=max_ideal,
-                residue_poly=residue_poly,
-                residue_dim=residue_dim,
-                residue_matrix=matrix,
-            )
+            LocalComponent(idempotent, comp_dim, max_ideal, residue_poly, len(p) - 1, matrix)
         )
 
     # distinguished component first, remainder by descending idempotent coords

@@ -1259,14 +1259,10 @@ def univariate_poly(coeffs, var):
 # ---------------------------------------------------------------------------
 # factorisation over Q
 #
-# A univariate polynomial is factored exactly.  On its primitive int form
-# the factor x^k and the rational roots are peeled first (the rational root
-# theorem), a quadratic splits exactly when its discriminant is a rational
-# square, and a cubic without a rational root is irreducible.  What is left
-# of degree 4 and up, and every polynomial of degree 3 and up whose end
-# coefficients are too large to enumerate their divisors, goes to
-# Zassenhaus's algorithm over Z in ``zfactor``, which also decides
-# one-variable squarefree tests.
+# A univariate polynomial is factored exactly, on its int coefficients
+# (:func:`_factor_ints`).  Zassenhaus's algorithm over Z in ``zfactor``
+# factors what the rational roots leave, and decides one-variable
+# squarefree tests.
 #
 # A plane curve of degree 1 in one variable over a constant, or of degree 2
 # over a constant with a discriminant that is not a square, is irreducible.
@@ -1293,23 +1289,9 @@ def _sympy_from_multipoly(f, gens):
     return sympy.Poly.from_dict(rep, *symbols, domain=sympy.QQ)
 
 
-def _sort_factors(factors):
-    factors.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
-    return factors
-
-
 def factor_univariate(f, var=None):
-    """Exact factorisation over Q: (unit, [(monic irreducible, multiplicity)]),
-    the factors sorted by degree, then by terms.
-
-    On the primitive int form of f, the factor x^k and every rational root
-    p/q (p dividing the constant coefficient, q the leading one) are peeled
-    off with their multiplicities by exact deflation.  What remains has no
-    rational root: a quadratic is irreducible unless its discriminant is a
-    rational square, a cubic is irreducible, and degree 4 and up is
-    factored over Z by :func:`zfactor.factor`.  When the constant or leading
-    coefficient is above an internal limit, the root search is skipped and
-    everything of degree 3 and up goes to :func:`zfactor.factor`."""
+    """Exact factorisation over Q, by :func:`_factor_ints`: (unit, [(monic
+    irreducible, multiplicity)]), sorted by degree, then by terms."""
     used = f.used_variables()
     if var is None:
         if len(used) != 1:
@@ -1320,29 +1302,46 @@ def factor_univariate(f, var=None):
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     coeffs = univariate_coeffs(f, var)
-    zeros = next(i for i, c in enumerate(coeffs) if c)
-    ints = linalg.primitive(linalg.int_row(coeffs[zeros:])[0])
-    out = [(univariate_poly([0, 1], var), zeros)] if zeros else []
-    searched = len(ints) > 3 and max(abs(ints[0]), abs(ints[-1])) <= _ROOT_SEARCH_LIMIT
+    return coeffs[-1], [
+        (univariate_poly([Fraction(c, g[-1]) for c in g], var), mult)
+        for g, mult in _factor_ints(linalg.int_row(coeffs)[0])
+    ]
+
+
+def _factor_ints(ints):
+    """The factors over Q of a nonzero int polynomial (low degree first), as
+    [(g, multiplicity)] with each g a primitive int polynomial with a
+    positive lead, sorted by degree, then by the terms of g / lead(g).
+
+    On the primitive form, the factor x^k and every rational root p/q (p
+    dividing the constant coefficient, q the leading one) are peeled off
+    with their multiplicities by exact deflation.  What remains has no
+    rational root: of degree 2 or 3 it is irreducible, and degree 4 and up is
+    factored over Z by :func:`zfactor.factor`.  When the constant or leading
+    coefficient is above an internal limit, the root search is skipped and
+    everything of degree 2 and up goes to :func:`zfactor.factor`."""
+    zeros = next(i for i, c in enumerate(ints) if c)
+    ints = linalg.primitive(ints[zeros:] if ints[-1] > 0 else [-c for c in ints[zeros:]])
+    out = [([0, 1], zeros)] if zeros else []
+    searched = len(ints) > 2 and max(abs(ints[0]), ints[-1]) <= _ROOT_SEARCH_LIMIT
     for p, q in _root_candidates(ints) if searched else ():
         mult = 0
         while (quotient := _deflate(ints, p, q)) is not None:
             ints, mult = quotient, mult + 1
         if mult:
-            out.append((univariate_poly([Fraction(-p, q), 1], var), mult))
-            if len(ints) <= 3:
+            out.append(([-p, q], mult))
+            if len(ints) <= 2:
                 break
-    if len(ints) == 4 and searched:
-        # a cubic without a rational root is irreducible
-        out.append((univariate_poly([Fraction(c, ints[-1]) for c in ints], var), 1))
-    elif len(ints) > 3:
+    if len(ints) == 2 or len(ints) in (3, 4) and searched:
+        # of degree 3 at most and without a rational root: irreducible
+        out.append((ints, 1))
+    elif len(ints) > 2:
         from . import zfactor
 
-        for g, mult in zfactor.factor(ints):
-            out.append((univariate_poly([Fraction(c, g[-1]) for c in g], var), mult))
-    elif len(ints) > 1:
-        out += _split_quadratic([Fraction(c, ints[-1]) for c in ints], var)
-    return coeffs[-1], _sort_factors(out)
+        out += zfactor.factor(ints)
+    out.sort(key=lambda gm: (len(gm[0]), [
+        (i, c if gm[0][-1] == 1 else Fraction(c, gm[0][-1])) for i, c in enumerate(gm[0]) if c]))
+    return out
 
 
 def _divisors(n):
@@ -1392,20 +1391,6 @@ def _rational_sqrt(c):
     if num * num != c.numerator or den * den != c.denominator:
         return None
     return Fraction(num, den)
-
-
-def _split_quadratic(monic, var):
-    """The factors of a monic polynomial of degree 1 or 2, low degree first
-    in ``monic``, as factor_univariate lists them (before sorting)."""
-    if len(monic) == 2:
-        return [(univariate_poly(monic, var), 1)]
-    c, b, _ = monic
-    root = _rational_sqrt(b * b - 4 * c)
-    if root is None:
-        return [(univariate_poly(monic, var), 1)]
-    if not root:
-        return [(univariate_poly([b / 2, Fraction(1)], var), 2)]
-    return [(univariate_poly([(b + sign * root) / 2, Fraction(1)], var), 1) for sign in (1, -1)]
 
 
 def _is_square(coeffs):

@@ -860,13 +860,38 @@ _DECOMPOSED_ALGEBRAS = st.one_of(
     st.integers(1, 8).map(lambda k: from_presentation(["e"], [f"e^{k}"])),
     _relation("y", 6).map(lambda f: from_presentation(["y"], [f])),
     _products_in_a_random_basis(),
+    # presentations of dimension 12 at most, with nilpotents and residue
+    # fields of degree 2 and 3, in the shapes of _PRESENTATIONS
+    st.tuples(_relation("x", 3), _relation("y", 4)).map(
+        lambda fg: from_presentation(["x", "y"], list(fg))
+    ),
+    st.tuples(_relation("x", 2), _relation("y", 2), st.integers(0, 1)).map(
+        lambda fgk: from_presentation(["x", "y", "z"], [fgk[0], fgk[1], f"(z^2 - x)*z^{fgk[2]}"])
+    ),
+    # tables of 3 to 5 factors in the standard idempotent basis: no basis
+    # element is primitive, and a seeded random candidate is chosen
+    st.lists(st.sampled_from(_FACTORS), min_size=3, max_size=5).map(
+        lambda factors: product_algebra(*factors)
+    ),
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_DECOMPOSED_ALGEBRAS)
 def test_decomposition_matches_fraction_reference(algebra):
     assert algebra.to_dict(with_components=True) == _reference_to_dict(algebra)
+
+
+@pytest.mark.parametrize("d", [10, 12])
+def test_split_algebra_with_many_rational_factors_decomposes(d):
+    # a primitive element of Q^d needs d distinct coordinates, more than
+    # [-5, 5] holds from d = 12 on (and rarely drawn at d = 10); the later
+    # random candidates draw from a range that grows with d
+    table = product_algebra(*[rational_field_algebra()] * d)
+    comps = local_decompose(table)
+    assert [(c.dim, c.residue_dim) for c in comps] == [(1, 1)] * d
+    units = [tuple(F(int(i == j)) for j in range(d)) for i in range(d)]
+    assert sorted(c.idempotent.coords for c in comps) == sorted(units)
 
 
 def test_pi_is_coordinate_zero_for_adapted_algebras(dual, q3, dual_x_q):

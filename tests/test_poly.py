@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,7 +37,6 @@ from dfields.poly import (
     univariate_coeffs,
     univariate_poly,
     IrreducibilityResult,
-    _sort_factors,
     _sympy_from_multipoly,
     is_squarefree,
     _parse_cached,
@@ -1239,7 +1239,8 @@ def _sympy_factor_univariate(f, var):
         lc = g.leading_coefficient(LEX)
         unit *= lc**mult
         out.append((g.scale(Fraction(1) / lc), int(mult)))
-    return unit, _sort_factors(out)
+    out.sort(key=lambda pair: (pair[0].total_degree(), sorted(pair[0].terms.items())))
+    return unit, out
 
 
 def _no_sympy(*args):
@@ -1336,6 +1337,53 @@ def test_zassenhaus_matches_sympy(coeffs):
         patch.setattr(poly, "_sympy_from_multipoly", _no_sympy)
         assert factor_univariate(f) == expected
         assert is_squarefree(f) == all(mult == 1 for _, mult in expected[1])
+
+
+def _is_irreducible(coeffs):
+    import sympy
+
+    return sympy.Poly(coeffs[::-1], sympy.Symbol("t")).is_irreducible
+
+
+# irreducible int polynomials of degree 1 to 4, low degree first, with a
+# positive lead, monic or not (3t - 2, 2t^2 - 3)
+_IRREDUCIBLE_INTS = (
+    st.integers(1, 4)
+    .flatmap(lambda d: st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    .flatmap(lambda low: st.integers(1, 3).map(lambda lead: low + [lead]))
+    .filter(lambda g: math.gcd(*g) == 1 and _is_irreducible(g))
+)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_IRREDUCIBLE_INTS, min_size=1, max_size=4, unique_by=tuple).filter(
+        lambda fs: sum(len(g) - 1 for g in fs) <= 8
+    ),
+    st.sampled_from((1, -1, 2, -6)),
+)
+def test_int_factor_core_matches_sympy(factors, unit):
+    # a squarefree product of distinct irreducibles, times a unit: the
+    # minimal polynomials the local decomposition factors
+    import sympy
+
+    product = [unit]
+    for g in factors:
+        product = _poly_mul(product, g)
+    _, expected = sympy.Poly(product[::-1], sympy.Symbol("t")).factor_list()
+    expected = [([int(c) for c in g.all_coeffs()[::-1]], int(m)) for g, m in expected]
+    expected.sort(key=lambda gm: (len(gm[0]), [
+        (i, Fraction(c, gm[0][-1])) for i, c in enumerate(gm[0]) if c]))
+    assert poly._factor_ints(product) == expected
+    assert sorted(g for g, _ in expected) == sorted(factors)
 
 
 # the eight degree 4 and 5 remainders that one algebra_ladder pass factors,
