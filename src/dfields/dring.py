@@ -12,9 +12,10 @@ it from a map of variable images.
 
 Products in R (x) D run on ints, by ``packed.add_products``, over the int
 structure constants of D and int forms: an int term dict per component, on
-packed exponents, over one denominator.  Each output component is reduced
-mod the ideal and its content shared with the denominator divided out; only
-what :func:`push_through` and :func:`tensor_mul` return is made Fractions.
+packed exponents, over one denominator, with a bound on the total degree of
+its terms.  Each output component is reduced mod the ideal and its content
+shared with the denominator divided out; only what :func:`push_through` and
+:func:`tensor_mul` return is made Fractions.
 
 The powers live in a :class:`PowerTable`: the variable images reduced mod
 the ideal, their powers and 1_D, filled on demand, so every ``apply`` on a
@@ -23,11 +24,14 @@ every term c * P_1 * ... * P_r of a polynomial into one packed dict per
 component and reduces each component once, at the end (normal forms are
 linear and NF(NF(a) NF(b)) = NF(ab)), adding the normal forms of its
 monomials from a map filled by one division the first time a monomial
-appears.  A table keeps every int form on one packing, widened two bits
-past the need (cached forms re-packed, the map cleared) when a product, a
-push or a remainder outgrows a slot.  It keeps the image of the polynomial
-it pushed last, keyed by (and holding) the object, so the product-rule
-check after ``apply(f)`` does not push f again.
+appears.  A table keeps every int form on one packing, a byte for every
+variable, so any term of total degree up to 255 fits; a product or a push
+of a higher degree bound widens every slot two bits past it (cached forms
+re-packed, the map cleared).  A remainder never widens it: under grevlex no
+term of a remainder has a higher total degree than the monomial it reduces.
+The table keeps the image of the polynomial it pushed last, keyed by (and
+holding) the object, so the product-rule check after ``apply(f)`` does not
+push f again.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
 from typing import NamedTuple
 
 from .algebra import FiniteDimAlgebra
@@ -52,7 +55,7 @@ from .poly import (
     groebner_basis_of,
     normal_form,
 )
-from .packed import _common_int_terms, _fraction_terms, _Packing, _top_exponents, add_products
+from .packed import _common_int_terms, _fraction_terms, _Packing, add_products
 
 
 class DRingError(Exception):
@@ -159,11 +162,11 @@ class TensorElement:
 class _IntForm(NamedTuple):
     """Tensor components as ints over one denominator: ``comps[k]`` maps
     each exponent of component k, packed on ``packing``, to den times its
-    coefficient, and ``top`` bounds the exponents of all components."""
+    coefficient, and ``degree`` bounds the total degree of every term."""
 
     den: int
     comps: list
-    top: list
+    degree: int
     packing: _Packing
 
 
@@ -188,8 +191,9 @@ class PowerTable:
     """The variable images of an operator, reduced mod ``ideal`` when given,
     their powers and the unit 1_D, each an int form, filled on demand and
     shared by every :func:`push_through` on the table; so is ``_nf``, which
-    maps a packed monomial to (packed int remainder r, scale s, bound on the
-    exponents of r), its normal form being r / s.
+    maps a packed monomial to (packed int remainder r, scale s, total degree
+    of r), its normal form being r / s.  Every form is on ``_packing``,
+    whose slots all hold ``_cap``, a bound on the total degree of any term.
     """
 
     def __init__(self, algebra, images, variables, ideal=None):
@@ -197,21 +201,22 @@ class PowerTable:
         self.images = images
         self.variables = tuple(variables)
         self.ideal = ideal
-        self._packing = _Packing([0] * len(self.variables))
+        self._cap = 255
+        self._packing = _Packing([self._cap] * len(self.variables))
         self._powers = {}
         units = [{0: b} if b else {} for b in algebra.unit]  # zero exponents pack to 0
-        self._one = _IntForm(*_common_int_terms(units), [0] * len(self.variables), self._packing)
+        self._one = _IntForm(*_common_int_terms(units), 0, self._packing)
         self._last = None  # (polynomial, int form of its image)
         self._basis = () if ideal is None else ideal.groebner_basis()
         self._nf = {}
 
-    def _room(self, bounds):
-        """Widen the packing, two bits past ``bounds``, when an entry of
-        ``bounds`` overflows its slot, and re-pack the cached forms."""
-        caps = [m for _, m in self._packing.slots]  # the largest entry of each slot
-        if all(map(le, bounds, caps)):
+    def _room(self, degree):
+        """Widen every slot, two bits past ``degree``, when a total degree
+        passes the cap, re-pack the cached forms and clear the map."""
+        if degree <= self._cap:
             return
-        self._packing = _Packing([max(4 * b + 3, c) for b, c in zip(bounds, caps)])
+        self._cap = (4 << degree.bit_length()) - 1
+        self._packing = _Packing([self._cap] * len(self.variables))
         self._nf = {}
         for cache in self._powers.values():
             cache[1:] = map(self._on, cache[1:])
@@ -228,27 +233,30 @@ class PowerTable:
     def _form(self, comps):
         """The int form of ring elements, reduced."""
         den, comps = _common_int_terms([p.on_variables(self.variables).terms for p in comps])
-        top = _top_exponents([e for comp in comps for e in comp], len(self.variables))
-        self._room(top)
-        return self._reduced(self._packing.pack(comps), den, top)
+        degree = max([sum(e) for comp in comps for e in comp], default=0)
+        self._room(degree)
+        return self._reduced(self._packing.pack(comps), den, degree)
 
-    def _reduced(self, sums, den, top):
+    def _reduced(self, sums, den, degree):
         """The int form, in lowest terms, of packed int term dicts over ``den``
-        bounded by ``top``, each reduced mod the ideal when it has a basis."""
+        of total degree at most ``degree``, each reduced mod the ideal when
+        it has a basis."""
         if self._basis:
-            sums, den, top = self._normal_forms(sums, den)
+            sums, den, degree = self._normal_forms(sums, den)
         else:
             sums = [{e: v for e, v in t.items() if v} if 0 in t.values() else t for t in sums]
         g = math.gcd(den, *[v for t in sums for v in t.values()]) if den > 1 else 1
         if g > 1:
             sums = [{e: v // g for e, v in t.items()} for t in sums]
-        return _IntForm(den // g, sums, top, self._packing)
+        return _IntForm(den // g, sums, degree, self._packing)
 
     def _normal_forms(self, sums, den):
         """``sums`` reduced through the map over den * L (a term v*m adds
-        v*(L/s)*r, L the lcm of its monomials' scales s), den * L and a bound
-        on the exponents; a remainder too wide for a slot widens the packing."""
-        nf, packing, budget, n = self._nf, self._packing, self.ideal.budget, len(self.variables)
+        v*(L/s)*r, L the lcm of its monomials' scales s), den * L and the
+        largest total degree of the remainders used.  Division is under
+        grevlex, so a remainder is no higher in degree than its monomial
+        and fits the packing that holds the monomial."""
+        nf, packing, budget = self._nf, self._packing, self.ideal.budget
         used = {e for t in sums for e, v in t.items() if v}
         for e in used - nf.keys():  # one division per monomial new to the map
             try:
@@ -257,11 +265,7 @@ class PowerTable:
                 for t in sums:
                     _int_normal_form(packing.unpack(t), self._basis, GREVLEX, budget)
                 raise
-            top = _top_exponents(r, n)
-            self._room(top)
-            if self._packing is not packing:  # the map was cleared: start again
-                return self._normal_forms(self._packing.pack(list(map(packing.unpack, sums))), den)
-            nf[e] = (packing.pack([r])[0], s, top)
+            nf[e] = (packing.pack([r])[0], s, max(map(sum, r), default=0))
         scale = math.lcm(*[nf[e][1] for e in used])
         comps = []
         for t in sums:
@@ -274,7 +278,7 @@ class PowerTable:
                     for k, c in r.items():
                         out[k] = get(k, 0) + v * c
             comps.append({k: c for k, c in out.items() if c} if 0 in out.values() else out)
-        return comps, den * scale, _top_exponents([nf[e][2] for e in used], n)
+        return comps, den * scale, max([nf[e][2] for e in used], default=0)
 
     def power(self, v, e):
         """The int form of the image of v^e, for e >= 1."""
@@ -288,11 +292,11 @@ class PowerTable:
     def product(self, a, b):
         """The int form of the product of two int forms, reduced."""
         ds, table = self.algebra.int_constants
-        top = list(map(add, a.top, b.top))
-        self._room(top)
+        degree = a.degree + b.degree
+        self._room(degree)
         sums = [{} for _ in range(self.algebra.dim)]
-        add_products(sums, table, self._on(a).comps, self._on(b).comps, 1, top, self._packing)
-        return self._reduced(sums, a.den * b.den * ds, top)
+        add_products(sums, table, self._on(a).comps, self._on(b).comps, 1, self._packing)
+        return self._reduced(sums, a.den * b.den * ds, degree)
 
 
 def push_through(table, polys):
@@ -328,26 +332,25 @@ def _images(table, polys):
             for t in factors[1:-1]:
                 left = table.product(left, t)
             parts.append((c, left, factors[-1]))
-        # each term's denominator and exponent bound
-        dens, tops = [], []
+        # each term's denominator, and a bound on the total degrees
+        dens, degrees = [], []
         for c, left, right in parts:
             dens.append(c.denominator * right.den * (1 if left is None else left.den * ds))
-            tops.append(right.top if left is None else list(map(add, left.top, right.top)))
-        den = math.lcm(*dens)
-        bounds = _top_exponents(tops, len(table.variables))
-        table._room(bounds)
+            degrees.append(right.degree if left is None else left.degree + right.degree)
+        den, degree = math.lcm(*dens), max(degrees, default=0)
+        table._room(degree)
         sums = [{} for _ in range(algebra.dim)]
-        for (c, left, right), d, top in zip(parts, dens, tops):
+        for (c, left, right), d in zip(parts, dens):
             factor = c.numerator * (den // d)
             right = table._on(right).comps
             if left is not None:
                 left = table._on(left).comps
-                add_products(sums, consts, left, right, factor, top, table._packing)
+                add_products(sums, consts, left, right, factor, table._packing)
                 continue
             for target, comp in zip(sums, right):
                 for e, x in comp.items():
                     target[e] = target.get(e, 0) + factor * x
-        table._last = (f, table._reduced(sums, den, bounds))
+        table._last = (f, table._reduced(sums, den, degree))
         out.append(table._last[1])
     return out
 

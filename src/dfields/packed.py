@@ -5,7 +5,9 @@ s * (left[i] * right[j]) into component k over the int structure constants
 (i, j, k, s) of D, where a polynomial product has the 1 x 1 table of Q.
 Exponents are packed (Monagan and Pearce, CASC 2007): a :class:`_Packing`
 gives variable i a slot of b.bit_length() bits, b a bound on entry i of
-every product exponent, so adding packed ints never carries between slots.
+every product exponent, so adding packed ints never carries between slots;
+``poly`` sizes one per product, ``dring`` one per table from a bound on
+total degrees, the same for every slot.
 :func:`add_products` runs the int loop or, on large dense operands,
 Kronecker substitution (Kronecker 1882; Harvey, JSC 44, 2009), which makes
 each component one big int and each (i, j) one big-int multiply.
@@ -40,16 +42,11 @@ def _fraction_terms(terms, den):
     return {e: Fraction(v, den) for e, v in terms.items() if v}
 
 
-def _top_exponents(exps, n):
-    """The entrywise maximum of exponent vectors of length n; zeros when
-    there are none."""
-    return [max(col) for col in zip(*exps)] or [0] * n
-
-
 class _Packing:
     """A layout that packs an exponent vector into one int, entry i in a slot
     of bounds[i].bit_length() bits, and term dicts key by key; a
-    ``dring.PowerTable`` keeps one, widened when a bound outgrows a slot."""
+    ``dring.PowerTable`` gives every slot one width, a byte until a total
+    degree passes 255."""
 
     __slots__ = ("shifts", "slots")
 
@@ -76,14 +73,19 @@ class _Packing:
 _DENSE_WORK, _DENSE_RATIO, _DENSE_MULTIPLY = 1024, 2, 2000
 
 
-def add_products(sums, table, left, right, factor, top, packing):
+def add_products(sums, table, left, right, factor, packing):
     """sums[k] += factor * s * (left[i] * right[j]) over the int structure
     constants (i, j, k, s), components and sums int term dicts on the packed
-    exponents of ``packing``, every product exponent at most ``top``: by the
-    loop or, where the cost above is lower, by :func:`_kronecker`."""
-    work = sum([len(left[i]) * len(right[j]) for i, j, _, _ in table])
+    exponents of ``packing``, every product exponent within its slot: by the
+    loop or, where the cost above is lower, by :func:`_kronecker`, whose
+    mixed radix is read off the operands' slots."""
+    work = len(table) * max(map(len, left)) * max(map(len, right))  # a bound, cheap
     if work >= _DENSE_WORK:
-        radix = [t + 1 for t in top]
+        work = sum([len(left[i]) * len(right[j]) for i, j, _, _ in table])
+    if work >= _DENSE_WORK:
+        keys = [[key for comp in side for key in comp] for side in (left, right)]
+        radix = [1 + sum([max([(k >> shift) & mask for k in ks], default=0) for ks in keys])
+                 for shift, mask in packing.slots]
         size = math.prod(radix)
         table = [(i, j, k, s) for i, j, k, s in table if left[i] and right[j]]
         bound = sum(  # on the coefficients of a sum

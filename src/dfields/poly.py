@@ -65,14 +65,7 @@ from operator import add, le, mul, neg, sub
 from typing import NamedTuple
 
 from . import linalg
-from .packed import (
-    _SCALAR_TABLE,
-    _common_int_terms,
-    _fraction_terms,
-    _Packing,
-    _top_exponents,
-    add_products,
-)
+from .packed import _SCALAR_TABLE, _common_int_terms, _fraction_terms, _Packing, add_products
 
 
 class PolyError(Exception):
@@ -498,10 +491,10 @@ def _mul_terms(a, b):
         return {}
     da, a_ints = _common_int_terms([a])
     db, b_ints = _common_int_terms([b])
-    top = list(map(add, _top_exponents(a, 0), _top_exponents(b, 0)))
+    top = list(map(add, map(max, zip(*a)), map(max, zip(*b))))
     packing, product = _Packing(top), {}
     left, right = packing.pack(a_ints), packing.pack(b_ints)
-    add_products([product], _SCALAR_TABLE, left, right, 1, top, packing)
+    add_products([product], _SCALAR_TABLE, left, right, 1, packing)
     return _fraction_terms(packing.unpack(product), da * db)
 
 

@@ -181,7 +181,8 @@ def test_circle_operator_keeps_its_powers_reduced(dual):
     for v in ("x", "y"):
         for e in range(1, 10):
             # x^2 leads x^2 + y^2 - 1: no reduced power has an x^2 term
-            assert op.powers.power(v, e).top[0] <= 1
+            form = op.powers.power(v, e)
+            assert all(x <= 1 for t in form.comps for x, _ in form.packing.unpack(t))
 
 
 def test_operators_on_one_ideal_share_no_powers(dual):

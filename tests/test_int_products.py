@@ -23,7 +23,7 @@ from operator import add
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dfields.algebra import (
@@ -406,15 +406,18 @@ def test_product_rule_check_matches_fraction_reference(algebra, ideal, comps, f,
 # ---------------------------------------------------------------------------
 # one packing per table: widening and the reused image
 
-# a circle whose basis computations allow the degree-70 images below
+# a circle whose basis computations allow images of degree up to 100
 WIDE_CIRCLE = Ideal(VARS, ["x^2 + y^2 - 1"], GroebnerBudget(max_degree=100))
+# a hyperbola under a budget above the degree-258 images below; its
+# remainders, unlike the circle's, stay a few terms long
+HIGH_HYPERBOLA = Ideal(VARS, ["x*y - 1"], GroebnerBudget(max_degree=300))
 # single terms of degree at most one keep the references small
 _MONOMIALS = st.sampled_from(["0", "1", "-1/2", "x", "2*y", "-1/3*x", "y"])
-# a push and a product rule of _SMALL_POLYS need exponents up to 8, and a
-# table widens to hold 4 * 8 + 3 < 64, so these exponents widen it again
+# a table's slots hold any total degree up to 255: these exponents widen
+# it, and no push or product rule of _SMALL_POLYS does
 _FAR = st.one_of(
-    st.tuples(st.integers(64, 66), st.integers(0, 2)),
-    st.tuples(st.integers(0, 2), st.integers(64, 66)),
+    st.tuples(st.integers(256, 258), st.integers(0, 2)),
+    st.tuples(st.integers(0, 2), st.integers(256, 258)),
 )
 _HIGH_POLYS = st.dictionaries(_FAR, _COEFFS, min_size=1, max_size=2).map(
     lambda t: MultiPoly(VARS, t)
@@ -425,18 +428,19 @@ _LOW_POLYS = _SMALL_POLYS.filter(lambda p: not p.is_zero())
 @settings(max_examples=25, deadline=None)
 @given(
     st.sampled_from([TRUNC4, STREAM_ALGEBRAS[0], STREAM_ALGEBRAS[4]]),
-    st.sampled_from([Ideal(VARS, []), WIDE_CIRCLE]),
+    st.sampled_from([Ideal(VARS, []), HIGH_HYPERBOLA]),
     st.lists(_MONOMIALS, min_size=6, max_size=6),
     _LOW_POLYS,
     _HIGH_POLYS,
     _LOW_POLYS,
 )
 def test_a_widened_table_matches_fraction_reference(algebra, ideal, comps, low, high, g):
-    # a low push, one past the table's first width, then the low one again
+    # a low push, one past total degree 255, then the low one again
     dim = algebra.dim
     images = {"x": ["x", *comps[: dim - 1]], "y": ["y", *comps[3 : 2 + dim]]}
     op = _operator(algebra, ideal, images)
-    packings = []
+    assert [mask for _, mask in op.powers._packing.slots] == [255, 255]
+    packings = [op.powers._packing]
     for f in (low, high, low):
         expected = _reference_push_through(algebra, [f], op.images, VARS, op.ideal)[0]
         assert op.apply(f) == expected
@@ -446,7 +450,8 @@ def test_a_widened_table_matches_fraction_reference(algebra, ideal, comps, low, 
         # widening re-packs every cached power onto the new packing
         cached = [form for cache in op.powers._powers.values() for form in cache[1:]]
         assert all(form.packing is packings[-1] for form in cached)
-    assert packings[1] is not packings[0]
+    assert packings[1] is packings[0]
+    assert packings[2] is not packings[1] and packings[3] is packings[2]
 
 
 def test_product_rule_check_reuses_the_image_of_apply():
@@ -476,9 +481,10 @@ def test_product_rule_check_reuses_the_image_of_apply():
 
 
 # ---------------------------------------------------------------------------
-# the normal-form map: a table reduces each monomial once per packing
+# the normal-form map: a table reduces each monomial once, and a remainder
+# never widens it
 
-# x^3 -> 1/6 y divides with the scale 6, and no exponent outgrows 2
+# x^3 -> 1/6 y divides with the scale 6
 SCALED = Ideal(VARS, ["x^3 - 1/6*y", "y^2 - 2"])
 
 
@@ -491,36 +497,58 @@ SCALED = Ideal(VARS, ["x^3 - 1/6*y", "y^2 - 2"])
     _LOW_POLYS,
 )
 def test_the_normal_form_map_matches_fraction_reference(algebra, ideal, comps, lows, g):
-    # low pushes, one past the width of the y slot, then the low ones again
-    # on the same table: later pushes read the map filled by earlier ones
+    # low pushes, one of degree 16, then the low ones again on the same
+    # table: later pushes read the map filled by earlier ones
     dim = algebra.dim
     images = {"x": ["x", *comps[: dim - 1]], "y": ["y", *comps[3 : 2 + dim]]}
     op = _operator(algebra, ideal, images)
     for f in lows:
         assert op.apply(f) == _reference_push_through(algebra, [f], op.images, VARS, ideal)[0]
     packing = op.powers._packing
-    far = MultiPoly(VARS, {(0, packing.slots[1][1] + 1): F(1, 3), (1, 1): F(-2)})
+    far = MultiPoly(VARS, {(0, 16): F(1, 3), (1, 1): F(-2)})
     for f in [far, *lows]:
         expected = _reference_push_through(algebra, [f], op.images, VARS, ideal)[0]
         assert push_through(op.powers, [f])[0] == expected
         assert product_rule_check(op, f, g) is _reference_product_rule(op, f, g)
         assert op.apply(f) == expected
-    if ideal is not SCALED:
-        assert op.powers._packing is not packing
+    assert op.powers._packing is packing
 
 
-def test_a_remainder_that_outgrows_its_slot_widens_the_table():
-    # x^8 packs in the x slot, but its normal form y^8 does not fit the
-    # y slot the images of degree one leave
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(_LOW_POLYS, min_size=1, max_size=2),
+    st.lists(_MONOMIALS, min_size=2, max_size=2),
+    st.lists(_SMALL_POLYS, min_size=1, max_size=3),
+)
+def test_no_remainder_in_the_normal_form_map_outgrows_its_monomial(gens, comps, pushes):
+    # under grevlex every term of a remainder is at most its monomial, so
+    # of no higher total degree; the map records the remainder's degree.
+    # The reference leaves constants unreduced, so it needs a proper ideal
+    ideal = Ideal(VARS, gens)
+    assume(not ideal.is_trivial())
+    dual = STREAM_ALGEBRAS[0]
+    op = _operator(dual, ideal, {"x": ["x", comps[0]], "y": ["y", comps[1]]})
+    for f in pushes:
+        assert op.apply(f) == _reference_push_through(dual, [f], op.images, VARS, ideal)[0]
+    packing = op.powers._packing
+    for key, (r, _, degree) in op.powers._nf.items():
+        (monomial,) = packing.unpack({key: 1})
+        assert max(map(sum, packing.unpack(r)), default=0) == degree <= sum(monomial)
+
+
+def test_a_remainder_never_widens_the_table():
+    # x^8 leads x^8 - 1/2*y^8, so the map takes x^8 to y^8 over the scale 2:
+    # a remainder of the same total degree, on the packing that holds x^8
     ideal = Ideal(VARS, ["x^8 - 1/2*y^8"])
     dual = STREAM_ALGEBRAS[0]
     op = _operator(dual, ideal, {"x": ["x", "x"], "y": ["y", "-1/3*y"]})
+    packing = op.powers._packing
     for f in ("x", "x^8", "x^9 + x*y", "x^8"):
         f = as_poly(f, VARS)
         assert op.apply(f) == _reference_push_through(dual, [f], op.images, VARS, ideal)[0]
-        if f.total_degree() == 1:
-            assert op.powers._packing.slots[1][1] < 8
-    assert op.powers._packing.slots[1][1] >= 9
+        assert op.powers._packing is packing
+    (x8,), (y8,) = packing.pack([{(8, 0): 1}, {(0, 8): 1}])
+    assert op.powers._nf[x8] == ({y8: 1}, 2, 8)
 
 
 # (algebra, images of x and y, pushed polynomial, cap, degree named); in
@@ -690,3 +718,26 @@ def test_the_dense_path_takes_large_dense_products_only():
     (expected,) = _reference_push_through(q3, [f], images, VARS)
     for r, e in zip(result.comps, expected.comps):
         _assert_same(r, e)
+
+
+def test_the_dense_path_gate_sums_the_work_over_every_table_entry():
+    # with a cost model that always favours Kronecker substitution, a
+    # product leaves the loop exactly when its loop products, summed over
+    # the three entries of Q^3's table, reach the gate: 3 * 32 * 11 does,
+    # 3 * 31 * 11 does not, although no one entry comes near it
+    _, table = STREAM_ALGEBRAS[4].int_constants
+    packing = packed._Packing([63, 63])
+    right = [{(j + 1) << 6: (-1) ** j * (j + 2) for j in range(11)}] * 3
+    for n, dense in [(32, True), (31, False)]:
+        left = [{i: c * (i + 1) for i in range(n)} for c in (1, -1, 7)]
+        work = sum(len(left[i]) * len(right[j]) for i, j, _, _ in table)
+        assert (work >= packed._DENSE_WORK) is dense
+        expected = [{}, {}, {}]
+        packed._add_products(expected, table, left, right, 5)
+        sums = [{}, {}, {}]
+        loop, kronecker = _paths()
+        with mock.patch.multiple(packed, _DENSE_RATIO=0, _DENSE_MULTIPLY=math.inf):
+            with loop as looped, kronecker as kroneckered:
+                packed.add_products(sums, table, left, right, 5, packing)
+        assert kroneckered.called is dense and looped.called is not dense
+        assert sums == expected
