@@ -22,9 +22,9 @@ maximal ideal e N.
 
 All of it runs on ints: the structure constants are int rows over one
 denominator (see :class:`FiniteDimAlgebra`), every vector of the
-decomposition is exact, ints over one denominator in lowest terms
-(``_exact``), eliminations are the fraction-free ones of ``linalg``, and
-the components receive Fractions once, when they are built.
+decomposition is exact (``linalg.exact``), every elimination is
+``linalg.int_rref`` on a matrix or ``linalg.echelon_add`` one vector at a
+time, and the components receive Fractions once, when they are built.
 
 It is also the package's one zero-dimensional engine: for a
 zero-dimensional ideal I, Q[x]/I is such an algebra, its local factors
@@ -64,17 +64,6 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 class AlgebraError(Exception):
     """Structural problem with an algebra or a presentation."""
-
-
-def _exact(nums, den):
-    """The exact vector nums / den in lowest terms, with den > 0: ints with
-    one denominator, the form every vector of the decomposition takes."""
-    g = math.gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return nums, den
-    return [x // g for x in nums], den // g
 
 
 class FiniteDimAlgebra:
@@ -203,7 +192,7 @@ class FiniteDimAlgebra:
 
     def _mul(self, u, v):
         """The product of two exact vectors (nums, den)."""
-        return _exact(self._mul_ints(u[0], v[0]), u[1] * v[1] * self._den)
+        return linalg.exact(self._mul_ints(u[0], v[0]), u[1] * v[1] * self._den)
 
     def mul_coords(self, u, v):
         u, du = linalg.int_row(u)
@@ -540,7 +529,7 @@ def _quotient_algebra(ideal):
         v: [m[:v] + (m[v] + 1,) + m[v + 1:] for m in monomials]
         for v in (m.index(1) for m in monomials if sum(m) == 1)
     }
-    border = sorted(set().union(*shifted.values()) - index.keys(), key=GREVLEX.key)
+    border = sorted(set().union(*shifted.values()) - index.keys(), key=GREVLEX.neg_key, reverse=True)
     reduced = [coords_of(ideal.normal_form(MultiPoly._trusted(variables, {e: _ONE}))) for e in border]
     step = math.lcm(*(c.denominator for vec in reduced for c in vec))
     column = {m: ((i, step),) for m, i in index.items()}
@@ -605,26 +594,6 @@ def rational_field_algebra():
 # local decomposition
 
 
-def _echelon_add(echelon, vec, width):
-    """Reduce the exact vector ``vec`` by the rows of ``echelon``: pairs
-    (pivot, int row), each row zero at the pivots of the rows before it and
-    standing for itself divided by its pivot entry.  A remainder nonzero in
-    its first ``width`` entries joins as a new row.  Returns the remainder,
-    exact."""
-    nums, den = vec
-    for pivot, row in echelon:
-        f = nums[pivot]
-        if f:
-            p = row[pivot]
-            g = math.gcd(p, f)
-            p, f = p // g, f // g
-            nums, den = _exact([p * a - f * b for a, b in zip(nums, row)], den * p)
-    pivot = next((j for j in range(width) if nums[j]), None)
-    if pivot is not None:
-        echelon.append((pivot, linalg.primitive(nums)))
-    return nums, den
-
-
 class _Quotient:
     """A/N on ints, for N given by rows n_r with pivots p_r, each zero at
     the pivots of the others.  The e_i off the pivots represent a basis of
@@ -664,7 +633,7 @@ class _Quotient:
             if x:
                 for q, c in self.columns[j]:
                     out[q] += c * x
-        return _exact(out, den * self.scale)
+        return linalg.exact(out, den * self.scale)
 
 
 def _minimal_polynomial(algebra, one, u):
@@ -681,7 +650,7 @@ def _minimal_polynomial(algebra, one, u):
     power = one
     for k in range(d + 1):
         nums, den = power
-        rest, _ = _echelon_add(echelon, (nums + [0] * k + [den] + [0] * (d - k), den), d)
+        rest, _ = linalg.echelon_add(echelon, (nums + [0] * k + [den] + [0] * (d - k), den), d)
         if not any(rest[:d]):
             return rest[d:d + k + 1], powers, echelon
         powers.append(power)
@@ -725,7 +694,7 @@ def _residue_table(p, d):
     for _ in range(d):
         columns.append((column, den))
         # x * column, less its top coefficient times p / lead(p)
-        column, den = _exact(
+        column, den = linalg.exact(
             [p[-1] * a - column[-1] * b for a, b in zip([0] + column[:-1], p)], den * p[-1]
         )
     den = math.lcm(*(cd for _, cd in columns))
@@ -740,7 +709,7 @@ def _combine(coeffs, vectors):
         if c:
             f = c * (den // (cd * vd))
             out = [a + f * b for a, b in zip(out, nums)]
-    return _exact(out, den)
+    return linalg.exact(out, den)
 
 
 def _lift_idempotent(algebra, e0):
@@ -832,7 +801,7 @@ def _decompose(algebra):
         for v in nil_basis:
             if len(ideal_rows) == comp_dim - len(p) + 1:
                 break
-            _echelon_add(ideal_rows, (algebra._mul_ints(e_nums, v), 1), n)
+            linalg.echelon_add(ideal_rows, (algebra._mul_ints(e_nums, v), 1), n)
         if len(ideal_rows) != comp_dim - len(p) + 1:
             raise AlgebraError("maximal ideal has the wrong dimension")
         ideal_rows = [row for _, row in ideal_rows]

@@ -852,14 +852,12 @@ def _ucd_search(block, resolver, order):
     if report.verdict == "refuted":
         entry = {"name": block.name, **report.to_dict()}
         return 2, [f"ucd {block.name}: hypotheses refuted; not searching"], entry
-    candidate = None
     if block.d_images:
+        # an invalid d image is an input error, though the search never reads it
         variety = resolver.doc.lookup(block.x_ref)
         ideal = resolver.ideal(variety.variables, variety.generators)
-        candidate = make_doperator(
-            resolver.algebra(block.algebra), ideal, dict(block.d_images)
-        )
-    search = find_nabla_point(inst, candidate)
+        make_doperator(resolver.algebra(block.algebra), ideal, dict(block.d_images))
+    search = find_nabla_point(inst)
     entry = {"name": block.name, **search.to_dict()}
     if not search.found:
         return 3, [f"ucd {block.name}: {search.note or 'no point found'}"], entry

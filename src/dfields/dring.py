@@ -548,9 +548,11 @@ def localize_dstructure(op, q):
     """Extend the operator to the localisation R_q, presented by adjoining
     an inverse variable w (renamed when taken) with the relation q*w = 1.
 
-    The image of w is the inverse of the image of q, assembled per local
-    component of D: the residue part is inverted in the localised ring, the
-    nilpotent part by a terminating geometric series.  For a non-local D
+    The image of w is the inverse of the image dq of q in R_q (x) D.  Newton
+    starts from w0 = sum_c e_c / sigma_c(q) over the local components c of
+    D, each residue inverted in the localised ring, and steps w <- w (2 -
+    dq w) until dq w = 1.  As 1 - dq w0 is nilpotent and each step squares
+    it, at most dim(D).bit_length() steps are needed.  For a non-local D
     this requires every associated image of q to be invertible in R_q
     already; otherwise the localisation is reported as impossible.
     """
@@ -560,8 +562,8 @@ def localize_dstructure(op, q):
     if q.is_constant():
         return op
 
-    comps = op.algebra.components
-    if any(c.residue_dim != 1 for c in comps):
+    algebra = op.algebra
+    if any(c.residue_dim != 1 for c in algebra.components):
         raise DRingError(
             "localisation is only implemented when every local component of D "
             "has residue field Q"
@@ -576,10 +578,10 @@ def localize_dstructure(op, q):
 
     dq = op.apply(q).on_variables(new_vars)
 
-    inverse = TensorElement(op.algebra, [MultiPoly.zero(new_vars)] * op.algebra.dim)
-    for idx, comp in enumerate(comps):
+    inverse = TensorElement(algebra, [MultiPoly.zero(new_vars)] * algebra.dim)
+    for idx, comp in enumerate(algebra.components):
         sigma_q = new_ideal.normal_form(comp.residue(dq.comps, new_vars)[0])
-        if idx == op.algebra.pi_index:
+        if idx == algebra.pi_index:
             sigma_inv = wvar
         else:
             sigma_inv = invert_modulo(new_ideal, sigma_q)
@@ -590,22 +592,17 @@ def localize_dstructure(op, q):
                     f"(component {idx}); the open set is not closed under the "
                     f"operator"
                 )
-        e_tensor = TensorElement.from_algebra_element(
-            op.algebra, comp.idempotent.coords, new_vars
-        )
-        u_i = tensor_mul(e_tensor, dq, new_ideal)
-        nil = u_i - e_tensor.scale(sigma_q)
-        base = nil.scale(sigma_inv).reduce(new_ideal)
-        series = e_tensor
-        term = e_tensor
-        for _ in range(op.algebra.dim + 1):
-            term = tensor_mul(term, base, new_ideal).scale(-1)
-            if term.is_zero():
-                break
-            series = series + term
-        else:
-            raise DRingError("nilpotent part of the localised image did not terminate")
-        inverse = inverse + tensor_mul(series, e_tensor.scale(sigma_inv), new_ideal)
+        e_tensor = TensorElement.from_algebra_element(algebra, comp.idempotent.coords, new_vars)
+        inverse = inverse + e_tensor.scale(sigma_inv)
+    inverse = inverse.reduce(new_ideal)
+    one = TensorElement.one(algebra, new_vars).reduce(new_ideal)
+    for _ in range(algebra.dim.bit_length() + 1):
+        rest = one - tensor_mul(dq, inverse, new_ideal)
+        if rest.is_zero():
+            break
+        inverse = inverse + tensor_mul(inverse, rest, new_ideal)
+    else:
+        raise DRingError("nilpotent part of the localised image did not terminate")
 
     new_images = {v: t.on_variables(new_vars) for v, t in op.images.items()}
     new_images[w] = inverse

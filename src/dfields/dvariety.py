@@ -22,13 +22,11 @@ from .dring import (
     DOperator,
     DRingError,
     SectionPropertyError,
-    TensorElement,
     WellDefinednessError,
     is_d_ideal,
     localize_dstructure,
     make_doperator,
     push_through,
-    tensor_mul,
 )
 from .poly import (
     Ideal,
@@ -361,22 +359,19 @@ def weil_descent(algebra, minpoly, alpha_images, xvars, generators, section, bud
         expanded = reduce_ideal.normal_form(g.substitute(phi).on_variables(full_vars))
         descended_gens.extend(s for s in alpha_coefficients(expanded) if not s.is_zero())
 
-    # the comparison matrix: the algebra map alpha^p e_j -> image(alpha)^p e_j
-    # on the r(l+1)-dimensional space Q(alpha) tensor D
+    # the comparison matrix: the algebra map alpha^p e_i -> image(alpha)^p e_i
+    # on the r(l+1)-dimensional space Q(alpha) tensor D; column (p, i) is
+    # e_i times the pushed alpha^p, read off D's structure constants
     alpha_powers = [MultiPoly.variable(alpha, (alpha,)) ** p for p in range(r)]
     powers = push_through(ext_op.powers, alpha_powers)
+    ds, consts = algebra.int_constants
     size = r * dim
     matrix = [[Fraction(0)] * size for _ in range(size)]
-    for p in range(r):
-        for j in range(dim):
-            unit_vec = [Fraction(0)] * dim
-            unit_vec[j] = Fraction(1)
-            e_j = TensorElement.from_algebra_element(algebra, unit_vec, (alpha,))
-            product = tensor_mul(e_j, powers[p], m_ideal)
-            for k in range(dim):
-                coeffs = univariate_coeffs(product.comps[k], alpha)
-                for q, c in enumerate(coeffs):
-                    matrix[q * dim + k][p * dim + j] = c
+    for p, image in enumerate(powers):
+        coeffs = [univariate_coeffs(c, alpha) for c in image.comps]
+        for i, j, k, s in consts:
+            for q, c in enumerate(coeffs[j]):
+                matrix[q * dim + k][p * dim + i] += c * Fraction(s, ds)
     inverse = linalg.inverse(matrix)
     if inverse is None:
         raise DVarietyError(

@@ -4,12 +4,15 @@ Matrices are lists of rows.  The public routines take rows of Fraction (or
 int) and return rows of Fraction, but compute on ints: each input row is
 scaled by the least common multiple of its denominators (``int_row``),
 eliminated fraction-free, and turned back into Fractions once, in the
-result.  The elimination (``int_rref``) replaces a row by p * row - f *
-pivot_row and divides the result by the gcd of its entries.  Each row is
-then the smallest int multiple of the rational row it stands for, so its
-entries are no larger than in Bareiss's fraction-free elimination, where
-they are minors of the input (Bareiss, "Sylvester's identity and multistep
+result.  Both of the package's eliminations live here.  ``int_rref``
+reduces a whole matrix: it replaces a row by p * row - f * pivot_row and
+divides the result by the gcd of its entries.  Each row is then the
+smallest int multiple of the rational row it stands for, so its entries
+are no larger than in Bareiss's fraction-free elimination, where they are
+minors of the input (Bareiss, "Sylvester's identity and multistep
 integer-preserving Gaussian elimination", Math. Comp. 22, 1968).
+``echelon_add`` grows an echelon by one exact vector (``exact``: ints over
+one denominator) and returns its remainder, zero when it lies in the span.
 ``algebra`` and ``ucd`` keep their vectors on ints and call the int
 routines directly.  The Fraction routines serve ``weil_descent``'s
 ``inverse`` and the Jacobian ``rank``; ``rref``, ``nullspace``, ``mat_mul``
@@ -72,6 +75,37 @@ def int_rref(m, full=True):
         pivots.append(c)
         r += 1
     return pivots
+
+
+def exact(nums, den):
+    """The exact vector nums / den in lowest terms, with den > 0: ints with
+    one denominator."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def echelon_add(echelon, vec, width):
+    """Reduce the exact vector ``vec`` by the rows of ``echelon``: pairs
+    (pivot, int row), each row zero at the pivots of the rows before it and
+    standing for itself divided by its pivot entry.  A remainder nonzero in
+    its first ``width`` entries joins as a new row; with ``width`` 0 the
+    echelon is left as it is.  Returns the remainder, exact."""
+    nums, den = vec
+    for pivot, row in echelon:
+        f = nums[pivot]
+        if f:
+            p = row[pivot]
+            g = gcd(p, f)
+            p, f = p // g, f // g
+            nums, den = exact([p * a - f * b for a, b in zip(nums, row)], den * p)
+    pivot = next((j for j in range(width) if nums[j]), None)
+    if pivot is not None:
+        echelon.append((pivot, primitive(nums)))
+    return nums, den
 
 
 def _kernel(m):

@@ -14,9 +14,9 @@ finite-dimensional algebra Q[x]/I.
 The engine keeps its bookkeeping cheap so that the time goes to coefficient
 arithmetic:
 
-- an order's sort key is one flat tuple of ints, and its negation
-  (:meth:`MonomialOrder.neg_key`) is cheaper still, so a min-heap and
-  ``min`` find the leading term;
+- an order has one sort key, :meth:`MonomialOrder.neg_key`, a flat tuple
+  of ints smallest on the biggest monomial, so a min-heap and ``min``
+  find the leading term;
 - a polynomial computes its leading exponent once per order and keeps it,
   and each S-pair keeps the sort key of its lcm from when it is formed;
 - results that are clean by construction (sums, products, scalings,
@@ -116,22 +116,12 @@ class MonomialOrder:
         if self.kind == "block" and self.block <= 0:
             raise ValueError("block order needs a positive elimination block size")
 
-    def key(self, exp):
-        """Sort key, one flat tuple of ints: bigger key = bigger monomial.
-
-        grevlex is (deg, -e_n, ..., -e_1); a block order concatenates the
-        grevlex keys of its two blocks, which sorts block by block because
-        the first block has a fixed width."""
-        if self.kind == "lex":
-            return exp
-        if self.kind == "grevlex":
-            return _grevlex_key(exp)
-        k = self.block
-        return _grevlex_key(exp[:k]) + _grevlex_key(exp[k:])
-
     def neg_key(self, exp):
-        """The key with every entry negated: smaller = bigger monomial, so
-        ``min`` and a min-heap find the leading monomial."""
+        """The order's one sort key, a flat tuple of ints, smallest on the
+        biggest monomial: grevlex is (-deg, e_n, ..., e_1), lex the negated
+        exponent, and a block order concatenates the grevlex keys of its
+        two blocks, which sorts block by block as the first has a fixed
+        width."""
         if self.kind == "lex":
             return tuple(map(neg, exp))
         if self.kind == "grevlex":
@@ -139,10 +129,6 @@ class MonomialOrder:
         k = self.block
         head, tail = exp[:k], exp[k:]
         return (-sum(head),) + head[::-1] + (-sum(tail),) + tail[::-1]
-
-
-def _grevlex_key(exp):
-    return (sum(exp),) + tuple(map(neg, exp[::-1]))
 
 
 GREVLEX = MonomialOrder("grevlex")
@@ -724,7 +710,7 @@ def format_poly(p, order=GREVLEX):
     if not p.terms:
         return "0"
     pieces = []
-    for exp in sorted(p.terms, key=order.key, reverse=True):
+    for exp in sorted(p.terms, key=order.neg_key):
         c = p.terms[exp]
         mono = "*".join(
             v if e == 1 else f"{v}^{e}"
@@ -824,7 +810,7 @@ def _gm_update(G, pairs, h, order):
         ):
             kept.append((g1, t1))
     new_pairs = [
-        (order.key(t), t, h, g) for g, t in kept if not _exp_coprime(lmh, g[1])
+        (order.neg_key(t), t, h, g) for g, t in kept if not _exp_coprime(lmh, g[1])
     ]
 
     surviving = [
@@ -947,7 +933,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
         else:
             # the first pair with the smallest lcm
             keys = [pair[0] for pair in pairs]
-            _, _, f, g = pairs.pop(keys.index(min(keys)))
+            _, _, f, g = pairs.pop(keys.index(max(keys)))
             cand = _s_pair(f, g)
         reduced = _pseudo_remainder(cand, G, order, budget)[0] if G else cand
         if not reduced:
@@ -968,7 +954,7 @@ def groebner_basis_of(generators, variables, order=GREVLEX, budget=None):
     # smaller lead can divide a tail term, and no lead changes), which
     # gives the unique reduced basis
     minimal = []
-    for terms, lead in sorted(G, key=lambda entry: order.key(entry[1])):
+    for terms, lead in sorted(G, key=lambda entry: neg_key(entry[1]), reverse=True):
         if not any(_exp_divides(m, lead) for _, m in minimal):
             if minimal:
                 terms = _primitive(_pseudo_remainder(terms, minimal, order, budget)[0], lead)

@@ -205,9 +205,8 @@ def _at_witness(inst):
 
 def _outside_span(inst):
     """The prolonged components, as (generator, level, component), that are
-    not Q-linear combinations of Y's generators: one row reduction of the
-    generators' int coefficient rows, then each component reduced by its
-    pivot rows."""
+    not Q-linear combinations of Y's generators: one echelon of the
+    generators' int coefficient rows, then each component reduced by it."""
     gens = inst.y_ideal.generators
     column = {e: k for k, e in enumerate(dict.fromkeys(e for g in gens for e in g.terms))}
 
@@ -215,24 +214,18 @@ def _outside_span(inst):
         out = [0] * len(column)
         for e, c in p._int_terms().items():
             out[column[e]] = c
-        return out
+        return out, 1
 
-    reduced = [row(g) for g in gens]
-    pivots = linalg.int_rref(reduced)
-    outside = []
-    for f, comps in inst.prolonged.per_generator:
-        for j, comp in enumerate(comps):
-            if any(e not in column for e in comp.terms):
-                outside.append((f, j, comp))
-                continue
-            v = row(comp)
-            for r, col in zip(reduced, pivots):
-                p, c = r[col], v[col]
-                if c:
-                    v = linalg.primitive([p * a - c * b for a, b in zip(v, r)])
-            if any(v):
-                outside.append((f, j, comp))
-    return outside
+    echelon = []
+    for g in gens:
+        linalg.echelon_add(echelon, row(g), len(column))
+    return [
+        (f, j, comp)
+        for f, comps in inst.prolonged.per_generator
+        for j, comp in enumerate(comps)
+        if any(e not in column for e in comp.terms)
+        or any(linalg.echelon_add(echelon, row(comp), 0)[0])
+    ]
 
 
 def _containment_entry(inst, components=None):
@@ -421,12 +414,10 @@ def _complete_intersection(ideal, point, codim):
     generators = _nonzero_generators(ideal)
     basis = ideal.groebner_basis()
     candidates = generators + list(basis)
-    chosen, rows = [], []
+    chosen, echelon = [], []
     for g, (_, row, _) in zip(candidates, _int_gradients(candidates, ideal.variables, point)):
-        echelon = rows + [row]
-        if len(chosen) < codim and len(linalg.int_rref(echelon, full=False)) > len(rows):
+        if len(chosen) < codim and any(linalg.echelon_add(echelon, (row, 1), len(row))[0]):
             chosen.append(g)
-            rows = echelon
     if len(chosen) < codim:
         return False
     return all(g in chosen for g in generators) or (

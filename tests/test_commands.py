@@ -174,6 +174,17 @@ def test_ucd_search_on_an_undetermined_and_a_refuted_block(tmp_path, capsys):
     assert _cli(tmp_path, capsys, UCDS, ["ucd", "search"], ["open"])[0] == 3
 
 
+def test_ucd_search_rejects_an_invalid_candidate_image(tmp_path, capsys):
+    # the search never reads the d images, but a wrong one is an input error
+    text = UCDS.replace("Y = (x_1 - x_0^2 - 1);", "Y = (x_1 - x_0^2 - 1);\n  d x = (2*x, x^2);")
+    path = tmp_path / "doc.dr"
+    path.write_text(text)
+    assert main(["ucd", "search", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "component 0 of the image of 'x' is not 'x' modulo the ideal" in captured.err
+
+
 # the first block needs a Groebner basis past degree 10 (it has no witness,
 # so no certificate applies); the second is answered at its witness
 BUDGETED = """

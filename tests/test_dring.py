@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dfields.algebra import product_algebra, rational_field_algebra
+from dfields.algebra import from_presentation, product_algebra, rational_field_algebra
 from dfields.dring import (
     DRingError,
     SectionPropertyError,
@@ -292,6 +292,59 @@ def test_localized_image_multiplies_back_to_one(dual, trunc3, rng):
             product = tensor_mul(dq, dw, loc.ideal)
             unit = TensorElement.one(algebra, loc.variables).reduce(loc.ideal)
             assert all(a == b for a, b in zip(product.comps, unit.comps))
+
+
+def _series_inverse(op, loc, q):
+    """The image of w assembled per local component c of D, the reference
+    for Newton's step: e_c dq is e_c (sigma_c(q) + n) with n nilpotent, and
+    its inverse e_c / sigma_c(q) times the terminating geometric series in
+    -n / sigma_c(q)."""
+    algebra, ideal, variables = op.algebra, loc.ideal, loc.variables
+    dq = op.apply(q).on_variables(variables)
+    inverse = TensorElement(algebra, [MultiPoly.zero(variables)] * algebra.dim)
+    for idx, comp in enumerate(algebra.components):
+        sigma_q = ideal.normal_form(comp.residue(dq.comps, variables)[0])
+        if idx == algebra.pi_index:
+            sigma_inv = MultiPoly.variable(variables[-1], variables)
+        else:
+            sigma_inv = invert_modulo(ideal, sigma_q)
+        e = TensorElement.from_algebra_element(algebra, comp.idempotent.coords, variables)
+        base = (tensor_mul(e, dq, ideal) - e.scale(sigma_q)).scale(sigma_inv).reduce(ideal)
+        series = term = e
+        for _ in range(algebra.dim + 1):
+            term = tensor_mul(term, base, ideal).scale(-1)
+            if term.is_zero():
+                break
+            series = series + term
+        else:
+            raise AssertionError("the nilpotent part did not vanish")
+        inverse = inverse + tensor_mul(series, e.scale(sigma_inv), ideal)
+    return inverse
+
+
+@pytest.mark.parametrize(
+    "algebra, image, qs",
+    [
+        # 1 - dq w0 = -e w for q = x: nilpotent of index 5, so three steps,
+        # the most dim(D) = 5 allows
+        (from_presentation(["e"], ["e^5"]), ("x", "1", "0", "0", "0"), ("x", "x^2 + 1")),
+        # the Q factor's residue 2x is inverted by invert_modulo
+        (
+            product_algebra(from_presentation(["e"], ["e^3"]), rational_field_algebra()),
+            ("x", "1", "x^2", "2*x"),
+            ("x", "x^3"),
+        ),
+    ],
+)
+def test_newton_inverse_matches_the_series_per_component(algebra, image, qs):
+    op = make_doperator(algebra, Ideal(("x",), []), {"x": image})
+    for q in qs:
+        loc = localize_dstructure(op, q)
+        dq = loc.apply(P(q, ("x",)).on_variables(loc.variables))
+        dw = loc.images[loc.variables[-1]]
+        unit = TensorElement.one(algebra, loc.variables).reduce(loc.ideal)
+        assert tensor_mul(dq, dw, loc.ideal) == unit
+        assert dw == _series_inverse(op, loc, P(q, ("x",)))
 
 
 def test_wrong_inverse_image_fails_on_the_inverse_relation(dual):

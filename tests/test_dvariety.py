@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dfields import linalg
+from dfields.algebra import from_presentation, product_algebra, rational_field_algebra
 from dfields.cli import main
-from dfields.dring import DRingError, make_doperator
+from dfields.dring import DRingError, TensorElement, make_doperator, tensor_mul
 from dfields.dvariety import (
     DVarietyError,
     dideal_fixture_check,
@@ -18,7 +20,7 @@ from dfields.dvariety import (
     weil_descent,
     zero_section,
 )
-from dfields.poly import Ideal, MultiPoly, format_poly, parse_polynomial
+from dfields.poly import Ideal, MultiPoly, format_poly, parse_polynomial, univariate_coeffs
 from dfields.prolongation import BaseDStructure, extend_by_point, nabla, prolong
 
 
@@ -345,6 +347,58 @@ def test_invalid_structure_on_extension_rejected(dual):
     # the image of alpha must satisfy the derived relation; (a, 1) does not
     with pytest.raises(DVarietyError, match="Q\\(alpha\\)"):
         weil_descent(dual, P("a^2 + 1"), ("a", "1"), ("x",), [], {"x": ("x", "0")})
+
+
+def _tensor_mul_matrix(result):
+    """The descent's comparison matrix with column (p, j) the product
+    e_j * image(alpha)^p taken by tensor_mul, one per column."""
+    algebra, alpha, op = result.algebra, result.alpha, result.ext_operator
+    r, dim = result.degree, algebra.dim
+    matrix = [[Fraction(0)] * (r * dim) for _ in range(r * dim)]
+    for p in range(r):
+        power = op.apply(MultiPoly.variable(alpha, (alpha,)) ** p)
+        for j in range(dim):
+            unit = [Fraction(int(i == j)) for i in range(dim)]
+            e_j = TensorElement.from_algebra_element(algebra, unit, (alpha,))
+            for k, comp in enumerate(tensor_mul(e_j, power, op.ideal).comps):
+                for q, c in enumerate(univariate_coeffs(comp, alpha)):
+                    matrix[q * dim + k][p * dim + j] = c
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "algebra, alpha_images, x_image, section",
+    [
+        # Q x Q on its idempotents: the second component conjugates Q(i)
+        (
+            product_algebra(rational_field_algebra(), rational_field_algebra()),
+            ("a", "-a"),
+            ("x", "x"),
+            {"x_0": ["x_0", "x_0"], "x_1": ["x_1", "-x_1"]},
+        ),
+        # the same on the basis 1, e with e^2 = e, where a constant with
+        # i != j is nonzero: u (1 - e) + v e has coordinates (u, v - u)
+        (
+            from_presentation(["e"], ["e^2 - e"]),
+            ("a", "-2*a"),
+            ("x", "0"),
+            {"x_0": ["x_0", "0"], "x_1": ["x_1", "-2*x_1"]},
+        ),
+    ],
+)
+def test_descent_matrix_matches_the_tensor_mul_reference(algebra, alpha_images, x_image, section):
+    # a = x_0 + x_1 i is sent by the conjugating component to x_0 - x_1 i
+    matrices, inverse = [], linalg.inverse
+
+    def recording(matrix):
+        matrices.append(matrix)
+        return inverse(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "inverse", recording)
+        result = weil_descent(algebra, P("a^2 + 1"), alpha_images, ("x",), [], {"x": x_image})
+    assert matrices == [_tensor_mul_matrix(result)]
+    assert result.descended.to_dict()["section"] == section
 
 
 def test_descent_with_truncated_operators(trunc3):

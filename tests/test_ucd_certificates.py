@@ -338,18 +338,19 @@ def test_complete_intersection_matches_the_fraction_jacobian_route(point, seeds,
     )
     ideal = Ideal(_XYZ, gens)
     expected_chosen, expected = _reference_complete_intersection(ideal, point, codim)
-    # _complete_intersection row-reduces its echelon plus one candidate's row
-    # per candidate it examines; the candidates whose row raises the rank
+    # _complete_intersection adds one candidate's row to its echelon per
+    # candidate it examines; the candidates whose row joins the echelon
     # are the ones it chooses
-    grew, int_rref = [], linalg.int_rref
+    grew, echelon_add = [], linalg.echelon_add
 
-    def recording(m, full=True):
-        pivots = int_rref(m, full)
-        grew.append(len(pivots) == len(m))
-        return pivots
+    def recording(echelon, vec, width):
+        size = len(echelon)
+        rest = echelon_add(echelon, vec, width)
+        grew.append(len(echelon) > size)
+        return rest
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(linalg, "int_rref", recording)
+        patch.setattr(linalg, "echelon_add", recording)
         answer = _complete_intersection(ideal, point, codim)
     candidates = [g for g in gens if not g.is_zero()] + list(ideal.groebner_basis())
     assert [g for g, new in zip(candidates, grew) if new] == expected_chosen
