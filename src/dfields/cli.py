@@ -58,6 +58,7 @@ from .poly import (
     MultiPoly,
     PolyParseError,
     _ExprParser,
+    _is_name,
     format_poly,
     tokenize,
 )
@@ -152,59 +153,78 @@ class Document:
 
 
 class _Cursor(_ExprParser):
-    """The expression parser's cursor, with the statement-level reads and
-    the presented algebras built so far (by block name), under ``budget``."""
+    """The statement-level reads of the document parser on the string tokens
+    of ``text``, with the presented algebras built so far (by block name),
+    under ``budget``.  As in the expression parser, an error names its token
+    by index: the index of a token just taken is ``pos - 1``."""
 
-    def __init__(self, tokens, budget=None):
-        super().__init__(tokens)
+    def __init__(self, text, tokens, budget=None):
+        super().__init__(text, tokens)
         self.algebras = {}
         self.budget = budget
 
-    def expect(self, kind, what=None):
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, symbol):
+        """Takes the next token, which must be ``symbol``."""
         tok = self.take()
-        if tok.kind != kind:
-            raise PolyParseError(
-                f"expected {what or kind!r}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.column,
-            )
+        if tok != symbol:
+            self.error(f"expected {symbol!r}, found {tok or 'end of input'!r}", self.pos - 1)
+        return tok
+
+    def name(self, what="NAME"):
+        """Takes the next token, which must be a name; an error says what the
+        name was ``what`` for."""
+        tok = self.take()
+        if not _is_name(tok):
+            self.error(f"expected {what!r}, found {tok or 'end of input'!r}", self.pos - 1)
         return tok
 
     def expr(self, variables):
         """The expression at the cursor as a polynomial on its names in order
         of first appearance; a name outside ``variables`` is an error."""
-        start = self.pos
         variables = tuple(variables)
-        poly = MultiPoly._trusted(variables, self.terms_on(variables))
-        names = dict.fromkeys(tok.text for tok in self.tokens[start : self.pos] if tok.kind == "NAME")
-        return poly.on_variables(names)
+        terms = self.terms_on(variables)
+        names = tuple(self.seen)
+        positions = [self.index[v] for v in names]
+        return MultiPoly._trusted(names, {
+            tuple([e[i] for i in positions]): Fraction(c) if type(c) is int else c
+            for e, c in terms.items()
+        })
 
     def poly_tuple(self, variables):
         self.expect("(")
         items = [self.expr(variables)]
-        while self.peek().kind == ",":
+        while self.peek() == ",":
             self.take()
             items.append(self.expr(variables))
         self.expect(")")
         return tuple(items)
 
     def items(self, what, keys, repeatable=()):
-        """Reads a block body ``{ item; .. }``: yields the key token of each
-        item and reads the ';' once the caller has read the rest of it.  A
-        key that is not a name is an error reported as ``expected <what>``
-        (say 'a dring item'); so is a key outside ``keys``, and a second
-        occurrence of a key not in ``repeatable``."""
+        """Reads a block body ``{ item; .. }``: yields the key of each item
+        with its token index and reads the ';' once the caller has read the
+        rest of it.  A key that is not a name is an error reported as
+        ``expected <what>`` (say 'a dring item'); so is a key outside
+        ``keys``, and a second occurrence of a key not in ``repeatable``."""
         self.expect("{")
         seen = set()
-        while self.peek().kind != "}":
-            key = self.expect("NAME", what)
-            if key.text in seen:
-                self.error(f"duplicate item {key.text!r}", key)
-            if key.text not in keys:
-                self.error(f"unknown {what.split(' ', 1)[1]} {key.text!r}", key)
-            if key.text not in repeatable:
-                seen.add(key.text)
-            yield key
+        while self.peek() != "}":
+            key = self.name(what)
+            at = self.pos - 1
+            if key in seen:
+                self.error(f"duplicate item {key!r}", at)
+            if key not in keys:
+                self.error(f"unknown {what.split(' ', 1)[1]} {key!r}", at)
+            if key not in repeatable:
+                seen.add(key)
+            yield key, at
             self.expect(";")
         self.take()
 
@@ -212,182 +232,178 @@ class _Cursor(_ExprParser):
         """Reads ``= NAME``: the earlier block it names, which must be a
         ``cls``."""
         self.expect("=")
-        tok = self.expect("NAME")
-        block = _lookup(doc_blocks, tok.text)
+        tok = self.name()
+        block = _lookup(doc_blocks, tok)
         if block is None:
-            self.error(f"unresolved reference {tok.text!r}", tok)
+            self.error(f"unresolved reference {tok!r}", self.pos - 1)
         if not isinstance(block, cls):
-            self.error(f"{tok.text!r} is a {type(block).__name__}, not a {cls.__name__}", tok)
+            self.error(f"{tok!r} is a {type(block).__name__}, not a {cls.__name__}", self.pos - 1)
         return block
 
     def image(self, key, images, allowed, variables, what):
         """Reads ``var = (..)`` after the item's ``key`` and appends (var,
         components) to ``images``; a var outside ``allowed`` "is not
         <what>", and a second image of one var is an error."""
-        var = self.expect("NAME")
-        if var.text not in allowed:
-            self.error(f"{var.text!r} is not {what}", var)
-        if any(v == var.text for v, _ in images):
-            self.error(f"duplicate item '{key.text} {var.text}'", var)
+        var = self.name()
+        if var not in allowed:
+            self.error(f"{var!r} is not {what}", self.pos - 1)
+        if any(v == var for v, _ in images):
+            self.error(f"duplicate item '{key} {var}'", self.pos - 1)
         self.expect("=")
-        images.append((var.text, self.poly_tuple(variables)))
+        images.append((var, self.poly_tuple(variables)))
 
     def name_list(self):
         """``[a, b, ..]``: distinct names."""
         self.expect("[")
         names = []
-        if self.peek().kind == "NAME":
-            names.append(self.take().text)
-            while self.peek().kind == ",":
+        if _is_name(self.peek()):
+            names.append(self.take())
+            while self.peek() == ",":
                 self.take()
-                tok = self.expect("NAME")
-                if tok.text in names:
-                    self.error(f"duplicate name {tok.text!r}", tok)
-                names.append(tok.text)
+                tok = self.name()
+                if tok in names:
+                    self.error(f"duplicate name {tok!r}", self.pos - 1)
+                names.append(tok)
         self.expect("]")
         return tuple(names)
 
 
 def _presentation(cursor):
     """Q [ vars ] ( / ( relations ) )?"""
-    tok = cursor.expect("NAME", "'Q'")
-    if tok.text != "Q":
-        cursor.error("presentations start with 'Q'", tok)
+    if cursor.name("'Q'") != "Q":
+        cursor.error("presentations start with 'Q'", cursor.pos - 1)
     names = cursor.name_list()
     relations = ()
-    if cursor.peek().kind == "/":
+    if cursor.peek() == "/":
         cursor.take()
         relations = cursor.poly_tuple(names)
     return names, relations
 
 
-def _check_coords(poly, basis, tok):
-    poly = poly.on_variables(tuple(basis))
-    coords = [Fraction(0)] * len(basis)
-    for exp, c in poly.terms.items():
+def _check_coords(cursor, terms, dim, at):
+    """The coordinate tuple of a table entry's term dict on a basis of
+    ``dim`` names; an entry that is not linear is an error at token
+    ``at``."""
+    coords = [Fraction(0)] * dim
+    for exp, c in terms.items():
         if sum(exp) != 1:
-            raise PolyParseError(
-                "algebra table entries must be linear combinations of basis names",
-                tok.line,
-                tok.column,
-            )
+            cursor.error("algebra table entries must be linear combinations of basis names", at)
         coords[exp.index(1)] += c
     return tuple(coords)
 
 
-# Each block parser reads the block after its name token ``name`` and
-# reports a block-level fault (a missing item) at that token.
+# Each block parser reads the block after its name ``name``, token ``at``,
+# and reports a block-level fault (a missing item) at that token.
 
 
-def _parse_algebra(cursor, name, doc_blocks):
-    if cursor.peek().kind == "=":
+def _parse_algebra(cursor, name, at, doc_blocks):
+    if cursor.peek() == "=":
         cursor.take()
         variables, relations = _presentation(cursor)
         cursor.expect(";")
-        return AlgebraBlock(name.text, (variables, relations))
+        return AlgebraBlock(name, (variables, relations))
     basis = None
     table = {}  # (i, j) with i <= j -> (coords, the product as written)
     unit = None
-    for key in cursor.items("an algebra item", ("basis", "mul", "unit"), ("mul",)):
-        if key.text == "basis":
+    for key, key_at in cursor.items("an algebra item", ("basis", "mul", "unit"), ("mul",)):
+        if key == "basis":
             cursor.expect("=")
             basis = cursor.name_list()
-        elif key.text == "mul":
+        elif key == "mul":
             if basis is None:
-                cursor.error("basis must be declared before mul entries", key)
-            left = cursor.expect("NAME")
-            if left.text not in basis:
-                cursor.error(f"unknown basis name {left.text!r}", left)
+                cursor.error("basis must be declared before mul entries", key_at)
+            left = cursor.name()
+            left_at = cursor.pos - 1
+            if left not in basis:
+                cursor.error(f"unknown basis name {left!r}", left_at)
             cursor.expect("*")
-            right = cursor.expect("NAME")
-            if right.text not in basis:
-                cursor.error(f"unknown basis name {right.text!r}", right)
+            right = cursor.name()
+            if right not in basis:
+                cursor.error(f"unknown basis name {right!r}", cursor.pos - 1)
             cursor.expect("=")
-            value = cursor.expr(basis)
-            i, j = sorted((basis.index(left.text), basis.index(right.text)))
-            written = f"{left.text}*{right.text}"
+            value = cursor.terms_on(basis)
+            i, j = sorted((basis.index(left), basis.index(right)))
+            written = f"{left}*{right}"
             if (i, j) in table:
                 first = table[i, j][1]
                 same = "" if first == written else f" (same as {first})"
-                cursor.error(f"duplicate product {written}{same}", left)
-            table[i, j] = (_check_coords(value, basis, key), written)
-        elif key.text == "unit":
+                cursor.error(f"duplicate product {written}{same}", left_at)
+            table[i, j] = (_check_coords(cursor, value, len(basis), key_at), written)
+        elif key == "unit":
             if basis is None:
-                cursor.error("basis must be declared before the unit", key)
+                cursor.error("basis must be declared before the unit", key_at)
             cursor.expect("=")
-            unit = _check_coords(cursor.expr(basis), basis, key)
+            unit = _check_coords(cursor, cursor.terms_on(basis), len(basis), key_at)
     if basis is None or unit is None:
-        cursor.error(f"algebra {name.text!r} needs a basis and a unit", name)
+        cursor.error(f"algebra {name!r} needs a basis and a unit", at)
     for i in range(len(basis)):
         for j in range(i, len(basis)):
             if (i, j) not in table:
-                cursor.error(
-                    f"algebra {name.text!r} is missing the product {basis[i]}*{basis[j]}", name
-                )
+                cursor.error(f"algebra {name!r} is missing the product {basis[i]}*{basis[j]}", at)
     entries = tuple((pair, coords) for pair, (coords, _) in sorted(table.items()))
-    return AlgebraBlock(name.text, None, basis, entries, unit)
+    return AlgebraBlock(name, None, basis, entries, unit)
 
 
-def _parse_variety(cursor, name, doc_blocks):
+def _parse_variety(cursor, name, at, doc_blocks):
     variables = None
     generators = ()
-    for key in cursor.items("a variety item", ("vars", "ideal")):
-        if key.text == "vars":
+    for key, key_at in cursor.items("a variety item", ("vars", "ideal")):
+        if key == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
-        elif key.text == "ideal":
+        elif key == "ideal":
             if variables is None:
-                cursor.error("vars must be declared before the ideal", key)
+                cursor.error("vars must be declared before the ideal", key_at)
             cursor.expect("=")
             generators = cursor.poly_tuple(variables)
     if variables is None:
-        cursor.error(f"variety {name.text!r} needs vars", name)
+        cursor.error(f"variety {name!r} needs vars", at)
     generators = tuple(g for g in generators if not g.is_zero())
-    return VarietyBlock(name.text, variables, generators)
+    return VarietyBlock(name, variables, generators)
 
 
-def _parse_dring(cursor, name, doc_blocks):
+def _parse_dring(cursor, name, at, doc_blocks):
     algebra = None
     variables = None
     relations = ()
     images = []
-    for key in cursor.items("a dring item", ("algebra", "ring", "d"), ("d",)):
-        if key.text == "algebra":
+    for key, key_at in cursor.items("a dring item", ("algebra", "ring", "d"), ("d",)):
+        if key == "algebra":
             algebra = cursor.ref(doc_blocks, AlgebraBlock).name
-        elif key.text == "ring":
+        elif key == "ring":
             cursor.expect("=")
             variables, relations = _presentation(cursor)
-        elif key.text == "d":
+        elif key == "d":
             if variables is None:
-                cursor.error("ring must be declared before operator images", key)
+                cursor.error("ring must be declared before operator images", key_at)
             cursor.image(key, images, variables, variables, "a ring variable")
     if algebra is None or variables is None:
-        cursor.error(f"dring {name.text!r} needs an algebra and a ring", name)
-    return DringBlock(name.text, algebra, variables, relations, tuple(images))
+        cursor.error(f"dring {name!r} needs an algebra and a ring", at)
+    return DringBlock(name, algebra, variables, relations, tuple(images))
 
 
-def _parse_dvariety(cursor, name, doc_blocks):
+def _parse_dvariety(cursor, name, at, doc_blocks):
     algebra = None
     variety = None
     section = []
-    for key in cursor.items("a dvariety item", ("algebra", "variety", "s"), ("s",)):
-        if key.text == "algebra":
+    for key, key_at in cursor.items("a dvariety item", ("algebra", "variety", "s"), ("s",)):
+        if key == "algebra":
             algebra = cursor.ref(doc_blocks, AlgebraBlock).name
-        elif key.text == "variety":
+        elif key == "variety":
             variety = cursor.ref(doc_blocks, VarietyBlock)
-        elif key.text == "s":
+        elif key == "s":
             if variety is None:
-                cursor.error("variety must be declared before the section", key)
+                cursor.error("variety must be declared before the section", key_at)
             cursor.image(key, section, variety.variables, variety.variables, "a coordinate")
     if algebra is None or variety is None:
-        cursor.error(f"dvariety {name.text!r} needs an algebra and a variety", name)
-    return DVarietyBlock(name.text, algebra, variety.name, tuple(section))
+        cursor.error(f"dvariety {name!r} needs an algebra and a variety", at)
+    return DVarietyBlock(name, algebra, variety.name, tuple(section))
 
 
 _UCD_KEYS = ("algebra", "base", "X", "Y", "witness", "h", "assert_irreducible", "d")
 
 
-def _parse_ucd(cursor, name, doc_blocks):
+def _parse_ucd(cursor, name, at, doc_blocks):
     algebra = None
     base = None
     x_block = None
@@ -397,45 +413,45 @@ def _parse_ucd(cursor, name, doc_blocks):
     assertions = ()
     d_images = []
     y_vars = None
-    for key in cursor.items("a ucd item", _UCD_KEYS, ("d",)):
-        if key.text in ("witness", "h") and y_vars is None:
-            cursor.error("algebra and X must be declared before this item", key)
-        if key.text == "algebra":
+    for key, key_at in cursor.items("a ucd item", _UCD_KEYS, ("d",)):
+        if key in ("witness", "h") and y_vars is None:
+            cursor.error("algebra and X must be declared before this item", key_at)
+        if key == "algebra":
             algebra = cursor.ref(doc_blocks, AlgebraBlock)
-        elif key.text == "base":
+        elif key == "base":
             if y_vars is not None:
-                cursor.error("base must come before Y", key)
+                cursor.error("base must come before Y", key_at)
             base = cursor.ref(doc_blocks, DringBlock)
-        elif key.text == "X":
+        elif key == "X":
             x_block = cursor.ref(doc_blocks, VarietyBlock)
-        elif key.text == "Y":
+        elif key == "Y":
             if algebra is None or x_block is None:
-                cursor.error("algebra and X must come before Y", key)
+                cursor.error("algebra and X must come before Y", key_at)
             y_vars = prolonged_variables(
                 base.variables if base else (), x_block.variables,
                 _algebra_dim(algebra, cursor),
             )
             cursor.expect("=")
             y_generators = cursor.poly_tuple(y_vars)
-        elif key.text == "witness":
+        elif key == "witness":
             cursor.expect("=")
             witness = tuple(c.constant_value() for c in cursor.poly_tuple(()))
-        elif key.text == "h":
+        elif key == "h":
             cursor.expect("=")
             h = cursor.expr(y_vars)
-        elif key.text == "assert_irreducible":
+        elif key == "assert_irreducible":
             cursor.expect("=")
             assertions = cursor.name_list()
             if not set(assertions) <= {"X", "Y"}:
-                cursor.error("assert_irreducible entries must be X or Y", key)
-        elif key.text == "d":
+                cursor.error("assert_irreducible entries must be X or Y", key_at)
+        elif key == "d":
             if x_block is None:
-                cursor.error("X must be declared before candidate images", key)
+                cursor.error("X must be declared before candidate images", key_at)
             cursor.image(key, d_images, x_block.variables, x_block.variables, "an X coordinate")
     if algebra is None or x_block is None or y_generators is None:
-        cursor.error(f"ucd {name.text!r} needs an algebra, X, and Y", name)
+        cursor.error(f"ucd {name!r} needs an algebra, X, and Y", at)
     return UcdBlock(
-        name.text, algebra.name, base.name if base else None, x_block.name, y_generators,
+        name, algebra.name, base.name if base else None, x_block.name, y_generators,
         witness, h, assertions, tuple(d_images),
     )
 
@@ -443,7 +459,7 @@ def _parse_ucd(cursor, name, doc_blocks):
 _DESCEND_KEYS = ("algebra", "minpoly", "d", "vars", "ideal", "s")
 
 
-def _parse_descend(cursor, name, doc_blocks):
+def _parse_descend(cursor, name, at, doc_blocks):
     algebra = None
     alpha = None
     minpoly = None
@@ -451,42 +467,42 @@ def _parse_descend(cursor, name, doc_blocks):
     variables = None
     generators = ()
     section = []
-    for key in cursor.items("a descend item", _DESCEND_KEYS, ("d", "s")):
-        if key.text == "algebra":
+    for key, key_at in cursor.items("a descend item", _DESCEND_KEYS, ("d", "s")):
+        if key == "algebra":
             algebra = cursor.ref(doc_blocks, AlgebraBlock).name
-        elif key.text == "minpoly":
-            alpha = cursor.expect("NAME").text
+        elif key == "minpoly":
+            alpha = cursor.name()
             cursor.expect("=")
             minpoly = cursor.expr((alpha,))
-        elif key.text == "d":
+        elif key == "d":
             if alpha is None:
-                cursor.error("minpoly must come before the image of alpha", key)
-            var = cursor.expect("NAME")
-            if var.text != alpha:
-                cursor.error(f"descend blocks only give an image for {alpha!r}", var)
+                cursor.error("minpoly must come before the image of alpha", key_at)
+            var = cursor.name()
+            if var != alpha:
+                cursor.error(f"descend blocks only give an image for {alpha!r}", cursor.pos - 1)
             if alpha_images is not None:
-                cursor.error(f"duplicate item 'd {alpha}'", var)
+                cursor.error(f"duplicate item 'd {alpha}'", cursor.pos - 1)
             cursor.expect("=")
             alpha_images = cursor.poly_tuple((alpha,))
-        elif key.text == "vars":
+        elif key == "vars":
             cursor.expect("=")
             variables = cursor.name_list()
-        elif key.text == "ideal":
+        elif key == "ideal":
             if variables is None or alpha is None:
-                cursor.error("vars and minpoly must come before the ideal", key)
+                cursor.error("vars and minpoly must come before the ideal", key_at)
             cursor.expect("=")
             generators = cursor.poly_tuple((alpha,) + variables)
-        elif key.text == "s":
+        elif key == "s":
             if variables is None or alpha is None:
-                cursor.error("vars and minpoly must come before the section", key)
+                cursor.error("vars and minpoly must come before the section", key_at)
             cursor.image(key, section, variables, (alpha,) + variables, "a coordinate")
     if algebra is None or minpoly is None or alpha_images is None or variables is None:
         cursor.error(
-            f"descend {name.text!r} needs algebra, minpoly, d {alpha or 'alpha'}, vars", name
+            f"descend {name!r} needs algebra, minpoly, d {alpha or 'alpha'}, vars", at
         )
     generators = tuple(g for g in generators if not g.is_zero())
     return DescendBlock(
-        name.text, algebra, alpha, minpoly, alpha_images, variables, generators,
+        name, algebra, alpha, minpoly, alpha_images, variables, generators,
         tuple(section),
     )
 
@@ -511,16 +527,17 @@ def parse(text, budget=None):
     """Parse DSL text into a Document.  Errors carry line and column.  An
     algebra that a ucd block needs while parsing is resolved under
     ``budget`` and kept in the document's algebras for the runs on it."""
-    cursor = _Cursor(tokenize(text), budget)
+    cursor = _Cursor(text, tokenize(text), budget)
     blocks = []
-    while cursor.peek().kind != "EOF":
-        kind = cursor.expect("NAME", "a block keyword")
-        if kind.text not in _BLOCK_PARSERS:
-            cursor.error(f"unknown block keyword {kind.text!r}", kind)
-        name = cursor.expect("NAME", "a block name")
-        if _lookup(blocks, name.text) is not None:
-            cursor.error(f"duplicate block name {name.text!r}", name)
-        blocks.append(_BLOCK_PARSERS[kind.text](cursor, name, blocks))
+    while cursor.peek():
+        kind = cursor.name("a block keyword")
+        if kind not in _BLOCK_PARSERS:
+            cursor.error(f"unknown block keyword {kind!r}", cursor.pos - 1)
+        name = cursor.name("a block name")
+        at = cursor.pos - 1
+        if _lookup(blocks, name) is not None:
+            cursor.error(f"duplicate block name {name!r}", at)
+        blocks.append(_BLOCK_PARSERS[kind](cursor, name, at, blocks))
     return Document(tuple(blocks), cursor.algebras)
 
 

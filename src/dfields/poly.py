@@ -42,14 +42,14 @@ ints with a positive leading coefficient, forms S-pairs on ints, and makes
 each nonzero remainder primitive; the reduced basis becomes monic
 Fractions once, at the end, each keeping its ints as its int form.
 
-Polynomial text is read in one pass.  :func:`tokenize` runs one compiled
-regular expression over the text and yields ``Token`` named tuples with
-their line and column.  The recursive-descent parser works on term dicts
-{exponent: coefficient} on one dense exponent layout: the variables given
-or, without them, the text's names in order of first appearance.  It keeps
-integer coefficients as ints, raises a one-term dict to a power by scaling
-its exponent, and builds one ``MultiPoly`` per expression, at the end.  The
-document parser of ``cli`` reads its expressions through the same parser.
+Polynomial text is read in one pass.  :func:`tokenize` is one ``findall``
+that returns plain strings, '' for the end of input; an error's line and
+column are computed only when it is raised, by reading the text again.  The
+parser reads a term as one exponent list and one coefficient on the
+variables given (or the names in order of first appearance), adds it into
+the expression's one term dict, multiplies term dicts only for parenthesised
+factors, and builds one ``MultiPoly`` per expression.  The document parser
+of ``cli`` reads its expressions through the same parser.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ from __future__ import annotations
 import collections
 import functools
 import heapq
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, mul, neg, sub
-from typing import NamedTuple
 
 from . import linalg
 from .packed import _SCALAR_TABLE, _common_int_terms, _fraction_terms, _Packing, add_products
@@ -317,7 +317,7 @@ class MultiPoly:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return MultiPoly._trusted(a.variables, _merge_terms(a.terms, b.terms, False))
+        return MultiPoly._trusted(a.variables, _add_terms(dict(a.terms), b.terms.items()))
 
     __radd__ = __add__
 
@@ -328,7 +328,8 @@ class MultiPoly:
         a, b = self._coerce(other)
         if a is None:
             return NotImplemented
-        return MultiPoly._trusted(a.variables, _merge_terms(a.terms, b.terms, True))
+        negated = [(e, -c) for e, c in b.terms.items()]
+        return MultiPoly._trusted(a.variables, _add_terms(dict(a.terms), negated))
 
     def __rsub__(self, other):
         return -(self - other)
@@ -441,22 +442,17 @@ class MultiPoly:
         return format_poly(self)
 
 
-def _merge_terms(terms, other, negate):
-    """A new term dict for terms + other (terms - other when ``negate``),
-    with cancelled terms dropped."""
-    out = dict(terms)
-    for exp, c in other.items():
-        if negate:
-            c = -c
+def _add_terms(out, terms):
+    """Adds the (exponent, nonzero coefficient) pairs ``terms`` into the term
+    dict ``out``, dropping the terms that cancel, and returns ``out``."""
+    for exp, c in terms:
         old = out.get(exp)
         if old is None:
             out[exp] = c
+        elif c := c + old:
+            out[exp] = c
         else:
-            c += old
-            if c:
-                out[exp] = c
-            else:
-                del out[exp]
+            del out[exp]
     return out
 
 
@@ -518,157 +514,159 @@ def linear_combination(coeffs, polys, variables):
 # text form
 
 
-# Blanks, then one group per token class, tried in order: a newline, a
-# comment, an integer (decimal digits only: int() rejects other digits, such
-# as '²'), an ASCII name, a symbol, any other run of word characters (a name
-# when it starts with a letter) and any other character but a blank.
-_TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(\d+)|([A-Za-z_]\w*)|([-+*^(),/;={}\[\]])|(\w+)|([^ \t\r]))"
-)
+# A token, then the blanks and comments after it (_GAP_RE skips those before
+# the first): decimal digits (int() rejects other digits, such as '²'), word
+# characters, any other character but a blank or '#', or '' at the end.
+_GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_GAP_RE, _TOKEN_RE = re.compile(_GAP), re.compile(r"(\d+|\w+|[^ \t\r\n#]|\Z)" + _GAP)
+_SYMBOLS = frozenset("+-*^(),/;={}[]")
+_ASCII_STRAY_RE = re.compile(r"[^\w+\-*^(),/;={}\[\]]")  # no ASCII token holds these
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    column: int
+def _is_name(tok):
+    """Whether a token of :func:`tokenize` is a name."""
+    return (lead := tok[:1]).isalpha() or lead == "_"
 
 
 def tokenize(text):
-    """Tokens for the polynomial/DSL syntax.  '#' starts a comment.  A name
-    starts with a letter or '_' and goes on over letters, digits and '_'; an
-    integer is a run of decimal digits."""
-    tokens = []
-    append, new = tokens.append, tuple.__new__
-    line, line_start, end = 1, 0, len(text)
-    for m in _TOKEN_RE.finditer(text):
-        group = m.lastindex
-        if group == 1:
-            line += 1
-            line_start = m.end()
-            continue
-        if group == 2:
-            if m.end() == end:  # the end of input is where its last comment starts
-                end = m.start(2)
-            continue
-        word = m[group]
-        column = m.start(group) - line_start + 1
-        # tuple.__new__ skips the Python-level Token.__new__
-        if group == 5:
-            append(new(Token, (word, word, line, column)))
-        elif group == 4 or (group == 6 and word[0].isalpha()):
-            append(new(Token, ("NAME", word, line, column)))
-        elif group == 3:
-            append(new(Token, ("INT", word, line, column)))
-        else:
-            raise PolyParseError(f"unexpected character {word[0]!r}", line, column)
-    append(Token("EOF", "", line, end - line_start + 1))
+    """The tokens of polynomial/DSL text as strings, then '' for the end of
+    input; '#' starts a comment.  A name starts with a letter or '_' and goes
+    on over letters, digits and '_', an integer is decimal digits, and a
+    symbol is one of ``+-*^(),/;={}[]``; any other character is an error."""
+    tokens = _TOKEN_RE.findall(text, _GAP_RE.match(text).end())
+    if text.isascii() and not _ASCII_STRAY_RE.search("".join(tokens)):
+        return tokens
+    bad = [t for t in set(tokens) - _SYMBOLS if t and not (_is_name(t) or t[0].isdecimal())]
+    if bad:
+        at = min(map(tokens.index, bad))
+        raise PolyParseError(f"unexpected character {tokens[at][0]!r}", *_position(text, at))
     return tokens
+
+
+def _position(text, index):
+    """The line and column of token ``index`` of ``text``, read off the text
+    again for an error.  The end of input is where a comment on the last
+    line starts."""
+    matches = _TOKEN_RE.finditer(text, _GAP_RE.match(text).end())
+    start = next(itertools.islice(matches, index, None)).start(1)
+    if start == len(text):
+        comment = text.find("#", text.rfind("\n") + 1)
+        start = start if comment < 0 else comment
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 @functools.lru_cache(maxsize=64)
 def _layout(variables):
-    """The zero exponent on ``variables`` and each name's unit exponent, with
-    its 1 at the name's last position (as :meth:`MultiPoly.on_variables`
-    places a repeated name).  The cached dict is shared: callers only read
-    it."""
-    zero = (0,) * len(variables)
-    pos = {v: i for i, v in enumerate(variables)}
-    return zero, {v: zero[:i] + (1,) + zero[i + 1 :] for v, i in pos.items()}
+    """The zero exponent on ``variables`` and the position of each one a name
+    can spell, the last for a repeated name (as :meth:`MultiPoly.on_variables`
+    places it).  The cached dict is shared: callers only read it."""
+    return (0,) * len(variables), {v: i for i, v in enumerate(variables) if _is_name(v)}
 
 
 class _ExprParser:
-    """Recursive-descent parser for polynomial expressions.
+    """Recursive-descent parser for polynomial expressions on the tokens of
+    ``text``.  Grammar: expr := term (("+"|"-") term)*; term := factor ("*"
+    factor)*; factor := ("+"|"-") factor | atom ("^" INT)?; atom := NAME |
+    INT ("/" INT)? | "(" expr ")".  A sign covers a whole factor, power
+    included; implicit multiplication is a syntax error.
 
-    Grammar: expr := term (("+"|"-") term)*; term := factor ("*" factor)*;
-    factor := atom ("^" INT)?; atom := NAME | INT ("/" INT)? | "(" expr ")"
-    | ("-"|"+") factor.  Implicit multiplication is a syntax error.
-
-    The parse methods return term dicts {exponent: nonzero coefficient} on
-    the variable tuple given to :meth:`terms_on`, and build no polynomial on
-    the way.  Integer coefficients stay ints until :meth:`terms_on` makes
-    each surviving one a Fraction.
+    Signs, names, integers, fractions and powers update a term's exponent
+    list and coefficient in place; a parenthesised factor is a term dict
+    {exponent: nonzero coefficient}.  Integer coefficients stay ints.
+    :meth:`terms_on` keeps the names met in ``seen``, in order of first
+    appearance.  An error names its token by index.
     """
 
-    def __init__(self, tokens, pos=0):
-        self.tokens = tokens
-        self.pos = pos
+    def __init__(self, text, tokens):
+        self.text, self.tokens, self.pos = text, tokens, 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message, tok=None):
-        tok = tok or self.peek()
-        raise PolyParseError(message, tok.line, tok.column)
+    def error(self, message, at=None):
+        """Raises a PolyParseError at token ``at``, by default the next one."""
+        raise PolyParseError(message, *_position(self.text, self.pos if at is None else at))
 
     def terms_on(self, variables):
-        """The term dict, with Fraction coefficients, of the expression at
-        the cursor on ``variables``; a name outside them is an error."""
-        self.zero, self.units = _layout(variables)
-        terms = self.parse_expr()
-        return {e: Fraction(c) if type(c) is int else c for e, c in terms.items()}
+        """The term dict, with int or Fraction coefficients, of the
+        expression at the cursor on ``variables``; a name outside them is an
+        error."""
+        self.zero, self.index = _layout(variables)
+        self.seen = {}
+        return self.parse_expr({})
 
-    def parse_expr(self):
-        terms = self.parse_term()
-        while (kind := self.tokens[self.pos].kind) == "+" or kind == "-":
+    def parse_expr(self, out):
+        """Adds the terms of the expression at the cursor into the term dict
+        ``out`` and returns it."""
+        self.parse_term(out, False)
+        while (tok := self.tokens[self.pos]) == "+" or tok == "-":
             self.pos += 1
-            terms = _merge_terms(terms, self.parse_term(), kind == "-")
-        return terms
+            self.parse_term(out, tok == "-")
+        return out
 
-    def parse_term(self):
-        terms = self.parse_factor()
-        while (nxt := self.tokens[self.pos]).kind == "*":
-            self.pos += 1
-            terms = _mul_terms(terms, self.parse_factor())
-        if nxt.kind in ("NAME", "INT", "("):
-            self.error(f"missing '*' before {nxt.text!r}", nxt)
-        return terms
-
-    def parse_factor(self):
-        terms = self.parse_atom()
-        if self.tokens[self.pos].kind == "^":
-            caret = self.take()
-            tok = self.take()
-            if tok.kind != "INT":
-                self.error("exponent must be a nonnegative integer", caret)
-            terms = _pow_terms(terms, int(tok.text), self.zero)
-        return terms
-
-    def parse_atom(self):
-        tok = self.take()
-        kind = tok.kind
-        if kind == "NAME":
-            unit = self.units.get(tok.text)
-            if unit is None:
-                self.error(f"unknown variable {tok.text!r}", tok)
-            return {unit: 1}
-        if kind == "INT":
-            c = int(tok.text)
-            if self.tokens[self.pos].kind == "/":
-                self.pos += 1
-                den = self.take()
-                if den.kind != "INT":
-                    self.error("expected integer denominator", den)
-                if int(den.text) == 0:
-                    self.error("zero denominator", den)
-                c = Fraction(c, int(den.text))
-            return {self.zero: c} if c else {}
-        if kind == "-":
-            return {e: -c for e, c in self.parse_factor().items()}
-        if kind == "+":
-            return self.parse_factor()
-        if kind == "(":
-            terms = self.parse_expr()
-            closing = self.take()
-            if closing.kind != ")":
-                self.error("expected ')'", closing)
-            return terms
-        self.error(f"unexpected token {tok.text!r}", tok)
+    def parse_term(self, out, negate):
+        """Adds the term at the cursor, negated when ``negate``, into the
+        term dict ``out``."""
+        tokens, index, seen, error = self.tokens, self.index, self.seen, self.error
+        exp = [0] * len(self.zero)
+        coeff = -1 if negate else 1
+        product = None  # of the parenthesised factors
+        pos = self.pos
+        while True:
+            tok = tokens[pos]
+            while tok == "-" or tok == "+":
+                if tok == "-":
+                    coeff = -coeff
+                pos += 1
+                tok = tokens[pos]
+            at = pos
+            pos += 1
+            i = index.get(tok)
+            if i is not None:
+                seen[tok] = None
+            elif tok[:1].isdecimal():
+                c = int(tok)
+                if tokens[pos] == "/":
+                    den = tokens[pos + 1]
+                    if not den[:1].isdecimal():
+                        error("expected integer denominator", pos + 1)
+                    if not int(den):
+                        error("zero denominator", pos + 1)
+                    c = Fraction(c, int(den))
+                    pos += 2
+            elif tok == "(":
+                self.pos = pos
+                factor = self.parse_expr({})
+                pos = self.pos
+                if tokens[pos] != ")":
+                    error("expected ')'", pos)
+                pos += 1
+            elif _is_name(tok):
+                error(f"unknown variable {tok!r}", at)
+            else:
+                error(f"unexpected token {tok!r}", at)
+            n = 1
+            if tokens[pos] == "^":
+                if not tokens[pos + 1][:1].isdecimal():
+                    error("exponent must be a nonnegative integer", pos)
+                n = int(tokens[pos + 1])
+                pos += 2
+            if i is not None:
+                exp[i] += n
+            elif tok == "(":
+                if n != 1:
+                    factor = _pow_terms(factor, n, self.zero)
+                product = factor if product is None else _mul_terms(product, factor)
+            else:
+                coeff *= c**n
+            tok = tokens[pos]
+            if tok != "*":
+                break
+            pos += 1
+        self.pos = pos
+        if tok == "(" or tok[:1].isalnum() or tok[:1] == "_":
+            error(f"missing '*' before {tok!r}")
+        if coeff and product is None:
+            _add_terms(out, ((tuple(exp), coeff),))
+        elif coeff:
+            _add_terms(out, [(tuple(map(add, e, exp)), c * coeff) for e, c in product.items()])
 
 
 def parse_polynomial(text, variables=None):
@@ -677,14 +675,15 @@ def parse_polynomial(text, variables=None):
     variables are taken in order of first appearance."""
     tokens = tokenize(text)
     if variables is None:
-        variables = dict.fromkeys(tok.text for tok in tokens if tok.kind == "NAME")
+        variables = filter(_is_name, dict.fromkeys(tokens))
     variables = tuple(variables)
-    parser = _ExprParser(tokens)
+    parser = _ExprParser(text, tokens)
     terms = parser.terms_on(variables)
-    tail = parser.peek()
-    if tail.kind != "EOF":
-        parser.error(f"unexpected trailing {tail.text!r}", tail)
-    return MultiPoly._trusted(variables, terms)
+    if tokens[parser.pos]:
+        parser.error(f"unexpected trailing {tokens[parser.pos]!r}")
+    return MultiPoly._trusted(
+        variables, {e: Fraction(c) if type(c) is int else c for e, c in terms.items()}
+    )
 
 
 # polynomials are immutable, so a parsed text can be handed out again

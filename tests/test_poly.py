@@ -3,7 +3,6 @@
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -186,12 +185,19 @@ def test_format_sorts_by_active_order():
 # the parser against the MultiPoly-per-atom reference
 
 
-@dataclass(frozen=True)
-class _ReferenceToken:
-    kind: str
-    text: str
-    line: int
-    column: int
+class _ReferenceToken(str):
+    """A token of the character-loop tokenizer: its text as a string, as the
+    statement reads of ``cli._Cursor`` take tokens, carrying its kind, line
+    and column."""
+
+    def __new__(cls, kind, text, line, column):
+        tok = super().__new__(cls, text)
+        tok.kind, tok.line, tok.column = kind, line, column
+        return tok
+
+    @property
+    def text(self):
+        return str(self)
 
 
 def _reference_tokenize(text):
@@ -282,6 +288,10 @@ class _ReferenceParser:
         return node
 
     def parse_factor(self):
+        if self.peek().kind in ("-", "+"):
+            sign = self.take().kind
+            node = self.parse_factor()
+            return -node if sign == "-" else node
         node = self.parse_atom()
         if self.peek().kind == "^":
             caret = self.take()
@@ -294,10 +304,6 @@ class _ReferenceParser:
 
     def parse_atom(self):
         tok = self.take()
-        if tok.kind == "-":
-            return -self.parse_factor()
-        if tok.kind == "+":
-            return self.parse_factor()
         if tok.kind == "INT":
             num = int(tok.text)
             if self.peek().kind == "/":
@@ -336,16 +342,26 @@ def _reference_parse(text, variables=None):
 
 class _ReferenceCursor(_ReferenceParser, cli._Cursor):
     """``cli._Cursor`` with the reference parser under its statement reads:
-    an expression lives on the union of its nodes' variables."""
+    an expression lives on the union of its nodes' variables, and a table
+    entry's terms come from that polynomial put on the basis."""
 
-    def __init__(self, tokens, budget=None):
+    def __init__(self, text, tokens, budget=None):
         _ReferenceParser.__init__(self, tokens, 0)
         self.algebras = {}
         self.budget = budget
 
+    def error(self, message, at=None):
+        # the statement reads name a token by its index
+        if not isinstance(at, _ReferenceToken):
+            at = self.tokens[self.pos if at is None else at]
+        _ReferenceParser.error(self, message, at)
+
     def expr(self, variables):
         self.variables = tuple(variables)
         return self.parse_expr()
+
+    def terms_on(self, variables):
+        return self.expr(variables).on_variables(tuple(variables)).terms
 
 
 def _outcome(parse, *args):
@@ -359,9 +375,10 @@ def _outcome(parse, *args):
     return ("poly", poly.variables, poly.terms)
 
 
-def _document_polys(node):
-    """Every polynomial in a parsed document's blocks, as (variables, terms),
-    in field order."""
+def _document_leaves(node):
+    """Every leaf of a parsed document's blocks in field order: each
+    polynomial as (variables, terms), and each name, table coordinate and
+    witness coordinate as itself."""
     if isinstance(node, MultiPoly):
         return [(node.variables, node.terms)]
     if dataclasses.is_dataclass(node):
@@ -369,8 +386,8 @@ def _document_polys(node):
     elif isinstance(node, dict):
         node = list(node.values())
     elif not isinstance(node, (tuple, list)):
-        return []
-    return [p for child in node for p in _document_polys(child)]
+        return [node]
+    return [p for child in node for p in _document_leaves(child)]
 
 
 def _parse_document(text, reference):
@@ -387,32 +404,35 @@ def _document_outcome(text, reference):
         doc = _parse_document(text, reference)
     except PolyParseError as exc:
         return ("error", str(exc), exc.line, exc.column)
-    return ("doc", _document_polys(doc.blocks))
+    return ("doc", _document_leaves(doc.blocks))
 
 
 _NAMES = ("x", "y", "z", "t_1")
 # blanks, newlines and comments between tokens
 _GAPS = st.sampled_from(["", " ", "  ", "\t", "\n", " \r\n ", "  # note\n"])
-_LEAVES = st.one_of(
-    st.sampled_from(_NAMES),
+_CONSTANTS = st.one_of(
     st.integers(0, 12).map(str),
     st.tuples(st.integers(0, 12), st.integers(1, 9)).map(lambda f: f"{f[0]}/{f[1]}"),
 )
+_LEAVES = st.sampled_from(_NAMES) | _CONSTANTS
 
 
-def _extend(children):
+def _extend(leaves, children):
     binary = st.tuples(children, _GAPS, st.sampled_from("+-*"), _GAPS, children).map("".join)
     paren = st.tuples(_GAPS, children, _GAPS).map(lambda t: "(" + "".join(t) + ")")
     unary = st.tuples(st.sampled_from("-+"), _GAPS, children).map("".join)
-    power = st.tuples(paren | _LEAVES, _GAPS, st.integers(0, 3)).map(
+    power = st.tuples(paren | leaves, _GAPS, st.integers(0, 3)).map(
         lambda t: f"{t[0]}{t[1]}^{t[2]}"
     )
     return binary | paren | unary | power
 
 
-_EXPRESSIONS = st.tuples(_GAPS, st.recursive(_LEAVES, _extend, max_leaves=10), _GAPS).map(
-    "".join
-)
+def _expressions(leaves):
+    tree = st.recursive(leaves, lambda children: _extend(leaves, children), max_leaves=10)
+    return st.tuples(_GAPS, tree, _GAPS).map("".join)
+
+
+_EXPRESSIONS = _expressions(_LEAVES)
 _DECLARED = st.sampled_from([None, _NAMES, ("t_1", "z", "y", "x"), ("y", "x")])
 
 
@@ -421,6 +441,8 @@ _DECLARED = st.sampled_from([None, _NAMES, ("t_1", "z", "y", "x"), ("y", "x")])
 @example("(x - x)*y + 0*z", None)
 @example("x^0 + 1/2*y^0", ("y", "x"))
 @example("x^2^3", None)
+@example("-x^2^3", None)
+@example("2*-(x)^2^2", ("x", "y"))
 def test_parser_matches_reference(text, variables):
     # equal variables, equal term dicts and Fraction coefficients, or the
     # same error at the same place
@@ -440,6 +462,74 @@ def test_document_polynomials_match_reference(declared, exprs):
     text = "\n".join(
         f"variety v{i} {{ vars = [{', '.join(names)}]; ideal = ({', '.join(exprs)}); }}"
         for i, names in enumerate(declared)
+    )
+    assert _document_outcome(text, False) == _document_outcome(text, True)
+
+
+# a linear combination of the names of a basis, with fraction coefficients,
+# and sometimes a scaled parenthesised one
+def _linear(basis):
+    term = st.tuples(st.sampled_from(["", "-", "+"]), _CONSTANTS, _GAPS, st.sampled_from(basis))
+    combination = st.lists(term, max_size=3).map(
+        lambda ts: " + ".join(f"{s}{c}*{g}{b}" for s, c, g, b in ts) or "0"
+    )
+    return combination | st.tuples(_CONSTANTS, combination).map(lambda t: f"{t[0]}*({t[1]})")
+
+
+@st.composite
+def _table_algebra(draw):
+    """A table algebra on two or three basis names, its unit and products in
+    any order after the basis, each a random linear combination; sometimes
+    one is not linear or names a name outside the basis, in its value or as
+    its product."""
+    basis = draw(st.permutations(("u", "v", "w")))[: draw(st.integers(2, 3))]
+    products = [f"{a}*{b}" for i, a in enumerate(basis) for b in basis[i:]]
+    entries = [f"unit = {draw(_linear(basis))};"]
+    entries += [f"mul {p} = {draw(_linear(basis))};" for p in products]
+    entries = draw(st.permutations(entries))
+    fault = draw(st.sampled_from([None, "w*w - u", "1", "u^2", "z", "mul z*u = u;"]))
+    if fault is not None:
+        at = draw(st.integers(0, len(entries) - 1))
+        head = entries[at].split("=")[0]
+        entries[at] = fault if fault.startswith("mul") else f"{head}= {fault};"
+    gaps = draw(st.lists(_GAPS, min_size=len(entries), max_size=len(entries)))
+    body = "".join(f"{g}{e}" for g, e in zip(gaps, entries))
+    return f"algebra T {{ basis = [{', '.join(basis)}];{body} }}"
+
+
+@settings(max_examples=80, deadline=None)
+@given(_table_algebra())
+def test_table_algebras_match_reference(text):
+    assert _document_outcome(text, False) == _document_outcome(text, True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.permutations(_NAMES).flatmap(lambda names: st.integers(1, 4).map(lambda k: names[:k])),
+    st.lists(_EXPRESSIONS, max_size=3),
+)
+def test_presented_algebras_match_reference(names, relations):
+    quotient = f"/({', '.join(relations)})" if relations else ""
+    text = f"algebra A = Q[{', '.join(names)}]{quotient};"
+    assert _document_outcome(text, False) == _document_outcome(text, True)
+
+
+# the prolongation coordinates of X = V(y - x^2) over Q[e]/(e^2), and one
+# name outside them
+_Y_LEAVES = st.sampled_from(("x_0", "y_0", "x_1", "y_1", "z")) | _CONSTANTS
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_expressions(_Y_LEAVES), min_size=1, max_size=3),
+    st.lists(_expressions(_CONSTANTS), min_size=1, max_size=4),
+    _expressions(_Y_LEAVES),
+)
+def test_ucd_blocks_match_reference(y_generators, witness, h):
+    text = (
+        "algebra D = Q[e]/(e^2);\nvariety X { vars = [x, y]; ideal = (y - x^2); }\n"
+        f"ucd u {{ algebra = D; X = X; Y = ({', '.join(y_generators)});\n"
+        f"  witness = ({', '.join(witness)}); h = {h}; }}"
     )
     assert _document_outcome(text, False) == _document_outcome(text, True)
 
@@ -483,7 +573,30 @@ _MALFORMED = [
     ("x\n  + (y\n\t*", None, "unexpected token ''", 3, 3),
     ("x\r\n+ $", None, "unexpected character '$'", 2, 3),
     ("x +\n\n# c\n", None, "unexpected token ''", 4, 1),
+    # a sign covers a whole factor, so the factor takes no second exponent
+    ("-x^2^3", None, "unexpected trailing '^'", 1, 5),
+    ("+x^2^3", None, "unexpected trailing '^'", 1, 5),
+    ("2*-x^2^2", None, "unexpected trailing '^'", 1, 7),
+    ("-(x)^2^2", None, "unexpected trailing '^'", 1, 7),
+    # the end of input is where a comment on the last line starts
+    ("x +  # tail", None, "unexpected token ''", 1, 6),
+    ("x +  # tail\n", None, "unexpected token ''", 2, 1),
+    ("x\r\n+ y\r\n*  # c", None, "unexpected token ''", 3, 4),
+    ("x\r\n+ y\r\n*  # c\r\n", None, "unexpected token ''", 4, 1),
+    # a tab is one column
+    ("x\t$", None, "unexpected character '$'", 1, 3),
+    ("x\t\ty", None, "missing '*' before 'y'", 1, 4),
+    ("x +\n  # only a comment\n\t$", None, "unexpected character '$'", 3, 2),
 ]
+# a table whose first nine products are well formed, for an error in the
+# tenth; the tenth product's line is line 13
+_NINE_PRODUCTS = (
+    "algebra T {\n  basis = [a, b, c, d];\n  unit = a;\n"
+    + "".join(f"  mul {p} = {v};\n" for p, v in [
+        ("a*a", "a"), ("a*b", "b"), ("a*c", "c"), ("a*d", "d"), ("b*b", "0"),
+        ("b*c", "0"), ("b*d", "0"), ("c*c", "0"), ("c*d", "0"),
+    ])
+)
 _MALFORMED_DOCUMENTS = [
     (
         "variety v {\n\tvars = [x, y];\n\tideal = (x^2 + z);\n}\n",
@@ -509,6 +622,14 @@ _MALFORMED_DOCUMENTS = [
         "algebra A {\r\n\tbasis = [one, e];\r\n\tunit = one;\r\n\tmul one*e = e $;\r\n}",
         "unexpected character '$'", 4, 16,
     ),
+    ("variety v { vars = [x]; ideal = (-x^2^3); }", "expected ')', found '^'", 1, 38),
+    (
+        _NINE_PRODUCTS + "  mul d*d = d*d;\n}",
+        "algebra table entries must be linear combinations of basis names", 13, 3,
+    ),
+    (_NINE_PRODUCTS + "  mul d*d = 1/0;\n}", "zero denominator", 13, 15),
+    (_NINE_PRODUCTS + "  mul d*d = e;\n}", "unknown variable 'e'", 13, 13),
+    (_NINE_PRODUCTS + "  mul d*e = d;\n}", "unknown basis name 'e'", 13, 9),
 ]
 
 
