@@ -59,6 +59,7 @@ from .poly import (
     PolyParseError,
     _ExprParser,
     _is_name,
+    _poly_of_terms,
     format_poly,
     tokenize,
 )
@@ -192,11 +193,7 @@ class _Cursor(_ExprParser):
         variables = tuple(variables)
         terms = self.terms_on(variables)
         names = tuple(self.seen)
-        positions = [self.index[v] for v in names]
-        return MultiPoly._trusted(names, {
-            tuple([e[i] for i in positions]): Fraction(c) if type(c) is int else c
-            for e, c in terms.items()
-        })
+        return _poly_of_terms(names, terms, [self.index[v] for v in names])
 
     def poly_tuple(self, variables):
         self.expect("(")

@@ -520,7 +520,6 @@ def linear_combination(coeffs, polys, variables):
 _GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _GAP_RE, _TOKEN_RE = re.compile(_GAP), re.compile(r"(\d+|\w+|[^ \t\r\n#]|\Z)" + _GAP)
 _SYMBOLS = frozenset("+-*^(),/;={}[]")
-_ASCII_STRAY_RE = re.compile(r"[^\w+\-*^(),/;={}\[\]]")  # no ASCII token holds these
 
 
 def _is_name(tok):
@@ -534,8 +533,6 @@ def tokenize(text):
     on over letters, digits and '_', an integer is decimal digits, and a
     symbol is one of ``+-*^(),/;={}[]``; any other character is an error."""
     tokens = _TOKEN_RE.findall(text, _GAP_RE.match(text).end())
-    if text.isascii() and not _ASCII_STRAY_RE.search("".join(tokens)):
-        return tokens
     bad = [t for t in set(tokens) - _SYMBOLS if t and not (_is_name(t) or t[0].isdecimal())]
     if bad:
         at = min(map(tokens.index, bad))
@@ -674,16 +671,20 @@ def parse_polynomial(text, variables=None):
     rejected and the result lives on exactly those variables; otherwise the
     variables are taken in order of first appearance."""
     tokens = tokenize(text)
-    if variables is None:
-        variables = filter(_is_name, dict.fromkeys(tokens))
-    variables = tuple(variables)
+    variables = tuple(filter(_is_name, dict.fromkeys(tokens)) if variables is None else variables)
     parser = _ExprParser(text, tokens)
     terms = parser.terms_on(variables)
     if tokens[parser.pos]:
         parser.error(f"unexpected trailing {tokens[parser.pos]!r}")
-    return MultiPoly._trusted(
-        variables, {e: Fraction(c) if type(c) is int else c for e, c in terms.items()}
-    )
+    return _poly_of_terms(variables, terms)
+
+
+def _poly_of_terms(variables, terms, positions=None):
+    """The polynomial on ``variables`` of a parser's int/Fraction term dict;
+    with ``positions``, entry k of each exponent is read at positions[k]."""
+    items = terms.items() if positions is None else (
+        (tuple([e[i] for i in positions]), c) for e, c in terms.items())
+    return MultiPoly._trusted(variables, {e: Fraction(c) if type(c) is int else c for e, c in items})
 
 
 # polynomials are immutable, so a parsed text can be handed out again
