@@ -24,11 +24,15 @@ every term c * P_1 * ... * P_r of a polynomial into one packed dict per
 component and reduces each component once, at the end (normal forms are
 linear and NF(NF(a) NF(b)) = NF(ab)), adding the normal forms of its
 monomials from a map filled by one division the first time a monomial
-appears.  A table keeps every int form on one packing, a byte for every
-variable, so any term of total degree up to 255 fits; a product or a push
-of a higher degree bound widens every slot two bits past it (cached forms
-re-packed, the map cleared).  A remainder never widens it: under grevlex no
-term of a remainder has a higher total degree than the monomial it reduces.
+appears.  That normal form depends on the ideal alone, so the map is the
+entry of a bounded memo for (variables, packing cap, budget, reduced
+basis), shared by every table on an equal ideal whatever D or the images.
+A table keeps every int form on one packing, a byte for every variable, so
+any term of total degree up to 255 fits; a product or a push of a higher
+degree bound widens every slot two bits past it (cached forms re-packed,
+the map taken for the new cap).  A remainder never widens it: under
+grevlex no term of a remainder has a higher total degree than the monomial
+it reduces.
 The table keeps the image of the polynomial it pushed last, keyed by (and
 holding) the object, so the product-rule check after ``apply(f)`` does not
 push f again.
@@ -36,6 +40,7 @@ push f again.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,13 +192,26 @@ def tensor_mul(a, b, ideal=None):
     return _tensor(table, table.product(table._form(a.comps), table._form(b.comps)))
 
 
+_NF_ENTRIES = 1 << 16  # a map past this many entries is cleared
+
+
+@functools.lru_cache(maxsize=64)
+def _nf_memo(variables, cap, budget, basis):
+    """The normal-form map of every table on ``variables`` (in order, as
+    the slots are), packed ``cap`` a slot, reducing by the reduced grevlex
+    ``basis`` under ``budget`` (which decides what division raises)."""
+    return {}
+
+
 class PowerTable:
     """The variable images of an operator, reduced mod ``ideal`` when given,
     their powers and the unit 1_D, each an int form, filled on demand and
-    shared by every :func:`push_through` on the table; so is ``_nf``, which
-    maps a packed monomial to (packed int remainder r, scale s, total degree
-    of r), its normal form being r / s.  Every form is on ``_packing``,
-    whose slots all hold ``_cap``, a bound on the total degree of any term.
+    shared by every :func:`push_through` on the table.  Every form is on
+    ``_packing``, whose slots all hold ``_cap``, a bound on the total degree
+    of any term.  With a basis, ``_nf`` is the :func:`_nf_memo` map for the
+    table's key, shared with every table on an equal ideal: it maps a packed
+    monomial to (packed int remainder r, scale s, total degree of r), its
+    normal form being r / s.
     """
 
     def __init__(self, algebra, images, variables, ideal=None):
@@ -208,16 +226,17 @@ class PowerTable:
         self._one = _IntForm(*_common_int_terms(units), 0, self._packing)
         self._last = None  # (polynomial, int form of its image)
         self._basis = () if ideal is None else ideal.groebner_basis()
-        self._nf = {}
+        self._nf = self._basis and _nf_memo(self.variables, self._cap, ideal.budget, self._basis)
 
     def _room(self, degree):
         """Widen every slot, two bits past ``degree``, when a total degree
-        passes the cap, re-pack the cached forms and clear the map."""
+        passes the cap, re-pack the cached forms and take the new cap's map."""
         if degree <= self._cap:
             return
         self._cap = (4 << degree.bit_length()) - 1
         self._packing = _Packing([self._cap] * len(self.variables))
-        self._nf = {}
+        if self._basis:
+            self._nf = _nf_memo(self.variables, self._cap, self.ideal.budget, self._basis)
         for cache in self._powers.values():
             cache[1:] = map(self._on, cache[1:])
         self._one = self._on(self._one)
@@ -258,6 +277,8 @@ class PowerTable:
         and fits the packing that holds the monomial."""
         nf, packing, budget = self._nf, self._packing, self.ideal.budget
         used = {e for t in sums for e, v in t.items() if v}
+        if len(nf) > _NF_ENTRIES:
+            nf.clear()
         for e in used - nf.keys():  # one division per monomial new to the map
             try:
                 r, s = _int_normal_form(packing.unpack({e: 1}), self._basis, GREVLEX, budget)

@@ -1,12 +1,17 @@
 """Operator structures on finitely presented rings."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dfields import dring
 from dfields.algebra import from_presentation, product_algebra, rational_field_algebra
 from dfields.dring import (
     DRingError,
+    PowerTable,
     SectionPropertyError,
     TensorElement,
     WellDefinednessError,
@@ -16,9 +21,18 @@ from dfields.dring import (
     localize_dstructure,
     make_doperator,
     product_rule_check,
+    push_through,
     tensor_mul,
 )
-from dfields.poly import Ideal, MultiPoly, format_poly, parse_polynomial
+from dfields.poly import (
+    BudgetExceededError,
+    GroebnerBudget,
+    Ideal,
+    MultiPoly,
+    as_poly,
+    format_poly,
+    parse_polynomial,
+)
 
 from conftest import random_poly
 
@@ -196,6 +210,152 @@ def test_operators_on_one_ideal_share_no_powers(dual):
     assert first.powers is not second.powers
     for v in ("x", "y"):
         assert first.powers.power(v, 3).comps != second.powers.power(v, 3).comps
+
+
+# ---------------------------------------------------------------------------
+# one normal-form map per ideal, against an unreduced push followed by
+# Ideal.normal_form, which no normal-form map serves
+
+XY = ("x", "y")
+CIRCLE = "x^2 + y^2 - 1"
+TRUNC4 = from_presentation(["e"], ["e^4"])
+# the rotation flow of the circle, to first and to third order
+ROTATION = {"x": ("x", "-y"), "y": ("y", "x")}
+ROTATION4 = {"x": ("x", "-y", "-1/2*x", "1/6*y"), "y": ("y", "x", "-1/2*y", "-1/6*x")}
+
+
+def _oracle(algebra, ideal, images, f):
+    """The image of f pushed on a table without the ideal, each component
+    then reduced by :meth:`Ideal.normal_form`."""
+    images = {
+        v: TensorElement(algebra, [as_poly(c, ideal.variables) for c in comps])
+        for v, comps in images.items()
+    }
+    table = PowerTable(algebra, images, ideal.variables)
+    return push_through(table, [as_poly(f, ideal.variables)])[0].reduce(ideal)
+
+
+def _agrees(op, images, f):
+    return op.apply(f) == _oracle(op.algebra, op.ideal, images, f)
+
+
+def test_equal_circles_over_two_algebras_agree_with_the_oracle(dual):
+    ops = [
+        (make_doperator(dual, Ideal(XY, [CIRCLE]), ROTATION), ROTATION),
+        (make_doperator(TRUNC4, Ideal(XY, ["2*x^2 + 2*y^2 - 2"]), ROTATION4), ROTATION4),
+    ]
+    for degree in (2, 6, 3, 9):
+        f = _ladder_poly(degree)
+        for op, images in ops + ops[::-1]:
+            assert _agrees(op, images, f)
+
+
+def test_a_smaller_budget_still_raises_after_a_default_budget_push(dual):
+    # the budget decides which divisions raise, so a push under the default
+    # cap must not serve x^2*y^4 and x^6 to a table under a cap of 5
+    f = "x^6 + x*y^5"
+    assert _agrees(make_doperator(dual, Ideal(XY, [CIRCLE]), ROTATION), ROTATION, f)
+    tight = make_doperator(dual, Ideal(XY, [CIRCLE], GroebnerBudget(5)), ROTATION)
+    with pytest.raises(BudgetExceededError, match="degree 6 exceeds cap 5"):
+        tight.apply(f)
+
+
+def test_one_parabola_on_both_variable_orders_agrees_with_the_oracle(dual):
+    # equal ideals on reordered variables pack their monomials differently
+    images = {"x": ("x", "1"), "y": ("y", "2*x")}
+    ops = [make_doperator(dual, Ideal(vs, ["y - x^2"]), images) for vs in (XY, XY[::-1])]
+    for degree in (3, 7, 2):
+        f = _ladder_poly(degree)
+        for op in ops + ops[::-1]:
+            assert _agrees(op, images, f)
+
+
+def test_a_push_past_a_byte_takes_the_map_for_the_wider_cap(dual):
+    ops = [
+        make_doperator(dual, Ideal(XY, [CIRCLE], GroebnerBudget(310)), ROTATION)
+        for _ in range(2)
+    ]
+    for f in ("x^5*y + 2*x^3", "x^300", "x^5*y - 2*x^3", "x^300 - x*y^299"):
+        for op in ops:
+            assert _agrees(op, ROTATION, f)
+    assert all(op.powers._cap > 255 for op in ops)
+
+
+def test_an_equal_ideal_divides_no_monomial_a_first_operator_divided(dual, monkeypatch):
+    divided, int_normal_form = [], dring._int_normal_form
+
+    def recording(terms, *args):
+        divided.append(frozenset(terms))
+        return int_normal_form(terms, *args)
+
+    monkeypatch.setattr(dring, "_int_normal_form", recording)
+    # a ring no other test uses, so the first operator finds no map filled
+    uv = ("u", "v")
+    images = {"u": ("u", "-v"), "v": ("v", "u")}
+    images4 = {"u": ("u", "-v", "-1/2*u", "1/6*v"), "v": ("v", "u", "-1/2*v", "-1/6*u")}
+    f = "u^5*v - 3*u^2 + v^4"
+    make_doperator(dual, Ideal(uv, ["u^2 + v^2 - 1"]), images).apply(f)
+    seen = set(divided)
+    assert seen
+    for algebra, relation, images in [
+        (dual, "2*u^2 + 2*v^2 - 2", images),
+        (TRUNC4, "-u^2 - v^2 + 1", images4),
+    ]:
+        divided.clear()
+        make_doperator(algebra, Ideal(uv, [relation]), images).apply(f)
+        assert not seen & set(divided)
+        seen |= set(divided)
+
+
+def test_a_full_normal_form_map_is_cleared_before_it_grows(dual, monkeypatch):
+    monkeypatch.setattr(dring, "_NF_ENTRIES", 4)
+    # a budget no other test uses: a map of its own
+    op = make_doperator(dual, Ideal(XY, [CIRCLE], GroebnerBudget(43)), ROTATION)
+    for degree in (3, 8, 5):
+        op.powers._nf.update({-k: None for k in range(1, 6)})  # keys no monomial packs to
+        assert _agrees(op, ROTATION, _ladder_poly(degree))
+        assert all(e >= 0 for e in op.powers._nf)
+
+
+_COEFFS = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-1, 3)])
+_SMALL = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _COEFFS, max_size=3).map(
+    lambda t: MultiPoly(XY, t)
+)
+_NUDGES = st.lists(st.one_of(st.just(MultiPoly.zero(XY)), _SMALL), min_size=4, max_size=4)
+# a budget no table has used yet: the key of a map not yet filled
+_FRESH_BUDGETS = map(GroebnerBudget, itertools.count(100))
+
+
+@pytest.mark.parametrize("warm", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(st.booleans(), _SMALL, _NUDGES)
+def test_make_doperator_fails_exactly_when_the_oracle_maps_the_circle_outside(
+    dual, trunc3, warm, second_order, h, nudges
+):
+    # the rotation flow scaled by h is an operator over dual and trunc3;
+    # a nonzero nudge to an image mostly breaks it
+    x, y = (MultiPoly.variable(v, XY) for v in XY)
+    algebra = trunc3 if second_order else dual
+    flow = {
+        "x": (x, -y * h + nudges[0], -Fraction(1, 2) * x * h * h + nudges[2]),
+        "y": (y, x * h + nudges[1], -Fraction(1, 2) * y * h * h + nudges[3]),
+    }
+    images = {v: comps[: algebra.dim] for v, comps in flow.items()}
+    if warm:
+        make_doperator(dual, Ideal(XY, [CIRCLE]), ROTATION).apply(_ladder_poly(5))
+        ideal = Ideal(XY, [CIRCLE])
+    else:
+        ideal = Ideal(XY, [CIRCLE], next(_FRESH_BUDGETS))
+    image = _oracle(algebra, ideal, images, ideal.generators[0])
+    nonzero = [j for j, c in enumerate(image.comps) if not c.is_zero()]
+    if not nonzero:
+        op = make_doperator(algebra, ideal, images)
+        assert _agrees(op, images, _ladder_poly(3))
+        return
+    with pytest.raises(WellDefinednessError) as err:
+        make_doperator(algebra, ideal, images)
+    assert err.value.component == nonzero[0]
+    assert err.value.value == image.comps[nonzero[0]]
 
 
 # ---------------------------------------------------------------------------
