@@ -990,7 +990,7 @@ class Ideal:
         self.variables = tuple(variables)
         self.generators = tuple(as_poly(g, self.variables) for g in generators)
         self.budget = budget or DEFAULT_BUDGET
-        self._bases = {}
+        self._bases, self._irreducibility = {}, None
 
     def __repr__(self):
         gens = ", ".join(format_poly(g) for g in self.generators)
@@ -1235,6 +1235,21 @@ def univariate_poly(coeffs, var):
     return MultiPoly((var,), {(i,): c for i, c in enumerate(coeffs) if c != 0})
 
 
+def _zz_quotient(a, b):
+    """a / b in Z[x] (int lists, low degree first), b nonzero; None if inexact."""
+    top, rest = len(b) - 1, list(a)
+    quotient = [0] * (len(a) - top)
+    for k in range(len(quotient) - 1, -1, -1):
+        c, r = divmod(rest[k + top], b[-1])
+        if r:
+            return None
+        quotient[k] = c
+        if c:
+            for i in range(top):
+                rest[k + i] -= c * b[i]
+    return None if any(rest[:top]) else quotient
+
+
 # ---------------------------------------------------------------------------
 # factorisation over Q
 #
@@ -1276,8 +1291,6 @@ def factor_univariate(f, var=None):
         if len(used) != 1:
             raise ValueError("polynomial is not univariate")
         var = next(iter(used))
-    elif not used <= {var}:
-        raise ValueError("polynomial is not univariate")
     if f.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     coeffs = univariate_coeffs(f, var)
@@ -1294,18 +1307,18 @@ def _factor_ints(ints):
 
     On the primitive form, the factor x^k and every rational root p/q (p
     dividing the constant coefficient, q the leading one) are peeled off
-    with their multiplicities by exact deflation.  What remains has no
-    rational root: of degree 2 or 3 it is irreducible, and degree 4 and up is
-    factored over Z by :func:`zfactor.factor`.  When the constant or leading
-    coefficient is above an internal limit, the root search is skipped and
-    everything of degree 2 and up goes to :func:`zfactor.factor`."""
+    with their multiplicities by exact deflation in Z[x] (Gauss's lemma).
+    What remains has no rational root: of degree 2 or 3 it is irreducible,
+    and degree 4 and up is factored over Z by :func:`zfactor.factor`, as
+    is everything of degree 2 and up when the constant or leading
+    coefficient is above an internal limit, which skips the root search."""
     zeros = next(i for i, c in enumerate(ints) if c)
     ints = linalg.primitive(ints[zeros:] if ints[-1] > 0 else [-c for c in ints[zeros:]])
     out = [([0, 1], zeros)] if zeros else []
     searched = len(ints) > 2 and max(abs(ints[0]), ints[-1]) <= _ROOT_SEARCH_LIMIT
     for p, q in _root_candidates(ints) if searched else ():
         mult = 0
-        while (quotient := _deflate(ints, p, q)) is not None:
+        while (quotient := _zz_quotient(ints, [-p, q])) is not None:
             ints, mult = quotient, mult + 1
         if mult:
             out.append(([-p, q], mult))
@@ -1347,20 +1360,6 @@ def _root_candidates(ints):
 
 def _divides(d, n):
     return n % d == 0 if d else n == 0
-
-
-def _deflate(ints, p, q):
-    """The quotient of an int polynomial (low degree first) by q*x - p when
-    p/q (lowest terms) is a root, else None.  By Gauss's lemma the quotient
-    has int coefficients, so an inexact step rules the root out."""
-    quotient = [0] * (len(ints) - 1)
-    b = 0
-    for i in range(len(ints) - 1, 0, -1):
-        b, r = divmod(ints[i] + p * b, q)
-        if r:
-            return None
-        quotient[i - 1] = b
-    return quotient if ints[0] + p * b == 0 else None
 
 
 def _rational_sqrt(c):
@@ -1458,7 +1457,13 @@ def decide_irreducibility(ideal):
     :func:`_irreducible_by_certificate`; otherwise f is factored, by
     :func:`factor_univariate` in one variable and by sympy in two, and the
     distinct irreducible factors are counted.  A zero-dimensional V(I) is
-    irreducible when Q[x]/I has one local component."""
+    irreducible when Q[x]/I has one local component.  Kept on the ideal."""
+    if ideal._irreducibility is None:
+        ideal._irreducibility = _decide_irreducibility(ideal)
+    return ideal._irreducibility
+
+
+def _decide_irreducibility(ideal):
     gens = list(ideal.groebner_basis())
     if not gens:
         return IrreducibilityResult("irreducible", "zero-ideal", "affine space")

@@ -46,10 +46,6 @@ class BaseDStructure:
     def trivial(cls, algebra):
         return cls(algebra, ())
 
-    def apply(self, f):
-        """Image of an element of Q[params]."""
-        return self.operator.apply(f)
-
     def __repr__(self):
         return f"BaseDStructure(dim(D)={self.algebra.dim}, params={list(self.params)})"
 
@@ -82,7 +78,6 @@ class ProlongedVariety:
     generator's expansion."""
 
     base: BaseDStructure
-    original_ideal: Ideal
     xvars: tuple
     prolonged_ideal: Ideal
     per_generator: tuple  # pairs (generator, tuple of component polys)
@@ -107,32 +102,14 @@ class ProlongedVariety:
         }
 
 
-def _geometric_variables(base, ideal, xvars):
-    """The coordinates of V(ideal): ``xvars`` when given, else every ideal
-    variable that is not a parameter of ``base``.  Each ideal variable must
-    be a parameter or a coordinate, and not both."""
-    if xvars is None:
-        xvars = tuple(v for v in ideal.variables if v not in set(base.params))
-    else:
-        xvars = tuple(xvars)
-    if set(base.params) & set(xvars):
-        raise ProlongationError("parameters cannot be geometric variables")
-    stray = set(ideal.variables) - set(base.params) - set(xvars)
-    if stray:
-        raise ProlongationError(
-            f"ideal variable {sorted(stray)[0]!r} is neither geometric nor a "
-            f"declared parameter"
-        )
-    return xvars
-
-
-def prolong(base, ideal, xvars=None):
+def prolong(base, ideal):
     """The prolongation of V(ideal) along the base operator structure.
 
-    ``ideal`` lives in Q[params + xvars]; the result lives in
+    The coordinates x are the variables of ``ideal`` that are not
+    parameters of ``base``; the result lives in
     Q[params + x_0-block + ... + x_l-block].
     """
-    xvars = _geometric_variables(base, ideal, xvars)
+    xvars = tuple(v for v in ideal.variables if v not in base.params)
     algebra = base.algebra
     new_vars = prolonged_variables(base.params, xvars, algebra.dim)
     if len(set(new_vars)) != len(new_vars):
@@ -147,7 +124,7 @@ def prolong(base, ideal, xvars=None):
     per_generator = tuple((f, t.comps) for f, t in zip(ideal.generators, expansions))
     components = [c for _, comps in per_generator for c in comps if not c.is_zero()]
     prolonged = Ideal(new_vars, components, ideal.budget)
-    return ProlongedVariety(base, ideal, xvars, prolonged, per_generator)
+    return ProlongedVariety(base, xvars, prolonged, per_generator)
 
 
 def nabla(op, point, xvars=None):
@@ -235,16 +212,17 @@ def alpha_hat(prolonged):
     return AlphaHatMap(factors)
 
 
-def extend_by_point(base, ideal, point_images, xvars=None):
+def extend_by_point(base, ideal, point_images):
     """Extend the base structure to Q[x]/ideal by prescribing the image of
     the generic point: ``point_images`` lists, block-major, the coordinates
-    of a point of the prolongation whose level-0 block is x itself.
+    of a point of the prolongation whose level-0 block is x itself.  The
+    coordinates x are the variables of ``ideal`` that are not parameters.
 
     The point lies on the prolongation exactly when the operator with
     those images is well defined, which :func:`dfields.dring.make_doperator`
     checks along with the level-0 block; returns that operator.
     """
-    xvars = _geometric_variables(base, ideal, xvars)
+    xvars = tuple(v for v in ideal.variables if v not in base.params)
     dim = base.algebra.dim
     entries = [as_poly(entry, ideal.variables) for entry in point_images]
     if len(entries) != len(xvars) * dim:

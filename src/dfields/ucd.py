@@ -52,9 +52,11 @@ dimension and ``decide_irreducibility``.  A refutation there needs a
 proof.  A polynomial outside an ideal refutes containment or dominance
 only when it is also outside the radical (Rabinowitsch), that is, when it
 does not vanish on the variety.  A Jacobian rank below the codimension
-refutes smoothness only when I(Y) is radical by inspection (a linear or a
-squarefree principal reduced basis).  Otherwise the hypothesis is
-undetermined.
+refutes smoothness only when I(Y) is radical by inspection: a squarefree
+principal reduced basis.  A linear reduced basis never meets a low rank:
+its forms are combinations of the generators, so at a point of V(Y) their
+independent gradients lie in the span of the generators' gradients, and
+rank J is the codimension.  Otherwise the hypothesis is undetermined.
 
 The search procedure looks for rational points a of X whose canonical
 prolongation point lands in U, on the locus of X where that point lies on
@@ -67,7 +69,6 @@ the search is reported, never treated as a refutation.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -76,7 +77,6 @@ from .algebra import rational_points
 from .dring import associated_hom
 from .dvariety import zero_section
 from .poly import (
-    EmptyVarietyError,
     Ideal,
     IrreducibilityResult,
     MonomialOrder,
@@ -262,12 +262,12 @@ def _twisted(inst, i):
     )
 
 
-def _dominance_certified(inst, i, at, decide):
+def _dominance_certified(inst, i, at):
     """The certificate for pi_i once Y lies in the prolongation: X^sigma_i
     is decided irreducible, the witness is smooth, and d(pi_i) on ker J
     has rank dim X^sigma_i."""
     twisted = _twisted(inst, i)
-    if at is None or not at.smooth or decide(twisted).status != "irreducible":
+    if at is None or not at.smooth or decide_irreducibility(twisted).status != "irreducible":
         return False
     variables = inst.y_ideal.variables
     projection = pi_hat(inst.prolonged, i)
@@ -369,7 +369,7 @@ def _first_outside_radical(ideal, polys):
     return next((g for g in polys if not ideal.radical_contains(g)), None)
 
 
-def _dominance_entries(inst, contained, at, decide, reduced):
+def _dominance_entries(inst, contained, at, reduced):
     comps = inst.base.algebra.components
     if any(c.residue_dim != 1 for c in comps):
         return [
@@ -381,19 +381,10 @@ def _dominance_entries(inst, contained, at, decide, reduced):
         ]
     return [
         HypothesisEntry(f"dominance_pi_{i}", "verified")
-        if contained and _dominance_certified(inst, i, at, decide)
+        if contained and _dominance_certified(inst, i, at)
         else _graph_dominance(inst, i, reduced) or _dominance_entry(inst, i)
         for i in range(len(comps))
     ]
-
-
-def _known_radical(ideal):
-    """I is radical by inspection of its reduced basis: all of it linear,
-    or one squarefree polynomial."""
-    basis = ideal.groebner_basis()
-    if all(g.total_degree() <= 1 for g in basis):
-        return True
-    return len(basis) == 1 and is_squarefree(basis[0])
 
 
 def _smoothness_certificate(at):
@@ -425,7 +416,7 @@ def _complete_intersection(ideal, point, codim):
     )
 
 
-def _smoothness_entry(inst, at, decide=None):
+def _smoothness_entry(inst, at):
     """Jacobian rank at the witness (``at``, from :func:`_at_witness`)
     against the codimension of Y.
 
@@ -443,14 +434,11 @@ def _smoothness_entry(inst, at, decide=None):
         except NotOnVarietyError as exc:
             return HypothesisEntry("smooth_witness", "refuted", f"witness not on Y: {exc}")
     rank = at.rank
-    try:
-        dim = inst.y_ideal.krull_dimension()
-    except EmptyVarietyError:
-        return HypothesisEntry("smooth_witness", "refuted", "Y is empty")
-    codim = len(inst.y_ideal.variables) - dim
+    # the witness lies on V(Y), so V(Y) is not empty
+    codim = len(inst.y_ideal.variables) - inst.y_ideal.krull_dimension()
     if rank == codim:
         if _complete_intersection(inst.y_ideal, inst.witness, codim) or (
-            (decide or decide_irreducibility)(inst.y_ideal).status == "irreducible"
+            decide_irreducibility(inst.y_ideal).status == "irreducible"
         ):
             return HypothesisEntry(
                 "smooth_witness", "verified", f"Jacobian rank {rank} = codimension"
@@ -468,7 +456,9 @@ def _smoothness_entry(inst, at, decide=None):
             f"Jacobian rank {rank} > codimension {codim}: the witness lies only "
             f"on components of smaller dimension",
         )
-    if _known_radical(inst.y_ideal):
+    # radical by inspection (module docstring); a linear basis gives rank = codim
+    basis = inst.y_ideal.groebner_basis()
+    if len(basis) == 1 and is_squarefree(basis[0]):
         return HypothesisEntry(
             "smooth_witness",
             "refuted",
@@ -493,9 +483,9 @@ def _irreducibility_verdict(inst, which, result):
     return HypothesisEntry(name, "undetermined", result.detail or result.method)
 
 
-def _irreducibility_entry(inst, which, decide=None):
+def _irreducibility_entry(inst, which):
     ideal = inst.x_ideal if which == "X" else inst.y_ideal
-    return _irreducibility_verdict(inst, which, (decide or decide_irreducibility)(ideal))
+    return _irreducibility_verdict(inst, which, decide_irreducibility(ideal))
 
 
 def _graph_reduction(inst, contained):
@@ -566,20 +556,19 @@ def check_instance(inst):
     the witness or over a graph X where one applies, Groebner bases of Y
     where none does."""
     at = _at_witness(inst)
-    decide = functools.cache(decide_irreducibility)
     containment = _containment_entry(inst, _outside_span(inst))
     contained = containment.status == "verified"
     reduced = _graph_reduction(inst, contained)
     entries = [containment]
-    entries.extend(_dominance_entries(inst, contained, at, decide, reduced))
-    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, at, decide))
-    entries.append(_irreducibility_entry(inst, "X", decide))
+    entries.extend(_dominance_entries(inst, contained, at, reduced))
+    entries.append(_smoothness_certificate(at) or _smoothness_entry(inst, at))
+    entries.append(_irreducibility_entry(inst, "X"))
     on_graph = reduced is not None and (
-        not reduced.generators or decide(reduced).status == "irreducible"
+        not reduced.generators or decide_irreducibility(reduced).status == "irreducible"
     )
     entries.append(
         HypothesisEntry("Y_irreducible", "verified", "graph") if on_graph
-        else _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y", decide)
+        else _irreducibility_certificate(inst, at) or _irreducibility_entry(inst, "Y")
     )
     entries.append(_open_set_certificate(inst, at) or _open_set_entry(inst, reduced))
     return HypothesisReport(tuple(entries))
@@ -599,7 +588,6 @@ class NablaSearchResult:
     points: tuple  # pairs (a, prolongation point), exact hits
     samples: tuple = ()  # sampled hits on a positive-dimensional locus
     note: str = ""
-    candidate_consistent: bool | None = None
 
     @property
     def found(self):
@@ -622,36 +610,25 @@ class NablaSearchResult:
         }
 
 
-def find_nabla_point(inst, candidate=None):
+def find_nabla_point(inst):
     """Search for rational a in X(Q) whose canonical prolongation point
-    (a, b_1 a, ..., b_l a) satisfies I(Y) and avoids V(h).
-
-    ``candidate`` is an optional verified operator on the coordinate ring
-    of X (for instance from extend_by_point); when given, the result also
-    records whether its graph lies inside Y.  Emptiness over Q never
-    refutes the instance; Q is not large.
+    (a, b_1 a, ..., b_l a), by the trivial structure x -> x * 1_D, satisfies
+    I(Y) and avoids V(h).  Emptiness over Q never refutes the instance; Q
+    is not large.
     """
     algebra = inst.base.algebra
     if inst.base.params:
         raise UcdError("point search is implemented for parameter-free instances")
-
-    def through(images):
-        """Y's generators with each block coordinate x_level replaced by
-        images[x][level], a polynomial on the coordinates of X."""
-        subs = {
-            name: images[x][level]
-            for level in range(algebra.dim)
-            for x, name in zip(inst.xvars, inst.prolonged.block(level))
-        }
-        return [g.substitute(subs).on_variables(inst.xvars) for g in inst.y_ideal.generators]
-
-    consistent = None
-    if candidate is not None:
-        images = {x: t.comps for x, t in candidate.images.items()}
-        consistent = all(inst.x_ideal.contains(g) for g in through(images))
-
     section = zero_section(algebra, inst.x_ideal)
-    locus_gens = list(inst.x_ideal.generators) + through(section)
+    # Y's generators with each block coordinate x_level replaced by section[x][level]
+    subs = {
+        name: section[x][level]
+        for level in range(algebra.dim)
+        for x, name in zip(inst.xvars, inst.prolonged.block(level))
+    }
+    locus_gens = list(inst.x_ideal.generators) + [
+        g.substitute(subs).on_variables(inst.xvars) for g in inst.y_ideal.generators
+    ]
     locus = Ideal(inst.xvars, [g for g in locus_gens if not g.is_zero()], inst.x_ideal.budget)
     dim, points, has_nonrational = rational_points(locus, limit=8)
     hits = []
@@ -673,10 +650,7 @@ def find_nabla_point(inst, candidate=None):
         if has_nonrational:
             note += "; non-rational locus points exist"
     hits = tuple(hits)
-    return NablaSearchResult(
-        locus, dim, () if dim else hits, hits if dim else (), note=note,
-        candidate_consistent=consistent,
-    )
+    return NablaSearchResult(locus, dim, () if dim else hits, hits if dim else (), note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ import itertools
 import math
 import random
 
+from .poly import _zz_quotient
+
 
 def factor(ints):
     """The irreducible factors over Z of a primitive int polynomial of
@@ -78,25 +80,6 @@ def _zz_gcd(a, b):
     while b:
         a, b = b, _zz_remainder(a, b)
     return _zz_primitive(a)
-
-
-def _zz_quotient(a, b):
-    """The quotient a / b when the nonzero int polynomial b divides a with
-    an int quotient, else None."""
-    if not a:
-        return []
-    top, lead = len(b) - 1, b[-1]
-    rest = list(a)
-    quotient = [0] * (len(a) - top)
-    for k in range(len(quotient) - 1, -1, -1):
-        c, r = divmod(rest[k + top], lead)
-        if r:
-            return None
-        quotient[k] = c
-        if c:
-            for i in range(top):
-                rest[k + i] -= c * b[i]
-    return None if not quotient or any(rest[:top]) else quotient
 
 
 def squarefree_parts(f):

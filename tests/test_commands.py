@@ -185,6 +185,32 @@ def test_ucd_search_rejects_an_invalid_candidate_image(tmp_path, capsys):
     assert "component 0 of the image of 'x' is not 'x' modulo the ideal" in captured.err
 
 
+
+def test_dvariety_sharp_on_an_empty_sharp_locus(tmp_path, capsys):
+    # the section x -> (x, 1) never meets the zero section x -> (x, 0)
+    text = """
+algebra dual = Q[e]/(e^2);
+variety line { vars = [x]; }
+dvariety dv { algebra = dual; variety = line; s x = (x, 1); }
+"""
+    code, out = _cli(tmp_path, capsys, text, ["dvariety", "sharp"])
+    assert (code, out) == (0, "dvariety dv: sharp locus is empty\n")
+    code, out = _cli(tmp_path, capsys, text, ["--json", "dvariety", "sharp"])
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "dvariety sharp",
+        "results": [
+            {
+                "name": "dv",
+                "locus": ["1"],
+                "dimension": None,
+                "points": [],
+                "samples": [],
+                "nonrational": False,
+            }
+        ],
+    }
+
 # the first block needs a Groebner basis past degree 10 (it has no witness,
 # so no certificate applies); the second is answered at its witness
 BUDGETED = """

@@ -314,6 +314,19 @@ def test_sqrt2_scaling_flow_descends(dual):
     assert result.is_sharp_over_extension(original)
 
 
+def test_points_off_the_variety_or_off_the_section_are_not_sharp(dual):
+    # off the variety x = a: x = a + 1 leaves the residue 1
+    gaussian = weil_descent(
+        dual, P("a^2 + 1"), ("a", "0"), ("x",), ["x - a"], {"x": ("x", "0")}
+    )
+    assert not gaussian.is_sharp_over_extension({"x": "a + 1"})
+    # on the line but off the section x -> (x, a*x): the constant 1 has the
+    # image (1, 0), the section asks for (1, a)
+    scaling = weil_descent(dual, P("a^2 - 2"), ("a", "0"), ("x",), [], {"x": ("x", "a*x")})
+    assert not scaling.is_sharp_over_extension({"x": "1"})
+    assert scaling.is_sharp_over_extension({"x": "0"})
+
+
 def test_sharp_point_counts_agree_on_both_sides(dual):
     fixtures = [
         (P("a^2 + 1"), ("a", "0"), ("x",), ["x - a"], {"x": ("x", "0")}),

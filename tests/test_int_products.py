@@ -166,7 +166,8 @@ ALGEBRAS = (
     product_algebra(from_presentation(["e"], ["e^2"]), rational_field_algebra()),
 )
 # rotation-style denominators 1/k! next to plain and negative integers
-_COEFFS = st.sampled_from([F(1), F(-1), F(2), F(-3), F(1, 2), F(-1, 6), F(1, 24), F(5, 3)])
+_COEFF_LIST = [F(1), F(-1), F(2), F(-3), F(1, 2), F(-1, 6), F(1, 24), F(5, 3)]
+_COEFFS = st.sampled_from(_COEFF_LIST)
 _EXPS = st.tuples(st.integers(0, 3), st.integers(0, 3))
 _POLYS = st.dictionaries(_EXPS, _COEFFS, max_size=4).map(lambda t: MultiPoly(VARS, t))
 UNIT_IDEAL = Ideal(VARS, ["1"])
@@ -242,6 +243,42 @@ def test_push_through_matches_fraction_reference(algebra, polys, x_image, y_imag
             if ideal is not None:
                 # the components come out as normal forms
                 _assert_same(ideal.normal_form(r), r)
+
+
+def _random_poly(rng, variables, top, size):
+    terms = {
+        tuple(rng.randint(0, top) for _ in variables): rng.choice(_COEFF_LIST)
+        for _ in range(size)
+    }
+    return MultiPoly(variables, terms)
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS[2:], ids=["e^3", "e^2 x Q"])
+@pytest.mark.parametrize(
+    "variables, relations",
+    [(("x", "y", "z"), ["x^2 + y^2 + z^2 - 1"]), (("x", "y", "z", "w"), ["x*y - z", "w^2 - 2"])],
+    ids=["three", "four"],
+)
+def test_pushes_on_three_and_four_variables_match_fraction_reference(
+    algebra, variables, relations
+):
+    # a term with three or more variable powers multiplies all but its last
+    # power in the table before the last goes through the structure constants
+    rng = random.Random(len(variables) * algebra.dim)
+    full = MultiPoly(variables, {(1,) * len(variables): F(-1, 6), (2,) * len(variables): F(3)})
+    for ideal in (None, Ideal(variables, relations)):
+        for _ in range(6):
+            images = {
+                v: TensorElement(algebra, [_random_poly(rng, variables, 1, 2) for _ in range(3)])
+                for v in variables
+            }
+            polys = [full + _random_poly(rng, variables, 2, 3) for _ in range(3)]
+            table = PowerTable(algebra, images, variables, ideal)
+            results = push_through(table, polys)
+            expected = _reference_push_through(algebra, polys, images, variables, ideal)
+            for result, reference in zip(results, expected):
+                for r, e in zip(result.comps, reference.comps):
+                    _assert_same(r, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1346,6 +1346,17 @@ def test_factor_tracks_units_and_multiplicity():
     assert unit == 4
 
 
+def test_factor_univariate_rejects_a_polynomial_in_another_variable():
+    # the named variable must be the only one in use; a constant passes
+    xy = ("x", "y")
+    for f, var in [(P("x*y", xy), "x"), (P("x + y", xy), None), (P("y", xy), "x")]:
+        with pytest.raises(ValueError, match="polynomial is not univariate"):
+            factor_univariate(f, var)
+    with pytest.raises(ValueError, match="cannot factor the zero polynomial"):
+        factor_univariate(P("0", xy), "x")
+    assert factor_univariate(P("3", xy), "x") == (3, [])
+
+
 def _sympy_factor_univariate(f, var):
     """The oracle: factor_univariate's answer on a nonzero polynomial in
     ``var``, all by sympy."""

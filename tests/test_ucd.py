@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from dfields.cli import parse, run
 from dfields.dvariety import make_dvariety, rational_sharp_points, zero_section
 from dfields.poly import Ideal, parse_polynomial
-from dfields.prolongation import BaseDStructure, extend_by_point
+from dfields.prolongation import BaseDStructure
 from dfields.ucd import (
     UcdError,
     check_difference_large_instance,
@@ -290,6 +290,39 @@ ucd U {{ algebra = D; base = B; X = X; Y = (x_1, x_0 - {param}); }}
     ) in lines
 
 
+def test_a_residue_field_larger_than_q_leaves_dominance_undetermined():
+    # Q[y]/(y^3 + y) is Q x Q(i): one local component has the residue
+    # field Q(i), so its projection lands in no affine variety over Q
+    doc = parse("""
+algebra D = Q[y]/(y^3 + y);
+variety X { vars = [x]; }
+ucd U { algebra = D; X = X; Y = (x_1, x_2); witness = (0, 0, 0); }
+""")
+    lines = run("ucd check", doc).lines
+    assert lines[0] == "ucd U: undetermined"
+    assert "  dominance: undetermined (some local component has residue degree > 1)" in lines
+
+
+def test_a_witness_only_on_a_smaller_component_leaves_smoothness_undetermined():
+    # V(Y) is the line x_0 = 0 and the point (1, 0); the witness is that
+    # point, where the Jacobian rank 2 exceeds the codimension 1 of Y
+    doc = parse("""
+algebra D = Q[e]/(e^2);
+variety X { vars = [x]; }
+ucd U {
+  algebra = D;
+  X = X;
+  Y = (x_0^2 - x_0, x_0*x_1, x_0^2*x_1 - x_0*x_1);
+  witness = (1, 0);
+}
+""")
+    lines = run("ucd check", doc).lines
+    assert (
+        "  smooth_witness: undetermined (Jacobian rank 2 > codimension 1: the witness "
+        "lies only on components of smaller dimension)"
+    ) in lines
+
+
 # ---------------------------------------------------------------------------
 # point search
 
@@ -335,14 +368,6 @@ def test_found_points_respect_h(trivial_dual, line):
     for a, nb in result.points:
         coords = dict(zip(y.variables, nb))
         assert inst.h.evaluate(coords) != 0
-
-
-def test_candidate_graph_consistency_flag(trivial_dual, line):
-    inst = _quadratic_instance(trivial_dual, line)
-    good = extend_by_point(trivial_dual, line, ("x", "x^2"))
-    bad = extend_by_point(trivial_dual, line, ("x", "x"))
-    assert find_nabla_point(inst, good).candidate_consistent is True
-    assert find_nabla_point(inst, bad).candidate_consistent is False
 
 
 def test_search_agrees_with_sharp_points_on_graph_instances(dual, trivial_dual):

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dfields.algebra import from_presentation, rational_field_algebra
-from dfields import linalg, poly
+from dfields import linalg, poly, ucd
 from dfields.cli import parse, run
 from dfields.poly import Ideal, IrreducibilityResult, MultiPoly, jacobian_at, parse_polynomial
 from dfields.prolongation import BaseDStructure, prolong
@@ -34,7 +34,6 @@ from dfields.ucd import (
     _outside_span,
     _smoothness_entry,
     check_instance,
-    decide_irreducibility,
     ucd_instance,
 )
 
@@ -133,8 +132,7 @@ def test_intact_prolongations_are_verified_by_certificates(algebra_name, curve, 
     # every X here is decided irreducible, the twisted cubic as a graph, so
     # no projection needs its elimination ideal
     dominance = [
-        _dominance_certified(inst, i, at, decide_irreducibility)
-        for i in range(len(algebra.components))
+        _dominance_certified(inst, i, at) for i in range(len(algebra.components))
     ]
     assert all(dominance)
 
@@ -230,9 +228,7 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
                 (e.name, e.status) for e in fallback
             ], (extra, witness)
             if not extra and witness == on:
-                assert all(
-                    _dominance_certified(inst, i, at, decide_irreducibility) for i in (0, 1)
-                )
+                assert all(_dominance_certified(inst, i, at) for i in (0, 1))
 
 
 NODE_DOCUMENT = """
@@ -268,7 +264,7 @@ def _node_instance(gens, witness):
     return ucd_instance(base, x_ideal, Ideal(yvars, gens), witness=witness)
 
 
-def test_rank_equal_to_codimension_verifies_an_equidimensional_y():
+def test_rank_equal_to_codimension_verifies_an_equidimensional_y(monkeypatch):
     cases = (
         # two generators in codimension 2
         (["x_0 - 5", "y_0^2 - z_0^3 - z_0"], (5, 0, 0)),
@@ -285,8 +281,10 @@ def test_rank_equal_to_codimension_verifies_an_equidimensional_y():
     )
     at = _at_witness(node)
     assert _smoothness_entry(node, at).status == "undetermined"
-    irreducible = lambda ideal: IrreducibilityResult("irreducible", "given")  # noqa: E731
-    assert _smoothness_entry(node, at, irreducible).status == "verified"
+    monkeypatch.setattr(
+        ucd, "decide_irreducibility", lambda ideal: IrreducibilityResult("irreducible", "given")
+    )
+    assert _smoothness_entry(node, at).status == "verified"
 
 
 def _reference_complete_intersection(ideal, point, codim):
