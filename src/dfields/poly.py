@@ -979,18 +979,16 @@ def _fresh_name(base, taken):
 
 
 class Ideal:
-    """An ideal of Q[variables] with cached reduced Groebner bases.
-
-    The cache is write-once per monomial order and the computation is
-    deterministic, so concurrent duplicate computation is harmless: both
-    racers produce the identical reduced basis.
-    """
+    """An ideal of Q[variables] that keeps its reduced Groebner basis per
+    order, its independent set and its irreducibility once computed.  Each
+    is written once and computed deterministically, so concurrent duplicate
+    computation is harmless: both racers produce the identical answer."""
 
     def __init__(self, variables, generators, budget=None):
         self.variables = tuple(variables)
         self.generators = tuple(as_poly(g, self.variables) for g in generators)
         self.budget = budget or DEFAULT_BUDGET
-        self._bases, self._irreducibility = {}, None
+        self._bases, self._independent, self._irreducibility = {}, None, None
 
     def __repr__(self):
         gens = ", ".join(format_poly(g) for g in self.generators)
@@ -1054,13 +1052,16 @@ class Ideal:
 
     def independent_set(self):
         """A largest set of variables on which no leading monomial of the
-        reduced basis lies; its size is the dimension of V(I)."""
-        if self.is_trivial():
-            raise EmptyVarietyError("empty variety")
-        leads = [g.leading_exponent(GREVLEX) for g in self.groebner_basis()]
-        supports = [sum(1 << i for i, e in enumerate(lead) if e) for lead in leads]
-        mask = _independent_set(len(self.variables), supports)
-        return tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
+        reduced basis lies; its size is the dimension of V(I).  Kept once
+        found; a trivial ideal raises on every call."""
+        if self._independent is None:
+            if self.is_trivial():
+                raise EmptyVarietyError("empty variety")
+            leads = [g.leading_exponent(GREVLEX) for g in self.groebner_basis()]
+            supports = [sum(1 << i for i, e in enumerate(lead) if e) for lead in leads]
+            mask = _independent_set(len(self.variables), supports)
+            self._independent = tuple(v for i, v in enumerate(self.variables) if mask >> i & 1)
+        return self._independent
 
     def krull_dimension(self):
         """Dimension of V(I), the size of :meth:`independent_set`."""

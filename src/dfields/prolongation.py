@@ -11,7 +11,7 @@ parameters, then all level-0 names, then level 1, and so on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dring import (
     PowerTable,
@@ -74,13 +74,15 @@ def prolonged_variables(params, xvars, dim):
 
 @dataclass(frozen=True)
 class ProlongedVariety:
-    """The prolongation of V(ideal): its ideal, and the coordinates of each
-    generator's expansion."""
+    """The prolongation of V(ideal): its ideal, the coordinates of each
+    generator's expansion, and the coordinate blocks it was expanded on,
+    which :func:`pi_hat` combines."""
 
     base: BaseDStructure
     xvars: tuple
     prolonged_ideal: Ideal
     per_generator: tuple  # pairs (generator, tuple of component polys)
+    blocks: dict = field(compare=False, repr=False)  # x -> [x_0, ..., x_l]
 
     @property
     def variables(self):
@@ -118,13 +120,14 @@ def prolong(base, ideal):
             "rename the originals"
         )
     images = {p: t.on_variables(new_vars) for p, t in base.operator.images.items()}
-    for x, block in _coordinate_blocks(xvars, algebra.dim, new_vars).items():
+    blocks = _coordinate_blocks(xvars, algebra.dim, new_vars)
+    for x, block in blocks.items():
         images[x] = TensorElement(algebra, block)
     expansions = push_through(PowerTable(algebra, images, new_vars), ideal.generators)
     per_generator = tuple((f, t.comps) for f, t in zip(ideal.generators, expansions))
     components = [c for _, comps in per_generator for c in comps if not c.is_zero()]
     prolonged = Ideal(new_vars, components, ideal.budget)
-    return ProlongedVariety(base, xvars, prolonged, per_generator)
+    return ProlongedVariety(base, xvars, prolonged, per_generator, blocks)
 
 
 def nabla(op, point, xvars=None):
@@ -182,8 +185,7 @@ def pi_hat(prolonged, i):
     if not 0 <= i < len(comps):
         raise ProlongationError(f"component index {i} out of range")
     comp = comps[i]
-    blocks = _coordinate_blocks(prolonged.xvars, algebra.dim, prolonged.variables)
-    images = {x: comp.residue(block, prolonged.variables) for x, block in blocks.items()}
+    images = {x: comp.residue(block, prolonged.variables) for x, block in prolonged.blocks.items()}
     return PiHatMap(comp.residue_dim, prolonged.xvars, images)
 
 

@@ -23,7 +23,9 @@ f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
   d(pi_i) on ker J has rank dim X^sigma_i.  That rank is at most the
   generic rank of pi_i on Y_0, which in characteristic 0 is the dimension
   of the image closure (generic smoothness, Hartshorne III.10.7); so the
-  closure is all of the irreducible X^sigma_i.
+  closure is all of the irreducible X^sigma_i.  pi_i keeps the parameters
+  and sends x to a linear form in its block, so d(pi_i) is their
+  coefficient rows, the same at every point.
 - Over a graph: over a parameter-free base whose X is the graph of a
   polynomial map v = p(u) (``Ideal.graph``), tau X is the graph of one
   over its free coordinates u (Moosa and Scanlon, "Jet and prolongation
@@ -262,6 +264,20 @@ def _twisted(inst, i):
     )
 
 
+def _differential_rank(inst, i, at):
+    """The rank of d(pi_i) on ker J: with residue degree 1, pi_i sends a
+    point to its parameters and the linear forms images[x][0], so each row
+    is a form's int coefficient row applied to the kernel vectors."""
+    variables, images = inst.y_ideal.variables, pi_hat(inst.prolonged, i).images
+    forms = [MultiPoly.variable(p, variables) for p in inst.base.params]
+    forms.extend(images[x][0] for x in inst.xvars)
+    image = [
+        [sum(c * vec[e.index(1)] for e, c in f._int_terms().items()) for vec in at.kernel]
+        for f in forms
+    ]
+    return len(linalg.int_rref(image, full=False))
+
+
 def _dominance_certified(inst, i, at):
     """The certificate for pi_i once Y lies in the prolongation: X^sigma_i
     is decided irreducible, the witness is smooth, and d(pi_i) on ker J
@@ -269,15 +285,7 @@ def _dominance_certified(inst, i, at):
     twisted = _twisted(inst, i)
     if at is None or not at.smooth or decide_irreducibility(twisted).status != "irreducible":
         return False
-    variables = inst.y_ideal.variables
-    projection = pi_hat(inst.prolonged, i)
-    coords = [MultiPoly.variable(p, variables) for p in inst.base.params]
-    coords.extend(projection.images[x][0] for x in inst.xvars)
-    image = [
-        [sum(g * k for g, k in zip(row, vec) if g) for vec in at.kernel]
-        for _, row, _ in _int_gradients(coords, variables, inst.witness)
-    ]
-    return len(linalg.int_rref(image, full=False)) == twisted.krull_dimension()
+    return _differential_rank(inst, i, at) == twisted.krull_dimension()
 
 
 def _indicator(inst, i):
@@ -493,12 +501,14 @@ def _graph_reduction(inst, contained):
     coordinates u of the remainders of Y's generators on division by tau
     X's prolonged graph basis, or None.  That basis has the coprime leading
     monomials v_j, so it is a Groebner basis, and division by it
-    substitutes for each v_j."""
+    substitutes for each v_j.  When X is written as that graph, its
+    prolongation is the instance's own."""
     graph = None if inst.base.params or not contained else inst.x_ideal.graph
     if not graph:
         return None
     xvars = inst.x_ideal.variables
-    tau = prolong(inst.base, Ideal(xvars, [MultiPoly.variable(v, xvars) - p for v, p in graph.items()]))
+    gens = tuple(MultiPoly.variable(v, xvars) - p for v, p in graph.items())
+    tau = inst.prolonged if gens == inst.x_ideal.generators else prolong(inst.base, Ideal(xvars, gens))
     first = tuple(tau.block(j)[tau.xvars.index(v)] for v in graph for j in range(inst.base.algebra.dim))
     free = tuple(v for v in inst.y_ideal.variables if v not in first)
     ring = first + free

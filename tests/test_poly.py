@@ -849,6 +849,28 @@ def test_independent_set_names_a_largest_independent_set():
         Ideal(("x",), ["1"]).independent_set()
 
 
+def test_an_ideal_searches_its_independent_set_once(monkeypatch):
+    # the search recurses through the module name, so only the calls with no
+    # partial mask, the top-level searches, are counted
+    searches, search = [], poly._independent_set
+
+    def counted(n, supports, *partial):
+        if not partial:
+            searches.append(n)
+        return search(n, supports, *partial)
+
+    monkeypatch.setattr(poly, "_independent_set", counted)
+    cubic = Ideal(("x", "y", "z"), ["y - x^2", "z - x^3"])
+    assert [cubic.krull_dimension() for _ in range(3)] == [1, 1, 1]
+    assert searches == [3]
+    # an empty variety keeps nothing: it raises on every call
+    empty = Ideal(("x", "y"), ["x", "x - 1"])
+    for _ in range(2):
+        with pytest.raises(EmptyVarietyError):
+            empty.krull_dimension()
+    assert searches == [3]
+
+
 def test_budget_exceeded_is_explicit():
     tiny = GroebnerBudget(max_degree=2)
     ideal = Ideal(("x", "y"), ["y^2 - x^3"], budget=tiny)

@@ -20,11 +20,12 @@ from dfields.algebra import from_presentation, rational_field_algebra
 from dfields import linalg, poly, ucd
 from dfields.cli import parse, run
 from dfields.poly import Ideal, IrreducibilityResult, MultiPoly, jacobian_at, parse_polynomial
-from dfields.prolongation import BaseDStructure, prolong
+from dfields.prolongation import BaseDStructure, pi_hat, prolong
 from dfields.ucd import (
     _at_witness,
     _complete_intersection,
     _containment_entry,
+    _differential_rank,
     _dominance_certified,
     _dominance_entry,
     _irreducibility_certificate,
@@ -50,10 +51,11 @@ ALGEBRAS = ("dual", "trunc3", "qxq", "dual_x_q", "q3")
 BROKEN = ("x_0", "x_1 - 1", "x_0*x_1", "x_0^2 + 1", "1")
 
 
-def _instances(algebra, curve, broken=BROKEN[:1]):
+def _instances(algebra, curve, broken=BROKEN[:1], xgens=None):
     """(label, instance) for intact Y and Y plus each of ``broken``,
-    witness on and off."""
-    xvars, xgens, point = CURVES[curve]
+    witness on and off; ``xgens`` writes X by other generators."""
+    xvars, curve_gens, point = CURVES[curve]
+    xgens = xgens or curve_gens
     base = BaseDStructure.trivial(algebra)
     x_ideal = Ideal(xvars, xgens)
     prolonged = prolong(base, x_ideal)
@@ -229,6 +231,105 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
             ], (extra, witness)
             if not extra and witness == on:
                 assert all(_dominance_certified(inst, i, at) for i in (0, 1))
+
+
+def _counted_prolong(monkeypatch):
+    """Patch the prolong that ucd calls; returns its list of calls."""
+    calls = []
+
+    def counted(base, ideal):
+        calls.append(ideal.generators)
+        return prolong(base, ideal)
+
+    monkeypatch.setattr(ucd, "prolong", counted)
+    return calls
+
+
+@pytest.mark.parametrize("curve", ("parabola", "twisted_cubic"))
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_a_graph_x_reduces_y_on_the_instances_own_prolongation(
+    algebra_name, curve, request, monkeypatch
+):
+    # X written as its graph: the reduction's tau X is the instance's
+    algebra = request.getfixturevalue(algebra_name)
+    for label, inst in _instances(algebra, curve):
+        calls = _counted_prolong(monkeypatch)
+        check_instance(inst)
+        assert calls == [], label
+
+
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_a_graph_x_written_otherwise_is_prolonged_once_more(algebra_name, request, monkeypatch):
+    # 2*y - 2*x^2 is not the graph's y - x^2, so the graph is prolonged anew
+    algebra = request.getfixturevalue(algebra_name)
+    for label, inst in _instances(algebra, "parabola", xgens=["2*y - 2*x^2"]):
+        calls = _counted_prolong(monkeypatch)
+        report = check_instance(inst)
+        assert len(calls) == 1 and calls[0] != inst.x_ideal.generators, label
+        assert [(e.name, e.status) for e in report.entries] == [
+            (e.name, e.status) for e in _groebner_path(inst)
+        ], label
+
+
+def _gradient_rank(inst, i, at):
+    """The rank of d(pi_i) on ker J from the gradients of the parameters and
+    of the images[x][0] at the witness, evaluated term by term."""
+    variables = inst.y_ideal.variables
+    projection = pi_hat(inst.prolonged, i)
+    coords = [MultiPoly.variable(p, variables) for p in inst.base.params]
+    coords.extend(projection.images[x][0] for x in inst.xvars)
+    image = [
+        [sum(g * k for g, k in zip(row, vec) if g) for vec in at.kernel]
+        for _, row, _ in poly._int_gradients(coords, variables, inst.witness)
+    ]
+    return len(linalg.int_rref(image, full=False))
+
+
+def _differential_ranks(instances):
+    """{(label, i): rank of d(pi_i)} over the instances with a smooth
+    witness, asserting that the coefficient rows give the gradient rank."""
+    ranks = {}
+    for label, inst in instances:
+        at = _at_witness(inst)
+        if at is None or not at.smooth:
+            continue
+        for i in range(len(inst.base.algebra.components)):
+            rank = _differential_rank(inst, i, at)
+            assert rank == _gradient_rank(inst, i, at), (label, i)
+            ranks[label, i] = rank
+    return ranks
+
+
+@pytest.mark.parametrize("curve", CURVES)
+@pytest.mark.parametrize("algebra_name", ALGEBRAS)
+def test_the_differential_of_pi_is_its_coefficient_rows(algebra_name, curve, request):
+    algebra = request.getfixturevalue(algebra_name)
+    ranks = _differential_ranks(_instances(algebra, curve))
+    assert ranks[("intact/on", 0)] == 1
+
+
+def test_the_differential_of_pi_over_a_parameter_is_its_coefficient_rows(qxq):
+    # the base and the Y of the parameter test above, and the line of fixed
+    # x_0 and x_1, along which only t moves: there only the parameter's row
+    # sees the tangent direction
+    base = BaseDStructure(qxq, ("t",), {"t": ("t", "t + 1")})
+    x_ideal = Ideal(("t", "x"), ["x^2 - t"])
+    prolonged = prolong(base, x_ideal)
+    yvars = prolonged.variables
+    tau = list(prolonged.prolonged_ideal.generators)
+    on = (Fraction(9, 16), Fraction(3, 4), Fraction(5, 4))
+    cases = {
+        "tau X": tau, "x_0 fixed": tau + ["x_0 - 3/4"], "t = 0": tau + ["t"],
+        "line": ["x_0 - 3/4", "x_1 - 5/4"],
+    }
+    instances = [
+        ((name, witness), ucd_instance(base, x_ideal, Ideal(yvars, gens), witness=witness))
+        for name, gens in cases.items()
+        for witness in (on, (0, 0, 1), (1, 1, 1))
+    ]
+    ranks = _differential_ranks(instances)
+    assert ranks[("tau X", on), 0] == ranks[("tau X", on), 1] == 1
+    assert ranks[("line", on), 0] == ranks[("line", on), 1] == 1
 
 
 NODE_DOCUMENT = """
