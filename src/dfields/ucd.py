@@ -40,6 +40,15 @@ f_1..f_m be the nonzero generators of Y in n variables, J their Jacobian.
     meets Q[u_j] in 0: v_j = p(u_j) on tau X, and that elimination ideal
     cuts out the closure of the image of V(r) in the u_j (closure theorem;
     Cox, Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 3).
+- dominance_pi_i without a witness, from Y's reduced grevlex basis: with
+  containment, pi_i the projection onto block j, X^sigma_i decided
+  irreducible of dimension d, and 1 not in I(Y), it is verified when d of
+  the parameters and block-j coordinates T are independent modulo the
+  leading monomials (Kredel and Weispfenning, JSC 6, 1988).  A monomial
+  in T lies in in(I(Y)) only if a lead divides it, so I(Y) meets Q[T] in
+  0, the projection of V(Y) to T is dense (closure theorem), and the
+  closure of pi_i(V(Y)), closed in X^sigma_i and of dimension >= d, is
+  all of it.
 - Y_irreducible, then: with a smooth witness, m >= 2 and n - m >= 1, Y has
   a component of codimension at least 2 and positive dimension, so its
   reduced basis is not zero, trivial, principal or zero-dimensional; if
@@ -85,6 +94,7 @@ from .poly import (
     MultiPoly,
     NotOnVarietyError,
     _fresh_name,
+    _independent_set,
     _int_gradients,
     as_poly,
     decide_irreducibility,
@@ -278,11 +288,10 @@ def _differential_rank(inst, i, at):
     return len(linalg.int_rref(image, full=False))
 
 
-def _dominance_certified(inst, i, at):
+def _dominance_certified(inst, i, at, twisted):
     """The certificate for pi_i once Y lies in the prolongation: X^sigma_i
-    is decided irreducible, the witness is smooth, and d(pi_i) on ker J
-    has rank dim X^sigma_i."""
-    twisted = _twisted(inst, i)
+    (``twisted``) is decided irreducible, the witness is smooth, and
+    d(pi_i) on ker J has rank dim X^sigma_i."""
     if at is None or not at.smooth or decide_irreducibility(twisted).status != "irreducible":
         return False
     return _differential_rank(inst, i, at) == twisted.krull_dimension()
@@ -315,10 +324,28 @@ def _graph_dominance(inst, i, reduced):
     )
 
 
-def _dominance_entry(inst, i):
-    """Dominance of pi_i by the elimination ideal of its graph."""
+def _dense_projection(inst, i, twisted):
+    """The certificate for pi_i without a witness (module docstring), once
+    Y lies in the prolongation: pi_i projects onto a block j, X^sigma_i is
+    decided irreducible, Y is not empty, and dim X^sigma_i of the
+    parameters and block-j coordinates are independent modulo Y's leads."""
+    j = _indicator(inst, i)
+    if inst.y_ideal.is_trivial() or j is None or decide_irreducibility(twisted).status != "irreducible":
+        return False
+    variables, kept = inst.y_ideal.variables, set(inst.base.params) | set(inst.prolonged.block(j))
+    supports = [1 << k for k, v in enumerate(variables) if v not in kept]
+    supports += [
+        sum(1 << k for k, e in enumerate(g.leading_exponent()) if e)
+        for g in inst.y_ideal.groebner_basis()
+    ]
+    return _independent_set(len(variables), supports).bit_count() >= twisted.krull_dimension()
+
+
+def _dominance_entry(inst, i, twisted, on_basis=False):
+    """Dominance of pi_i by the elimination ideal of its graph, built on
+    Y's reduced basis (``on_basis``, once :func:`_dense_projection` has
+    computed it) or on its generators: the block basis is the same."""
     projection = pi_hat(inst.prolonged, i)
-    twisted = _twisted(inst, i)
     indicator = _indicator(inst, i)
     if indicator is not None:
         zname = dict(zip(inst.xvars, inst.prolonged.block(indicator)))
@@ -331,7 +358,8 @@ def _dominance_entry(inst, i):
     graph_vars = inst.y_ideal.variables + tuple(
         zname[x] for x in inst.xvars if zname[x] not in inst.y_ideal.variables
     )
-    gens = [g.on_variables(graph_vars) for g in inst.y_ideal.generators]
+    source = inst.y_ideal.groebner_basis() if on_basis else inst.y_ideal.generators
+    gens = [g.on_variables(graph_vars) for g in source]
     for x in inst.xvars:
         z = MultiPoly.variable(zname[x], graph_vars)
         combo = projection.images[x][0].on_variables(graph_vars)
@@ -340,20 +368,17 @@ def _dominance_entry(inst, i):
     keep = tuple(inst.base.params) + tuple(zname[x] for x in inst.xvars)
     image_closure = Ideal(graph_vars, gens, inst.y_ideal.budget).elimination_ideal(keep)
 
-    rename = {zname[x]: MultiPoly.variable(x, inst.x_ideal.variables) for x in inst.xvars}
+    # image_closure is on the parameters, then the z in xvars order: retag
+    ring = tuple(inst.base.params) + inst.xvars
     renamed = Ideal(
-        inst.x_ideal.variables,
-        [g.substitute(rename).on_variables(inst.x_ideal.variables)
-         for g in image_closure.generators],
+        ring, [MultiPoly._trusted(ring, g.terms) for g in image_closure.generators],
         inst.x_ideal.budget,
     )
 
     name = f"dominance_pi_{i}"
     missing = _first_outside_radical(twisted, renamed.generators)
     if missing is not None:
-        witness = missing.substitute(
-            {x: MultiPoly.variable(zname[x], image_closure.variables) for x in inst.xvars}
-        )
+        witness = MultiPoly._trusted(image_closure.variables, missing.terms)
         return HypothesisEntry(
             name,
             "refuted",
@@ -387,11 +412,15 @@ def _dominance_entries(inst, contained, at, reduced):
                 "some local component has residue degree > 1",
             )
         ]
+    twisted = [_twisted(inst, i) for i in range(len(comps))]
+    # over a graph X (a reduction) the reduction decides pi_i with no basis of Y
+    dense = contained and reduced is None
     return [
         HypothesisEntry(f"dominance_pi_{i}", "verified")
-        if contained and _dominance_certified(inst, i, at)
-        else _graph_dominance(inst, i, reduced) or _dominance_entry(inst, i)
-        for i in range(len(comps))
+        if contained and _dominance_certified(inst, i, at, x)
+        or dense and _dense_projection(inst, i, x)
+        else _graph_dominance(inst, i, reduced) or _dominance_entry(inst, i, x, dense)
+        for i, x in enumerate(twisted)
     ]
 
 

@@ -211,8 +211,9 @@ dvariety dv { algebra = dual; variety = line; s x = (x, 1); }
         ],
     }
 
-# the first block needs a Groebner basis past degree 10 (it has no witness,
-# so no certificate applies); the second is answered at its witness
+# the first block needs a Groebner basis of degree 10 (it has no witness,
+# so only the certificate from Y's leading monomials applies); the second
+# is answered at its witness
 BUDGETED = """
 algebra dual = Q[e]/(e^2);
 algebra e3 = Q[e]/(e^3);
@@ -244,11 +245,11 @@ EASY_LINES = (
 
 
 def test_a_block_over_budget_does_not_hide_the_next(tmp_path, capsys):
-    error = "budget exhausted: degree 11 exceeds cap 10"
-    code, out = _cli(tmp_path, capsys, BUDGETED, ["--budget", "10", "ucd", "check"])
+    error = "budget exhausted: degree 10 exceeds cap 9"
+    code, out = _cli(tmp_path, capsys, BUDGETED, ["--budget", "9", "ucd", "check"])
     assert code == 1
     assert out == EASY_LINES
-    code = main(["--budget", "10", "--json", "ucd", "check", str(tmp_path / "doc.dr")])
+    code = main(["--budget", "9", "--json", "ucd", "check", str(tmp_path / "doc.dr")])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err == f"error: ucd hard: {error}\n"
@@ -256,12 +257,27 @@ def test_a_block_over_budget_does_not_hide_the_next(tmp_path, capsys):
     assert payload["results"][0] == {"name": "hard", "error": error}
     assert [r["name"] for r in payload["results"]] == ["hard", "easy"]
     assert payload["results"][1]["verdict"] == "verified"
-    result = run("ucd check", parse(BUDGETED), budget=GroebnerBudget(max_degree=10))
+    result = run("ucd check", parse(BUDGETED), budget=GroebnerBudget(max_degree=9))
     assert (result.exit_code, result.errors) == (1, [f"ucd hard: {error}"])
     # without the cap the first block finishes too
     code, out = _cli(tmp_path, capsys, BUDGETED, ["ucd", "check"])
     assert code == 3
     assert out.startswith("ucd hard: undetermined\n") and out.endswith(EASY_LINES)
+
+
+def test_dominance_without_a_witness_finishes_at_cap_10(tmp_path, capsys):
+    # pi_0 is dense by Y's grevlex leading monomials: no block-order
+    # elimination, whose basis reaches degree 11
+    path = tmp_path / "doc.dr"
+    path.write_text(BUDGETED)
+    code = main(["--budget", "10", "ucd", "check", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (3, "")
+    assert captured.out.startswith(
+        "ucd hard: undetermined\n  Y_subset_of_tauX: verified\n  dominance_pi_0: verified\n"
+    ) and captured.out.endswith(EASY_LINES)
+    result = run("ucd check", parse(BUDGETED), budget=GroebnerBudget(max_degree=10))
+    assert (result.exit_code, result.errors) == (3, [])
 
 
 @pytest.mark.parametrize("command, keyword", COMMANDS.items())

@@ -6,7 +6,9 @@ On prolongations of four curves over local and split algebras, intact and
 with the broken extra generator x_0, and with the witness on and off Y,
 every status must be the one the Groebner-basis helpers give when called
 directly.  With the other broken extra generators, a certificate may also
-verify what the helpers leave undetermined.
+verify what the helpers leave undetermined.  Without a witness, a
+projection that Y's leading monomials show dense must read as its
+elimination ideal reads.
 """
 
 import itertools
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dfields.algebra import from_presentation, rational_field_algebra
+from dfields.algebra import from_presentation, product_algebra, rational_field_algebra
 from dfields import linalg, poly, ucd
 from dfields.cli import parse, run
 from dfields.poly import Ideal, IrreducibilityResult, MultiPoly, jacobian_at, parse_polynomial
@@ -25,6 +27,7 @@ from dfields.ucd import (
     _at_witness,
     _complete_intersection,
     _containment_entry,
+    _dense_projection,
     _differential_rank,
     _dominance_certified,
     _dominance_entry,
@@ -34,6 +37,7 @@ from dfields.ucd import (
     _open_set_entry,
     _outside_span,
     _smoothness_entry,
+    _twisted,
     check_instance,
     ucd_instance,
 )
@@ -76,7 +80,8 @@ def _groebner_path(inst):
     """The entries of the Groebner-basis helpers, called directly."""
     entries = [_containment_entry(inst)]
     entries.extend(
-        _dominance_entry(inst, i) for i in range(len(inst.base.algebra.components))
+        _dominance_entry(inst, i, _twisted(inst, i))
+        for i in range(len(inst.base.algebra.components))
     )
     entries.append(_smoothness_entry(inst, _at_witness(inst)))
     entries.append(_irreducibility_entry(inst, "X"))
@@ -93,7 +98,7 @@ def test_certificates_agree_with_the_groebner_path(algebra_name, curve, request)
         report = check_instance(inst)
         fallback = [_containment_entry(inst)]
         fallback.extend(
-            _dominance_entry(inst, i) for i in range(len(algebra.components))
+            _dominance_entry(inst, i, _twisted(inst, i)) for i in range(len(algebra.components))
         )
         fallback.append(_smoothness_entry(inst, _at_witness(inst)))
         fallback.append(_irreducibility_entry(inst, "X"))
@@ -134,7 +139,8 @@ def test_intact_prolongations_are_verified_by_certificates(algebra_name, curve, 
     # every X here is decided irreducible, the twisted cubic as a graph, so
     # no projection needs its elimination ideal
     dominance = [
-        _dominance_certified(inst, i, at) for i in range(len(algebra.components))
+        _dominance_certified(inst, i, at, _twisted(inst, i))
+        for i in range(len(algebra.components))
     ]
     assert all(dominance)
 
@@ -218,8 +224,8 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
             at = _at_witness(inst)
             fallback = [
                 _containment_entry(inst),
-                _dominance_entry(inst, 0),
-                _dominance_entry(inst, 1),
+                _dominance_entry(inst, 0, _twisted(inst, 0)),
+                _dominance_entry(inst, 1, _twisted(inst, 1)),
                 _smoothness_entry(inst, at),
                 _irreducibility_entry(inst, "X"),
                 _irreducibility_entry(inst, "Y"),
@@ -230,8 +236,126 @@ def test_certificates_agree_with_the_groebner_path_over_a_parameter(qxq):
                 (e.name, e.status) for e in fallback
             ], (extra, witness)
             if not extra and witness == on:
-                assert all(_dominance_certified(inst, i, at) for i in (0, 1))
+                assert all(_dominance_certified(inst, i, at, _twisted(inst, i)) for i in (0, 1))
 
+
+def _without_witness(instances):
+    """(label, instance) for each ``_instances`` Y, with the witness dropped."""
+    for label, inst in instances:
+        if label.endswith("/on"):
+            yield label[:-3], ucd_instance(inst.base, inst.x_ideal, inst.y_ideal)
+
+
+@pytest.mark.parametrize("curve", ("circle", "elliptic"))
+@pytest.mark.parametrize("algebra_name", ALGEBRAS + ("dual_x_q_x_q",))
+def test_leading_monomials_certify_dominance_as_the_elimination_does(algebra_name, curve, request):
+    # X is no graph and there is no witness, so each projection is either
+    # dense by Y's leading monomials or answered by its elimination ideal
+    if algebra_name == "dual_x_q_x_q":
+        q = rational_field_algebra()
+        algebra = product_algebra(from_presentation(["e"], ["e^2"]), q, q)
+    else:
+        algebra = request.getfixturevalue(algebra_name)
+    certified = []
+    for label, inst in _without_witness(_instances(algebra, curve, BROKEN)):
+        report = check_instance(inst)
+        for i in range(len(algebra.components)):
+            eliminated = _dominance_entry(inst, i, _twisted(inst, i))
+            assert report.entry(f"dominance_pi_{i}") == eliminated, (label, i)
+            if _dense_projection(inst, i, _twisted(inst, i)):
+                certified.append((label, i))
+    # tau X's leads past block 0 lie in the higher blocks, so block 0 is dense
+    assert ("intact", 0) in certified
+    assert ("broken x_0", 0) not in certified and ("broken 1", 0) not in certified
+
+
+def _point_instance(extra):
+    """X the rational point x = 0, written as x^2 = 0 so that it is no graph,
+    over Q[e]/(e^2); Y its prolongation plus ``extra``."""
+    base = BaseDStructure.trivial(from_presentation(["e"], ["e^2"]))
+    x_ideal = Ideal(("x",), ["x^2"])
+    prolonged = prolong(base, x_ideal)
+    gens = list(prolonged.prolonged_ideal.generators) + [extra]
+    return ucd_instance(base, x_ideal, Ideal(prolonged.variables, gens))
+
+
+def test_an_empty_y_is_not_dense_over_a_point():
+    # X^sigma_0 has dimension 0, which the empty set of variables reaches;
+    # but V(Y) is empty, so the projection is refuted by its elimination
+    inst = _point_instance("x_0 - 5")
+    assert inst.y_ideal.is_trivial()
+    entry = check_instance(inst).entry("dominance_pi_0")
+    assert (entry.status, entry.detail) == (
+        "refuted", "projection 0 is not dominant: elimination ideal contains 1"
+    )
+    inst = _point_instance("x_1")
+    assert _dense_projection(inst, 0, inst.x_ideal)
+    assert check_instance(inst).entry("dominance_pi_0").status == "verified"
+
+
+def test_a_y_outside_tau_x_is_never_certified_dense(dual, monkeypatch):
+    # Y is the plane x_1 = y_1 = 0, whose projection to block 0 is dense in
+    # the plane, not in the circle; Y is not inside tau X, so no certificate
+    base = BaseDStructure.trivial(dual)
+    x_ideal = Ideal(("x", "y"), ["x^2 + y^2 - 1"])
+    yvars = prolong(base, x_ideal).variables
+    inst = ucd_instance(base, x_ideal, Ideal(yvars, ["x_1", "y_1"]))
+    consulted = []
+    monkeypatch.setattr(ucd, "_dense_projection", lambda *args: consulted.append(args))
+    report = check_instance(inst)
+    assert report.entry("Y_subset_of_tauX").status == "refuted"
+    assert report.entry("dominance_pi_0") == _dominance_entry(inst, 0, _twisted(inst, 0))
+    assert report.entry("dominance_pi_0").status == "refuted"
+    assert consulted == []
+
+
+def _shift_instance(qxq, extra=(), witness=None):
+    """X = (x^2 - t) over the base t -> (t, t + 1) on Q x Q, Y = tau X plus ``extra``."""
+    base = BaseDStructure(qxq, ("t",), {"t": ("t", "t + 1")})
+    x_ideal = Ideal(("t", "x"), ["x^2 - t"])
+    prolonged = prolong(base, x_ideal)
+    y = Ideal(prolonged.variables, list(prolonged.prolonged_ideal.generators) + list(extra))
+    return ucd_instance(base, x_ideal, y, witness=witness)
+
+
+def test_leading_monomials_certify_dominance_over_a_parameter(qxq, monkeypatch):
+    # tau X = (x_0^2 - t, x_1^2 - t - 1): no block alone is independent
+    # modulo the leads x_0^2 and x_1^2, but the parameter t is
+    inst = _shift_instance(qxq)
+    assert all(_dense_projection(inst, i, _twisted(inst, i)) for i in (0, 1))
+    expected = [_dominance_entry(inst, i, _twisted(inst, i)) for i in (0, 1)]
+
+    def no_elimination(self, keep_vars):
+        raise AssertionError("elimination ideal computed")
+
+    monkeypatch.setattr(Ideal, "elimination_ideal", no_elimination)
+    report = check_instance(inst)
+    assert [report.entry(f"dominance_pi_{i}") for i in (0, 1)] == expected
+    assert [e.status for e in expected] == ["verified", "verified"]
+    # t fixed: Y is finitely many points, and its projections are not dense
+    inst = _shift_instance(qxq, ["t - 9/16"])
+    assert not any(_dense_projection(inst, i, _twisted(inst, i)) for i in (0, 1))
+
+
+def test_each_twisted_x_is_decided_once_per_check(qxq, monkeypatch):
+    # X^sigma_1 = (x^2 - t - 1), a new ideal over the parameter; without a
+    # witness only Y's leading monomials consult it, and with t fixed the
+    # witness certificate fails at its rank before they do.  X^sigma_0 has
+    # the generators of X, which X_irreducible decides as well.
+    decided = []
+    inner = poly._decide_irreducibility
+
+    def counted(ideal):
+        decided.append(ideal.generators)
+        return inner(ideal)
+
+    monkeypatch.setattr(poly, "_decide_irreducibility", counted)
+    twisted = (parse_polynomial("x^2 - t - 1", ("t", "x")),)
+    on = (Fraction(9, 16), Fraction(3, 4), Fraction(5, 4))
+    for extra, witness in (((), None), ((), on), (["t - 9/16"], on)):
+        decided.clear()
+        check_instance(_shift_instance(qxq, extra, witness))
+        assert decided.count(twisted) == 1, (extra, witness)
 
 def _counted_prolong(monkeypatch):
     """Patch the prolong that ucd calls; returns its list of calls."""
